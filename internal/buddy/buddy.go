@@ -1,6 +1,9 @@
 package buddy
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // MaxOrder is the largest allocation order (inclusive); order 10 chunks
 // are 4 MiB of 4 KiB pages, matching Linux's MAX_PAGE_ORDER.
@@ -20,6 +23,10 @@ type Allocator struct {
 	// ord[i] is the encoded order of the free chunk whose head is page
 	// base+i (see noChunk).
 	ord []int8
+
+	// heads is the free-chunk-head bitmap: bit i is set iff ord[i] !=
+	// noChunk, so range scans skip occupied pages a word at a time.
+	heads []uint64
 
 	// stacks[k] holds candidate heads (relative indexes) of free chunks
 	// of order k. Entries are validated against ord on pop (lazy
@@ -41,31 +48,37 @@ func New(base, npages int64) *Allocator {
 	if npages <= 0 {
 		panic(fmt.Sprintf("buddy: non-positive span %d", npages))
 	}
-	return &Allocator{base: base, npages: npages, ord: make([]int8, npages)}
+	return &Allocator{base: base, npages: npages, ord: make([]int8, npages), heads: make([]uint64, headWords(npages))}
 }
 
+// headWords is the length of the heads bitmap for a span of npages.
+func headWords(npages int64) int64 { return (npages + 63) / 64 }
+
 // Reset re-dimensions the allocator to a fresh [base, base+npages)
-// span while reusing its storage: the ord span is re-zeroed in place
-// when capacity allows (growing only when the new span is larger),
-// stacks are truncated, and region tracking — if it was enabled —
-// survives at the same region size with cleared counters. All pages
-// start absent again, exactly as after New, so a reset allocator
-// behaves identically to a freshly constructed one.
+// span while reusing its storage: the ord span and head bitmap are
+// re-zeroed in place when capacity allows (growing only when the new
+// span is larger), stacks are truncated, and region tracking — if it
+// was enabled — survives at the same region size with cleared
+// counters. All pages start absent again, exactly as after New, so a
+// reset allocator behaves identically to a freshly constructed one.
 func (a *Allocator) Reset(base, npages int64) {
 	if npages <= 0 {
 		panic(fmt.Sprintf("buddy: non-positive span %d", npages))
 	}
 	a.base = base
 	a.npages = npages
+	// ord and heads are always allocated together, so cap(heads) ==
+	// headWords(cap(ord)) and the heads re-slice below stays in cap.
 	if int64(cap(a.ord)) >= npages {
-		// Restore the all-zero state. Every nonzero ord position is the
-		// head of a free chunk, and every head was recorded in a stack
-		// (pop and coalescing only ever clear positions), so zeroing the
-		// stack entries restores a sparse span without touching the
-		// untouched bulk; heavily-churned spans whose stacks grew past
-		// an eighth of the extent fall back to one memclr. Both leave
-		// the entire backing array zero, so any re-slice within cap
-		// starts clean.
+		// Restore the all-zero state. Every nonzero ord position (and
+		// so every set head bit) is the head of a free chunk, and every
+		// head was recorded in a stack (pop and coalescing only ever
+		// clear positions), so zeroing the stack entries restores a
+		// sparse span without touching the untouched bulk — which the
+		// OS then never has to back; heavily-churned spans whose stacks
+		// grew past an eighth of the extent fall back to one memclr.
+		// Both leave the entire backing arrays zero, so any re-slice
+		// within cap starts clean.
 		var entries int64
 		for k := range a.stacks {
 			entries += int64(len(a.stacks[k]))
@@ -74,14 +87,18 @@ func (a *Allocator) Reset(base, npages int64) {
 			for k := range a.stacks {
 				for _, i := range a.stacks[k] {
 					a.ord[i] = noChunk
+					a.heads[i/64] = 0
 				}
 			}
 		} else {
 			clear(a.ord)
+			clear(a.heads)
 		}
 		a.ord = a.ord[:npages]
+		a.heads = a.heads[:headWords(npages)]
 	} else {
 		a.ord = make([]int8, npages)
+		a.heads = make([]uint64, headWords(npages))
 	}
 	for k := range a.stacks {
 		a.stacks[k] = a.stacks[k][:0]
@@ -187,7 +204,7 @@ func (a *Allocator) Free(pfn int64, order int) {
 			break
 		}
 		// Detach the buddy (its stack entry goes stale) and merge.
-		a.ord[bud] = noChunk
+		a.clearHead(bud)
 		if bud < i {
 			i = bud
 		}
@@ -229,30 +246,35 @@ func (a *Allocator) IsolateRange(pfn, count int64) int64 {
 	if start < 0 || end > a.npages {
 		panic(fmt.Sprintf("buddy: IsolateRange(%d,%d) outside span", pfn, count))
 	}
+	// Visit only free-chunk heads: fully occupied (or offline) regions
+	// are skipped by their counter, the rest of the head bitmap a word
+	// at a time, and a free chunk holds no other head, so cost is
+	// O(free chunks + words left uncovered), not O(pages).
 	var isolated int64
-	for i := start; i < end; i++ {
-		// A fully-occupied (or offline) region has nothing to isolate.
-		if a.regionPages != 0 && i%a.regionPages == 0 {
-			for i+a.regionPages <= end && a.regionFree[i/a.regionPages] == 0 {
-				i += a.regionPages
-			}
-			if i >= end {
-				break
-			}
-		}
-		k := a.ord[i]
-		if k == noChunk {
+	for i := start; i < end; {
+		if rp := a.regionPages; rp != 0 && i%rp == 0 && i+rp <= end && a.regionFree[i/rp] == 0 {
+			i += rp
 			continue
 		}
+		word := a.heads[i/64] >> (i % 64)
+		if word == 0 {
+			i = (i/64 + 1) * 64
+			continue
+		}
+		i += int64(bits.TrailingZeros64(word))
+		if i >= end {
+			break
+		}
+		k := a.ord[i]
 		sz := int64(1) << (k - 1)
 		if i+sz > end {
 			panic(fmt.Sprintf("buddy: free chunk at %d order %d straddles isolation boundary", a.base+i, k-1))
 		}
-		a.ord[i] = noChunk // stack entry goes stale
+		a.clearHead(i) // stack entry goes stale
 		isolated += sz
 		a.free -= sz
 		a.creditRegion(i, -sz)
-		i += sz - 1
+		i += sz
 	}
 	return isolated
 }
@@ -331,7 +353,15 @@ func (a *Allocator) LargestFreeOrder() int {
 
 func (a *Allocator) push(i int64, order int) {
 	a.ord[i] = int8(order) + 1
+	a.heads[i/64] |= 1 << (i % 64)
 	a.stacks[order] = append(a.stacks[order], i)
+}
+
+// clearHead unmarks page i as a free-chunk head in both ord and the
+// head bitmap. Any stack entry for it goes stale.
+func (a *Allocator) clearHead(i int64) {
+	a.ord[i] = noChunk
+	a.heads[i/64] &^= 1 << (i % 64)
 }
 
 func (a *Allocator) pop(order int) (int64, bool) {
@@ -340,7 +370,7 @@ func (a *Allocator) pop(order int) (int64, bool) {
 		head := st[len(st)-1]
 		st = st[:len(st)-1]
 		if a.ord[head] == int8(order)+1 {
-			a.ord[head] = noChunk
+			a.clearHead(head)
 			a.stacks[order] = st
 			return head, true
 		}
@@ -351,10 +381,19 @@ func (a *Allocator) pop(order int) (int64, bool) {
 
 // CheckInvariants validates internal consistency — the free count
 // matches the chunks recorded in ord, no free chunk overlaps another,
-// every free chunk is order-aligned, and the region counters (when
-// enabled) agree with a fresh count. It is O(span) and intended for
-// tests.
+// every free chunk is order-aligned, the head bitmap marks exactly the
+// chunk heads, and the region counters (when enabled) agree with a
+// fresh count. It is O(span) and intended for tests.
 func (a *Allocator) CheckInvariants() error {
+	if int64(len(a.heads)) != headWords(a.npages) {
+		return fmt.Errorf("head bitmap has %d words, span needs %d", len(a.heads), headWords(a.npages))
+	}
+	for i := int64(0); i < int64(len(a.heads))*64; i++ {
+		set := a.heads[i/64]&(1<<(i%64)) != 0
+		if head := i < a.npages && a.ord[i] != noChunk; set != head {
+			return fmt.Errorf("head bitmap bit %d = %v, ord says head = %v", a.base+i, set, head)
+		}
+	}
 	var counted int64
 	regions := make([]int64, len(a.regionFree))
 	i := int64(0)

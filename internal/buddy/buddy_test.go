@@ -554,3 +554,151 @@ func TestResetGrowsSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// refIsolateRange is the page-walk reference for IsolateRange: it
+// visits every page of the range in order and detaches each free chunk
+// it finds, panicking on a chunk that straddles the range's end.
+func refIsolateRange(a *Allocator, pfn, count int64) int64 {
+	start, end := pfn-a.base, pfn-a.base+count
+	var isolated int64
+	for i := start; i < end; i++ {
+		k := a.ord[i]
+		if k == noChunk {
+			continue
+		}
+		sz := int64(1) << (k - 1)
+		if i+sz > end {
+			panic("buddy: reference isolation straddles")
+		}
+		a.clearHead(i)
+		isolated += sz
+		a.free -= sz
+		a.creditRegion(i, -sz)
+		i += sz - 1
+	}
+	return isolated
+}
+
+// tryIsolate runs an isolation, reporting a straddle panic instead of
+// propagating it. Both implementations isolate in ascending order and
+// stop at the same straddling chunk, so twins stay identical after one.
+func tryIsolate(isolate func() int64) (n int64, panicked bool) {
+	defer func() {
+		if recover() != nil {
+			panicked = true
+		}
+	}()
+	return isolate(), false
+}
+
+// TestIsolateRangeMatchesPageWalk runs random Alloc/Free/FreeRange/
+// IsolateRange programs on twin allocators, one isolating through the
+// head bitmap and one through the page-walk reference, with Resets to
+// other spans between programs. Every result, free count and region
+// counter must agree.
+func TestIsolateRangeMatchesPageWalk(t *testing.T) {
+	const region = 1 << MaxOrder
+	f := func(seed uint64) bool {
+		rng := rand.New(rand.NewPCG(seed, 77))
+		fast, ref := New(0, region), New(0, region)
+		fast.TrackRegions(region)
+		ref.TrackRegions(region)
+		for prog := 0; prog < 4; prog++ {
+			regions := int64(rng.IntN(12) + 1)
+			base := int64(rng.IntN(4)) * region
+			fast.Reset(base, regions*region)
+			ref.Reset(base, regions*region)
+			online := make([]bool, regions)
+			var live [][2]int64 // pfn, order
+			for step := 0; step < 400; step++ {
+				r := int64(rng.IntN(int(regions)))
+				rstart := base + r*region
+				switch op := rng.IntN(10); {
+				case op < 2: // online an absent region
+					if !online[r] {
+						online[r] = true
+						fast.FreeRange(rstart, region)
+						ref.FreeRange(rstart, region)
+					}
+				case op < 5:
+					order := rng.IntN(MaxOrder + 1)
+					p1, ok1 := fast.Alloc(order)
+					p2, ok2 := ref.Alloc(order)
+					if p1 != p2 || ok1 != ok2 {
+						t.Logf("step %d: Alloc(%d) = %d,%v vs reference %d,%v", step, order, p1, ok1, p2, ok2)
+						return false
+					}
+					if ok1 {
+						live = append(live, [2]int64{p1, int64(order)})
+					}
+				case op < 8:
+					if len(live) > 0 {
+						i := rng.IntN(len(live))
+						fast.Free(live[i][0], int(live[i][1]))
+						ref.Free(live[i][0], int(live[i][1]))
+						live[i] = live[len(live)-1]
+						live = live[:len(live)-1]
+					}
+				case op < 9: // isolate an unaligned range; it may cut a chunk
+					lo := base + int64(rng.IntN(int(regions*region)))
+					n := int64(rng.IntN(int(base+regions*region-lo))) + 1
+					got, gotPanic := tryIsolate(func() int64 { return fast.IsolateRange(lo, n) })
+					want, wantPanic := tryIsolate(func() int64 { return refIsolateRange(ref, lo, n) })
+					if got != want || gotPanic != wantPanic {
+						t.Logf("step %d: IsolateRange(%d, %d) = %d (panic %v), reference %d (panic %v)", step, lo, n, got, gotPanic, want, wantPanic)
+						return false
+					}
+				default: // isolate a run of whole regions
+					n := int64(rng.IntN(int(regions-r))) + 1
+					// A region isolated while wholly free is absent
+					// afterwards and can be onlined again.
+					for j := r; j < r+n; j++ {
+						if fast.regionFree[j] == region {
+							online[j] = false
+						}
+					}
+					got := fast.IsolateRange(rstart, n*region)
+					want := refIsolateRange(ref, rstart, n*region)
+					if got != want {
+						t.Logf("step %d: IsolateRange(%d, %d) = %d, reference %d", step, rstart, n*region, got, want)
+						return false
+					}
+				}
+				if fast.NrFree() != ref.NrFree() {
+					t.Logf("step %d: NrFree %d vs reference %d", step, fast.NrFree(), ref.NrFree())
+					return false
+				}
+				for j := range fast.regionFree {
+					if fast.regionFree[j] != ref.regionFree[j] {
+						t.Logf("step %d: region %d free %d vs reference %d", step, j, fast.regionFree[j], ref.regionFree[j])
+						return false
+					}
+				}
+			}
+			if err := fast.CheckInvariants(); err != nil {
+				t.Log(err)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Error(err)
+	}
+}
+
+// An isolation range that cuts a free chunk must still panic, whether
+// the range ends inside the chunk or starts before a chunk it overruns.
+func TestIsolateStraddlePanics(t *testing.T) {
+	for _, r := range [][2]int64{{0, 512}, {512, 1024}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("IsolateRange(%d, %d) across a free order-%d chunk did not panic", r[0], r[1], MaxOrder)
+				}
+			}()
+			a := newOnline(0, 2048)
+			a.IsolateRange(r[0], r[1])
+		}()
+	}
+}

@@ -17,5 +17,8 @@
 // fixed-size region (the caller's hotplug block), so FreeInRange over a
 // region-aligned range — the per-block occupancy question every unplug
 // candidate scan asks — is O(regions) array reads instead of an O(span)
-// page walk, and IsolateRange skips fully-occupied regions outright.
+// page walk. A free-chunk-head bitmap mirrors the order map, so
+// IsolateRange visits only the free chunks in its range: it skips
+// fully occupied regions by their counter and other allocated or absent
+// memory 64 pages per bitmap word.
 package buddy

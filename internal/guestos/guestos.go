@@ -26,6 +26,8 @@ type Chunk struct {
 	Zone  *mem.Zone
 	Proc  *Process    // nil for page-cache chunks
 	File  *CachedFile // nil for anonymous chunks
+
+	slot int // index in the reverse-map slice of the chunk's block
 }
 
 // Pages returns the chunk size in pages.
@@ -102,8 +104,10 @@ type Kernel struct {
 	// block (PFN / PagesPerBlock), so the offline path's range queries
 	// walk the handful of chunks in a block instead of probing a map
 	// once per page frame. Chunks are naturally aligned and at most
-	// 2^MaxOrder pages, so no chunk straddles a block boundary.
-	chunksIn []map[*Chunk]struct{}
+	// 2^MaxOrder pages, so no chunk straddles a block boundary. Each
+	// block's slice is unordered; a chunk records its index (slot) so
+	// removal is an O(1) swap-remove with no hashing.
+	chunksIn [][]*Chunk
 	files    map[string]*CachedFile
 
 	populated bitset // per-PFN: guest page backed by a host frame
@@ -125,7 +129,7 @@ type Kernel struct {
 type Recycler struct {
 	zones *mem.Pool
 	words [][]uint64
-	rmaps []map[*Chunk]struct{}
+	rmaps [][]*Chunk
 }
 
 // NewRecycler returns an empty recycler.
@@ -151,18 +155,20 @@ func (r *Recycler) takeWords() []uint64 {
 	return w[:0]
 }
 
-// takeRmap hands out a cleared reverse-map bucket. Retired buckets are
+// takeRmap hands out an empty reverse-map bucket (nil when none is
+// recycled; append allocates it). Retired buckets still hold the
+// pointers of the chunks their kernel owned at Release; they are
 // cleared here, on reuse, not at Release time: a released kernel whose
 // buckets are never needed again (the last cell of a worker's run)
 // then pays nothing for them.
-func (r *Recycler) takeRmap() map[*Chunk]struct{} {
+func (r *Recycler) takeRmap() []*Chunk {
 	if r == nil || len(r.rmaps) == 0 {
-		return make(map[*Chunk]struct{})
+		return nil
 	}
-	m := r.rmaps[len(r.rmaps)-1]
+	s := r.rmaps[len(r.rmaps)-1]
 	r.rmaps = r.rmaps[:len(r.rmaps)-1]
-	clear(m)
-	return m
+	clear(s)
+	return s[:0]
 }
 
 // Release retires the kernel's arena storage into the recycler it was
@@ -183,9 +189,9 @@ func (k *Kernel) Release() {
 		r.words = append(r.words, k.populated.words)
 		k.populated.words = nil
 	}
-	for i, m := range k.chunksIn {
-		if m != nil {
-			r.rmaps = append(r.rmaps, m) // cleared lazily by takeRmap
+	for i, s := range k.chunksIn {
+		if s != nil {
+			r.rmaps = append(r.rmaps, s) // cleared lazily by takeRmap
 			k.chunksIn[i] = nil
 		}
 	}
@@ -267,17 +273,25 @@ func (k *Kernel) addZone(name string, kind mem.ZoneKind, bytes int64) *mem.Zone 
 // addOwner registers a chunk in the per-block reverse map.
 func (k *Kernel) addOwner(c *Chunk) {
 	b := c.PFN / units.PagesPerBlock
-	m := k.chunksIn[b]
-	if m == nil {
-		m = k.recycle.takeRmap()
-		k.chunksIn[b] = m
+	s := k.chunksIn[b]
+	if s == nil {
+		s = k.recycle.takeRmap()
 	}
-	m[c] = struct{}{}
+	c.slot = len(s)
+	k.chunksIn[b] = append(s, c)
 }
 
-// delOwner removes a chunk from the per-block reverse map.
+// delOwner removes a chunk from the per-block reverse map, moving the
+// block's last chunk into its slot.
 func (k *Kernel) delOwner(c *Chunk) {
-	delete(k.chunksIn[c.PFN/units.PagesPerBlock], c)
+	b := c.PFN / units.PagesPerBlock
+	s := k.chunksIn[b]
+	last := len(s) - 1
+	moved := s[last]
+	s[c.slot] = moved
+	moved.slot = c.slot
+	s[last] = nil // drop the reference so the chunk can be collected
+	k.chunksIn[b] = s[:last]
 }
 
 // AddZone registers an extra zone (a Squeezy partition) spanning bytes.
@@ -450,39 +464,49 @@ func (k *Kernel) FreeAnon(p *Process, bytes int64) int64 {
 	return freed
 }
 
-// FreeAnonRandom releases bytes of p's anonymous memory, choosing
-// victim chunks uniformly at random. Freeing in random order leaves the
-// buddy freelists in the history-dependent, scattered state a
-// long-running guest has — later allocations then spread across all
-// memory blocks instead of packing the most recently onlined ones.
-func (k *Kernel) FreeAnonRandom(p *Process, bytes int64, rng *rand.Rand) int64 {
-	target := units.BytesToPages(bytes)
-	var freed int64
-	for freed < target && len(p.anonChunks) > 0 {
-		i := rng.IntN(len(p.anonChunks))
-		c := p.anonChunks[i]
-		last := len(p.anonChunks) - 1
-		p.anonChunks[i] = p.anonChunks[last]
-		p.anonChunks = p.anonChunks[:last]
-		k.delOwner(c)
-		c.Zone.FreePage(c.PFN, c.Order)
-		p.anonPages -= c.Pages()
-		freed += c.Pages()
-	}
-	return freed
+// extent is a physical chunk with no owner: ScrambleFreeLists' record
+// of what it reserved.
+type extent struct {
+	pfn   mem.PFN
+	order int
 }
 
 // ScrambleFreeLists gives a zone the allocator state of a long-running
 // guest: it allocates every free page and releases them in random
-// order, so the free lists no longer reflect onlining order. Only the
-// zone's current free memory is touched; allocated pages are
-// unaffected, and no host population happens (the pages are never
-// "touched" by a user).
+// order, so the free lists no longer reflect onlining order — later
+// allocations then spread across all memory blocks instead of packing
+// the most recently onlined ones. Only the zone's current free memory
+// is touched; allocated pages are unaffected, and no host population
+// happens (the pages are never "touched" by a user).
+//
+// A short-lived "scrambler" process stands in for the reserving user,
+// so PIDs and the exit hook advance as if it had owned the memory, but
+// the reservation itself is a plain extent list: the chunks are freed
+// before anything could look them up, so they never enter the reverse
+// map. The reservation replays AllocReserved's order choices and the
+// free order draws one rng.IntN per chunk, swap-removing the victim.
 func (k *Kernel) ScrambleFreeLists(z *mem.Zone, rng *rand.Rand) {
 	p := k.Spawn("scrambler")
 	p.AssignedZone = z
-	k.AllocReserved(p, z.NrFree())
-	k.FreeAnonRandom(p, units.PagesToBytes(p.anonPages), rng)
+	// Unfragmented free memory reserves as huge pages; fragmentation
+	// only adds extents, which append absorbs.
+	ext := make([]extent, 0, z.NrFree()>>HugeOrder+1)
+	for remaining := z.NrFree(); remaining > 0; {
+		pfn, o, ok := reserveChunk(z, remaining)
+		if !ok {
+			break
+		}
+		ext = append(ext, extent{pfn, o})
+		remaining -= 1 << o
+	}
+	for len(ext) > 0 {
+		i := rng.IntN(len(ext))
+		e := ext[i]
+		last := len(ext) - 1
+		ext[i] = ext[last]
+		ext = ext[:last]
+		z.FreePage(e.pfn, e.order)
+	}
 	k.Exit(p)
 }
 
@@ -605,7 +629,7 @@ func (k *Kernel) ChunksInRange(start mem.PFN, count int64) []*Chunk {
 	end := start + count
 	lastBlock := int64(len(k.chunksIn)) - 1
 	for b := start / units.PagesPerBlock; b <= lastBlock && b*units.PagesPerBlock < end; b++ {
-		for c := range k.chunksIn[b] {
+		for _, c := range k.chunksIn[b] {
 			if c.PFN >= start && c.PFN < end {
 				out = append(out, c)
 			}
@@ -642,18 +666,7 @@ func (k *Kernel) MigrateChunk(c *Chunk) (pages int64, extra sim.Duration, ok boo
 func (k *Kernel) AllocReserved(p *Process, pages int64) (chunks []*Chunk, got int64) {
 	zone := k.anonZone(p)
 	for got < pages {
-		o := HugeOrder
-		if remaining := pages - got; remaining < 1<<HugeOrder {
-			o = 0
-			for int64(1)<<(o+1) <= remaining {
-				o++
-			}
-		}
-		pfn, ok := zone.AllocPage(o)
-		for !ok && o > 0 {
-			o--
-			pfn, ok = zone.AllocPage(o)
-		}
+		pfn, o, ok := reserveChunk(zone, pages-got)
 		if !ok {
 			break
 		}
@@ -665,6 +678,26 @@ func (k *Kernel) AllocReserved(p *Process, pages int64) (chunks []*Chunk, got in
 		got += c.Pages()
 	}
 	return chunks, got
+}
+
+// reserveChunk allocates the next chunk of a reservation with remaining
+// pages still to go: a huge page while at least one fits, else the
+// largest order not exceeding remaining, falling back to smaller orders
+// under fragmentation. ok is false once the zone has no free page.
+func reserveChunk(zone *mem.Zone, remaining int64) (pfn mem.PFN, order int, ok bool) {
+	o := HugeOrder
+	if remaining < 1<<HugeOrder {
+		o = 0
+		for int64(1)<<(o+1) <= remaining {
+			o++
+		}
+	}
+	pfn, ok = zone.AllocPage(o)
+	for !ok && o > 0 {
+		o--
+		pfn, ok = zone.AllocPage(o)
+	}
+	return pfn, o, ok
 }
 
 // ReleaseChunkFrames releases the host frames backing a chunk's pages
@@ -724,15 +757,40 @@ func (k *Kernel) CheckInvariants() error {
 		}
 	}
 	var owned int64
-	for b, m := range k.chunksIn {
-		for c := range m {
+	for b, s := range k.chunksIn {
+		for i, c := range s {
 			if c.PFN/units.PagesPerBlock != int64(b) {
 				return fmt.Errorf("rmap block %d != chunk head %d's block", b, c.PFN)
+			}
+			if c.slot != i {
+				return fmt.Errorf("chunk %d at rmap slot %d records slot %d", c.PFN, i, c.slot)
 			}
 			if !c.Zone.Contains(c.PFN) {
 				return fmt.Errorf("chunk %d outside its zone %q", c.PFN, c.Zone.Name)
 			}
 			owned += c.Pages()
+		}
+	}
+	// Every owned chunk sits in its block's slice at the slot it records.
+	indexed := func(c *Chunk) error {
+		s := k.chunksIn[c.PFN/units.PagesPerBlock]
+		if c.slot < 0 || c.slot >= len(s) || s[c.slot] != c {
+			return fmt.Errorf("chunk %d (order %d) not at its rmap slot %d", c.PFN, c.Order, c.slot)
+		}
+		return nil
+	}
+	for _, p := range k.procs {
+		for _, c := range p.anonChunks {
+			if err := indexed(c); err != nil {
+				return fmt.Errorf("pid %d: %w", p.PID, err)
+			}
+		}
+	}
+	for _, f := range k.files {
+		for _, c := range f.chunks {
+			if err := indexed(c); err != nil {
+				return fmt.Errorf("file %q: %w", f.Name, err)
+			}
 		}
 	}
 	var allocated int64

@@ -482,7 +482,7 @@ func TestRecycledKernelReplaysIdentically(t *testing.T) {
 			case 2:
 				k.TouchFile(p, f, 2*units.MiB)
 			case 3:
-				k.FreeAnonRandom(p, 2*units.MiB, rng)
+				freeAnonRandom(k, p, 2*units.MiB, rng)
 			case 4:
 				for _, c := range p.anonChunks {
 					log = append(log, c.PFN)
@@ -510,7 +510,8 @@ func TestRecycledKernelReplaysIdentically(t *testing.T) {
 	want := program(build(nil))
 
 	rec := NewRecycler()
-	// Dirty the recycler with a differently shaped kernel's arenas.
+	// Dirty the recycler with a differently shaped kernel's arenas,
+	// released while it still owns anonymous and page-cache chunks.
 	s := sim.NewScheduler()
 	vm := vmm.New("dirty", s, costmodel.Default(), hostmem.New(0), 4)
 	dirty := NewKernel(vm, Config{
@@ -522,17 +523,59 @@ func TestRecycledKernelReplaysIdentically(t *testing.T) {
 	dirty.OnlineAllMovable()
 	p := dirty.Spawn("hog")
 	dirty.TouchAnon(p, 512*units.MiB, HugeOrder)
+	dirty.TouchFile(p, dirty.File("lib", 0), 64*units.MiB)
 	dirty.Release()
+	var held int
+	for _, b := range rec.rmaps {
+		held += len(b)
+	}
+	if held == 0 {
+		t.Fatal("dirty kernel retired no owned chunks")
+	}
 
-	got := program(build(rec))
-	if len(got) != len(want) {
-		t.Fatalf("logs differ in length: %d vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("placement diverged at %d: recycled %d, fresh %d", i, got[i], want[i])
+	// Two generations: each replayed kernel is released still holding
+	// the chunks its program left, and the next replay must not see them.
+	for gen := 0; gen < 2; gen++ {
+		k := build(rec)
+		got := program(k)
+		if len(got) != len(want) {
+			t.Fatalf("gen %d: logs differ in length: %d vs %d", gen, len(got), len(want))
 		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("gen %d: placement diverged at %d: recycled %d, fresh %d", gen, i, got[i], want[i])
+			}
+		}
+		for b, bucket := range k.chunksIn {
+			for _, c := range bucket[len(bucket):cap(bucket)] {
+				if c != nil {
+					t.Fatalf("gen %d: block %d bucket retains chunk %d past its end", gen, b, c.PFN)
+				}
+			}
+		}
+		k.Release()
 	}
+}
+
+// freeAnonRandom releases bytes of p's anonymous memory, choosing
+// victim chunks uniformly at random (one rng.IntN per chunk, then a
+// swap-remove). It is the chunk-owning reference for the free order
+// ScrambleFreeLists replays on its extent list.
+func freeAnonRandom(k *Kernel, p *Process, bytes int64, rng *rand.Rand) int64 {
+	target := units.BytesToPages(bytes)
+	var freed int64
+	for freed < target && len(p.anonChunks) > 0 {
+		i := rng.IntN(len(p.anonChunks))
+		c := p.anonChunks[i]
+		last := len(p.anonChunks) - 1
+		p.anonChunks[i] = p.anonChunks[last]
+		p.anonChunks = p.anonChunks[:last]
+		k.delOwner(c)
+		c.Zone.FreePage(c.PFN, c.Order)
+		p.anonPages -= c.Pages()
+		freed += c.Pages()
+	}
+	return freed
 }
 
 // TestReleaseIdempotent double-releases a kernel; the second call must

@@ -1,7 +1,9 @@
 package guestos
 
 import (
+	"cmp"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -191,6 +193,166 @@ func TestScrambleConservesMemory(t *testing.T) {
 			k.CheckInvariants() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Error(err)
+	}
+}
+
+// liveChunks gathers every chunk the kernel's processes and cached
+// files own, from the owners' side rather than the reverse map.
+func liveChunks(k *Kernel) []*Chunk {
+	var out []*Chunk
+	for _, p := range k.procs {
+		out = append(out, p.anonChunks...)
+	}
+	for _, f := range k.files {
+		out = append(out, f.chunks...)
+	}
+	return out
+}
+
+// TestChunksInRangeMatchesBruteForce drives random anonymous and file
+// touches, frees, migrations, exits and file drops, and after every
+// step compares ChunksInRange over random (block-unaligned) ranges with
+// a brute-force filter of all live chunks.
+func TestChunksInRangeMatchesBruteForce(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := rand.New(rand.NewPCG(seed, 0x5107))
+		k := newTestKernel(t, 4)
+		span := k.Movable.Start() + k.Movable.Pages()
+		files := []string{"lib0", "lib1", "lib2"}
+		var procs []*Process
+		for step := 0; step < 200; step++ {
+			switch op := rng.IntN(12); {
+			case op < 2 || len(procs) == 0:
+				procs = append(procs, k.Spawn("p"))
+			case op < 5:
+				// 4 KiB touches stay small so the chunk count does too.
+				order, bytes := HugeOrder, int64(rng.IntN(24)+1)*units.MiB
+				if rng.IntN(2) == 0 {
+					order, bytes = 0, int64(rng.IntN(64)+1)*units.PageSize
+				}
+				k.TouchAnon(procs[rng.IntN(len(procs))], bytes, order)
+			case op < 7:
+				f := k.File(files[rng.IntN(len(files))], 0)
+				k.TouchFile(procs[rng.IntN(len(procs))], f, int64(rng.IntN(16)+1)*units.MiB)
+			case op < 8:
+				k.FreeAnon(procs[rng.IntN(len(procs))], int64(rng.IntN(8)+1)*units.MiB)
+			case op < 10: // migrate a chunk, then release its old pages
+				live := liveChunks(k)
+				if len(live) == 0 {
+					continue
+				}
+				// Sorted, so the pick does not depend on map order.
+				slices.SortFunc(live, func(a, b *Chunk) int { return cmp.Compare(a.PFN, b.PFN) })
+				c := live[rng.IntN(len(live))]
+				old := c.PFN
+				if _, _, ok := k.MigrateChunk(c); ok {
+					c.Zone.FreePage(old, c.Order)
+				}
+			case op < 11:
+				i := rng.IntN(len(procs))
+				k.Exit(procs[i])
+				procs = slices.Delete(procs, i, i+1)
+			default:
+				if f, cached := k.files[files[rng.IntN(len(files))]]; cached && f.MapCount() == 0 {
+					k.DropFile(f)
+				}
+			}
+			live := liveChunks(k)
+			for q := 0; q < 3; q++ {
+				start := int64(rng.IntN(int(span)))
+				count := int64(rng.IntN(int(span-start))) + 1
+				var want []*Chunk
+				for _, c := range live {
+					if c.PFN >= start && c.PFN < start+count {
+						want = append(want, c)
+					}
+				}
+				slices.SortFunc(want, func(a, b *Chunk) int { return cmp.Compare(a.PFN, b.PFN) })
+				if got := k.ChunksInRange(start, count); !slices.Equal(got, want) {
+					t.Logf("step %d: ChunksInRange(%d, %d) returned %d chunks, brute force %d", step, start, count, len(got), len(want))
+					return false
+				}
+			}
+			if step%20 == 0 {
+				if err := k.CheckInvariants(); err != nil {
+					t.Logf("step %d: %v", step, err)
+					return false
+				}
+			}
+		}
+		return k.CheckInvariants() == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestScrambleMatchesReference scrambles twin kernels built from one
+// seed, one through ScrambleFreeLists and one through the chunk-owning
+// reference (AllocReserved, then freeAnonRandom). The free lists must
+// come out identical — a later alloc-everything pass at mixed orders
+// returns the same PFN sequence — and so must the free count, the
+// process table, the exit hook calls and the rng stream.
+func TestScrambleMatchesReference(t *testing.T) {
+	f := func(seed uint64) bool {
+		build := func() (*Kernel, *rand.Rand, *int) {
+			k := newTestKernel(t, 4)
+			exits := new(int)
+			k.OnProcExit = func(*Process) { *exits++ }
+			rng := rand.New(rand.NewPCG(seed, 0x5c))
+			// Fragment the zone first so reservations fall back to
+			// smaller orders.
+			p := k.Spawn("frag")
+			for i := 0; i < 8; i++ {
+				order := 0
+				if rng.IntN(2) == 0 {
+					order = HugeOrder
+				}
+				k.TouchAnon(p, int64(rng.IntN(32)+1)*units.MiB, order)
+				freeAnonRandom(k, p, int64(rng.IntN(16))*units.MiB, rng)
+			}
+			return k, rng, exits
+		}
+		ka, ra, exitsA := build()
+		kb, rb, exitsB := build()
+
+		ka.ScrambleFreeLists(ka.Movable, ra)
+		p := kb.Spawn("scrambler")
+		p.AssignedZone = kb.Movable
+		kb.AllocReserved(p, kb.Movable.NrFree())
+		freeAnonRandom(kb, p, units.PagesToBytes(p.AnonPages()), rb)
+		kb.Exit(p)
+
+		if ka.Movable.NrFree() != kb.Movable.NrFree() {
+			t.Logf("NrFree %d vs reference %d", ka.Movable.NrFree(), kb.Movable.NrFree())
+			return false
+		}
+		if ka.NumProcs() != kb.NumProcs() || ka.nextPID != kb.nextPID || *exitsA != *exitsB {
+			t.Logf("procs %d/%d, next pid %d/%d, exits %d/%d", ka.NumProcs(), kb.NumProcs(), ka.nextPID, kb.nextPID, *exitsA, *exitsB)
+			return false
+		}
+		if a, b := ra.Uint64(), rb.Uint64(); a != b {
+			t.Logf("next rng draw %#x vs reference %#x", a, b)
+			return false
+		}
+		if err := ka.CheckInvariants(); err != nil {
+			t.Log(err)
+			return false
+		}
+		orders := []int{0, HugeOrder, 3, 10, 1, 5}
+		for i := 0; ka.Movable.NrFree() > 0; i++ {
+			o := orders[i%len(orders)]
+			pa, oka := ka.Movable.AllocPage(o)
+			pb, okb := kb.Movable.AllocPage(o)
+			if pa != pb || oka != okb {
+				t.Logf("alloc %d at order %d: %d,%v vs reference %d,%v", i, o, pa, oka, pb, okb)
+				return false
+			}
+		}
+		return kb.Movable.NrFree() == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
 	}
 }
