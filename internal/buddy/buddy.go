@@ -39,6 +39,19 @@ type Allocator struct {
 	// pages (0 = disabled) and regionFree[r] the free pages in region r.
 	regionPages int64
 	regionFree  []int64
+
+	// ShuffleFreeLists scratch, kept so that repeated shuffles (and a
+	// pooled allocator's later lives) reuse it.
+	shufChunks []shufChunk
+	shufPieces []int // index into shufChunks, one entry per piece
+}
+
+// shufChunk is a free chunk taken by ShuffleFreeLists, with the number
+// of its pieces not yet drawn.
+type shufChunk struct {
+	head  int64
+	order int
+	left  int
 }
 
 // New creates an allocator spanning npages page frames starting at page
@@ -138,6 +151,10 @@ func (a *Allocator) Span() int64 { return a.npages }
 
 // NrFree returns the number of free pages.
 func (a *Allocator) NrFree() int64 { return a.free }
+
+// Capacity returns the largest span, in pages, that Reset can take
+// without growing the allocator's storage.
+func (a *Allocator) Capacity() int64 { return int64(cap(a.ord)) }
 
 // Contains reports whether pfn lies within the allocator's span.
 func (a *Allocator) Contains(pfn int64) bool {
@@ -351,6 +368,68 @@ func (a *Allocator) LargestFreeOrder() int {
 	return -1
 }
 
+// ShuffleFreeLists reorders the free stacks exactly as reserving every
+// free page and freeing the reservation in random order would: the
+// reservation Allocs 2^order pages at a time (whole chunks below that
+// order, largest first, as a reservation falling back under
+// fragmentation does), and the free order is draw's swap-remove
+// sequence, one draw(n) per reserved piece with n the pieces still
+// held. Only the stacks change. The free set is always maximally
+// coalesced (CheckInvariants asserts it), so freeing the pieces merges
+// each back into the chunk it came from and no further: ord, the
+// region counters and the free count come out as they went in. What
+// the round trip leaves behind is each chunk re-pushed at its own order
+// when its last piece is freed, plus stale entries, which no pop ever
+// returns. So the shuffle takes every chunk off the stacks in the
+// order Alloc would reserve it, runs the same draws over its pieces,
+// and re-pushes each chunk as its last piece is drawn, without
+// splitting, merging or writing ord.
+func (a *Allocator) ShuffleFreeLists(order int, draw func(n int) int) {
+	if order < 0 || order > MaxOrder {
+		panic(fmt.Sprintf("buddy: bad order %d", order))
+	}
+	chunks, pieces := a.shufChunks[:0], a.shufPieces[:0]
+	// take empties stack k in pop order. A chunk's head bit is cleared
+	// as it is taken, so an older duplicate entry below it is skipped,
+	// as pop would skip it once the newer entry had been popped.
+	take := func(k int) {
+		st := a.stacks[k]
+		for j := len(st) - 1; j >= 0; j-- {
+			i := st[j]
+			if a.heads[i/64]&(1<<(i%64)) == 0 || a.ord[i] != int8(k)+1 {
+				continue
+			}
+			a.heads[i/64] &^= 1 << (i % 64)
+			// Alloc(order) cuts a larger chunk into ascending pieces.
+			n := 1
+			if k > order {
+				n = 1 << (k - order)
+			}
+			for range n {
+				pieces = append(pieces, len(chunks))
+			}
+			chunks = append(chunks, shufChunk{head: i, order: k, left: n})
+		}
+		a.stacks[k] = st[:0]
+	}
+	for k := order; k <= MaxOrder; k++ {
+		take(k)
+	}
+	for k := order - 1; k >= 0; k-- {
+		take(k)
+	}
+	for n := len(pieces); n > 0; n-- {
+		j := draw(n)
+		c := &chunks[pieces[j]]
+		pieces[j] = pieces[n-1]
+		if c.left--; c.left == 0 {
+			a.heads[c.head/64] |= 1 << (c.head % 64)
+			a.stacks[c.order] = append(a.stacks[c.order], c.head)
+		}
+	}
+	a.shufChunks, a.shufPieces = chunks, pieces[:0]
+}
+
 func (a *Allocator) push(i int64, order int) {
 	a.ord[i] = int8(order) + 1
 	a.heads[i/64] |= 1 << (i % 64)
@@ -382,8 +461,12 @@ func (a *Allocator) pop(order int) (int64, bool) {
 // CheckInvariants validates internal consistency — the free count
 // matches the chunks recorded in ord, no free chunk overlaps another,
 // every free chunk is order-aligned, the head bitmap marks exactly the
-// chunk heads, and the region counters (when enabled) agree with a
-// fresh count. It is O(span) and intended for tests.
+// chunk heads, every chunk has an entry in its order's stack (Reset's
+// sparse clear relies on it), the free set is maximally coalesced (no
+// free chunk below MaxOrder has a free buddy of its order;
+// ShuffleFreeLists relies on it), and the region counters (when
+// enabled) agree with a fresh count. It is O(span) and intended for
+// tests.
 func (a *Allocator) CheckInvariants() error {
 	if int64(len(a.heads)) != headWords(a.npages) {
 		return fmt.Errorf("head bitmap has %d words, span needs %d", len(a.heads), headWords(a.npages))
@@ -392,6 +475,14 @@ func (a *Allocator) CheckInvariants() error {
 		set := a.heads[i/64]&(1<<(i%64)) != 0
 		if head := i < a.npages && a.ord[i] != noChunk; set != head {
 			return fmt.Errorf("head bitmap bit %d = %v, ord says head = %v", a.base+i, set, head)
+		}
+	}
+	stacked := make([]bool, a.npages)
+	for k, st := range a.stacks {
+		for _, i := range st {
+			if a.ord[i] == int8(k)+1 {
+				stacked[i] = true
+			}
 		}
 	}
 	var counted int64
@@ -409,6 +500,12 @@ func (a *Allocator) CheckInvariants() error {
 		}
 		if i+sz > a.npages {
 			return fmt.Errorf("chunk at %d order %d overruns span", a.base+i, k-1)
+		}
+		if !stacked[i] {
+			return fmt.Errorf("chunk at %d order %d has no stack entry", a.base+i, k-1)
+		}
+		if bud := i ^ sz; k-1 < MaxOrder && bud+sz <= a.npages && a.ord[bud] == k {
+			return fmt.Errorf("chunk at %d order %d not merged with its free buddy", a.base+i, k-1)
 		}
 		for j := i + 1; j < i+sz; j++ {
 			if a.ord[j] != noChunk {

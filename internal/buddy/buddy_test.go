@@ -2,6 +2,7 @@ package buddy
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -700,5 +701,154 @@ func TestIsolateStraddlePanics(t *testing.T) {
 			a := newOnline(0, 2048)
 			a.IsolateRange(r[0], r[1])
 		}()
+	}
+}
+
+// refShuffle is the reserve-then-free reference for ShuffleFreeLists:
+// it Allocs every free page 2^order pages at a time (the largest order
+// not exceeding what is left, falling back under fragmentation), then
+// Frees the pieces in draw's swap-remove order.
+func refShuffle(a *Allocator, order int, draw func(int) int) {
+	var pieces [][2]int64 // pfn, order
+	for remaining := a.NrFree(); remaining > 0; {
+		o := order
+		for int64(1)<<o > remaining {
+			o--
+		}
+		pfn, ok := a.Alloc(o)
+		for !ok && o > 0 {
+			o--
+			pfn, ok = a.Alloc(o)
+		}
+		if !ok {
+			break
+		}
+		pieces = append(pieces, [2]int64{pfn, int64(o)})
+		remaining -= 1 << o
+	}
+	for len(pieces) > 0 {
+		i := draw(len(pieces))
+		p := pieces[i]
+		last := len(pieces) - 1
+		pieces[i] = pieces[last]
+		pieces = pieces[:last]
+		a.Free(p[0], int(p[1]))
+	}
+}
+
+// shuffleProgram drives a region-tracked allocator through a random mix
+// of partial and whole onlining (FreeRange), Alloc, Free and
+// IsolateRange, the operations that shape a zone's free set.
+func shuffleProgram(seed uint64) *Allocator {
+	const region, regions = 2048, 8
+	rng := rand.New(rand.NewPCG(seed, 0x5f1))
+	a := New(3*region, region*regions)
+	a.TrackRegions(region)
+	online := make([]bool, regions)
+	var live [][2]int64 // pfn, order
+	for step := 0; step < 600; step++ {
+		switch op := rng.IntN(10); {
+		case op < 1:
+			r := rng.IntN(regions)
+			if online[r] {
+				continue
+			}
+			online[r] = true
+			// Onlining part of a region leaves unaligned edges.
+			lo, hi := int64(0), int64(region)
+			if rng.IntN(2) == 0 {
+				lo, hi = int64(rng.IntN(region/2)), int64(region/2+rng.IntN(region/2)+1)
+			}
+			a.FreeRange(a.Base()+int64(r)*region+lo, hi-lo)
+		case op < 5:
+			// Even seeds allocate at uniform orders, odd seeds mostly
+			// small chunks, so free sets range from nearly empty and
+			// fragmented to about half the span.
+			o := rng.IntN(MaxOrder + 1)
+			if seed%2 == 1 {
+				o = rng.IntN(o + 1)
+			}
+			if pfn, ok := a.Alloc(o); ok {
+				live = append(live, [2]int64{pfn, int64(o)})
+			}
+		case op < 9:
+			if len(live) == 0 {
+				continue
+			}
+			i := rng.IntN(len(live))
+			c := live[i]
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+			a.Free(c[0], int(c[1]))
+		default:
+			// Any 2^MaxOrder-aligned window: no chunk straddles it.
+			lo := a.Base() + int64(rng.IntN(region*regions>>MaxOrder))<<MaxOrder
+			a.IsolateRange(lo, 1<<MaxOrder)
+			// Undo the isolation when nothing in the window is
+			// allocated, as an aborted offline does. Isolation left the
+			// window's stack entries stale; re-onlining pushes the same
+			// heads again, so the stacks hold duplicate valid entries.
+			if !slices.ContainsFunc(live, func(c [2]int64) bool { return c[0] >= lo && c[0] < lo+1<<MaxOrder }) && rng.IntN(2) == 0 {
+				a.FreeRange(lo, 1<<MaxOrder)
+				online[(lo-a.Base())/region] = true // never onlined twice
+			}
+		}
+	}
+	return a
+}
+
+// TestShuffleFreeListsMatchesReference shuffles twin allocators built
+// by one random program, one with ShuffleFreeLists and one with the
+// reserve-then-free reference, at orders below, at and above the
+// largest free order, twice in a row. The shuffle must leave ord and
+// the counters as they were, draw exactly the reference's sequence,
+// and leave stacks that pop alike: a later alloc-everything pass at
+// mixed orders returns the same PFN sequence.
+func TestShuffleFreeListsMatchesReference(t *testing.T) {
+	f := func(seed uint64, pick1, pick2 uint8) bool {
+		a, b := shuffleProgram(seed), shuffleProgram(seed)
+		ra, rb := rand.New(rand.NewPCG(seed, 7)), rand.New(rand.NewPCG(seed, 7))
+		for _, pick := range []uint8{pick1, pick2} {
+			// One below, at or above the largest free order, or any.
+			order := int(pick/4) % (MaxOrder + 1)
+			if pick%4 < 3 {
+				order = min(max(a.LargestFreeOrder()+int(pick%4)-1, 0), MaxOrder)
+			}
+			ord, free, regions := slices.Clone(a.ord), a.NrFree(), slices.Clone(a.regionFree)
+			a.ShuffleFreeLists(order, ra.IntN)
+			refShuffle(b, order, rb.IntN)
+			if !slices.Equal(a.ord, ord) || a.NrFree() != free || !slices.Equal(a.regionFree, regions) {
+				t.Logf("order %d: shuffle changed ord or counters", order)
+				return false
+			}
+			if !slices.Equal(a.ord, b.ord) || b.NrFree() != free || !slices.Equal(b.regionFree, regions) {
+				t.Logf("order %d: reference changed ord or counters", order)
+				return false
+			}
+			for _, x := range []*Allocator{a, b} {
+				if err := x.CheckInvariants(); err != nil {
+					t.Logf("order %d: %v", order, err)
+					return false
+				}
+			}
+			if x, y := ra.Uint64(), rb.Uint64(); x != y {
+				t.Logf("order %d: next draw %#x vs reference %#x", order, x, y)
+				return false
+			}
+		}
+		orders := []int{0, 9, 3, MaxOrder, 1, 5}
+		for i := 0; a.NrFree() > 0; i++ {
+			o := orders[i%len(orders)]
+			pa, oka := a.Alloc(o)
+			pb, okb := b.Alloc(o)
+			if pa != pb || oka != okb {
+				t.Logf("alloc %d at order %d: %d,%v vs reference %d,%v", i, o, pa, oka, pb, okb)
+				return false
+			}
+		}
+		return b.NrFree() == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
 	}
 }

@@ -10,7 +10,9 @@
 // Free lists are per-order LIFO stacks with lazy deletion, so allocation
 // order is deterministic (most-recently-freed first, like the kernel's
 // hot/cold page behaviour) and removing an arbitrary chunk during
-// coalescing or isolation is O(1) amortized.
+// coalescing or isolation is O(1) amortized. ShuffleFreeLists gives the
+// stacks the order that reserving all free memory and freeing it in
+// random order would leave, without doing either.
 //
 // For the hot-unplug paths the allocator also keeps bulk range state:
 // with TrackRegions enabled it maintains a free-page counter per

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"squeezy/internal/costmodel"
@@ -144,14 +145,15 @@ func (r *Recycler) zone(name string, kind mem.ZoneKind, start mem.PFN, npages in
 	return r.zones.Zone(name, kind, start, npages)
 }
 
-// takeWords hands out a recycled bitmap backing (length zero — the
-// bitset appends explicit zero words, so stale content is harmless).
-func (r *Recycler) takeWords() []uint64 {
+// takeWords hands out a recycled bitmap backing (length zero: grow
+// clears the words it appends, so stale content is harmless), the best
+// fit for need words.
+func (r *Recycler) takeWords(need int) []uint64 {
 	if r == nil || len(r.words) == 0 {
 		return nil
 	}
-	w := r.words[len(r.words)-1]
-	r.words = r.words[:len(r.words)-1]
+	var w []uint64
+	w, r.words = mem.TakeBestFit(r.words, func(w []uint64) int64 { return int64(cap(w)) }, int64(need))
 	return w[:0]
 }
 
@@ -235,7 +237,7 @@ func NewKernel(vm *vmm.VM, cfg Config) *Kernel {
 		nextPID: 1,
 		recycle: cfg.Recycle,
 	}
-	k.populated.words = cfg.Recycle.takeWords()
+	k.populated.words = cfg.Recycle.takeWords(int(units.BytesToPages(bootBytes+movBytes)+63) / 64)
 	k.Normal = k.addZone("Normal", mem.ZoneNormal, bootBytes)
 	for i := 0; i < k.Normal.Blocks(); i++ {
 		k.Normal.OnlineBlock(i)
@@ -464,13 +466,6 @@ func (k *Kernel) FreeAnon(p *Process, bytes int64) int64 {
 	return freed
 }
 
-// extent is a physical chunk with no owner: ScrambleFreeLists' record
-// of what it reserved.
-type extent struct {
-	pfn   mem.PFN
-	order int
-}
-
 // ScrambleFreeLists gives a zone the allocator state of a long-running
 // guest: it allocates every free page and releases them in random
 // order, so the free lists no longer reflect onlining order — later
@@ -480,33 +475,14 @@ type extent struct {
 // happens (the pages are never "touched" by a user).
 //
 // A short-lived "scrambler" process stands in for the reserving user,
-// so PIDs and the exit hook advance as if it had owned the memory, but
-// the reservation itself is a plain extent list: the chunks are freed
-// before anything could look them up, so they never enter the reverse
-// map. The reservation replays AllocReserved's order choices and the
-// free order draws one rng.IntN per chunk, swap-removing the victim.
+// so PIDs and the exit hook advance as if it had owned the memory. The
+// reservation and release themselves are the zone's
+// ShuffleFreeLists: AllocReserved's huge-page order choices, then one
+// rng.IntN per reserved chunk, swap-removing the victim.
 func (k *Kernel) ScrambleFreeLists(z *mem.Zone, rng *rand.Rand) {
 	p := k.Spawn("scrambler")
 	p.AssignedZone = z
-	// Unfragmented free memory reserves as huge pages; fragmentation
-	// only adds extents, which append absorbs.
-	ext := make([]extent, 0, z.NrFree()>>HugeOrder+1)
-	for remaining := z.NrFree(); remaining > 0; {
-		pfn, o, ok := reserveChunk(z, remaining)
-		if !ok {
-			break
-		}
-		ext = append(ext, extent{pfn, o})
-		remaining -= 1 << o
-	}
-	for len(ext) > 0 {
-		i := rng.IntN(len(ext))
-		e := ext[i]
-		last := len(ext) - 1
-		ext[i] = ext[last]
-		ext = ext[:last]
-		z.FreePage(e.pfn, e.order)
-	}
+	z.ShuffleFreeLists(HugeOrder, rng.IntN)
 	k.Exit(p)
 }
 
@@ -809,8 +785,9 @@ type bitset struct{ words []uint64 }
 
 func (b *bitset) grow(n int64) {
 	need := int((n + 63) / 64)
-	for len(b.words) < need {
-		b.words = append(b.words, 0)
+	if old := len(b.words); need > old {
+		b.words = slices.Grow(b.words, need-old)[:need]
+		clear(b.words[old:])
 	}
 }
 

@@ -129,15 +129,40 @@ type Pool struct {
 func NewPool() *Pool { return &Pool{} }
 
 // Zone returns a zone with the given identity: a retired zone reset in
-// place when one is available, else a fresh one.
+// place when one is available, else a fresh one. The retired zone is
+// the best fit for the span: the smallest whose buddy capacity holds
+// it, else the largest, which then grows least. Handing a large request
+// the last zone retired, whatever its size, would grow small arenas
+// over and over while large ones served small requests.
 func (p *Pool) Zone(name string, kind ZoneKind, start PFN, npages int64) *Zone {
 	if p == nil || len(p.zones) == 0 {
 		return NewZone(name, kind, start, npages)
 	}
-	z := p.zones[len(p.zones)-1]
-	p.zones = p.zones[:len(p.zones)-1]
+	var z *Zone
+	z, p.zones = TakeBestFit(p.zones, func(z *Zone) int64 { return z.alloc.Capacity() }, npages)
 	z.Reset(name, kind, start, npages)
 	return z
+}
+
+// TakeBestFit removes from the non-empty pool s the arena that best
+// serves a request for need units, and returns it with the shortened
+// pool: the smallest whose capacity holds need, else the largest. The
+// pool's order is not kept.
+func TakeBestFit[T any](s []T, capacity func(T) int64, need int64) (T, []T) {
+	best := 0
+	for i := 1; i < len(s); i++ {
+		// A fit beats a miss or a larger fit; a miss beats a smaller miss.
+		c, b := capacity(s[i]), capacity(s[best])
+		if fits, bestFits := c >= need, b >= need; fits && (!bestFits || c < b) || !fits && !bestFits && c > b {
+			best = i
+		}
+	}
+	x := s[best]
+	last := len(s) - 1
+	s[best] = s[last]
+	var zero T
+	s[last] = zero
+	return x, s[:last]
 }
 
 // Retire hands a dead zone's storage back to the pool. The caller must
@@ -243,6 +268,13 @@ func (z *Zone) AllocPage(order int) (PFN, bool) { return z.alloc.Alloc(order) }
 
 // FreePage returns a chunk previously handed out by AllocPage.
 func (z *Zone) FreePage(pfn PFN, order int) { z.alloc.Free(pfn, order) }
+
+// ShuffleFreeLists reorders the zone's free lists as if all its free
+// memory were reserved 2^order pages at a time and freed in the order
+// draw picks; see buddy.Allocator.ShuffleFreeLists.
+func (z *Zone) ShuffleFreeLists(order int, draw func(n int) int) {
+	z.alloc.ShuffleFreeLists(order, draw)
+}
 
 // FreePageRange returns an arbitrary page range to the allocator,
 // decomposed into aligned chunks (used when aborting an offline).

@@ -1,7 +1,9 @@
 package mem
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -239,28 +241,42 @@ func TestZoneChurnProperty(t *testing.T) {
 	}
 }
 
+// zoneProgram onlines every block of z, runs a fixed allocation program
+// at mixed orders and logs the PFNs it gets (-1 for a failed request).
+func zoneProgram(z *Zone) []PFN {
+	for i := 0; i < z.Blocks(); i++ {
+		z.OnlineBlock(i)
+	}
+	var log []PFN
+	rng := rand.New(rand.NewPCG(3, 9))
+	for i := 0; i < 500; i++ {
+		if pfn, ok := z.AllocPage(rng.IntN(10)); ok {
+			log = append(log, pfn)
+		} else {
+			log = append(log, -1)
+		}
+	}
+	return log
+}
+
+// replaysTwin runs zoneProgram on z and on a NewZone twin of its
+// identity and fails unless the two log the same PFNs.
+func replaysTwin(t *testing.T, z *Zone) {
+	t.Helper()
+	want := zoneProgram(NewZone(z.Name, z.Kind, z.Start(), z.Pages()))
+	got := zoneProgram(z)
+	if !slices.Equal(got, want) {
+		t.Fatalf("zone %q: pooled zone allocates %v..., fresh twin %v...", z.Name, got[:8], want[:8])
+	}
+	if err := z.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestZoneResetEquivalence runs the same allocation program on a fresh
 // zone and on a pooled zone reset from a different identity, and
 // requires identical chunk placement.
 func TestZoneResetEquivalence(t *testing.T) {
-	program := func(z *Zone) []PFN {
-		for i := 0; i < z.Blocks(); i++ {
-			z.OnlineBlock(i)
-		}
-		var log []PFN
-		rng := rand.New(rand.NewPCG(3, 9))
-		for i := 0; i < 500; i++ {
-			if pfn, ok := z.AllocPage(rng.IntN(10)); ok {
-				log = append(log, pfn)
-			} else {
-				log = append(log, -1)
-			}
-		}
-		return log
-	}
-	fresh := NewZone("a", ZoneMovable, units.PagesPerBlock, 4*units.PagesPerBlock)
-	want := program(fresh)
-
 	pool := NewPool()
 	dirty := pool.Zone("b", ZoneSqueezyPrivate, 0, 8*units.PagesPerBlock)
 	for i := 0; i < dirty.Blocks(); i++ {
@@ -274,14 +290,46 @@ func TestZoneResetEquivalence(t *testing.T) {
 	if reused != dirty {
 		t.Fatal("pool did not hand back the retired zone")
 	}
-	got := program(reused)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("allocation %d: reset zone %d, fresh %d", i, got[i], want[i])
+	replaysTwin(t, reused)
+}
+
+// TestPoolBestFit requests large, medium and small zones in a rotating
+// order and retires each round's zones in request order, so
+// last-in-first-out reuse would hand the next round's first request the
+// last round's last zone, and a largest-fit rule would hand a small
+// request the arena a later large one needs. After the first round
+// every request must be served by a pooled arena of unchanged capacity,
+// and every pooled zone must replay its NewZone twin exactly. A request
+// no arena holds must get the largest.
+func TestPoolBestFit(t *testing.T) {
+	pool := NewPool()
+	capacity := map[*Zone]int64{} // of every zone retired so far
+	sizes := []int64{8, 4, 1}     // blocks
+	for round := 0; round < 6; round++ {
+		var held []*Zone
+		for j := range sizes {
+			blocks := sizes[(round+j)%len(sizes)]
+			start := int64(round) * units.PagesPerBlock
+			z := pool.Zone(fmt.Sprintf("r%d-%d", round, blocks), ZoneMovable, start, blocks*units.PagesPerBlock)
+			if c, pooled := capacity[z]; round > 0 && (!pooled || z.alloc.Capacity() != c) {
+				t.Fatalf("round %d: %d-block request got pooled=%v arena of capacity %d, retired at %d", round, blocks, pooled, z.alloc.Capacity(), c)
+			}
+			replaysTwin(t, z)
+			held = append(held, z)
+		}
+		for _, z := range held {
+			capacity[z] = z.alloc.Capacity()
+			pool.Retire(z)
 		}
 	}
-	if err := reused.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	// When no arena holds the request, the largest, which grows least,
+	// serves it.
+	var largest int64
+	for _, c := range capacity {
+		largest = max(largest, c)
+	}
+	if z := pool.Zone("big", ZoneMovable, 0, 16*units.PagesPerBlock); capacity[z] != largest {
+		t.Fatalf("oversized request got the arena of capacity %d, largest is %d", capacity[z], largest)
 	}
 }
 
