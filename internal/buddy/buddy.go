@@ -39,19 +39,6 @@ type Allocator struct {
 	// pages (0 = disabled) and regionFree[r] the free pages in region r.
 	regionPages int64
 	regionFree  []int64
-
-	// ShuffleFreeLists scratch, kept so that repeated shuffles (and a
-	// pooled allocator's later lives) reuse it.
-	shufChunks []shufChunk
-	shufPieces []int // index into shufChunks, one entry per piece
-}
-
-// shufChunk is a free chunk taken by ShuffleFreeLists, with the number
-// of its pieces not yet drawn.
-type shufChunk struct {
-	head  int64
-	order int
-	left  int
 }
 
 // New creates an allocator spanning npages page frames starting at page
@@ -388,7 +375,16 @@ func (a *Allocator) ShuffleFreeLists(order int, draw func(n int) int) {
 	if order < 0 || order > MaxOrder {
 		panic(fmt.Sprintf("buddy: bad order %d", order))
 	}
-	chunks, pieces := a.shufChunks[:0], a.shufPieces[:0]
+	// chunk is a free chunk taken off the stacks, with the number of
+	// its pieces not yet drawn. pieces indexes chunks, one entry per
+	// piece; chunks below order add one piece each beyond free>>order.
+	type chunk struct {
+		head  int64
+		order int
+		left  int
+	}
+	chunks := make([]chunk, 0, a.free>>order)
+	pieces := make([]int, 0, a.free>>order)
 	// take empties stack k in pop order. A chunk's head bit is cleared
 	// as it is taken, so an older duplicate entry below it is skipped,
 	// as pop would skip it once the newer entry had been popped.
@@ -408,7 +404,7 @@ func (a *Allocator) ShuffleFreeLists(order int, draw func(n int) int) {
 			for range n {
 				pieces = append(pieces, len(chunks))
 			}
-			chunks = append(chunks, shufChunk{head: i, order: k, left: n})
+			chunks = append(chunks, chunk{head: i, order: k, left: n})
 		}
 		a.stacks[k] = st[:0]
 	}
@@ -427,7 +423,6 @@ func (a *Allocator) ShuffleFreeLists(order int, draw func(n int) int) {
 			a.stacks[c.order] = append(a.stacks[c.order], c.head)
 		}
 	}
-	a.shufChunks, a.shufPieces = chunks, pieces[:0]
 }
 
 func (a *Allocator) push(i int64, order int) {

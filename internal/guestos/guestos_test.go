@@ -560,7 +560,7 @@ func TestRecycledKernelReplaysIdentically(t *testing.T) {
 // freeAnonRandom releases bytes of p's anonymous memory, choosing
 // victim chunks uniformly at random (one rng.IntN per chunk, then a
 // swap-remove). It is the chunk-owning reference for the free order
-// ScrambleFreeLists replays on its extent list.
+// ScrambleFreeLists replays through buddy.Allocator.ShuffleFreeLists.
 func freeAnonRandom(k *Kernel, p *Process, bytes int64, rng *rand.Rand) int64 {
 	target := units.BytesToPages(bytes)
 	var freed int64

@@ -300,11 +300,12 @@ func refScramble(k *Kernel, z *mem.Zone, rng *rand.Rand) {
 }
 
 // TestScrambleMatchesReference scrambles twin kernels built from one
-// seed twice in a row, one through ScrambleFreeLists and one through
-// refScramble, with one movable block isolated. The free lists must
-// come out identical — a later alloc-everything pass at mixed orders
-// returns the same PFN sequence — and so must the free count, the
-// process table, the exit hook calls and the rng stream.
+// seed three times, one through ScrambleFreeLists and one through
+// refScramble, around aborted offlines of one movable block. Every
+// kernel invariant must hold afterwards, and the free lists must come
+// out identical — a later alloc-everything pass at mixed orders returns
+// the same PFN sequence — and so must the free count, the process
+// table, the exit hook calls and the rng stream.
 func TestScrambleMatchesReference(t *testing.T) {
 	f := func(seed uint64) bool {
 		build := func() (*Kernel, *rand.Rand, *int) {
@@ -323,17 +324,38 @@ func TestScrambleMatchesReference(t *testing.T) {
 				k.TouchAnon(p, int64(rng.IntN(32)+1)*units.MiB, order)
 				freeAnonRandom(k, p, int64(rng.IntN(16))*units.MiB, rng)
 			}
-			// An isolated block's free pages are outside the allocator
-			// and its stale stack entries must stay unobservable.
-			k.Movable.IsolateBlock(rng.IntN(k.Movable.Blocks()))
 			return k, rng, exits
 		}
 		ka, ra, exitsA := build()
 		kb, rb, exitsB := build()
 
-		for range 2 {
+		// Isolating a block and aborting the offline re-pushes its free
+		// chunks over their stale stack entries, leaving duplicate valid
+		// entries the next scramble must take once. Two scrambles in a
+		// row follow. A third runs with the block isolated again, so
+		// its free pages are outside the allocator and its stale
+		// entries must stay unobservable, and the block is then
+		// returned on both sides.
+		iso := ra.IntN(ka.Movable.Blocks())
+		if rb.IntN(kb.Movable.Blocks()) != iso {
+			t.Fatal("twin rngs diverged")
+		}
+		start, count := ka.Movable.BlockRange(iso)
+		for _, k := range []*Kernel{ka, kb} {
+			k.Movable.IsolateBlock(iso)
+			k.ReturnIsolatedGaps(k.Movable, start, count)
+		}
+		for i := range 3 {
+			if i == 2 {
+				ka.Movable.IsolateBlock(iso)
+				kb.Movable.IsolateBlock(iso)
+			}
 			ka.ScrambleFreeLists(ka.Movable, ra)
 			refScramble(kb, kb.Movable, rb)
+		}
+		if ga, gb := ka.ReturnIsolatedGaps(ka.Movable, start, count), kb.ReturnIsolatedGaps(kb.Movable, start, count); ga != gb {
+			t.Logf("returned %d isolated pages vs reference %d", ga, gb)
+			return false
 		}
 
 		if ka.Movable.NrFree() != kb.Movable.NrFree() {
@@ -348,11 +370,11 @@ func TestScrambleMatchesReference(t *testing.T) {
 			t.Logf("next rng draw %#x vs reference %#x", a, b)
 			return false
 		}
-		// Mid-offline, the isolated block's free pages count as
-		// allocated, so only the zone-level invariants hold.
-		if err := ka.Movable.CheckInvariants(); err != nil {
-			t.Log(err)
-			return false
+		for _, k := range []*Kernel{ka, kb} {
+			if err := k.CheckInvariants(); err != nil {
+				t.Log(err)
+				return false
+			}
 		}
 		orders := []int{0, HugeOrder, 3, 10, 1, 5}
 		for i := 0; ka.Movable.NrFree() > 0; i++ {
