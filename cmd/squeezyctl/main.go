@@ -27,9 +27,9 @@
 //	-o FILE      write output to FILE instead of stdout
 //	-cellstats   print per-cell wall-clock timings to stderr after the
 //	             run (cells are the executor's scheduling unit; sharded
-//	             fleet cells additionally break down into per-shard
-//	             walls, whose slowest shard bounds the parallel wall
-//	             clock); -cellstats=json emits the same numbers plus
+//	             fleet cells additionally break down into the per-shard
+//	             walls of their final drain, the only part that fans
+//	             out); -cellstats=json emits the same numbers plus
 //	             the parallel-floor rule as JSON on stderr
 //	-simtrace FILE  record a simulation trace and write it as Chrome
 //	             trace-event JSON (open at https://ui.perfetto.dev): one
@@ -444,11 +444,10 @@ func parseMemBudget(s string) (int64, error) {
 
 // printCellStats writes the per-cell wall-clock table to w (stderr):
 // slowest cells first, then per-experiment totals. Sharded fleet cells
-// get a per-shard breakdown line: with idle workers stealing shard
-// advances, the cell's critical path is its slowest shard, and the
-// batch's parallel floor is the slowest shard of the slowest cell.
-// Timings go to stderr only, so -o result files stay byte-identical
-// across runs.
+// get a per-shard breakdown line for their final drain, the one part
+// of a fleet cell that fans out to idle workers. The batch's parallel
+// floor is experiments.ParallelFloor. Timings go to stderr only, so -o
+// result files stay byte-identical across runs.
 func printCellStats(w io.Writer, stats []experiments.CellStat) {
 	sorted := make([]experiments.CellStat, len(stats))
 	copy(sorted, stats)
@@ -466,18 +465,8 @@ func printCellStats(w io.Writer, stats []experiments.CellStat) {
 	fmt.Fprintf(w, "cells: %d, summed cell wall time %v (== cpu time only if workers <= cores)\n",
 		len(stats), total.Round(time.Millisecond))
 	if len(sorted) > 0 {
-		// On a non-oversubscribed run the slowest undecomposable unit is
-		// the parallel wall-clock floor: a plain cell contributes its
-		// wall, a sharded cell only its slowest shard (its other shards
-		// advance on other workers).
-		floor := time.Duration(0)
-		for _, s := range stats {
-			if f := experiments.CellFloor(s); f > floor {
-				floor = f
-			}
-		}
-		fmt.Fprintf(w, "slowest cell: %v, parallel floor (serial dispatch + slowest shard of the worst cell): %v when workers <= cores\n",
-			sorted[0].Wall.Round(time.Millisecond), floor.Round(time.Millisecond))
+		fmt.Fprintf(w, "slowest cell: %v, parallel floor (max of the worst cell's critical path and summed wall / workers): %v when workers <= cores\n",
+			sorted[0].Wall.Round(time.Millisecond), experiments.ParallelFloor(stats).Round(time.Millisecond))
 	}
 	fmt.Fprintf(w, "%-20s %-8s %-32s %s\n", "experiment", "trial", "cell", "wall")
 	for _, s := range sorted {

@@ -70,8 +70,8 @@ type Config struct {
 // Node is one simulated host: a private scheduler, memory pool, and
 // runtime, plus the per-function VMs the dispatcher has placed on it.
 // Between dispatcher epochs a node's simulation is fully independent
-// of every other node's, which is what lets shard workers advance
-// disjoint node sets in parallel.
+// of every other node's, which is what lets the final drain run
+// disjoint node sets on parallel shard workers.
 type Node struct {
 	ID      int
 	Backend faas.BackendKind
@@ -340,10 +340,11 @@ type ShardedCluster struct {
 	// fleet-dynamics views below narrow it.
 	Nodes []*Node
 
-	// Exec, when non-nil, runs a batch of shard-advance tasks —
+	// Exec, when non-nil, runs the final drain's shard tasks —
 	// possibly in parallel — and returns when all have completed. The
 	// tasks touch disjoint hosts, so any execution order (or true
 	// concurrency) yields identical results. nil runs them serially.
+	// Epoch advances never go through Exec; they run inline.
 	Exec func(tasks []func())
 
 	Metrics Metrics
@@ -393,12 +394,8 @@ type ShardedCluster struct {
 	fleetObs *obs.Recorder
 
 	// Epoch-engine state (shard.go).
-	shardsWanted int // requested shard count, reapplied on membership change
-	shardNodes   [][]*Node
-	shardTasks   []func()
-	drainTasks   []func()
-	shardWalls   []time.Duration // wall-clock per shard since prepare
-	epochT       sim.Time        // advance target shared by the shard tasks
+	shardsWanted int             // requested drain shard count
+	shardWalls   []time.Duration // wall-clock per drain shard this run
 }
 
 // withDefaults fills the zero-valued optional fields.
@@ -560,8 +557,7 @@ func (c *ShardedCluster) Reset(cost *costmodel.Model, cfg Config, policy Policy)
 	c.obsT, c.fleetObs = nil, nil
 	c.autoscale = nil
 	c.lastScale, c.scaled = 0, false
-	c.shardsWanted = 0
-	c.shardNodes, c.shardTasks, c.drainTasks = nil, nil, nil
+	c.shardsWanted, c.shardWalls = 0, nil
 	bindPolicy(policy, c)
 	m := &c.Metrics
 	m.Invocations, m.ColdStarts, m.WarmStarts, m.Dropped, m.AdmissionDrops = 0, 0, 0, 0, 0

@@ -22,11 +22,12 @@
 // (events strictly before the boundary fire, clocks land exactly on
 // it), runs the boundary's dispatcher work serially in canonical
 // order — invocations in trace order, then the memory sample — and
-// repeats. Hosts are partitioned into shards that advance as
-// independent tasks, concurrently when an Exec hook is installed;
-// after the last boundary every host drains to the horizon in
-// parallel. Completion metrics accumulate per host and merge in
-// host-ID order.
+// repeats. Epochs are tiny (a boundary at every invocation), so hosts
+// advance inline on the dispatcher's goroutine in host-ID order. Only
+// the final drain fans out: after the last boundary the live hosts
+// split into shards that run to the horizon as independent tasks,
+// concurrently when an Exec hook is installed. Completion metrics
+// accumulate per host and merge in host-ID order.
 //
 // # Fleet dynamics
 //
@@ -41,15 +42,14 @@
 // never advanced again, so its pending completions and grants are
 // frozen rather than cancelled; its in-flight work (tracked as
 // flights) re-places through the normal dispatcher exactly once.
-// Churn triggers a reshard of the live set, preserving epoch walls.
 //
 // # Determinism
 //
 // The dispatcher holds no RNG, iterates hosts in slice order, and
 // breaks every tie by host ID; a host's evolution between boundaries
 // is a pure function of its state at the last boundary; and nothing
-// depends on the shard partition or on which worker advanced which
-// host. A fleet run is therefore a pure function of its traces, its
+// depends on the drain's shard partition or on which worker drained
+// which host. A fleet run is therefore a pure function of its traces, its
 // fleet-event schedule, and its seed, byte-identical at every shard
 // count — the property TestShardCountInvariance,
 // TestParallelShardsMatchSerial, and (under fuzzed churn)

@@ -32,9 +32,10 @@ import (
 //     from the ID and join order, so a joined host's sub-simulation is
 //     reproducible at any shard count.
 //
-// After every membership change the shard partition is rebuilt over
-// the live hosts; partitioning never affects results, only which
-// worker advances which host.
+// Epoch advances walk the live hosts inline, so a membership change
+// needs no repartitioning; only the final drain splits the hosts that
+// are live by then into shards, which never affects results, only
+// which worker drains which host.
 
 // FleetEventKind classifies one fleet-shape change.
 type FleetEventKind int
@@ -200,7 +201,6 @@ func (c *ShardedCluster) joinHost() *Node {
 			obs.I("host", int64(n.ID)), obs.I("rack", int64(n.Rack)),
 			obs.I("active", int64(len(c.active))))
 	}
-	c.reshard()
 	return n
 }
 
@@ -274,13 +274,12 @@ func (c *ShardedCluster) settleDrains() {
 // releases every VM into the host's recycler (guest kernels, vmm.VMs,
 // agent shells — the same harvest a finished run performs), and its
 // scheduler never advances again, freezing any event still pending on
-// it. The shard partition is rebuilt over the surviving hosts.
+// it.
 func (c *ShardedCluster) retire(n *Node) {
 	n.state = nodeDead
 	c.active = removeNode(c.active, n)
 	c.live = removeNode(c.live, n)
 	n.RT.Release()
-	c.reshard()
 }
 
 // replaceFlights re-places a retired host's in-flight invocations in
@@ -388,8 +387,9 @@ func (c *ShardedCluster) idlestActive() *Node {
 }
 
 // removeNode deletes n from the slice preserving order. The backing
-// array is rewritten in place — shard partitions copy the membership
-// slices, so no stale alias observes the shift.
+// array is rewritten in place, so callers must not hold a sub-slice
+// of the membership across a removal; none does — removals happen
+// only at epoch boundaries, never while hosts advance or drain.
 func removeNode(nodes []*Node, n *Node) []*Node {
 	for i, x := range nodes {
 		if x == n {

@@ -19,27 +19,30 @@ import (
 //
 //  1. advance: every host's scheduler runs to the next boundary T with
 //     sim.Scheduler.RunUntilEpoch — all host events strictly before T
-//     fire, host clocks land exactly on T. Hosts are partitioned
-//     across shards; each shard advances its hosts in host-ID order,
-//     and shards run concurrently when an Exec hook is installed
-//     (disjoint hosts, so any interleaving is equivalent).
+//     fire, host clocks land exactly on T. Hosts advance inline on the
+//     dispatcher's goroutine in host-ID order: a boundary falls at
+//     every invocation, so an epoch carries a few microseconds of host
+//     work — most have a host event on one host or none — and waking
+//     another worker for it would cost more than the work itself.
 //  2. merge: with every host paused at T, the dispatcher fires the
 //     boundary events at T in canonical order — invocations in trace
 //     order first, then the memory sample. Routing reads host state
 //     settled through T-1 plus the synchronous effects of earlier
 //     boundary events at T, identically at every shard count.
 //  3. repeat, until the trace and ticks are exhausted; then every host
-//     drains independently to the horizon.
+//     drains independently to the horizon. The drain is the one
+//     stretch where hosts run without rendezvous, so it alone fans
+//     out: the live hosts split into shards that run as independent
+//     tasks, concurrently when an Exec hook is installed (disjoint
+//     hosts, so any interleaving is equivalent).
 //
 // Determinism argument: a host's event stream between boundaries is a
 // pure function of its state at the last boundary (host-local events
 // only, host-local seeds only); the dispatcher step is serial and
 // iterates hosts in ID order; completion metrics accumulate host-
 // locally and merge in host-ID order. Nothing anywhere depends on the
-// shard partition or on which worker advanced which host — so tables
-// are byte-identical at every shard count, and the parallel wall-clock
-// floor of a fleet cell drops from the whole fleet to its slowest
-// host-shard.
+// drain's shard partition or on which worker drained which host — so
+// tables are byte-identical at every shard count and worker count.
 
 // Invocation is one dispatcher boundary event: fn arrives at T.
 type Invocation struct {
@@ -49,12 +52,11 @@ type Invocation struct {
 
 // PlayConfig shapes one epoch-driven fleet run.
 type PlayConfig struct {
-	// Shards is the number of host partitions advanced as independent
-	// tasks; 0 or anything >= the live host count means one shard per
-	// host, 1 means the serial unsharded path. The shard count never
-	// changes results, only how much of the fleet a single task
-	// advances. Membership changes re-partition the live hosts under
-	// the same requested count.
+	// Shards is the number of host partitions the final drain runs as
+	// independent tasks; 0 or anything >= the live host count means one
+	// shard per host, 1 means a serial drain. Epoch advances always run
+	// inline. The shard count never changes results, only how much of
+	// the fleet a single drain task covers.
 	Shards int
 	// TickEvery is the fleet memory-sampling cadence (0 disables);
 	// samples are taken at 0, TickEvery, ... through TickUntil.
@@ -89,111 +91,59 @@ func (c *ShardedCluster) Play(invs []Invocation, pc PlayConfig) {
 	c.PlayStream(SliceStream(invs), pc)
 }
 
-// prepareShards records the requested shard count, partitions the live
-// hosts into contiguous shard groups, and builds the per-shard advance
-// and drain tasks; the epoch loop re-runs the same closures against a
-// shared target time, so a run allocates per shard, not per epoch.
-func (c *ShardedCluster) prepareShards(shards int) {
-	c.shardsWanted = shards
-	c.partitionShards(false)
-}
-
-// reshard rebuilds the partition over the surviving live hosts after a
-// membership change, under the same requested shard count, keeping the
-// accumulated per-shard walls. Before any partition exists (churn
-// scheduled against a cluster that has not started playing) it is a
-// no-op; the first AdvanceTo partitions lazily.
-func (c *ShardedCluster) reshard() {
-	if c.shardTasks == nil {
-		return
-	}
-	c.partitionShards(true)
-}
-
-func (c *ShardedCluster) partitionShards(keepWalls bool) {
-	shards := c.shardsWanted
-	if shards <= 0 || shards > len(c.live) {
-		shards = len(c.live)
-	}
-	// Shard groups copy the membership slice: fleet-dynamics removals
-	// rewrite c.live's backing array in place, and a stale alias would
-	// advance the wrong hosts.
-	c.shardNodes = c.shardNodes[:0]
-	for s := 0; s < shards; s++ {
-		lo, hi := s*len(c.live)/shards, (s+1)*len(c.live)/shards
-		c.shardNodes = append(c.shardNodes, append([]*Node(nil), c.live[lo:hi]...))
-	}
-	c.shardTasks = make([]func(), shards)
-	c.drainTasks = make([]func(), shards)
-	if !keepWalls {
-		c.shardWalls = make([]time.Duration, shards)
-	} else if len(c.shardWalls) < shards {
-		c.shardWalls = append(c.shardWalls, make([]time.Duration, shards-len(c.shardWalls))...)
-	}
-	for s := 0; s < shards; s++ {
-		s := s
-		grp := c.shardNodes[s]
-		c.shardTasks[s] = func() {
-			start := time.Now()
-			for _, n := range grp {
-				n.Sched.RunUntilEpoch(c.epochT)
-			}
-			c.shardWalls[s] += time.Since(start)
-		}
-		c.drainTasks[s] = func() {
-			start := time.Now()
-			for _, n := range grp {
-				n.Sched.RunUntil(c.epochT)
-			}
-			c.shardWalls[s] += time.Since(start)
-		}
-	}
-}
-
-// runTasks executes one barrier round of shard tasks: through the Exec
-// hook when installed, else serially in shard order. Exec must have
-// run every task to completion before returning.
-func (c *ShardedCluster) runTasks(tasks []func()) {
-	if c.Exec != nil && len(tasks) > 1 {
-		c.Exec(tasks)
-		return
-	}
-	for _, t := range tasks {
-		t()
-	}
-}
-
 // AdvanceTo advances every host to the epoch boundary t: all host
 // events strictly before t fire, every host clock — and the dispatcher
 // clock — lands exactly on t. The dispatcher may then route
-// invocations or sample memory against the paused fleet.
+// invocations or sample memory against the paused fleet. Hosts advance
+// inline in host-ID order: an epoch is a few microseconds of host
+// work, less than handing it to another worker would cost.
 func (c *ShardedCluster) AdvanceTo(t sim.Time) {
-	if c.shardTasks == nil {
-		c.prepareShards(0)
+	for _, n := range c.live {
+		n.Sched.RunUntilEpoch(t)
 	}
-	c.epochT = t
-	c.runTasks(c.shardTasks)
 	c.now = t
 }
 
 // Drain runs every host through t inclusive — unlike AdvanceTo, events
 // at exactly t fire too — and sets the dispatcher clock to t. The
-// final drain of a run is one giant epoch: hosts no longer interact,
-// so each shard runs to the horizon independently.
+// final drain of a run is the one stretch where hosts no longer
+// interact, so it is the only fan-out: the live hosts split into
+// contiguous shards (PlayConfig.Shards) that run to the horizon as
+// independent tasks through the Exec hook, each timing its own wall.
 func (c *ShardedCluster) Drain(t sim.Time) {
-	if c.shardTasks == nil {
-		c.prepareShards(0)
-	}
 	if t < c.now {
 		t = c.now
 	}
-	c.epochT = t
-	c.runTasks(c.drainTasks)
+	shards := c.shardsWanted
+	if shards <= 0 || shards > len(c.live) {
+		shards = len(c.live)
+	}
+	if len(c.shardWalls) < shards {
+		c.shardWalls = append(c.shardWalls, make([]time.Duration, shards-len(c.shardWalls))...)
+	}
+	tasks := make([]func(), shards)
+	for s := range tasks {
+		grp := c.live[s*len(c.live)/shards : (s+1)*len(c.live)/shards]
+		tasks[s] = func() {
+			start := time.Now()
+			for _, n := range grp {
+				n.Sched.RunUntil(t)
+			}
+			c.shardWalls[s] += time.Since(start)
+		}
+	}
+	if c.Exec != nil && len(tasks) > 1 {
+		c.Exec(tasks)
+	} else {
+		for _, task := range tasks {
+			task()
+		}
+	}
 	c.now = t
 }
 
-// ShardWalls returns the wall-clock time each shard's advance tasks
-// consumed during the runs since the last prepare — the numbers behind
-// `squeezyctl -cellstats`'s per-shard breakdown. With shards advanced
-// in parallel, the slowest entry bounds the cell's critical path.
+// ShardWalls returns the wall-clock time each shard of the final drain
+// consumed during the run — the numbers behind `squeezyctl
+// -cellstats`'s per-shard breakdown. Epoch advances run inline on the
+// cell's own goroutine and are not included.
 func (c *ShardedCluster) ShardWalls() []time.Duration { return c.shardWalls }

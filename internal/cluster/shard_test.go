@@ -64,10 +64,10 @@ func goExec(tasks []func()) {
 	wg.Wait()
 }
 
-// TestParallelShardsMatchSerial runs the shard tasks truly
+// TestParallelShardsMatchSerial runs the drain's shard tasks truly
 // concurrently and requires byte-identity with the serial path: the
-// epoch barrier, host partitioning, and per-host metrics must make the
-// schedule independent of real execution order.
+// host partitioning and per-host metrics must make the schedule
+// independent of real execution order.
 func TestParallelShardsMatchSerial(t *testing.T) {
 	wantFired, wantTable := shardedRun(t, faas.Squeezy, 1, nil)
 	for _, shards := range []int{2, 3} {
@@ -76,6 +76,31 @@ func TestParallelShardsMatchSerial(t *testing.T) {
 			t.Fatalf("parallel shards=%d diverges from serial:\n%d %s\n%d %s",
 				shards, gotFired, gotTable, wantFired, wantTable)
 		}
+	}
+}
+
+// TestEpochsRunInline guards the engine's fan-out shape: epoch
+// advances run inline on the dispatcher's goroutine and never reach the
+// Exec hook, so a play hands Exec exactly one batch — its final drain,
+// one task per shard. Counting through the hook must not change the
+// run.
+func TestEpochsRunInline(t *testing.T) {
+	var batches, tasks int
+	count := func(ts []func()) {
+		batches++
+		tasks += len(ts)
+		for _, f := range ts {
+			f()
+		}
+	}
+	wantFired, wantTable := shardedRun(t, faas.Squeezy, 0, nil)
+	gotFired, gotTable := shardedRun(t, faas.Squeezy, 0, count)
+	if batches != 1 || tasks != 3 {
+		t.Fatalf("Exec saw %d batches / %d tasks, want 1 drain batch of 3 shard tasks", batches, tasks)
+	}
+	if gotFired != wantFired || gotTable != wantTable {
+		t.Fatalf("counting Exec diverges from nil Exec:\n%d %s\n%d %s",
+			gotFired, gotTable, wantFired, wantTable)
 	}
 }
 
@@ -98,7 +123,7 @@ func TestPlayTickCadence(t *testing.T) {
 }
 
 // TestShardWallsCoverShards checks the -cellstats plumbing: a sharded
-// run reports one wall-clock accumulator per shard.
+// run reports one drain wall-clock accumulator per shard.
 func TestShardWallsCoverShards(t *testing.T) {
 	cost := costmodel.Default()
 	c := NewSharded(cost, Config{Hosts: 4, Backend: faas.Squeezy},

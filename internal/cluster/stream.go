@@ -58,7 +58,7 @@ func (s *sliceStream) Next() (Invocation, bool) {
 // flow through — the property the memory-bound regression test
 // asserts for million-invocation multi-day runs.
 func (c *ShardedCluster) PlayStream(src InvocationStream, pc PlayConfig) {
-	c.prepareShards(pc.Shards)
+	c.shardsWanted, c.shardWalls = pc.Shards, nil
 	c.autoscale = pc.Autoscale
 	c.ScheduleFleetEvents(pc.Events)
 	c.ScheduleFaults(pc.Faults, pc.FaultSeed)

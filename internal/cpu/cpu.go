@@ -23,9 +23,6 @@ type Job struct {
 	pool      *Pool
 }
 
-// Name returns the job's display name.
-func (j *Job) Name() string { return j.name }
-
 // Class returns the job's accounting class.
 func (j *Job) Class() string { return j.class }
 

@@ -31,7 +31,7 @@ type fleetCfg struct {
 	duration sim.Duration
 	baseRPS  float64 // fleet-aggregate quiet rate
 	burstRPS float64 // fleet-aggregate in-burst rate
-	// shards overrides the host-shard count of the epoch engine; 0
+	// shards overrides the shard count of the fleet's final drain; 0
 	// selects one shard per host. Any value produces byte-identical
 	// tables — the knob exists for the determinism tests.
 	shards int

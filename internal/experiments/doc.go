@@ -17,17 +17,20 @@
 // arena caches, recycled VMs, and sharded fleet are reset — not
 // rebuilt — between cells.
 //
-// Cells may decompose further at run time: a sharded fleet cell fans
-// per-host shard advances through World.Exec onto the same worker
-// pool, where idle workers — and workers blocked in their own Exec —
-// steal them. The parallel wall-clock floor of a full run is therefore
-// the slowest host-shard, not the slowest cell.
+// Cells may decompose further at run time: a sharded fleet cell
+// advances its hosts inline, one tiny epoch per dispatcher boundary,
+// and fans only its final drain — the one stretch where hosts run
+// independently — through World.Exec onto the same worker pool, where
+// idle workers, and workers blocked in their own Exec, steal the drain
+// shards. A full run's wall-clock floor is therefore its worst cell's
+// serial dispatch plus slowest drain shard, or its summed cell wall
+// spread over the workers, whichever is larger (ParallelFloor).
 //
 // # Determinism
 //
 // Workers write only pre-assigned result slots, per-trial and per-cell
 // seeds derive through SubSeed (splitmix64), pooled worlds reset to
-// fresh-equivalent state, shard tasks are order-independent, and
+// fresh-equivalent state, drain shards are order-independent, and
 // reports carry no timing fields — so output is byte-identical across
 // worker counts, shard counts, and serial/parallel execution, which
 // the determinism tests assert for every registered experiment.

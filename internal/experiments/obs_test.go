@@ -110,6 +110,7 @@ func TestObsCellStatsJSONShape(t *testing.T) {
 		Cells []struct {
 			Experiment string    `json:"experiment"`
 			Cell       string    `json:"cell"`
+			Worker     int       `json:"worker"`
 			WallMs     float64   `json:"wall_ms"`
 			ShardWalls []float64 `json:"shard_walls_ms"`
 			FloorMs    float64   `json:"floor_ms"`
@@ -124,6 +125,7 @@ func TestObsCellStatsJSONShape(t *testing.T) {
 	if len(doc.Cells) != len(stats) {
 		t.Fatalf("doc has %d cells, want %d", len(doc.Cells), len(stats))
 	}
+	workers := map[int]bool{}
 	for _, c := range doc.Cells {
 		if c.WallMs <= 0 {
 			t.Fatalf("cell %s/%s has non-positive wall", c.Experiment, c.Cell)
@@ -131,9 +133,19 @@ func TestObsCellStatsJSONShape(t *testing.T) {
 		if len(c.ShardWalls) > 0 && c.FloorMs > c.WallMs {
 			t.Fatalf("cell %s floor %v exceeds wall %v", c.Cell, c.FloorMs, c.WallMs)
 		}
+		if c.FloorMs > doc.ParallelFloorMs {
+			t.Fatalf("cell %s floor %v exceeds parallel floor %v", c.Cell, c.FloorMs, doc.ParallelFloorMs)
+		}
+		workers[c.Worker] = true
 	}
 	if doc.ParallelFloorMs <= 0 || doc.ParallelFloorMs > doc.SummedWallMs {
 		t.Fatalf("parallel floor %v outside (0, summed %v]", doc.ParallelFloorMs, doc.SummedWallMs)
+	}
+	// No schedule beats the summed wall spread evenly over the workers
+	// that ran it (less the nanosecond the integer division may drop).
+	if spread := doc.SummedWallMs / float64(len(workers)); doc.ParallelFloorMs < spread-1e-6 {
+		t.Fatalf("parallel floor %v below summed wall / %d workers = %v",
+			doc.ParallelFloorMs, len(workers), spread)
 	}
 	if doc.SlowestCellMs > doc.SummedWallMs {
 		t.Fatalf("slowest cell %v exceeds summed wall %v", doc.SlowestCellMs, doc.SummedWallMs)

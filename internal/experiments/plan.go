@@ -19,11 +19,12 @@ package experiments
 //
 // Sub-cell shards: a cell is the executor's scheduling unit, but a
 // cell may decompose further at run time by fanning independent tasks
-// through World.Exec — a sharded fleet cell advances each host shard
-// as one such task, with the executor's idle workers picking them up.
-// Shard tasks never touch the World's own pools, only state the cell
-// handed them, and must be order-independent so serial and pooled
-// execution agree byte-for-byte.
+// through World.Exec — a sharded fleet cell drains each host shard to
+// the horizon as one such task after its last epoch (the epochs
+// themselves run inline), with the executor's idle workers picking
+// them up. Shard tasks never touch the World's own pools, only state
+// the cell handed them, and must be order-independent so serial and
+// pooled execution agree byte-for-byte.
 
 // Cell is one independently runnable simulation unit: a label for
 // per-cell timing (-cellstats), and a closure that runs the simulation

@@ -85,18 +85,17 @@ type CellStat struct {
 	Wait   time.Duration
 	Worker int
 	// ShardWalls is the per-shard wall-clock breakdown of a cell that
-	// decomposed into sub-cell shards (a sharded fleet run): entry i is
-	// the time shard i's advance tasks consumed, wherever they ran.
-	// With enough idle workers the cell's critical path is its slowest
-	// shard, not Wall.
+	// decomposed into sub-cell shards (a sharded fleet run's final
+	// drain): entry i is the time drain shard i consumed, wherever it
+	// ran. Epoch advances run inline and are not included.
 	ShardWalls []time.Duration
 }
 
-// CellFloor is a cell's contribution to the batch's parallel wall-clock
-// floor. A plain cell contributes its whole wall. A sharded cell's
-// shard advances parallelize, but its dispatcher step — routing between
-// epochs — stays serial, so the critical-path bound is the serial
-// remainder (wall minus all shard work) plus the slowest shard.
+// CellFloor is a cell's critical path: the shortest wall it could take
+// with idle workers to spare. A plain cell contributes its whole wall.
+// A sharded fleet cell's epochs run inline on its own worker and only
+// its final drain fans out, so the bound is the serial remainder (wall
+// minus all drain-shard work) plus the slowest drain shard.
 func CellFloor(s CellStat) time.Duration {
 	if len(s.ShardWalls) == 0 {
 		return s.Wall
@@ -113,6 +112,25 @@ func CellFloor(s CellStat) time.Duration {
 		floor = slowest
 	}
 	return floor
+}
+
+// ParallelFloor is the batch's modeled wall-clock floor on workers that
+// each own a core: no run finishes before its worst cell's critical
+// path (CellFloor), nor before the summed cell wall spread evenly over
+// the workers. The worker count is the number of distinct
+// CellStat.Worker values.
+func ParallelFloor(stats []CellStat) time.Duration {
+	var worst, summed time.Duration
+	workers := map[int]bool{}
+	for _, s := range stats {
+		worst = max(worst, CellFloor(s))
+		summed += s.Wall
+		workers[s.Worker] = true
+	}
+	if len(workers) == 0 {
+		return 0
+	}
+	return max(worst, summed/time.Duration(len(workers)))
 }
 
 // Run executes each named experiment for the given number of trials on
@@ -146,7 +164,7 @@ type subGroup struct {
 	left int
 }
 
-// subUnit is one schedulable sub-cell task (a shard advance of a
+// subUnit is one schedulable sub-cell task (a drain shard of a
 // sharded fleet cell). Sub-tasks never need a World: they operate on
 // state owned by the cell that published them.
 type subUnit struct {
@@ -213,7 +231,7 @@ func RunWithCellStats(names []string, opts Options, trials, workers int) ([]Repo
 
 // executor is the shared scheduling state of one RunWithCellStats
 // call: a FIFO of runnable cells, a LIFO of sub-cell tasks published
-// by running cells (sharded fleet advances), and per-report stage
+// by running cells (sharded fleet drains), and per-report stage
 // bookkeeping. All fields are guarded by mu; simulations run outside
 // the lock.
 //
@@ -236,10 +254,11 @@ type executor struct {
 // sub-task queue, then help until the whole batch has completed. The
 // helping loop makes the scheme deadlock-free at any worker count —
 // the publishing worker can always run its own tasks — and lets idle
-// workers (and workers blocked in their own par) steal shard advances,
-// which is what drops a fleet cell's critical path to its slowest
-// shard. Tasks may be executed in any order by any worker; callers
-// guarantee order-independence.
+// workers (and workers blocked in their own par) steal drain shards.
+// A fleet cell publishes one batch, its final drain; its epochs are
+// too small to be worth a hand-off and run inline. Tasks may be
+// executed in any order by any worker; callers guarantee
+// order-independence.
 func (x *executor) par(tasks []func()) {
 	if len(tasks) <= 1 {
 		for _, t := range tasks {
@@ -441,9 +460,9 @@ type cellStatsDoc struct {
 	SummedWallMs float64 `json:"summed_wall_ms"`
 	// SlowestCellMs is the wall of the slowest single cell.
 	SlowestCellMs float64 `json:"slowest_cell_ms"`
-	// ParallelFloorMs is max over cells of CellFloor: serial dispatch
-	// remainder plus the slowest shard of the worst cell — the parallel
-	// wall-clock floor when workers <= cores.
+	// ParallelFloorMs is ParallelFloor: the worst cell's critical path
+	// or the summed wall spread over the workers, whichever is larger —
+	// the wall-clock floor when workers <= cores.
 	ParallelFloorMs float64 `json:"parallel_floor_ms"`
 }
 
@@ -452,15 +471,12 @@ type cellStatsDoc struct {
 func EncodeCellStatsJSON(w io.Writer, stats []CellStat) error {
 	msf := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	doc := cellStatsDoc{Cells: make([]cellStatJSON, 0, len(stats))}
-	var summed, slowest, floor time.Duration
+	var summed, slowest time.Duration
 	for _, s := range stats {
 		f := CellFloor(s)
 		summed += s.Wall
 		if s.Wall > slowest {
 			slowest = s.Wall
-		}
-		if f > floor {
-			floor = f
 		}
 		c := cellStatJSON{
 			Experiment: s.Experiment, Trial: s.Trial, Cell: s.Label,
@@ -474,7 +490,7 @@ func EncodeCellStatsJSON(w io.Writer, stats []CellStat) error {
 	}
 	doc.SummedWallMs = msf(summed)
 	doc.SlowestCellMs = msf(slowest)
-	doc.ParallelFloorMs = msf(floor)
+	doc.ParallelFloorMs = msf(ParallelFloor(stats))
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)

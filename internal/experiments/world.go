@@ -30,7 +30,7 @@ import (
 // one, so worker count and cell interleaving never leak into results.
 //
 // A World is owned by exactly one goroutine. Sharded fleet cells are
-// still single-owner: the shard tasks a cell fans out through Exec
+// still single-owner: the drain shards a cell fans out through Exec
 // touch the fleet's per-host state (each host with its own scheduler
 // and recycler), never the World's own pools.
 type World struct {
@@ -167,9 +167,10 @@ func (w *World) Runtime(host *hostmem.Host, cost *costmodel.Model) *faas.Runtime
 // Fleet returns a sharded fleet of the requested shape: the worker's
 // cached fleet reset in place when one exists, else a fresh one. Each
 // of the fleet's hosts runs on its own scheduler with its own
-// recycler (per-host arenas), so whichever shard worker advances a
-// host reuses that host's storage; the fleet's Exec hook is wired to
-// the world so shard tasks land on the executor's worker pool.
+// recycler (per-host arenas), so whichever shard worker drains a host
+// reuses that host's storage; the fleet's Exec hook is wired to the
+// world so the final drain's shard tasks land on the executor's worker
+// pool (epoch advances run inline on this world's goroutine).
 func (w *World) Fleet(cost *costmodel.Model, cfg cluster.Config, policy cluster.Policy) *cluster.ShardedCluster {
 	if w.fleet == nil {
 		w.fleet = cluster.NewSharded(cost, cfg, policy)
@@ -181,8 +182,8 @@ func (w *World) Fleet(cost *costmodel.Model, cfg cluster.Config, policy cluster.
 	return w.fleet
 }
 
-// Exec runs independent sub-cell tasks — a sharded fleet's per-host
-// advances — to completion: on the executor's worker pool when the
+// Exec runs independent sub-cell tasks — a sharded fleet's final-drain
+// shards — to completion: on the executor's worker pool when the
 // world belongs to one (idle and waiting workers pick them up), else
 // serially in order. Tasks must be order-independent; results may not
 // depend on which path ran them.

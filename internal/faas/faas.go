@@ -763,7 +763,7 @@ func (fv *FuncVM) runProvisionPhases(inst *Instance) {
 		return
 	}
 	fv.VM.VCPUs.Submit(fn.ContainerInitCPU+fileWork+privWork, cpu.Config{
-		Name: fn.Name + "/container", Class: "container", Weight: 1, Cap: 1,
+		Name: "container", Class: "container", Weight: 1, Cap: 1,
 		OnDone: func() {
 			initWork, ok := k.TouchAnon(inst.proc, fn.InitAnonBytes(), guestos.HugeOrder)
 			if !ok {
@@ -771,7 +771,7 @@ func (fv *FuncVM) runProvisionPhases(inst *Instance) {
 				return
 			}
 			fv.VM.VCPUs.Submit(fn.FuncInitCPU+initWork, cpu.Config{
-				Name: fn.Name + "/init", Class: "function", Weight: fn.CPUShares, Cap: maxf(fn.CPUShares, 0.1),
+				Name: "init", Class: "function", Weight: fn.CPUShares, Cap: maxf(fn.CPUShares, 0.1),
 				OnDone: func() {
 					// First execution warms the instance (touching its
 					// exec footprint), exactly as the request would
@@ -784,7 +784,7 @@ func (fv *FuncVM) runProvisionPhases(inst *Instance) {
 						return
 					}
 					fv.VM.VCPUs.Submit(fn.ExecCPU+execWork, cpu.Config{
-						Name: fn.Name + "/exec", Class: "function", Weight: fn.CPUShares, Cap: maxf(fn.CPUShares, 0.1),
+						Name: "exec", Class: "function", Weight: fn.CPUShares, Cap: maxf(fn.CPUShares, 0.1),
 						OnDone: func() { fv.idleInstance(inst) },
 					})
 				},
@@ -840,7 +840,7 @@ func (fv *FuncVM) runColdPhases(inst *Instance, req *request, phases Phases) {
 	}
 	containerStart := fv.Sched.Now()
 	fv.VM.VCPUs.Submit(fn.ContainerInitCPU+fileWork+privWork, cpu.Config{
-		Name: fn.Name + "/container", Class: "container", Weight: 1, Cap: 1,
+		Name: "container", Class: "container", Weight: 1, Cap: 1,
 		OnDone: func() {
 			phases.ContainerInit = fv.Sched.Now().Sub(containerStart)
 			if fv.obs != nil {
@@ -855,7 +855,7 @@ func (fv *FuncVM) runColdPhases(inst *Instance, req *request, phases Phases) {
 			}
 			initStart := fv.Sched.Now()
 			fv.VM.VCPUs.Submit(fn.FuncInitCPU+initWork, cpu.Config{
-				Name: fn.Name + "/init", Class: "function", Weight: fn.CPUShares, Cap: maxf(fn.CPUShares, 0.1),
+				Name: "init", Class: "function", Weight: fn.CPUShares, Cap: maxf(fn.CPUShares, 0.1),
 				OnDone: func() {
 					phases.FuncInit = fv.Sched.Now().Sub(initStart)
 					if fv.obs != nil {
@@ -873,13 +873,13 @@ func (fv *FuncVM) runColdPhases(inst *Instance, req *request, phases Phases) {
 						// Injected crash: half the execution runs, then
 						// the instance dies.
 						fv.VM.VCPUs.Submit((fn.ExecCPU+execWork)/2, cpu.Config{
-							Name: fn.Name + "/exec", Class: "function", Weight: fn.CPUShares, Cap: maxf(fn.CPUShares, 0.1),
+							Name: "exec", Class: "function", Weight: fn.CPUShares, Cap: maxf(fn.CPUShares, 0.1),
 							OnDone: func() { fv.crashInstance(inst, req) },
 						})
 						return
 					}
 					fv.VM.VCPUs.Submit(fn.ExecCPU+execWork, cpu.Config{
-						Name: fn.Name + "/exec", Class: "function", Weight: fn.CPUShares, Cap: maxf(fn.CPUShares, 0.1),
+						Name: "exec", Class: "function", Weight: fn.CPUShares, Cap: maxf(fn.CPUShares, 0.1),
 						OnDone: func() {
 							phases.Exec = fv.Sched.Now().Sub(execStart)
 							if fv.obs != nil {
@@ -905,13 +905,13 @@ func (fv *FuncVM) runWarm(inst *Instance, req *request) {
 		// Injected crash: half the execution runs, then the instance
 		// dies.
 		fv.VM.VCPUs.Submit(fn.WarmExecCPU/2, cpu.Config{
-			Name: fn.Name + "/exec", Class: "function", Weight: fn.CPUShares, Cap: maxf(fn.CPUShares, 0.1),
+			Name: "exec", Class: "function", Weight: fn.CPUShares, Cap: maxf(fn.CPUShares, 0.1),
 			OnDone: func() { fv.crashInstance(inst, req) },
 		})
 		return
 	}
 	fv.VM.VCPUs.Submit(fn.WarmExecCPU, cpu.Config{
-		Name: fn.Name + "/exec", Class: "function", Weight: fn.CPUShares, Cap: maxf(fn.CPUShares, 0.1),
+		Name: "exec", Class: "function", Weight: fn.CPUShares, Cap: maxf(fn.CPUShares, 0.1),
 		OnDone: func() {
 			fv.WarmStarts++
 			fv.completeRequest(inst, req, false, Phases{})

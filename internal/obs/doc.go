@@ -7,8 +7,9 @@
 // a clock and appends to recorder-local storage; it never schedules
 // events, never draws randomness, and never feeds back into any
 // decision. A Trace holds one recorder per host (host-private, written
-// only by whichever shard worker owns that host between epoch
-// boundaries, exactly like cluster.NodeMetrics) plus one fleet-level
+// only by whichever goroutine advances that host — the dispatcher's
+// between epochs, a shard worker in the final drain — exactly like
+// cluster.NodeMetrics) plus one fleet-level
 // recorder written only by the serial dispatcher at boundaries.
 // Export concatenates the fleet track and then the host tracks in
 // host-ID order, so the trace is byte-identical at every shard and

@@ -47,7 +47,7 @@ type RunnerSpan struct {
 	Start      time.Duration   // run start -> cell start
 	Wait       time.Duration   // time spent queued before Start
 	Dur        time.Duration   // cell wall clock
-	ShardWalls []time.Duration // per-shard advance walls, if sharded
+	ShardWalls []time.Duration // per-shard final-drain walls, if sharded
 }
 
 // WriteTrace renders traces (simulated time) and runner spans (wall
