@@ -9,27 +9,31 @@ import (
 // are 4 MiB of 4 KiB pages, matching Linux's MAX_PAGE_ORDER.
 const MaxOrder = 10
 
-// ord encoding: 0 means "not the head of a free chunk"; k+1 means "head
-// of a free chunk of order k". Using 0 as the empty state lets New hand
-// back a zeroed slice without an O(span) fill.
-const noChunk = int8(0)
-
 // Allocator is a buddy allocator over a contiguous page-frame span. The
 // zero value is not usable; call New.
 type Allocator struct {
 	base   int64
 	npages int64
 
-	// ord[i] is the encoded order of the free chunk whose head is page
-	// base+i (see noChunk).
-	ord []int8
+	// words backs heads and byOrder (see layout): one allocation whose
+	// prefix the current span uses. Everything past the prefix is
+	// zero, so Reset can lay a new span out over it without clearing.
+	// capPages is the span words was sized for.
+	words    []uint64
+	capPages int64
 
-	// heads is the free-chunk-head bitmap: bit i is set iff ord[i] !=
-	// noChunk, so range scans skip occupied pages a word at a time.
+	// heads is the free-chunk-head bitmap: bit i is set iff page base+i
+	// heads a free chunk of some order, so range scans skip occupied
+	// pages a word at a time.
 	heads []uint64
 
+	// byOrder[k] is the order-k head bitmap: bit i>>k is set iff page
+	// base+i heads a free order-k chunk. Order-k heads are 2^k pages
+	// apart, so one word covers 64 of them.
+	byOrder [MaxOrder + 1][]uint64
+
 	// stacks[k] holds candidate heads (relative indexes) of free chunks
-	// of order k. Entries are validated against ord on pop (lazy
+	// of order k. Entries are validated against byOrder on pop (lazy
 	// deletion), so stale entries are harmless.
 	stacks [MaxOrder + 1][]int64
 
@@ -45,61 +49,82 @@ type Allocator struct {
 // frame number base. All pages start absent (not free): online memory by
 // calling FreeRange.
 func New(base, npages int64) *Allocator {
-	if npages <= 0 {
-		panic(fmt.Sprintf("buddy: non-positive span %d", npages))
-	}
-	return &Allocator{base: base, npages: npages, ord: make([]int8, npages), heads: make([]uint64, headWords(npages))}
+	a := &Allocator{}
+	a.Reset(base, npages)
+	return a
 }
 
-// headWords is the length of the heads bitmap for a span of npages.
-func headWords(npages int64) int64 { return (npages + 63) / 64 }
+// headWords is the length of a bitmap with one bit per slot for n slots.
+func headWords(n int64) int64 { return (n + 63) / 64 }
+
+// orderWords is the length of byOrder[k] for a span of npages: one bit
+// per order-k-aligned page, including a last chunk cut short by the
+// span's end, so every page's order-k slot is in range.
+func orderWords(npages int64, k int) int64 { return headWords((npages-1)>>k + 1) }
+
+// bitmapWords is the length of words for a span of npages.
+func bitmapWords(npages int64) int64 {
+	n := headWords(npages)
+	for k := 0; k <= MaxOrder; k++ {
+		n += orderWords(npages, k)
+	}
+	return n
+}
+
+// layout re-slices words for a span of npages and carves heads and
+// byOrder out of it. The new prefix must be within cap(words).
+func (a *Allocator) layout(npages int64) {
+	a.words = a.words[:bitmapWords(npages)]
+	n := headWords(npages)
+	a.heads = a.words[:n:n]
+	for k := range a.byOrder {
+		w := orderWords(npages, k)
+		a.byOrder[k] = a.words[n : n+w : n+w]
+		n += w
+	}
+}
 
 // Reset re-dimensions the allocator to a fresh [base, base+npages)
-// span while reusing its storage: the ord span and head bitmap are
-// re-zeroed in place when capacity allows (growing only when the new
-// span is larger), stacks are truncated, and region tracking — if it
-// was enabled — survives at the same region size with cleared
-// counters. All pages start absent again, exactly as after New, so a
-// reset allocator behaves identically to a freshly constructed one.
+// span while reusing its storage: the bitmaps are re-zeroed in place
+// when capacity allows (growing only when the new span is larger),
+// stacks are truncated, and region tracking — if it was enabled —
+// survives at the same region size with cleared counters. All pages
+// start absent again, exactly as after New, so a reset allocator
+// behaves identically to a freshly constructed one.
 func (a *Allocator) Reset(base, npages int64) {
 	if npages <= 0 {
 		panic(fmt.Sprintf("buddy: non-positive span %d", npages))
 	}
 	a.base = base
 	a.npages = npages
-	// ord and heads are always allocated together, so cap(heads) ==
-	// headWords(cap(ord)) and the heads re-slice below stays in cap.
-	if int64(cap(a.ord)) >= npages {
-		// Restore the all-zero state. Every nonzero ord position (and
-		// so every set head bit) is the head of a free chunk, and every
-		// head was recorded in a stack (pop and coalescing only ever
-		// clear positions), so zeroing the stack entries restores a
-		// sparse span without touching the untouched bulk — which the
-		// OS then never has to back; heavily-churned spans whose stacks
-		// grew past an eighth of the extent fall back to one memclr.
-		// Both leave the entire backing arrays zero, so any re-slice
-		// within cap starts clean.
+	if npages <= a.capPages {
+		// Restore the all-zero state. Every set bit belongs to the head
+		// of a free chunk, and every head was recorded in a stack (pop,
+		// coalescing and isolation only ever clear bits), so zeroing
+		// the two words of each stack entry restores a sparse span
+		// without touching the untouched bulk — which the OS then never
+		// has to back. Once that would write more words than the
+		// bitmaps hold, one memclr is cheaper. Both leave the entire
+		// backing array zero, so any layout within cap starts clean.
 		var entries int64
 		for k := range a.stacks {
 			entries += int64(len(a.stacks[k]))
 		}
-		if entries <= int64(len(a.ord))/8 {
-			for k := range a.stacks {
-				for _, i := range a.stacks[k] {
-					a.ord[i] = noChunk
+		if 2*entries <= int64(len(a.words)) {
+			for k, st := range a.stacks {
+				for _, i := range st {
 					a.heads[i/64] = 0
+					a.byOrder[k][i>>k/64] = 0
 				}
 			}
 		} else {
-			clear(a.ord)
-			clear(a.heads)
+			clear(a.words)
 		}
-		a.ord = a.ord[:npages]
-		a.heads = a.heads[:headWords(npages)]
 	} else {
-		a.ord = make([]int8, npages)
-		a.heads = make([]uint64, headWords(npages))
+		a.words = make([]uint64, bitmapWords(npages))
+		a.capPages = npages
 	}
+	a.layout(npages)
 	for k := range a.stacks {
 		a.stacks[k] = a.stacks[k][:0]
 	}
@@ -141,7 +166,7 @@ func (a *Allocator) NrFree() int64 { return a.free }
 
 // Capacity returns the largest span, in pages, that Reset can take
 // without growing the allocator's storage.
-func (a *Allocator) Capacity() int64 { return int64(cap(a.ord)) }
+func (a *Allocator) Capacity() int64 { return a.capPages }
 
 // Contains reports whether pfn lies within the allocator's span.
 func (a *Allocator) Contains(pfn int64) bool {
@@ -197,18 +222,18 @@ func (a *Allocator) Free(pfn int64, order int) {
 	if i&((1<<order)-1) != 0 {
 		panic(fmt.Sprintf("buddy: Free(%d, %d) misaligned", pfn, order))
 	}
-	if a.ord[i] != noChunk {
+	if a.heads[i/64]&(1<<(i%64)) != 0 {
 		panic(fmt.Sprintf("buddy: double free of pfn %d", pfn))
 	}
 	a.creditRegion(i, 1<<order)
 	k := order
 	for k < MaxOrder {
 		bud := i ^ (1 << k)
-		if bud+(1<<k) > a.npages || a.ord[bud] != int8(k)+1 {
+		if bud+(1<<k) > a.npages || !a.isHead(bud, k) {
 			break
 		}
 		// Detach the buddy (its stack entry goes stale) and merge.
-		a.clearHead(bud)
+		a.clearHead(bud, k)
 		if bud < i {
 			i = bud
 		}
@@ -269,16 +294,23 @@ func (a *Allocator) IsolateRange(pfn, count int64) int64 {
 		if i >= end {
 			break
 		}
-		k := a.ord[i]
-		sz := int64(1) << (k - 1)
+		k := a.orderAt(i)
+		sz := int64(1) << k
 		if i+sz > end {
-			panic(fmt.Sprintf("buddy: free chunk at %d order %d straddles isolation boundary", a.base+i, k-1))
+			panic(fmt.Sprintf("buddy: free chunk at %d order %d straddles isolation boundary", a.base+i, k))
 		}
-		a.clearHead(i) // stack entry goes stale
+		a.clearHead(i, k) // stack entry goes stale
 		isolated += sz
 		a.free -= sz
 		a.creditRegion(i, -sz)
 		i += sz
+	}
+	if a.free == 0 {
+		// No head is left, so every stack entry is stale: drop them
+		// rather than let plug/unplug cycles pile them up.
+		for k := range a.stacks {
+			a.stacks[k] = a.stacks[k][:0]
+		}
 	}
 	return isolated
 }
@@ -305,14 +337,18 @@ func (a *Allocator) FreeInRange(pfn, count int64) int64 {
 	// A free chunk covering [start, ...) may have its head before start;
 	// chunks are order-aligned, so scanning from the max-order boundary
 	// below start finds every chunk that can overlap the range.
-	scan := start &^ ((1 << MaxOrder) - 1)
 	var n int64
-	for i := scan; i < end; i++ {
-		k := a.ord[i]
-		if k == noChunk {
+	for i := start &^ ((1 << MaxOrder) - 1); i < end; {
+		word := a.heads[i/64] >> (i % 64)
+		if word == 0 {
+			i = (i/64 + 1) * 64
 			continue
 		}
-		sz := int64(1) << (k - 1)
+		i += int64(bits.TrailingZeros64(word))
+		if i >= end {
+			break
+		}
+		sz := int64(1) << a.orderAt(i)
 		lo, hi := i, i+sz
 		if lo < start {
 			lo = start
@@ -323,7 +359,7 @@ func (a *Allocator) FreeInRange(pfn, count int64) int64 {
 		if hi > lo {
 			n += hi - lo
 		}
-		i += sz - 1
+		i += sz
 	}
 	return n
 }
@@ -336,10 +372,10 @@ func (a *Allocator) FreeChunkAt(pfn int64) (order int, ok bool) {
 	if i < 0 || i >= a.npages {
 		return 0, false
 	}
-	if k := a.ord[i]; k != noChunk {
-		return int(k) - 1, true
+	if a.heads[i/64]&(1<<(i%64)) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return a.orderAt(i), true
 }
 
 // LargestFreeOrder returns the highest order with at least one free
@@ -347,7 +383,7 @@ func (a *Allocator) FreeChunkAt(pfn int64) (order int, ok bool) {
 func (a *Allocator) LargestFreeOrder() int {
 	for k := MaxOrder; k >= 0; k-- {
 		for _, head := range a.stacks[k] {
-			if a.ord[head] == int8(k)+1 {
+			if a.isHead(head, k) {
 				return k
 			}
 		}
@@ -363,14 +399,14 @@ func (a *Allocator) LargestFreeOrder() int {
 // sequence, one draw(n) per reserved piece with n the pieces still
 // held. Only the stacks change. The free set is always maximally
 // coalesced (CheckInvariants asserts it), so freeing the pieces merges
-// each back into the chunk it came from and no further: ord, the
-// region counters and the free count come out as they went in. What
+// each back into the chunk it came from and no further: the bitmaps,
+// the region counters and the free count come out as they went in. What
 // the round trip leaves behind is each chunk re-pushed at its own order
 // when its last piece is freed, plus stale entries, which no pop ever
 // returns. So the shuffle takes every chunk off the stacks in the
 // order Alloc would reserve it, runs the same draws over its pieces,
 // and re-pushes each chunk as its last piece is drawn, without
-// splitting, merging or writing ord.
+// splitting, merging or touching the any-order head bitmap.
 func (a *Allocator) ShuffleFreeLists(order int, draw func(n int) int) {
 	if order < 0 || order > MaxOrder {
 		panic(fmt.Sprintf("buddy: bad order %d", order))
@@ -385,17 +421,18 @@ func (a *Allocator) ShuffleFreeLists(order int, draw func(n int) int) {
 	}
 	chunks := make([]chunk, 0, a.free>>order)
 	pieces := make([]int, 0, a.free>>order)
-	// take empties stack k in pop order. A chunk's head bit is cleared
-	// as it is taken, so an older duplicate entry below it is skipped,
-	// as pop would skip it once the newer entry had been popped.
+	// take empties stack k in pop order. A chunk's order-k bit is
+	// cleared as it is taken, so an older duplicate entry below it is
+	// skipped, as pop would skip it once the newer entry had been
+	// popped.
 	take := func(k int) {
 		st := a.stacks[k]
 		for j := len(st) - 1; j >= 0; j-- {
 			i := st[j]
-			if a.heads[i/64]&(1<<(i%64)) == 0 || a.ord[i] != int8(k)+1 {
+			if !a.isHead(i, k) {
 				continue
 			}
-			a.heads[i/64] &^= 1 << (i % 64)
+			a.setOrderBit(i, k, false)
 			// Alloc(order) cuts a larger chunk into ascending pieces.
 			n := 1
 			if k > order {
@@ -419,22 +456,50 @@ func (a *Allocator) ShuffleFreeLists(order int, draw func(n int) int) {
 		c := &chunks[pieces[j]]
 		pieces[j] = pieces[n-1]
 		if c.left--; c.left == 0 {
-			a.heads[c.head/64] |= 1 << (c.head % 64)
+			a.setOrderBit(c.head, c.order, true)
 			a.stacks[c.order] = append(a.stacks[c.order], c.head)
 		}
 	}
 }
 
+// isHead reports whether page i heads a free order-k chunk.
+func (a *Allocator) isHead(i int64, k int) bool {
+	j := i >> k
+	return a.byOrder[k][j/64]&(1<<(j%64)) != 0
+}
+
+// setOrderBit sets or clears page i's bit in the order-k head bitmap.
+func (a *Allocator) setOrderBit(i int64, k int, on bool) {
+	j := i >> k
+	if on {
+		a.byOrder[k][j/64] |= 1 << (j % 64)
+	} else {
+		a.byOrder[k][j/64] &^= 1 << (j % 64)
+	}
+}
+
+// orderAt returns the order of the free chunk headed by page i, or -1
+// if i heads none. A chunk is aligned to its size, so only orders up to
+// i's alignment are tried.
+func (a *Allocator) orderAt(i int64) int {
+	for k := min(bits.TrailingZeros64(uint64(i)), MaxOrder); k >= 0; k-- {
+		if a.isHead(i, k) {
+			return k
+		}
+	}
+	return -1
+}
+
 func (a *Allocator) push(i int64, order int) {
-	a.ord[i] = int8(order) + 1
+	a.setOrderBit(i, order, true)
 	a.heads[i/64] |= 1 << (i % 64)
 	a.stacks[order] = append(a.stacks[order], i)
 }
 
-// clearHead unmarks page i as a free-chunk head in both ord and the
-// head bitmap. Any stack entry for it goes stale.
-func (a *Allocator) clearHead(i int64) {
-	a.ord[i] = noChunk
+// clearHead unmarks page i as the head of a free order-k chunk in both
+// bitmaps. Any stack entry for it goes stale.
+func (a *Allocator) clearHead(i int64, k int) {
+	a.setOrderBit(i, k, false)
 	a.heads[i/64] &^= 1 << (i % 64)
 }
 
@@ -443,8 +508,8 @@ func (a *Allocator) pop(order int) (int64, bool) {
 	for len(st) > 0 {
 		head := st[len(st)-1]
 		st = st[:len(st)-1]
-		if a.ord[head] == int8(order)+1 {
-			a.clearHead(head)
+		if a.isHead(head, order) {
+			a.clearHead(head, order)
 			a.stacks[order] = st
 			return head, true
 		}
@@ -453,29 +518,63 @@ func (a *Allocator) pop(order int) (int64, bool) {
 	return 0, false
 }
 
-// CheckInvariants validates internal consistency — the free count
-// matches the chunks recorded in ord, no free chunk overlaps another,
-// every free chunk is order-aligned, the head bitmap marks exactly the
-// chunk heads, every chunk has an entry in its order's stack (Reset's
+// CheckInvariants validates internal consistency — the bitmaps agree
+// (every order bit has its head bit, every head bit carries exactly one
+// order, no bit is set beyond the span, and the storage past the span's
+// words is zero, as Reset's layout relies on), the free count matches
+// the chunks they record, no free chunk overlaps another or overruns
+// the span, every chunk has an entry in its order's stack (Reset's
 // sparse clear relies on it), the free set is maximally coalesced (no
 // free chunk below MaxOrder has a free buddy of its order;
 // ShuffleFreeLists relies on it), and the region counters (when
-// enabled) agree with a fresh count. It is O(span) and intended for
+// enabled) agree with a fresh count. It is O(capacity) and intended for
 // tests.
 func (a *Allocator) CheckInvariants() error {
-	if int64(len(a.heads)) != headWords(a.npages) {
-		return fmt.Errorf("head bitmap has %d words, span needs %d", len(a.heads), headWords(a.npages))
+	if int64(len(a.words)) != bitmapWords(a.npages) || int64(len(a.heads)) != headWords(a.npages) {
+		return fmt.Errorf("bitmaps have %d words (%d head words), span needs %d (%d)", len(a.words), len(a.heads), bitmapWords(a.npages), headWords(a.npages))
 	}
+	for j, w := range a.words[len(a.words):cap(a.words)] {
+		if w != 0 {
+			return fmt.Errorf("bitmap word %d past the span is %#x", len(a.words)+j, w)
+		}
+	}
+	headBit := func(i int64) bool { return a.heads[i/64]&(1<<(i%64)) != 0 }
+	for k, bm := range a.byOrder {
+		if int64(len(bm)) != orderWords(a.npages, k) {
+			return fmt.Errorf("order-%d bitmap has %d words, span needs %d", k, len(bm), orderWords(a.npages, k))
+		}
+		for w, word := range bm {
+			for ; word != 0; word &= word - 1 {
+				i := (int64(w)*64 + int64(bits.TrailingZeros64(word))) << k
+				if i >= a.npages {
+					return fmt.Errorf("order-%d bit set for page %d beyond the span", k, a.base+i)
+				}
+				if !headBit(i) {
+					return fmt.Errorf("order-%d head %d missing from the head bitmap", k, a.base+i)
+				}
+			}
+		}
+	}
+	// With every order bit inside the span and marked in heads, a head
+	// bit carrying exactly one order is inside the span too.
 	for i := int64(0); i < int64(len(a.heads))*64; i++ {
-		set := a.heads[i/64]&(1<<(i%64)) != 0
-		if head := i < a.npages && a.ord[i] != noChunk; set != head {
-			return fmt.Errorf("head bitmap bit %d = %v, ord says head = %v", a.base+i, set, head)
+		if !headBit(i) {
+			continue
+		}
+		var orders int
+		for k := 0; k <= MaxOrder && i&(1<<k-1) == 0; k++ {
+			if a.isHead(i, k) {
+				orders++
+			}
+		}
+		if orders != 1 {
+			return fmt.Errorf("head %d carries %d orders", a.base+i, orders)
 		}
 	}
 	stacked := make([]bool, a.npages)
 	for k, st := range a.stacks {
 		for _, i := range st {
-			if a.ord[i] == int8(k)+1 {
+			if a.isHead(i, k) {
 				stacked[i] = true
 			}
 		}
@@ -484,26 +583,23 @@ func (a *Allocator) CheckInvariants() error {
 	regions := make([]int64, len(a.regionFree))
 	i := int64(0)
 	for i < a.npages {
-		k := a.ord[i]
-		if k == noChunk {
+		if !headBit(i) {
 			i++
 			continue
 		}
-		sz := int64(1) << (k - 1)
-		if i&(sz-1) != 0 {
-			return fmt.Errorf("chunk at %d order %d misaligned", a.base+i, k-1)
-		}
+		k := a.orderAt(i)
+		sz := int64(1) << k
 		if i+sz > a.npages {
-			return fmt.Errorf("chunk at %d order %d overruns span", a.base+i, k-1)
+			return fmt.Errorf("chunk at %d order %d overruns span", a.base+i, k)
 		}
 		if !stacked[i] {
-			return fmt.Errorf("chunk at %d order %d has no stack entry", a.base+i, k-1)
+			return fmt.Errorf("chunk at %d order %d has no stack entry", a.base+i, k)
 		}
-		if bud := i ^ sz; k-1 < MaxOrder && bud+sz <= a.npages && a.ord[bud] == k {
-			return fmt.Errorf("chunk at %d order %d not merged with its free buddy", a.base+i, k-1)
+		if bud := i ^ sz; k < MaxOrder && bud+sz <= a.npages && a.isHead(bud, k) {
+			return fmt.Errorf("chunk at %d order %d not merged with its free buddy", a.base+i, k)
 		}
 		for j := i + 1; j < i+sz; j++ {
-			if a.ord[j] != noChunk {
+			if headBit(j) {
 				return fmt.Errorf("nested chunk head at %d inside chunk at %d", a.base+j, a.base+i)
 			}
 		}

@@ -1,6 +1,8 @@
 package buddy
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -207,16 +209,46 @@ func TestFreeRangeUnaligned(t *testing.T) {
 	}
 }
 
+// Freeing the head of any free chunk panics, whatever order the free
+// names and however the chunk came to be free.
 func TestDoubleFreePanics(t *testing.T) {
-	a := newOnline(0, 64)
-	p, _ := a.Alloc(0)
-	a.Free(p, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected double-free panic")
-		}
-	}()
-	a.Free(p, 0)
+	for _, c := range []struct {
+		name  string
+		setup func(t *testing.T) (a *Allocator, pfn int64, order int)
+	}{
+		{"same order", func(t *testing.T) (*Allocator, int64, int) {
+			a := newOnline(0, 64)
+			p, _ := a.Alloc(0)
+			a.Free(p, 0)
+			return a, p, 0
+		}},
+		{"head of a free chunk of another order", func(t *testing.T) (*Allocator, int64, int) {
+			a := New(0, 1024)
+			a.FreeRange(0, 512) // one free order-9 chunk at 0
+			return a, 0, 0
+		}},
+		{"lower half of a merged pair", func(t *testing.T) (*Allocator, int64, int) {
+			a := newOnline(0, 16)
+			lo, _ := a.Alloc(3)
+			hi, _ := a.Alloc(3)
+			a.Free(lo, 3)
+			a.Free(hi, 3) // merges with lo into the order-4 chunk at 0
+			if lo != 0 || a.LargestFreeOrder() != 4 {
+				t.Fatalf("setup: lower half at %d, largest free order %d", lo, a.LargestFreeOrder())
+			}
+			return a, lo, 3
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			a, pfn, order := c.setup(t)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Free(%d, %d) of a free chunk head did not panic", pfn, order)
+				}
+			}()
+			a.Free(pfn, order)
+		})
+	}
 }
 
 func TestMisalignedFreePanics(t *testing.T) {
@@ -556,22 +588,37 @@ func TestResetGrowsSpan(t *testing.T) {
 	}
 }
 
+// ordOf derives a byte-per-page order map from the per-order bitmaps:
+// ord[i] is k+1 when page base+i heads a free order-k chunk, else 0.
+func ordOf(a *Allocator) []int8 {
+	ord := make([]int8, a.npages)
+	for k, bm := range a.byOrder {
+		for w, word := range bm {
+			for ; word != 0; word &= word - 1 {
+				ord[(int64(w)*64+int64(bits.TrailingZeros64(word)))<<k] = int8(k) + 1
+			}
+		}
+	}
+	return ord
+}
+
 // refIsolateRange is the page-walk reference for IsolateRange: it
 // visits every page of the range in order and detaches each free chunk
 // it finds, panicking on a chunk that straddles the range's end.
 func refIsolateRange(a *Allocator, pfn, count int64) int64 {
+	ord := ordOf(a)
 	start, end := pfn-a.base, pfn-a.base+count
 	var isolated int64
 	for i := start; i < end; i++ {
-		k := a.ord[i]
-		if k == noChunk {
+		k := ord[i]
+		if k == 0 {
 			continue
 		}
 		sz := int64(1) << (k - 1)
 		if i+sz > end {
 			panic("buddy: reference isolation straddles")
 		}
-		a.clearHead(i)
+		a.clearHead(i, int(k)-1)
 		isolated += sz
 		a.free -= sz
 		a.creditRegion(i, -sz)
@@ -580,16 +627,11 @@ func refIsolateRange(a *Allocator, pfn, count int64) int64 {
 	return isolated
 }
 
-// tryIsolate runs an isolation, reporting a straddle panic instead of
-// propagating it. Both implementations isolate in ascending order and
-// stop at the same straddling chunk, so twins stay identical after one.
-func tryIsolate(isolate func() int64) (n int64, panicked bool) {
-	defer func() {
-		if recover() != nil {
-			panicked = true
-		}
-	}()
-	return isolate(), false
+// panicOf runs f and returns what it panicked with, or nil.
+func panicOf(f func()) (p any) {
+	defer func() { p = recover() }()
+	f()
+	return nil
 }
 
 // TestIsolateRangeMatchesPageWalk runs random Alloc/Free/FreeRange/
@@ -641,10 +683,13 @@ func TestIsolateRangeMatchesPageWalk(t *testing.T) {
 						live = live[:len(live)-1]
 					}
 				case op < 9: // isolate an unaligned range; it may cut a chunk
+					// Both isolate in ascending order and stop at the same
+					// straddling chunk, so twins stay identical after one.
 					lo := base + int64(rng.IntN(int(regions*region)))
 					n := int64(rng.IntN(int(base+regions*region-lo))) + 1
-					got, gotPanic := tryIsolate(func() int64 { return fast.IsolateRange(lo, n) })
-					want, wantPanic := tryIsolate(func() int64 { return refIsolateRange(ref, lo, n) })
+					var got, want int64
+					gotPanic := panicOf(func() { got = fast.IsolateRange(lo, n) }) != nil
+					wantPanic := panicOf(func() { want = refIsolateRange(ref, lo, n) }) != nil
 					if got != want || gotPanic != wantPanic {
 						t.Logf("step %d: IsolateRange(%d, %d) = %d (panic %v), reference %d (panic %v)", step, lo, n, got, gotPanic, want, wantPanic)
 						return false
@@ -800,8 +845,8 @@ func shuffleProgram(seed uint64) *Allocator {
 // TestShuffleFreeListsMatchesReference shuffles twin allocators built
 // by one random program, one with ShuffleFreeLists and one with the
 // reserve-then-free reference, at orders below, at and above the
-// largest free order, twice in a row. The shuffle must leave ord and
-// the counters as they were, draw exactly the reference's sequence,
+// largest free order, twice in a row. The shuffle must leave the order
+// map and the counters as they were, draw exactly the reference's sequence,
 // and leave stacks that pop alike: a later alloc-everything pass at
 // mixed orders returns the same PFN sequence.
 func TestShuffleFreeListsMatchesReference(t *testing.T) {
@@ -814,14 +859,14 @@ func TestShuffleFreeListsMatchesReference(t *testing.T) {
 			if pick%4 < 3 {
 				order = min(max(a.LargestFreeOrder()+int(pick%4)-1, 0), MaxOrder)
 			}
-			ord, free, regions := slices.Clone(a.ord), a.NrFree(), slices.Clone(a.regionFree)
+			ord, free, regions := ordOf(a), a.NrFree(), slices.Clone(a.regionFree)
 			a.ShuffleFreeLists(order, ra.IntN)
 			refShuffle(b, order, rb.IntN)
-			if !slices.Equal(a.ord, ord) || a.NrFree() != free || !slices.Equal(a.regionFree, regions) {
+			if !slices.Equal(ordOf(a), ord) || a.NrFree() != free || !slices.Equal(a.regionFree, regions) {
 				t.Logf("order %d: shuffle changed ord or counters", order)
 				return false
 			}
-			if !slices.Equal(a.ord, b.ord) || b.NrFree() != free || !slices.Equal(b.regionFree, regions) {
+			if !slices.Equal(ordOf(b), ord) || b.NrFree() != free || !slices.Equal(b.regionFree, regions) {
 				t.Logf("order %d: reference changed ord or counters", order)
 				return false
 			}
@@ -849,6 +894,429 @@ func TestShuffleFreeListsMatchesReference(t *testing.T) {
 		return b.NrFree() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Flipping any one bit of either bitmap, inside the span or past it,
+// must make CheckInvariants fail.
+func TestCheckInvariantsCatchesBitFlips(t *testing.T) {
+	const span = 4000 // not a multiple of 64: the last words have spare bits
+	a := newOnline(0, span)
+	for _, o := range []int{0, 3, 9, 1, 0, 5} {
+		a.Alloc(o)
+	}
+	if err := a.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	flip := func(name string, word *uint64, bit int64) {
+		t.Helper()
+		*word ^= 1 << bit
+		if a.CheckInvariants() == nil {
+			t.Errorf("%s: flipped bit %d went unnoticed", name, bit)
+		}
+		*word ^= 1 << bit
+		if err := a.CheckInvariants(); err != nil {
+			t.Fatalf("%s: restoring bit %d: %v", name, bit, err)
+		}
+	}
+	for _, i := range []int64{0, 1, 8, 512, 1024, 2048, 3072, 3968, span - 1, span + 5} {
+		flip(fmt.Sprintf("head bit of page %d", i), &a.heads[i/64], i%64)
+		for k := range a.byOrder {
+			if j := i >> k; j/64 < int64(len(a.byOrder[k])) {
+				flip(fmt.Sprintf("order-%d bit of page %d", k, i), &a.byOrder[k][j/64], j%64)
+			}
+		}
+	}
+	// A head past the span that both bitmaps agree on.
+	const past = span + 5
+	a.heads[past/64] |= 1 << (past % 64)
+	a.byOrder[0][past/64] |= 1 << (past % 64)
+	if a.CheckInvariants() == nil {
+		t.Errorf("an order-0 head at page %d past the span went unnoticed", past)
+	}
+}
+
+// refAllocator is the byte-per-page encoding the bitmaps replaced, kept
+// as a differential reference: ord[i] is k+1 when page base+i heads a
+// free order-k chunk and 0 otherwise, and every range operation walks
+// ord page by page.
+type refAllocator struct {
+	base, npages int64
+	ord          []int8
+	stacks       [MaxOrder + 1][]int64
+	free         int64
+	regionPages  int64
+	regionFree   []int64
+}
+
+func newRef(base, npages, regionPages int64) *refAllocator {
+	r := &refAllocator{regionPages: regionPages}
+	r.Reset(base, npages)
+	return r
+}
+
+func (r *refAllocator) Reset(base, npages int64) {
+	r.base, r.npages, r.ord, r.free = base, npages, make([]int8, npages), 0
+	for k := range r.stacks {
+		r.stacks[k] = r.stacks[k][:0]
+	}
+	if rp := r.regionPages; rp != 0 {
+		r.regionFree = make([]int64, (npages+rp-1)/rp)
+	}
+}
+
+func (r *refAllocator) credit(i, delta int64) {
+	if r.regionPages != 0 {
+		r.regionFree[i/r.regionPages] += delta
+	}
+}
+
+func (r *refAllocator) push(i int64, k int) {
+	r.ord[i] = int8(k) + 1
+	r.stacks[k] = append(r.stacks[k], i)
+}
+
+func (r *refAllocator) pop(k int) (int64, bool) {
+	for st := r.stacks[k]; len(st) > 0; {
+		head := st[len(st)-1]
+		st = st[:len(st)-1]
+		r.stacks[k] = st
+		if r.ord[head] == int8(k)+1 {
+			r.ord[head] = 0
+			return head, true
+		}
+	}
+	return 0, false
+}
+
+func (r *refAllocator) Alloc(order int) (int64, bool) {
+	for k := order; k <= MaxOrder; k++ {
+		if head, ok := r.pop(k); ok {
+			for j := k; j > order; j-- {
+				r.push(head+1<<(j-1), j-1)
+			}
+			r.free -= 1 << order
+			r.credit(head, -(1 << order))
+			return r.base + head, true
+		}
+	}
+	return 0, false
+}
+
+func (r *refAllocator) Free(pfn int64, order int) {
+	i := pfn - r.base
+	if i < 0 || i+(1<<order) > r.npages {
+		panic(fmt.Sprintf("buddy: Free(%d, %d) outside span [%d,%d)", pfn, order, r.base, r.base+r.npages))
+	}
+	if i&((1<<order)-1) != 0 {
+		panic(fmt.Sprintf("buddy: Free(%d, %d) misaligned", pfn, order))
+	}
+	if r.ord[i] != 0 {
+		panic(fmt.Sprintf("buddy: double free of pfn %d", pfn))
+	}
+	r.credit(i, 1<<order)
+	k := order
+	for ; k < MaxOrder; k++ {
+		bud := i ^ (1 << k)
+		if bud+(1<<k) > r.npages || r.ord[bud] != int8(k)+1 {
+			break
+		}
+		r.ord[bud] = 0
+		i = min(i, bud)
+	}
+	r.push(i, k)
+	r.free += 1 << order
+}
+
+func (r *refAllocator) FreeRange(pfn, count int64) {
+	for count > 0 {
+		k := MaxOrder
+		for k > 0 && ((pfn-r.base)&((1<<k)-1) != 0 || int64(1)<<k > count) {
+			k--
+		}
+		r.Free(pfn, k)
+		pfn += 1 << k
+		count -= 1 << k
+	}
+}
+
+func (r *refAllocator) IsolateRange(pfn, count int64) int64 {
+	start, end := pfn-r.base, pfn-r.base+count
+	var isolated int64
+	for i := start; i < end; i++ {
+		k := r.ord[i]
+		if k == 0 {
+			continue
+		}
+		sz := int64(1) << (k - 1)
+		if i+sz > end {
+			panic(fmt.Sprintf("buddy: free chunk at %d order %d straddles isolation boundary", r.base+i, k-1))
+		}
+		r.ord[i] = 0
+		isolated += sz
+		r.free -= sz
+		r.credit(i, -sz)
+		i += sz - 1
+	}
+	return isolated
+}
+
+func (r *refAllocator) FreeInRange(pfn, count int64) int64 {
+	start, end := max(pfn-r.base, 0), min(pfn-r.base+count, r.npages)
+	var n int64
+	for i := start &^ ((1 << MaxOrder) - 1); i < end; i++ {
+		if k := r.ord[i]; k != 0 {
+			sz := int64(1) << (k - 1)
+			n += max(min(i+sz, end)-max(i, start), 0)
+			i += sz - 1
+		}
+	}
+	return n
+}
+
+func (r *refAllocator) FreeChunkAt(pfn int64) (int, bool) {
+	i := pfn - r.base
+	if i < 0 || i >= r.npages || r.ord[i] == 0 {
+		return 0, false
+	}
+	return int(r.ord[i]) - 1, true
+}
+
+func (r *refAllocator) LargestFreeOrder() int {
+	for k := MaxOrder; k >= 0; k-- {
+		for _, head := range r.stacks[k] {
+			if r.ord[head] == int8(k)+1 {
+				return k
+			}
+		}
+	}
+	return -1
+}
+
+// ShuffleFreeLists takes chunks off the stacks in reservation order,
+// marking each taken chunk by clearing its ord byte, and re-pushes each
+// when draw picks its last piece.
+func (r *refAllocator) ShuffleFreeLists(order int, draw func(n int) int) {
+	type chunk struct {
+		head        int64
+		order, left int
+	}
+	var chunks []chunk
+	var pieces []int
+	take := func(k int) {
+		st := r.stacks[k]
+		for j := len(st) - 1; j >= 0; j-- {
+			i := st[j]
+			if r.ord[i] != int8(k)+1 {
+				continue
+			}
+			r.ord[i] = 0
+			n := 1
+			if k > order {
+				n = 1 << (k - order)
+			}
+			for range n {
+				pieces = append(pieces, len(chunks))
+			}
+			chunks = append(chunks, chunk{i, k, n})
+		}
+		r.stacks[k] = st[:0]
+	}
+	for k := order; k <= MaxOrder; k++ {
+		take(k)
+	}
+	for k := order - 1; k >= 0; k-- {
+		take(k)
+	}
+	for n := len(pieces); n > 0; n-- {
+		j := draw(n)
+		c := &chunks[pieces[j]]
+		pieces[j] = pieces[n-1]
+		if c.left--; c.left == 0 {
+			r.push(c.head, c.order)
+		}
+	}
+}
+
+// TestMatchesByteMapReference drives the allocator and the byte-per-
+// page reference with the same random programs of Alloc, Free,
+// FreeRange, IsolateRange (aligned and not, straddling included),
+// ShuffleFreeLists, double frees of free chunk heads at any order, and
+// Resets that grow and shrink the span, with and without region
+// tracking and over spans that are not a multiple of any word or chunk
+// size. After every step, every answer either gives must agree: PFNs,
+// panics, free and region counts, the largest free order, FreeChunkAt
+// at every page and FreeInRange over random ranges.
+func TestMatchesByteMapReference(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := rand.New(rand.NewPCG(seed, 0xb1))
+		drawA, drawR := rand.New(rand.NewPCG(seed, 2)), rand.New(rand.NewPCG(seed, 2))
+		span := func() int64 {
+			if rng.IntN(2) == 0 {
+				return int64(rng.IntN(6)+1) << MaxOrder
+			}
+			return int64(rng.IntN(6000) + 1)
+		}
+		var regionPages int64
+		if seed%2 == 0 {
+			regionPages = 1 << MaxOrder
+		}
+		base, npages := rng.Int64N(1<<20), span()
+		a := New(base, npages)
+		if regionPages != 0 {
+			a.TrackRegions(regionPages)
+		}
+		ref := newRef(base, npages, regionPages)
+		absent := make([]bool, npages)
+		for i := range absent {
+			absent[i] = true
+		}
+		var live [][2]int64 // pfn, order
+		// freeMap marks the pages the reference holds free.
+		freeMap := func() []bool {
+			m := make([]bool, ref.npages)
+			for i := int64(0); i < ref.npages; i++ {
+				if k := ref.ord[i]; k != 0 {
+					for j := range int64(1) << (k - 1) {
+						m[i+j] = true
+					}
+				}
+			}
+			return m
+		}
+		for step := 0; step < 300; step++ {
+			var what string
+			switch op := rng.IntN(40); {
+			case op < 6: // online a run of absent pages
+				lo := rng.Int64N(npages)
+				n := int64(0)
+				for want := rng.Int64N(3000) + 1; n < want && lo+n < npages && absent[lo+n]; n++ {
+					absent[lo+n] = false
+				}
+				what = fmt.Sprintf("FreeRange(%d, %d)", base+lo, n)
+				a.FreeRange(base+lo, n)
+				ref.FreeRange(base+lo, n)
+			case op < 18:
+				// Seeds 2 and 3 mod 4 allocate mostly small chunks, which
+				// fragments the free set and grows the stacks past what
+				// Reset clears entry by entry.
+				o := rng.IntN(MaxOrder + 1)
+				if seed%4 >= 2 {
+					o = rng.IntN(o + 1)
+				}
+				p1, ok1 := a.Alloc(o)
+				p2, ok2 := ref.Alloc(o)
+				what = fmt.Sprintf("Alloc(%d)", o)
+				if p1 != p2 || ok1 != ok2 {
+					t.Logf("seed %d step %d: %s = %d,%v, reference %d,%v", seed, step, what, p1, ok1, p2, ok2)
+					return false
+				}
+				if ok1 {
+					live = append(live, [2]int64{p1, int64(o)})
+				}
+			case op < 28:
+				if len(live) == 0 {
+					continue
+				}
+				i := rng.IntN(len(live))
+				c := live[i]
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+				what = fmt.Sprintf("Free(%d, %d)", c[0], c[1])
+				a.Free(c[0], int(c[1]))
+				ref.Free(c[0], int(c[1]))
+			case op < 31: // free a free chunk's head again, at any order
+				k := rng.IntN(MaxOrder + 1)
+				if len(ref.stacks[k]) == 0 {
+					continue
+				}
+				p := ref.base + ref.stacks[k][rng.IntN(len(ref.stacks[k]))]
+				if _, ok := ref.FreeChunkAt(p); !ok {
+					continue // stale entry: the page may be allocated or absent
+				}
+				o := rng.IntN(MaxOrder + 1)
+				what = fmt.Sprintf("double Free(%d, %d)", p, o)
+				got, want := panicOf(func() { a.Free(p, o) }), panicOf(func() { ref.Free(p, o) })
+				if want == nil || fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Logf("seed %d step %d: %s panicked with %v, reference %v", seed, step, what, got, want)
+					return false
+				}
+			case op < 36: // isolate a block-aligned or arbitrary range
+				lo, n := rng.Int64N(npages), int64(0)
+				if rng.IntN(2) == 0 {
+					lo &^= 1<<MaxOrder - 1
+					n = min(int64(rng.IntN(3)+1)<<MaxOrder, npages-lo)
+				} else {
+					n = rng.Int64N(npages-lo) + 1
+				}
+				what = fmt.Sprintf("IsolateRange(%d, %d)", base+lo, n)
+				before := freeMap()
+				var got, want int64
+				gotP := panicOf(func() { got = a.IsolateRange(base+lo, n) })
+				wantP := panicOf(func() { want = ref.IsolateRange(base+lo, n) })
+				if got != want || fmt.Sprint(gotP) != fmt.Sprint(wantP) {
+					t.Logf("seed %d step %d: %s = %d (panic %v), reference %d (panic %v)", seed, step, what, got, gotP, want, wantP)
+					return false
+				}
+				for i, f := range freeMap() {
+					if before[i] && !f {
+						absent[i] = true
+					}
+				}
+			case op < 38:
+				o := rng.IntN(MaxOrder + 1)
+				what = fmt.Sprintf("ShuffleFreeLists(%d)", o)
+				a.ShuffleFreeLists(o, drawA.IntN)
+				ref.ShuffleFreeLists(o, drawR.IntN)
+				if x, y := drawA.Uint64(), drawR.Uint64(); x != y {
+					t.Logf("seed %d step %d: %s: next draw %#x, reference %#x", seed, step, what, x, y)
+					return false
+				}
+			default: // a new span, larger or smaller
+				base, npages = rng.Int64N(1<<20), span()
+				what = fmt.Sprintf("Reset(%d, %d)", base, npages)
+				a.Reset(base, npages)
+				ref.Reset(base, npages)
+				absent = make([]bool, npages)
+				for i := range absent {
+					absent[i] = true
+				}
+				live = live[:0]
+			}
+			if err := a.CheckInvariants(); err != nil {
+				t.Logf("seed %d step %d: after %s: %v", seed, step, what, err)
+				return false
+			}
+			if a.NrFree() != ref.free || a.LargestFreeOrder() != ref.LargestFreeOrder() || !slices.Equal(a.regionFree, ref.regionFree) {
+				t.Logf("seed %d step %d: after %s: free %d, largest order %d, regions %v; reference %d, %d, %v",
+					seed, step, what, a.NrFree(), a.LargestFreeOrder(), a.regionFree, ref.free, ref.LargestFreeOrder(), ref.regionFree)
+				return false
+			}
+			for p := base - 1; p <= base+npages; p++ {
+				o1, ok1 := a.FreeChunkAt(p)
+				o2, ok2 := ref.FreeChunkAt(p)
+				if o1 != o2 || ok1 != ok2 {
+					t.Logf("seed %d step %d: after %s: FreeChunkAt(%d) = %d,%v, reference %d,%v", seed, step, what, p, o1, ok1, o2, ok2)
+					return false
+				}
+			}
+			for range 4 {
+				lo := base + rng.Int64N(npages+2) - 1
+				n := rng.Int64N(npages + 2)
+				if rng.IntN(4) == 0 && regionPages != 0 { // region-aligned: the counter path
+					lo = base + rng.Int64N(npages)/regionPages*regionPages
+					n = int64(rng.IntN(3)+1) * regionPages
+				}
+				if got, want := a.FreeInRange(lo, n), ref.FreeInRange(lo, n); got != want {
+					t.Logf("seed %d step %d: after %s: FreeInRange(%d, %d) = %d, reference %d", seed, step, what, lo, n, got, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 24}); err != nil {
 		t.Error(err)
 	}
 }

@@ -7,20 +7,31 @@
 // naturally aligned, and coalesce eagerly with their buddy on free, as
 // in mm/page_alloc.c.
 //
+// Free state is kept in bitmaps, about 3 bits per page: one head
+// bitmap per order (bit i>>k of order k is set iff page i heads a free
+// order-k chunk, so the order-9/10 heads that hotplug and huge pages
+// touch sit 64 to a word) and one any-order head bitmap (bit i is set
+// iff page i heads a free chunk of some order). Code that already knows
+// an order tests one bit; a head's order, when unknown, is found by
+// testing the orders its alignment allows.
+//
 // Free lists are per-order LIFO stacks with lazy deletion, so allocation
 // order is deterministic (most-recently-freed first, like the kernel's
 // hot/cold page behaviour) and removing an arbitrary chunk during
-// coalescing or isolation is O(1) amortized. ShuffleFreeLists gives the
-// stacks the order that reserving all free memory and freeing it in
-// random order would leave, without doing either.
+// coalescing or isolation is O(1) amortized: an entry whose order bit is
+// clear is stale and skipped on pop. ShuffleFreeLists gives the stacks
+// the order that reserving all free memory and freeing it in random
+// order would leave, without doing either.
 //
 // For the hot-unplug paths the allocator also keeps bulk range state:
 // with TrackRegions enabled it maintains a free-page counter per
 // fixed-size region (the caller's hotplug block), so FreeInRange over a
 // region-aligned range — the per-block occupancy question every unplug
 // candidate scan asks — is O(regions) array reads instead of an O(span)
-// page walk. A free-chunk-head bitmap mirrors the order map, so
-// IsolateRange visits only the free chunks in its range: it skips
-// fully occupied regions by their counter and other allocated or absent
-// memory 64 pages per bitmap word.
+// page walk. IsolateRange and unaligned FreeInRange visit only the free
+// chunks in their range through the any-order head bitmap: they skip
+// fully occupied regions by their counter (IsolateRange) and other
+// allocated or absent memory 64 pages per bitmap word. When isolation
+// leaves no free page, the stacks hold only stale entries and are
+// truncated, so plug/unplug cycles do not pile them up.
 package buddy

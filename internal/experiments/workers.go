@@ -10,7 +10,7 @@ import (
 // Adaptive worker sizing: `-parallel 0` means "use the machine", but
 // every worker owns a pooled World whose arena cache grows to the
 // largest kernel it has simulated — a 64 GiB-span VM's population
-// bitmap, buddy ord span, and region counters, plus recycled vmm.VMs
+// bitmap, buddy head bitmaps, and region counters, plus recycled vmm.VMs
 // and scheduler arenas. On memory-tight hosts, GOMAXPROCS worlds can
 // push RSS past what the box wants, so the default worker count is
 // capped by a memory budget: at most budget/WorldMemEstimateBytes
@@ -20,7 +20,7 @@ import (
 // WorldMemEstimateBytes is the per-world RSS estimate behind the cap:
 // a deliberately conservative upper bound for a world that has cached
 // the full protocol's largest arena set (the 64 GiB-span fig6/fig7
-// kernels dominate: ~2 MiB population bitmap, ~16 MiB buddy ord span,
+// kernels dominate: ~2 MiB population bitmap, ~6 MiB buddy head bitmaps,
 // region counters, recycled zone structs, scheduler arena, plus the
 // recycled FuncVM/vmm state of the fleet sweeps).
 const WorldMemEstimateBytes = 256 << 20

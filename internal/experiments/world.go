@@ -15,7 +15,7 @@ import (
 
 // World is the pooled simulation state one worker hands to each cell
 // it executes. Construction of a simulation world — scheduler event
-// arenas, buddy ord spans, population bitmaps, cluster node structs,
+// arenas, buddy head bitmaps, population bitmaps, cluster node structs,
 // FuncVM shells and their inner VMs — is a significant share of a
 // sweep cell's cost, and none of it needs to be rebuilt from scratch:
 // the World resets the previous cell's storage instead.

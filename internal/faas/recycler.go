@@ -10,7 +10,7 @@ import (
 
 // Recycler caches the expensive parts of FuncVM construction across
 // simulation runs: the guest-kernel arena storage (zone structs, buddy
-// ord spans, population bitmaps — delegated to a guestos.Recycler),
+// head bitmaps, population bitmaps — delegated to a guestos.Recycler),
 // whole vmm.VMs with their cpu pools, and the FuncVM agent shells
 // themselves (instance maps, queues, latency tables). A runtime built
 // with a Recycler boots VMs out of the cache and FuncVM.Release returns

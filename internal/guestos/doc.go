@@ -16,7 +16,7 @@
 // each chunk recording its slot so add and remove are O(1)), and zone
 // occupancy questions resolve through the buddy allocator's per-region
 // free counters. A Recycler caches the flat storage a kernel allocates
-// (zone structs with their buddy ord spans, bitmap words, reverse-map
+// (zone structs with their buddy head bitmaps, bitmap words, reverse-map
 // buckets) so pooled simulation worlds rebuild kernels without
 // reallocating; a kernel built from recycled arenas behaves identically
 // to one built fresh.

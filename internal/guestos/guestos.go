@@ -117,7 +117,7 @@ type Kernel struct {
 }
 
 // Recycler caches the flat storage a guest kernel allocates — zone
-// structs with their buddy ord spans and region counters, the
+// structs with their buddy head bitmaps and region counters, the
 // populated bitmap's word array, and the per-block reverse-map buckets
 // — so a worker simulating many worlds in sequence reuses one arena
 // set instead of reconstructing it per run. Pass it via Config.Recycle
@@ -214,7 +214,7 @@ type Config struct {
 	// agent, allocated from Normal and populated in the host.
 	KernelResidentBytes int64
 	// Recycle, when non-nil, supplies recycled arena storage (zone
-	// structs, buddy ord spans, bitmap words, reverse-map buckets)
+	// structs, buddy head bitmaps, bitmap words, reverse-map buckets)
 	// harvested from kernels a previous simulation released.
 	Recycle *Recycler
 }

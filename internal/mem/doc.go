@@ -11,6 +11,7 @@
 //
 // Zones reset in place and recycle through a Pool keyed by geometry,
 // so pooled simulation worlds reuse one arena set — including the
-// buddy ord spans, whose sparse targeted zeroing makes resetting a
-// 64 GiB span cheap — across consecutive runs.
+// buddy allocators' head bitmaps (about 3 bits per page), whose sparse
+// targeted zeroing makes resetting a 64 GiB span cheap — across
+// consecutive runs.
 package mem

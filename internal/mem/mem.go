@@ -88,7 +88,7 @@ func NewZone(name string, kind ZoneKind, start PFN, npages int64) *Zone {
 }
 
 // Reset re-dimensions the zone in place: a new identity and span over
-// the same backing storage (buddy ord span, region counters, block
+// the same backing storage (buddy head bitmaps, region counters, block
 // flags), growing only when the new span is larger. All blocks start
 // offline again, exactly as after NewZone — the reset invariant the
 // world-pooling layer depends on.
@@ -115,7 +115,7 @@ func (z *Zone) Reset(name string, kind ZoneKind, start PFN, npages int64) {
 }
 
 // Pool recycles Zone objects — and through them the buddy allocator's
-// ord spans and region counters, the dominant allocations of a large
+// head bitmaps and region counters, the dominant allocations of a large
 // guest kernel — across simulation runs. Retired zones are handed back
 // by Zone(), Reset to the requested identity. A nil *Pool is valid and
 // always constructs fresh zones, so pooling stays opt-in.
