@@ -70,9 +70,11 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -151,63 +153,81 @@ func (f *cellStatsFlag) Set(v string) error {
 // IsBoolFlag lets a bare -cellstats (no value) select text mode.
 func (f *cellStatsFlag) IsBoolFlag() bool { return true }
 
-func main() {
-	quick := flag.Bool("quick", false, "shrink workloads for a fast smoke run")
-	seed := flag.Uint64("seed", 1, "deterministic base seed")
-	trials := flag.Int("trials", 1, "trials per experiment (derived seeds)")
-	parallel := flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS, capped by -maxworldmem)")
-	maxWorldMem := flag.String("maxworldmem", "", "memory budget for -parallel 0 worker sizing, e.g. 4GiB (default: available memory; 0 = no cap)")
-	format := flag.String("format", "text", "output format: text, json, or csv")
-	outPath := flag.String("o", "", "write output to this file instead of stdout")
-	var cellStats cellStatsFlag
-	flag.Var(&cellStats, "cellstats", "print per-cell wall-clock timings to stderr (=json for machine-readable)")
-	simTrace := flag.String("simtrace", "", "write a Chrome/Perfetto trace-event JSON of the run to this file")
-	metricsPath := flag.String("metrics", "", "write the per-cell counter registries as JSON to this file")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	faults := flag.String("faults", "", `fault scenario for fleet experiments (a fault.ScenarioNames() name or "fuzz")`)
-	faultSeed := flag.Uint64("faultseed", 0, "seed for fuzzed fault plans and fault decision streams (0 = -seed)")
-	topology := flag.String("topology", "", "rack/zone topology for fleet experiments, RxZ (e.g. 4x2; empty = flat fleet)")
-	sketch := flag.Bool("sketch", false, "bounded-memory reservoir sketches for every fleet experiment's latency samples (tables then rank-error-accurate, not byte-exact)")
-	days := flag.Float64("days", 0, "simulated days for the multi-day experiments (cluster-diurnal; 0 = experiment default)")
-	flag.Usage = usage
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if flag.NArg() < 1 {
-		usage()
-		os.Exit(2)
+// run is the whole command: it parses args, runs the experiments, and
+// returns the exit status — 2 for a usage error, 1 for an I/O failure.
+// Every argument is validated before the output file is opened or a
+// profile started, so a bad flag fails in milliseconds and leaves no
+// truncated file behind.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("squeezyctl", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "shrink workloads for a fast smoke run")
+	seed := fs.Uint64("seed", 1, "deterministic base seed")
+	trials := fs.Int("trials", 1, "trials per experiment (derived seeds)")
+	parallel := fs.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS, capped by -maxworldmem)")
+	maxWorldMem := fs.String("maxworldmem", "", "memory budget for -parallel 0 worker sizing, e.g. 4GiB (default: available memory; 0 = no cap)")
+	format := fs.String("format", "text", "output format: text, json, or csv")
+	outPath := fs.String("o", "", "write output to this file instead of stdout")
+	var cellStats cellStatsFlag
+	fs.Var(&cellStats, "cellstats", "print per-cell wall-clock timings to stderr (=json for machine-readable)")
+	simTrace := fs.String("simtrace", "", "write a Chrome/Perfetto trace-event JSON of the run to this file")
+	metricsPath := fs.String("metrics", "", "write the per-cell counter registries as JSON to this file")
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
+	faults := fs.String("faults", "", `fault scenario for fleet experiments (a fault.ScenarioNames() name or "fuzz")`)
+	faultSeed := fs.Uint64("faultseed", 0, "seed for fuzzed fault plans and fault decision streams (0 = -seed)")
+	topology := fs.String("topology", "", "rack/zone topology for fleet experiments, RxZ (e.g. 4x2; empty = flat fleet)")
+	sketch := fs.Bool("sketch", false, "bounded-memory reservoir sketches for every fleet experiment's latency samples (tables then rank-error-accurate, not byte-exact)")
+	days := fs.Float64("days", 0, "simulated days for the multi-day experiments (cluster-diurnal; 0 = experiment default)")
+	fs.Usage = func() { usage(fs, stderr) }
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the flag package already printed the error and usage
+	}
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "squeezyctl: "+format+"\n", a...)
+		return code
+	}
+
+	if fs.NArg() < 1 {
+		fs.Usage()
+		return 2
 	}
 
 	var names []string
-	switch cmd := flag.Arg(0); cmd {
+	switch cmd := fs.Arg(0); cmd {
 	case "list", "all":
-		if flag.NArg() > 1 {
+		if fs.NArg() > 1 {
 			// Catch misplaced flags: `squeezyctl all -quick` would
 			// otherwise silently run the full protocol.
-			fmt.Fprintf(os.Stderr, "squeezyctl: %s takes no arguments (got %q)\n", cmd, flag.Args()[1:])
-			usage()
-			os.Exit(2)
+			fmt.Fprintf(stderr, "squeezyctl: %s takes no arguments (got %q)\n", cmd, fs.Args()[1:])
+			fs.Usage()
+			return 2
 		}
 		if cmd == "list" {
-			list(os.Stdout)
-			return
+			list(stdout)
+			return 0
 		}
 		names = experiments.Names()
 	case "run":
-		names = flag.Args()[1:]
+		names = fs.Args()[1:]
 		if len(names) == 0 {
-			fmt.Fprintln(os.Stderr, "squeezyctl: run needs at least one experiment name")
-			usage()
-			os.Exit(2)
+			fmt.Fprintln(stderr, "squeezyctl: run needs at least one experiment name")
+			fs.Usage()
+			return 2
 		}
 	default:
 		// Shorthand: treat bare registered names as `run <names>`.
-		names = flag.Args()
+		names = fs.Args()
 		for _, n := range names {
 			if _, ok := experiments.Get(n); !ok {
-				fmt.Fprintf(os.Stderr, "squeezyctl: unknown command or experiment %q\n", n)
-				usage()
-				os.Exit(2)
+				fmt.Fprintf(stderr, "squeezyctl: unknown command or experiment %q\n", n)
+				fs.Usage()
+				return 2
 			}
 		}
 	}
@@ -215,27 +235,51 @@ func main() {
 	// `run` name must not truncate an existing -o results file.
 	for _, n := range names {
 		if _, ok := experiments.Get(n); !ok {
-			fmt.Fprintf(os.Stderr, "squeezyctl: unknown experiment %q (see `squeezyctl list`)\n", n)
-			os.Exit(2)
+			return fail(2, "unknown experiment %q (see `squeezyctl list`)", n)
 		}
 	}
 
-	// Validate format and open the output file before running
-	// anything: a full-protocol `all` takes minutes, and a typo'd
-	// -format or unwritable -o should fail in milliseconds.
+	// Validate every flag before opening the output file or starting a
+	// profile: a full-protocol `all` takes minutes, and a typo'd flag
+	// should fail in milliseconds without truncating anything.
 	switch *format {
 	case "text", "json", "csv":
 	default:
-		fmt.Fprintf(os.Stderr, "squeezyctl: unknown format %q (want text, json, or csv)\n", *format)
-		os.Exit(2)
+		return fail(2, "unknown format %q (want text, json, or csv)", *format)
 	}
-	out := io.Writer(os.Stdout)
+	if *trials < 1 {
+		return fail(2, "bad -trials %d (want >= 1)", *trials)
+	}
+	if *parallel < 0 {
+		return fail(2, "bad -parallel %d (want >= 0; 0 = GOMAXPROCS)", *parallel)
+	}
+	if math.IsNaN(*days) || math.IsInf(*days, 0) || *days < 0 {
+		return fail(2, "bad -days %v (want >= 0)", *days)
+	}
+	if !validFaultScenario(*faults) {
+		return fail(2, "unknown -faults scenario %q (want %s, %s, or fuzz)",
+			*faults, strings.Join(fault.ScenarioNames(), ", "),
+			strings.Join(fault.DomainScenarioNames(), ", "))
+	}
+	topoRacks, topoZones, terr := parseTopology(*topology)
+	if terr != nil {
+		return fail(2, "%v", terr)
+	}
+	workers := *parallel
+	if workers == 0 {
+		budget, perr := parseMemBudget(*maxWorldMem)
+		if perr != nil {
+			return fail(2, "%v", perr)
+		}
+		workers = experiments.AutoWorkers(budget)
+	}
+
+	out := stdout
 	finishOutput := func() error { return nil }
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "squeezyctl:", err)
-			os.Exit(1)
+			return fail(1, "%v", err)
 		}
 		bw := bufio.NewWriter(f)
 		// Called after encoding: a failed flush (e.g. ENOSPC) must not
@@ -257,45 +301,18 @@ func main() {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "squeezyctl:", err)
-			os.Exit(1)
+			return fail(1, "%v", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "squeezyctl:", err)
-			os.Exit(1)
+			f.Close()
+			return fail(1, "%v", err)
 		}
 		cpuFile = f
-	}
-
-	workers := *parallel
-	if workers <= 0 {
-		budget, perr := parseMemBudget(*maxWorldMem)
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, "squeezyctl:", perr)
-			os.Exit(2)
-		}
-		workers = experiments.AutoWorkers(budget)
-	}
-
-	if !validFaultScenario(*faults) {
-		fmt.Fprintf(os.Stderr, "squeezyctl: unknown -faults scenario %q (want %s, %s, or fuzz)\n",
-			*faults, strings.Join(fault.ScenarioNames(), ", "),
-			strings.Join(fault.DomainScenarioNames(), ", "))
-		os.Exit(2)
-	}
-	topoRacks, topoZones, terr := parseTopology(*topology)
-	if terr != nil {
-		fmt.Fprintln(os.Stderr, "squeezyctl:", terr)
-		os.Exit(2)
 	}
 
 	var sink *obs.Sink
 	if *simTrace != "" || *metricsPath != "" {
 		sink = &obs.Sink{}
-	}
-	if *days < 0 {
-		fmt.Fprintf(os.Stderr, "squeezyctl: bad -days %v (want >= 0)\n", *days)
-		os.Exit(2)
 	}
 	opts := experiments.Options{
 		Seed: *seed, Quick: *quick, Obs: sink,
@@ -307,10 +324,10 @@ func main() {
 	if err == nil {
 		switch cellStats.mode {
 		case "text":
-			printCellStats(os.Stderr, stats)
+			printCellStats(stderr, stats)
 		case "json":
-			if jerr := experiments.EncodeCellStatsJSON(os.Stderr, stats); jerr != nil {
-				fmt.Fprintln(os.Stderr, "squeezyctl:", jerr)
+			if jerr := experiments.EncodeCellStatsJSON(stderr, stats); jerr != nil {
+				fmt.Fprintln(stderr, "squeezyctl:", jerr)
 			}
 		}
 	}
@@ -340,8 +357,7 @@ func main() {
 	// path must not mask it — and must not discard the report either,
 	// so the profErr exit waits until the results are written out.
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "squeezyctl:", err)
-		os.Exit(2)
+		return fail(2, "%v", err)
 	}
 
 	switch *format {
@@ -356,20 +372,18 @@ func main() {
 		err = finishOutput()
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "squeezyctl:", err)
-		os.Exit(1)
+		return fail(1, "%v", err)
 	}
 	// Tables are safely written; trace and metrics files follow so a
 	// broken -simtrace path cannot cost the results.
 	if err := writeObsFiles(sink, *simTrace, *metricsPath, stats); err != nil {
-		fmt.Fprintln(os.Stderr, "squeezyctl:", err)
-		os.Exit(1)
+		return fail(1, "%v", err)
 	}
 	// Only now may a profiling failure surface as the exit status.
 	if profErr != nil {
-		fmt.Fprintln(os.Stderr, "squeezyctl:", profErr)
-		os.Exit(1)
+		return fail(1, "%v", profErr)
 	}
+	return 0
 }
 
 // writeObsFiles dumps the collected simulation traces as Chrome
@@ -504,8 +518,8 @@ func list(w io.Writer) {
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: squeezyctl [flags] <command>
+func usage(fs *flag.FlagSet, w io.Writer) {
+	fmt.Fprintln(w, `usage: squeezyctl [flags] <command>
 
 commands:
   list              list registered experiments
@@ -514,5 +528,5 @@ commands:
   <name>...         shorthand for run
 
 flags:`)
-	flag.PrintDefaults()
+	fs.PrintDefaults()
 }

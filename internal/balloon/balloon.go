@@ -47,6 +47,9 @@ type Driver struct {
 	proc    *guestos.Process // owns the reserved pages
 	busy    bool
 	pending []func()
+	// reserved is Inflate's AllocReserved buffer, reused across
+	// inflations.
+	reserved []guestos.ChunkID
 }
 
 // New creates a balloon driver for the kernel.
@@ -89,12 +92,13 @@ func (d *Driver) Inflate(bytes int64, onDone func(InflateResult)) {
 				want = int64(float64(want) * f)
 			}
 		}
-		chunks, got := d.K.AllocReserved(d.proc, want)
+		var got int64
+		d.reserved, got = d.K.AllocReserved(d.reserved[:0], d.proc, want)
 
 		// The host releases whichever of the reserved pages were
 		// populated (madvise(MADV_DONTNEED) per reported page).
 		var released int64
-		for _, c := range chunks {
+		for _, c := range d.reserved {
 			released += d.K.ReleaseChunkFrames(c)
 		}
 

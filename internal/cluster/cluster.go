@@ -118,6 +118,9 @@ type Node struct {
 	// host-locally. On failure or drain expiry the survivors re-place in
 	// this order, exactly once each.
 	inflight []*flight
+	// flightFree holds recycled flight records. Flights retire on the
+	// serving host's worker, so the pool is per host, never fleet-wide.
+	flightFree []*flight
 
 	// Resilience-layer state (resilience.go): attempts is the host's
 	// racing attempts (the resilient inflight); settled is the completed
@@ -139,6 +142,28 @@ type flight struct {
 	arrival  sim.Time
 	onDone   func(faas.Result)
 	replaced bool // re-placed after a host failure or drain expiry
+	// node is the host serving the current placement.
+	node *Node
+	// complete is fl.finish bound once per record: the flight itself is
+	// the completion target of every placement, so routing an
+	// invocation allocates no closure.
+	complete func(faas.Result)
+}
+
+// newFlight takes a flight record off the host's free list (or
+// allocates one) for an invocation of fn that arrived at arrival.
+func (n *Node) newFlight(fn *workload.Function, arrival sim.Time, onDone func(faas.Result)) *flight {
+	var fl *flight
+	if k := len(n.flightFree); k > 0 {
+		fl = n.flightFree[k-1]
+		n.flightFree[k-1] = nil
+		n.flightFree = n.flightFree[:k-1]
+	} else {
+		fl = new(flight)
+		fl.complete = fl.finish
+	}
+	fl.fn, fl.arrival, fl.onDone, fl.replaced = fn, arrival, onDone, false
+	return fl
 }
 
 // LiveInstances returns live (starting, busy, idle) instances on the
@@ -396,6 +421,10 @@ type ShardedCluster struct {
 	// Epoch-engine state (shard.go).
 	shardsWanted int             // requested drain shard count
 	shardWalls   []time.Duration // wall-clock per drain shard this run
+
+	// slack is nodesWithSlack's result buffer, reused by every serial
+	// dispatch (no policy keeps the candidate slice).
+	slack []*Node
 }
 
 // withDefaults fills the zero-valued optional fields.
@@ -558,6 +587,7 @@ func (c *ShardedCluster) Reset(cost *costmodel.Model, cfg Config, policy Policy)
 	c.autoscale = nil
 	c.lastScale, c.scaled = 0, false
 	c.shardsWanted, c.shardWalls = 0, nil
+	clear(c.slack[:cap(c.slack)]) // drop stale *Node pointers
 	bindPolicy(policy, c)
 	m := &c.Metrics
 	m.Invocations, m.ColdStarts, m.WarmStarts, m.Dropped, m.AdmissionDrops = 0, 0, 0, 0, 0
@@ -645,34 +675,39 @@ func (c *ShardedCluster) Invoke(fn *workload.Function, onDone func(faas.Result))
 		c.shedInvocation(fn, onDone)
 		return
 	}
-	c.route(&flight{fn: fn, arrival: c.now, onDone: onDone})
+	c.route(fn, c.now, onDone, nil)
 }
 
-// route places one flight — fresh from Invoke or re-placed after a
-// host failure — through the dispatcher tiers, over the active hosts
-// only. It runs serially at an epoch boundary.
-func (c *ShardedCluster) route(fl *flight) {
-	tier, serving, fv := c.chooseVM(fl.fn, nil)
+// route places one invocation through the dispatcher tiers, over the
+// active hosts only: a fresh one from Invoke (fl nil; its flight record
+// comes from the serving host's pool) or a flight re-placed after a
+// host failure. It runs serially at an epoch boundary.
+func (c *ShardedCluster) route(fn *workload.Function, arrival sim.Time, onDone func(faas.Result), fl *flight) {
+	tier, serving, fv := c.chooseVM(fn, nil)
 	if fv == nil {
 		// No host can even boot a VM for fn: admission-drop rather than
 		// panic the host model with an unbackable boot.
 		c.Metrics.AdmissionDrops++
 		if c.fleetObs != nil {
 			c.fleetObs.Count("admission_drops", 1)
-			c.fleetObs.Instant("admission-drop: "+fl.fn.Name, obs.CatInvoke)
+			c.fleetObs.Instant("admission-drop: "+fn.Name, obs.CatInvoke)
 		}
-		if fl.onDone != nil {
-			fl.onDone(faas.Result{Fn: fl.fn, Arrival: fl.arrival, Done: c.now, Dropped: true})
+		if onDone != nil {
+			onDone(faas.Result{Fn: fn, Arrival: arrival, Done: c.now, Dropped: true})
 		}
 		return
 	}
 	if c.fleetObs != nil {
 		c.fleetObs.Count("dispatch/"+tier, 1)
-		c.fleetObs.Instant("dispatch/"+tier+": "+fl.fn.Name, obs.CatInvoke,
+		c.fleetObs.Instant("dispatch/"+tier+": "+fn.Name, obs.CatInvoke,
 			obs.I("host", int64(serving.ID)))
 	}
+	if fl == nil {
+		fl = serving.newFlight(fn, arrival, onDone)
+	}
+	fl.node = serving
 	serving.inflight = append(serving.inflight, fl)
-	fv.Invoke(fl.fn, serving.complete(fl))
+	fv.Invoke(fn, fl.complete)
 }
 
 // chooseVM resolves one placement through the dispatcher tiers and
@@ -744,9 +779,9 @@ func (c *ShardedCluster) warmNode(fn *workload.Function, excl func(*Node) bool) 
 }
 
 // nodesWithSlack returns hosts whose existing VM for fn has spare
-// concurrency, in host order.
+// concurrency, in host order. The slice is valid until the next call.
 func (c *ShardedCluster) nodesWithSlack(fn *workload.Function, excl func(*Node) bool) []*Node {
-	var out []*Node
+	out := c.slack[:0]
 	for _, n := range c.active {
 		if excl != nil && excl(n) {
 			continue
@@ -755,6 +790,7 @@ func (c *ShardedCluster) nodesWithSlack(fn *workload.Function, excl func(*Node) 
 			out = append(out, n)
 		}
 	}
+	c.slack = out
 	return out
 }
 
@@ -824,22 +860,23 @@ func (c *ShardedCluster) fallbackVM(fn *workload.Function, excl func(*Node) bool
 	return roomiest, c.vmOn(roomiest, fn)
 }
 
-// complete wraps a flight's completion with host-local metrics
-// accounting and in-flight retirement. The callback fires on the
-// serving host's scheduler — possibly while a shard worker advances
-// that host — so it must only touch that host's state (NodeMetrics,
-// inflight), never fleet-wide state. The recorded latency spans the
-// flight's original arrival, so a re-placed invocation pays for the
-// work its failed host lost (identical to res.Latency when the flight
-// was never re-placed).
-func (n *Node) complete(fl *flight) func(faas.Result) {
-	return func(res faas.Result) {
-		n.removeFlight(fl)
-		n.account(fl.fn, fl.arrival, fl.replaced, res)
-		if fl.onDone != nil {
-			fl.onDone(res)
-		}
+// finish completes a flight with host-local metrics accounting and
+// in-flight retirement, then recycles the record into the serving
+// host's pool. It fires on the serving host's scheduler — possibly
+// while a shard worker advances that host — so it must only touch that
+// host's state (NodeMetrics, inflight, flightFree), never fleet-wide
+// state. The recorded latency spans the flight's original arrival, so
+// a re-placed invocation pays for the work its failed host lost
+// (identical to res.Latency when the flight was never re-placed).
+func (fl *flight) finish(res faas.Result) {
+	n := fl.node
+	n.removeFlight(fl)
+	n.account(fl.fn, fl.arrival, fl.replaced, res)
+	if fl.onDone != nil {
+		fl.onDone(res)
 	}
+	fl.fn, fl.onDone, fl.node = nil, nil, nil
+	n.flightFree = append(n.flightFree, fl)
 }
 
 // account records one completed result in the host's metrics. Shared

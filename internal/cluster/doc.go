@@ -42,6 +42,10 @@
 // never advanced again, so its pending completions and grants are
 // frozen rather than cancelled; its in-flight work (tracked as
 // flights) re-places through the normal dispatcher exactly once.
+// Flight records are recycled through the serving host's free list and
+// are their own completion target, so a plain dispatch allocates
+// nothing; the pool is per host because completions retire flights on
+// whichever worker advances that host.
 //
 // # Determinism
 //

@@ -303,7 +303,7 @@ func (c *ShardedCluster) replaceFlights(n *Node) {
 			c.fleetObs.Instant("replace: "+fl.fn.Name, obs.CatInvoke,
 				obs.I("from_host", int64(n.ID)))
 		}
-		c.route(fl)
+		c.route(fl.fn, fl.arrival, fl.onDone, fl)
 	}
 }
 

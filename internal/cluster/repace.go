@@ -150,7 +150,7 @@ func (c *ShardedCluster) dispatchRepace(e repaceEntry) {
 		c.launchAttempt(e.rfl)
 		return
 	}
-	c.route(e.fl)
+	c.route(e.fl.fn, e.fl.arrival, e.fl.onDone, e.fl)
 }
 
 // repaceBacklogPages sums the queued re-placements' memory demand —

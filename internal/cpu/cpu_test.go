@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"squeezy/internal/sim"
@@ -282,3 +283,50 @@ func TestPoolResetEquivalence(t *testing.T) {
 }
 
 const time42 = 42 * sim.Millisecond
+
+// TestStaleJobHandleAfterReuse checks that a finished job's handle
+// keeps its semantics once a new job has reused its slab record:
+// Cancel is still a no-op and AddWork still panics, and neither touches
+// the new job.
+func TestStaleJobHandleAfterReuse(t *testing.T) {
+	s := sim.NewScheduler()
+	p := NewPool(s, 1)
+	old := p.Submit(1000, Config{Name: "old"})
+	s.Run()
+	var done sim.Time
+	fresh := p.Submit(1000, Config{Name: "fresh", OnDone: func() { done = s.Now() }})
+	if fresh.idx != old.idx {
+		t.Fatal("job record was not reused")
+	}
+	if !old.Done() || fresh.Done() {
+		t.Fatalf("old done %v, fresh done %v", old.Done(), fresh.Done())
+	}
+	old.Cancel()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("AddWork on a finished job's stale handle did not panic")
+			}
+		}()
+		old.AddWork(500)
+	}()
+	if fresh.Done() || fresh.Remaining() != 1000 {
+		t.Fatalf("stale handle touched the reusing job: done %v, remaining %v", fresh.Done(), fresh.Remaining())
+	}
+	s.Run()
+	if done != 2000 {
+		t.Fatalf("reusing job done at %d, want 2000", done)
+	}
+}
+
+// TestJobSlabHoldsNoPointers keeps the job slab invisible to the
+// garbage collector: every job field must be a plain number.
+func TestJobSlabHoldsNoPointers(t *testing.T) {
+	typ := reflect.TypeOf(job{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if k := f.Type.Kind(); k < reflect.Int || k > reflect.Float64 {
+			t.Errorf("job.%s is a %v, not a number", f.Name, f.Type)
+		}
+	}
+}

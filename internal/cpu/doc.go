@@ -11,4 +11,9 @@
 // redistributed. This reproduces the interference the paper measures in
 // Figures 7 and 9 — a virtio-mem migration thread stealing cycles from
 // co-located function instances — without a cycle-accurate scheduler.
+//
+// Job records live in a per-pool slab and are recycled as jobs finish;
+// Submit returns a small generation-checked Job handle, in the manner
+// of sim.Event, so submitting work allocates nothing once the slab has
+// grown to the pool's peak concurrency.
 package cpu

@@ -25,4 +25,10 @@
 // observable field re-initialized on reuse so a recycled FuncVM is
 // indistinguishable from a fresh one. One Recycler belongs to one
 // goroutine — in the sharded fleet, to one host.
+//
+// The warm invocation path allocates nothing: request records come off
+// a per-FuncVM free list (a Ticket carries the record's generation, so
+// it cannot cancel a later request reusing the record), and each
+// Instance binds its keep-alive expiry and warm-execution completion
+// once.
 package faas

@@ -110,13 +110,48 @@ type Instance struct {
 	state     instState
 	idleSince sim.Time
 	kaEvent   sim.Event
+	// req is the request a warm execution is serving.
+	req *request
+	// onKeepAlive and onWarmExec are the keep-alive expiry and the
+	// warm-execution completion, bound once per instance so a warm
+	// invocation re-arms both without allocating.
+	onKeepAlive func()
+	onWarmExec  func()
 }
 
-// request tracks one invocation through the dispatch queue.
+// newInstance creates a starting instance of fn with its callbacks
+// bound.
+func (fv *FuncVM) newInstance(fn *workload.Function) *Instance {
+	inst := &Instance{fv: fv, fn: fn, state: instStarting}
+	inst.onKeepAlive = inst.keepAliveExpired
+	inst.onWarmExec = inst.warmExecDone
+	return inst
+}
+
+func (inst *Instance) keepAliveExpired() { inst.fv.Evict(inst) }
+
+func (inst *Instance) warmExecDone() {
+	req := inst.req
+	inst.req = nil
+	inst.fv.WarmStarts++
+	inst.fv.completeRequest(inst, req, false, Phases{})
+}
+
+// request tracks one invocation through the dispatch queue. Records
+// are recycled through their FuncVM's free list (newRequest,
+// dropRequest).
 type request struct {
 	fn      *workload.Function
 	arrival sim.Time
 	onDone  func(Result)
+	// gen advances each time the record is recycled, so a Ticket that
+	// outlives its request cannot touch the record's next tenant.
+	gen uint32
+	// holds counts the paths still using the record: the request itself
+	// until its Result is delivered (or it is cancelled), plus a
+	// detached scale-up's provision until that ends. The record is
+	// recycled when the count reaches zero.
+	holds int8
 
 	state      reqState
 	grant      *Grant
@@ -263,6 +298,11 @@ type FuncVM struct {
 	unplugOrigins []bool
 
 	pumping, pumpAgain bool
+
+	// reqFree holds recycled request records. It is per VM — never
+	// shared across hosts, which advance concurrently — and survives
+	// the shell's own recycling.
+	reqFree []*request
 
 	// recycle, when non-nil, is the pool this VM was built from and
 	// returns to on Release; released guards against double-release
@@ -456,17 +496,48 @@ func (fv *FuncVM) Invoke(fn *workload.Function, onDone func(Result)) {
 // (used by the cluster dispatcher's hedged-dispatch first-wins
 // cleanup).
 func (fv *FuncVM) Submit(fn *workload.Function, onDone func(Result)) Ticket {
-	req := &request{fn: fn, arrival: fv.Sched.Now(), onDone: onDone}
+	req := fv.newRequest(fn, onDone)
+	t := Ticket{fv: fv, req: req, gen: req.gen}
 	fv.queue = append(fv.queue, req)
 	fv.pump()
-	return Ticket{fv: fv, req: req}
+	return t
+}
+
+// newRequest takes a request record off the free list (or allocates
+// one) for an invocation of fn arriving now.
+func (fv *FuncVM) newRequest(fn *workload.Function, onDone func(Result)) *request {
+	var req *request
+	if n := len(fv.reqFree); n > 0 {
+		req = fv.reqFree[n-1]
+		fv.reqFree[n-1] = nil
+		fv.reqFree = fv.reqFree[:n-1]
+	} else {
+		req = new(request)
+	}
+	*req = request{fn: fn, arrival: fv.Sched.Now(), onDone: onDone, gen: req.gen, holds: 1}
+	return req
+}
+
+// dropRequest releases one hold on req, recycling the record once no
+// path uses it; its Tickets go stale then.
+func (fv *FuncVM) dropRequest(req *request) {
+	if req.holds <= 0 {
+		panic("faas: request record released more often than held")
+	}
+	if req.holds--; req.holds > 0 {
+		return
+	}
+	*req = request{gen: req.gen + 1}
+	fv.reqFree = append(fv.reqFree, req)
 }
 
 // Ticket is a handle on a submitted request for best-effort
-// cancellation. The zero Ticket is valid and never cancels anything.
+// cancellation. The zero Ticket is valid and never cancels anything,
+// and neither does one whose request record has since been recycled.
 type Ticket struct {
 	fv  *FuncVM
 	req *request
+	gen uint32
 }
 
 // TryCancel withdraws the request if it has not started running:
@@ -476,7 +547,7 @@ type Ticket struct {
 // request runs to completion as usual.
 func (t Ticket) TryCancel() bool {
 	req := t.req
-	if req == nil || req.done {
+	if req == nil || req.gen != t.gen || req.done {
 		return false
 	}
 	switch req.state {
@@ -484,6 +555,7 @@ func (t Ticket) TryCancel() bool {
 		t.fv.removeRequest(req)
 		req.done = true
 		t.fv.CancelledReqs++
+		t.fv.dropRequest(req)
 		t.fv.pump()
 		return true
 	case reqAcquiring:
@@ -495,6 +567,7 @@ func (t Ticket) TryCancel() bool {
 		t.fv.starting--
 		req.done = true
 		t.fv.CancelledReqs++
+		t.fv.dropRequest(req)
 		t.fv.pump()
 		return true
 	default: // reqStarted: running, boot-failing, or served warm
@@ -536,6 +609,7 @@ func (fv *FuncVM) dispatchOne() bool {
 			fv.removeQueued(i)
 			if req.state == reqAcquiring {
 				req.detached = true // keep `starting` reserved for the provision
+				req.holds++         // ... and the record, until the provision ends
 			}
 			req.state = reqStarted
 			fv.runWarm(inst, req)
@@ -583,6 +657,7 @@ func (fv *FuncVM) failBoot(req *request) {
 		if req.onDone != nil {
 			req.onDone(Result{Fn: req.fn, Arrival: req.arrival, Done: fv.Sched.Now(), Failed: true})
 		}
+		fv.dropRequest(req)
 		fv.pump()
 	})
 }
@@ -604,6 +679,7 @@ func (fv *FuncVM) crashInstance(inst *Instance, req *request) {
 	if req.onDone != nil {
 		req.onDone(Result{Fn: req.fn, Arrival: req.arrival, Done: fv.Sched.Now(), Failed: true})
 	}
+	fv.dropRequest(req)
 	fv.pump()
 }
 
@@ -728,7 +804,7 @@ func (fv *FuncVM) startCold(req *request) {
 // spawnInstance creates the container process and walks the cold-start
 // phases.
 func (fv *FuncVM) spawnInstance(req *request, vmmDelay sim.Duration) {
-	inst := &Instance{fv: fv, fn: req.fn, state: instStarting}
+	inst := fv.newInstance(req.fn)
 	inst.proc = fv.K.Spawn(req.fn.Name)
 	phases := Phases{VMMDelay: vmmDelay, MemWait: req.memWaited}
 
@@ -736,6 +812,7 @@ func (fv *FuncVM) spawnInstance(req *request, vmmDelay sim.Duration) {
 		fv.starting--
 		fv.instances[inst] = struct{}{}
 		if req.detached {
+			fv.dropRequest(req) // the provision needs only the instance
 			fv.runProvisionPhases(inst)
 			return
 		}
@@ -800,6 +877,7 @@ func (fv *FuncVM) abandonProvision(req *request) {
 		req.grant.Cancel()
 		req.grant = nil
 	}
+	fv.dropRequest(req)
 	fv.pump()
 }
 
@@ -819,7 +897,7 @@ func (fv *FuncVM) idleInstance(inst *Instance) {
 	inst.state = instIdle
 	inst.idleSince = fv.Sched.Now()
 	fv.idle = append(fv.idle, inst)
-	inst.kaEvent = fv.Sched.After(fv.Cfg.KeepAlive, func() { fv.Evict(inst) })
+	inst.kaEvent = fv.Sched.After(fv.Cfg.KeepAlive, inst.onKeepAlive)
 	fv.pump()
 }
 
@@ -910,12 +988,10 @@ func (fv *FuncVM) runWarm(inst *Instance, req *request) {
 		})
 		return
 	}
+	inst.req = req
 	fv.VM.VCPUs.Submit(fn.WarmExecCPU, cpu.Config{
 		Name: "exec", Class: "function", Weight: fn.CPUShares, Cap: maxf(fn.CPUShares, 0.1),
-		OnDone: func() {
-			fv.WarmStarts++
-			fv.completeRequest(inst, req, false, Phases{})
-		},
+		OnDone: inst.onWarmExec,
 	})
 }
 
@@ -939,11 +1015,12 @@ func (fv *FuncVM) completeRequest(inst *Instance, req *request, cold bool, phase
 	inst.state = instIdle
 	inst.idleSince = now
 	fv.idle = append(fv.idle, inst)
-	inst.kaEvent = fv.Sched.After(fv.Cfg.KeepAlive, func() { fv.Evict(inst) })
+	inst.kaEvent = fv.Sched.After(fv.Cfg.KeepAlive, inst.onKeepAlive)
 	req.done = true
 	if req.onDone != nil {
 		req.onDone(res)
 	}
+	fv.dropRequest(req)
 	fv.pump()
 }
 
@@ -958,6 +1035,7 @@ func (fv *FuncVM) failRequest(req *request) {
 	if req.onDone != nil {
 		req.onDone(Result{Fn: req.fn, Arrival: req.arrival, Done: fv.Sched.Now(), Dropped: true})
 	}
+	fv.dropRequest(req)
 	fv.pump()
 }
 

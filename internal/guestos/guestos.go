@@ -1,11 +1,11 @@
 package guestos
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
 	"slices"
-	"sort"
 
 	"squeezy/internal/costmodel"
 	"squeezy/internal/mem"
@@ -17,22 +17,38 @@ import (
 // HugeOrder is the allocation order of a 2 MiB THP chunk.
 const HugeOrder = 9
 
-// Chunk is one allocated physical extent (2^Order pages) and its owner:
-// either a process's anonymous memory or a cached file's pages. The
-// per-block reverse map (Kernel.chunksIn) indexes chunks by hotplug
-// block so the offline path can find and migrate them.
+// Chunk is one allocated physical extent (2^Order pages), owned by a
+// process's anonymous memory or a cached file's pages. Chunks live in
+// a per-kernel slab (Kernel.chunks) and are named by int32 index: the
+// owners' lists, the per-block reverse map (Kernel.chunksIn) and the
+// offline path all carry indexes, so allocating a chunk costs no heap
+// object and the slab holds nothing the garbage collector must scan.
+// Outside the package a chunk is reached through a generation-checked
+// ChunkID.
 type Chunk struct {
 	PFN   mem.PFN
-	Order int
-	Zone  *mem.Zone
-	Proc  *Process    // nil for page-cache chunks
-	File  *CachedFile // nil for anonymous chunks
+	Order int32 // -1 while the slab entry is free
 
-	slot int // index in the reverse-map slice of the chunk's block
+	zone int32 // index in Kernel.zones
+	// slot is the chunk's index in its block's reverse-map slice while
+	// live, and the next free entry's index while free.
+	slot int32
+	// gen advances each time the entry is freed or handed out from
+	// recycled storage, so a ChunkID outliving its chunk goes stale.
+	gen uint32
 }
 
 // Pages returns the chunk size in pages.
 func (c *Chunk) Pages() int64 { return 1 << c.Order }
+
+// ChunkID is a handle to one chunk of a kernel's slab, valid until the
+// chunk is freed (Exit, FreeAnon, DropFile) or the kernel is released.
+// Using a stale handle panics rather than touching whatever chunk
+// reuses the slab entry.
+type ChunkID struct {
+	idx int32
+	gen uint32
+}
 
 // Process is a guest process (a function instance's container, or the
 // in-guest agent).
@@ -45,7 +61,7 @@ type Process struct {
 	// processes allocate from ZONE_MOVABLE like vanilla Linux.
 	AssignedZone *mem.Zone
 
-	anonChunks []*Chunk
+	anonChunks []int32 // slab indexes, in allocation order
 	anonPages  int64
 	mappedFile map[*CachedFile]int64 // pages of each file this process mapped
 	exited     bool
@@ -63,7 +79,7 @@ type CachedFile struct {
 	Name string
 	Zone *mem.Zone // where its pages live
 
-	chunks        []*Chunk
+	chunks        []int32 // slab indexes
 	residentPages int64
 	mapCount      int
 }
@@ -101,6 +117,10 @@ type Kernel struct {
 
 	nextPID int
 	procs   map[int]*Process
+	// chunks is the chunk slab; freeChunk heads its free list, threaded
+	// through the free entries' slot fields (-1: empty).
+	chunks    []Chunk
+	freeChunk int32
 	// chunksIn is the reverse map: allocated chunks indexed by hotplug
 	// block (PFN / PagesPerBlock), so the offline path's range queries
 	// walk the handful of chunks in a block instead of probing a map
@@ -108,7 +128,7 @@ type Kernel struct {
 	// 2^MaxOrder pages, so no chunk straddles a block boundary. Each
 	// block's slice is unordered; a chunk records its index (slot) so
 	// removal is an O(1) swap-remove with no hashing.
-	chunksIn [][]*Chunk
+	chunksIn [][]int32
 	files    map[string]*CachedFile
 
 	populated bitset // per-PFN: guest page backed by a host frame
@@ -118,10 +138,11 @@ type Kernel struct {
 
 // Recycler caches the flat storage a guest kernel allocates — zone
 // structs with their buddy head bitmaps and region counters, the
-// populated bitmap's word array, and the per-block reverse-map buckets
-// — so a worker simulating many worlds in sequence reuses one arena
-// set instead of reconstructing it per run. Pass it via Config.Recycle
-// and hand a dead kernel's storage back with Kernel.Release.
+// populated bitmap's word array, the chunk slab, and the per-block
+// reverse-map buckets — so a worker simulating many worlds in sequence
+// reuses one arena set instead of reconstructing it per run. Pass it
+// via Config.Recycle and hand a dead kernel's storage back with
+// Kernel.Release.
 //
 // Reused storage is always reset to its freshly-constructed state
 // before it is handed out, so a kernel built from recycled arenas
@@ -130,7 +151,8 @@ type Kernel struct {
 type Recycler struct {
 	zones *mem.Pool
 	words [][]uint64
-	rmaps [][]*Chunk
+	slabs [][]Chunk
+	rmaps [][]int32
 }
 
 // NewRecycler returns an empty recycler.
@@ -158,18 +180,28 @@ func (r *Recycler) takeWords(need int) []uint64 {
 }
 
 // takeRmap hands out an empty reverse-map bucket (nil when none is
-// recycled; append allocates it). Retired buckets still hold the
-// pointers of the chunks their kernel owned at Release; they are
-// cleared here, on reuse, not at Release time: a released kernel whose
-// buckets are never needed again (the last cell of a worker's run)
-// then pays nothing for them.
-func (r *Recycler) takeRmap() []*Chunk {
+// recycled; append allocates it). Buckets hold slab indexes, not
+// pointers, so a retired bucket's stale content pins nothing and is
+// simply overwritten.
+func (r *Recycler) takeRmap() []int32 {
 	if r == nil || len(r.rmaps) == 0 {
 		return nil
 	}
 	s := r.rmaps[len(r.rmaps)-1]
 	r.rmaps = r.rmaps[:len(r.rmaps)-1]
-	clear(s)
+	return s[:0]
+}
+
+// takeSlab hands out a recycled chunk slab (length zero, nil when none
+// is recycled). Its entries past the length keep their generations:
+// newChunk advances an entry's generation as it reuses it, so a handle
+// into the slab's previous kernel stays stale.
+func (r *Recycler) takeSlab() []Chunk {
+	if r == nil || len(r.slabs) == 0 {
+		return nil
+	}
+	s := r.slabs[len(r.slabs)-1]
+	r.slabs = r.slabs[:len(r.slabs)-1]
 	return s[:0]
 }
 
@@ -191,9 +223,13 @@ func (k *Kernel) Release() {
 		r.words = append(r.words, k.populated.words)
 		k.populated.words = nil
 	}
+	if cap(k.chunks) > 0 {
+		r.slabs = append(r.slabs, k.chunks)
+	}
+	k.chunks, k.freeChunk = nil, -1 // every ChunkID of this kernel is now stale
 	for i, s := range k.chunksIn {
 		if s != nil {
-			r.rmaps = append(r.rmaps, s) // cleared lazily by takeRmap
+			r.rmaps = append(r.rmaps, s)
 			k.chunksIn[i] = nil
 		}
 	}
@@ -214,8 +250,9 @@ type Config struct {
 	// agent, allocated from Normal and populated in the host.
 	KernelResidentBytes int64
 	// Recycle, when non-nil, supplies recycled arena storage (zone
-	// structs, buddy head bitmaps, bitmap words, reverse-map buckets)
-	// harvested from kernels a previous simulation released.
+	// structs, buddy head bitmaps, bitmap words, chunk slabs,
+	// reverse-map buckets) harvested from kernels a previous simulation
+	// released.
 	Recycle *Recycler
 }
 
@@ -229,13 +266,15 @@ func NewKernel(vm *vmm.VM, cfg Config) *Kernel {
 	bootBytes := units.AlignUp(cfg.BootBytes, units.BlockSize)
 	movBytes := units.AlignUp(cfg.MovableBytes, units.BlockSize)
 	k := &Kernel{
-		Sched:   vm.Sched,
-		Cost:    vm.Cost,
-		VM:      vm,
-		procs:   make(map[int]*Process),
-		files:   make(map[string]*CachedFile),
-		nextPID: 1,
-		recycle: cfg.Recycle,
+		Sched:     vm.Sched,
+		Cost:      vm.Cost,
+		VM:        vm,
+		procs:     make(map[int]*Process),
+		files:     make(map[string]*CachedFile),
+		nextPID:   1,
+		recycle:   cfg.Recycle,
+		chunks:    cfg.Recycle.takeSlab(),
+		freeChunk: -1,
 	}
 	k.populated.words = cfg.Recycle.takeWords(int(units.BytesToPages(bootBytes+movBytes)+63) / 64)
 	k.Normal = k.addZone("Normal", mem.ZoneNormal, bootBytes)
@@ -272,28 +311,83 @@ func (k *Kernel) addZone(name string, kind mem.ZoneKind, bytes int64) *mem.Zone 
 	return z
 }
 
-// addOwner registers a chunk in the per-block reverse map.
-func (k *Kernel) addOwner(c *Chunk) {
+// newChunk takes a slab entry for a freshly allocated extent of zone
+// z (an index in k.zones) and registers it in the reverse map. It
+// returns the entry's index.
+func (k *Kernel) newChunk(pfn mem.PFN, order int, z int32) int32 {
+	i := k.freeChunk
+	if i >= 0 {
+		k.freeChunk = k.chunks[i].slot
+	} else if n := len(k.chunks); n < cap(k.chunks) {
+		// Recycled storage: the entry's old handles must not match.
+		k.chunks = k.chunks[:n+1]
+		i = int32(n)
+		k.chunks[i].gen++
+	} else {
+		k.chunks = append(k.chunks, Chunk{})
+		i = int32(n)
+	}
+	c := &k.chunks[i]
+	c.PFN, c.Order, c.zone = pfn, int32(order), z
+	k.addOwner(i)
+	return i
+}
+
+// dropChunk frees chunk i: its pages return to its zone, it leaves the
+// reverse map, and its slab entry goes on the free list with a new
+// generation. The caller removes it from its owner's list.
+func (k *Kernel) dropChunk(i int32) {
+	k.delOwner(i)
+	c := &k.chunks[i]
+	k.zones[c.zone].FreePage(c.PFN, int(c.Order))
+	c.Order = -1
+	c.gen++
+	c.slot = k.freeChunk
+	k.freeChunk = i
+}
+
+// addOwner registers chunk i in the per-block reverse map.
+func (k *Kernel) addOwner(i int32) {
+	c := &k.chunks[i]
 	b := c.PFN / units.PagesPerBlock
 	s := k.chunksIn[b]
 	if s == nil {
 		s = k.recycle.takeRmap()
 	}
-	c.slot = len(s)
-	k.chunksIn[b] = append(s, c)
+	c.slot = int32(len(s))
+	k.chunksIn[b] = append(s, i)
 }
 
-// delOwner removes a chunk from the per-block reverse map, moving the
+// delOwner removes chunk i from the per-block reverse map, moving the
 // block's last chunk into its slot.
-func (k *Kernel) delOwner(c *Chunk) {
+func (k *Kernel) delOwner(i int32) {
+	c := &k.chunks[i]
 	b := c.PFN / units.PagesPerBlock
 	s := k.chunksIn[b]
 	last := len(s) - 1
 	moved := s[last]
 	s[c.slot] = moved
-	moved.slot = c.slot
-	s[last] = nil // drop the reference so the chunk can be collected
+	k.chunks[moved].slot = c.slot
 	k.chunksIn[b] = s[:last]
+}
+
+// chunk resolves a handle to its live slab entry, panicking on a stale
+// one — freed, or from a released kernel.
+func (k *Kernel) chunk(id ChunkID) *Chunk {
+	if int(id.idx) >= len(k.chunks) || k.chunks[id.idx].gen != id.gen {
+		panic(fmt.Sprintf("guestos: stale chunk handle %d/%d", id.idx, id.gen))
+	}
+	return &k.chunks[id.idx]
+}
+
+// zoneIndex returns z's index in k.zones.
+func (k *Kernel) zoneIndex(z *mem.Zone) int32 {
+	for i, kz := range k.zones {
+		if kz == z {
+			return int32(i)
+		}
+	}
+	panic(fmt.Sprintf("guestos: zone %q not registered with this kernel", z.Name))
 }
 
 // AddZone registers an extra zone (a Squeezy partition) spanning bytes.
@@ -359,16 +453,14 @@ func (k *Kernel) Exit(p *Process) int64 {
 	}
 	freed := p.anonPages
 	for _, c := range p.anonChunks {
-		k.delOwner(c)
-		c.Zone.FreePage(c.PFN, c.Order)
+		k.dropChunk(c)
 	}
 	p.anonChunks = nil
 	p.anonPages = 0
-	for f, pages := range p.mappedFile {
+	for f := range p.mappedFile {
 		f.mapCount--
-		_ = pages
 	}
-	p.mappedFile = make(map[*CachedFile]int64)
+	p.mappedFile = nil
 	p.exited = true
 	delete(k.procs, p.PID)
 	if k.OnProcExit != nil {
@@ -416,7 +508,11 @@ func (k *Kernel) TouchAnon(p *Process, bytes int64, order int) (work sim.Duratio
 		panic(fmt.Sprintf("guestos: touch on exited pid %d", p.PID))
 	}
 	zone := k.anonZone(p)
+	zi := k.zoneIndex(zone)
 	npages := units.BytesToPages(bytes)
+	// One growth for the whole touch (exact unless fragmentation forces
+	// smaller orders), not a doubling series.
+	p.anonChunks = slices.Grow(p.anonChunks, int((npages+1<<order-1)>>order))
 	var allocated, fresh int64
 	for allocated < npages {
 		o := order
@@ -431,12 +527,11 @@ func (k *Kernel) TouchAnon(p *Process, bytes int64, order int) (work sim.Duratio
 			work += k.anonWork(allocated, fresh)
 			return work, false
 		}
-		c := &Chunk{PFN: pfn, Order: o, Zone: zone, Proc: p}
-		k.addOwner(c)
-		p.anonChunks = append(p.anonChunks, c)
-		p.anonPages += c.Pages()
-		allocated += c.Pages()
-		fresh += k.markPopulated(pfn, c.Pages())
+		p.anonChunks = append(p.anonChunks, k.newChunk(pfn, o, zi))
+		pages := int64(1) << o
+		p.anonPages += pages
+		allocated += pages
+		fresh += k.markPopulated(pfn, pages)
 	}
 	return k.anonWork(allocated, fresh), true
 }
@@ -458,10 +553,10 @@ func (k *Kernel) FreeAnon(p *Process, bytes int64) int64 {
 	for freed < target && len(p.anonChunks) > 0 {
 		c := p.anonChunks[len(p.anonChunks)-1]
 		p.anonChunks = p.anonChunks[:len(p.anonChunks)-1]
-		k.delOwner(c)
-		c.Zone.FreePage(c.PFN, c.Order)
-		p.anonPages -= c.Pages()
-		freed += c.Pages()
+		pages := k.chunks[c].Pages()
+		k.dropChunk(c)
+		p.anonPages -= pages
+		freed += pages
 	}
 	return freed
 }
@@ -522,6 +617,7 @@ func (k *Kernel) TouchFile(p *Process, f *CachedFile, bytes int64) (work sim.Dur
 	work = sim.Duration(cachedShare) * k.Cost.GuestFaultPerPage
 	// Major faults extend the cache.
 	var fresh int64
+	zi := k.zoneIndex(f.Zone)
 	for f.residentPages < npages {
 		o := HugeOrder
 		if remaining := npages - f.residentPages; remaining < 1<<HugeOrder {
@@ -536,12 +632,11 @@ func (k *Kernel) TouchFile(p *Process, f *CachedFile, bytes int64) (work sim.Dur
 			work += k.fileMajorWork(0, fresh)
 			return work, false
 		}
-		c := &Chunk{PFN: pfn, Order: o, Zone: f.Zone, File: f}
-		k.addOwner(c)
-		f.chunks = append(f.chunks, c)
-		f.residentPages += c.Pages()
-		fresh += k.markPopulated(pfn, c.Pages())
-		work += k.fileMajorWork(c.Pages(), 0)
+		f.chunks = append(f.chunks, k.newChunk(pfn, o, zi))
+		pages := int64(1) << o
+		f.residentPages += pages
+		fresh += k.markPopulated(pfn, pages)
+		work += k.fileMajorWork(pages, 0)
 	}
 	if fresh > 0 {
 		work += k.VM.PopulatePages(fresh)
@@ -564,8 +659,7 @@ func (k *Kernel) DropFile(f *CachedFile) {
 		panic(fmt.Sprintf("guestos: dropping mapped file %q (mapcount %d)", f.Name, f.mapCount))
 	}
 	for _, c := range f.chunks {
-		k.delOwner(c)
-		c.Zone.FreePage(c.PFN, c.Order)
+		k.dropChunk(c)
 	}
 	f.chunks = nil
 	f.residentPages = 0
@@ -596,38 +690,44 @@ func (k *Kernel) ReleaseRange(start mem.PFN, count int64) int64 {
 
 // --- migration support for the offline path ---
 
-// ChunksInRange returns the allocated chunks whose head lies inside
-// [start, start+count), in ascending address order. It walks the
-// per-block chunk index, so cost scales with the chunks present, not
-// with the page span.
-func (k *Kernel) ChunksInRange(start mem.PFN, count int64) []*Chunk {
-	var out []*Chunk
+// ChunksInRange appends to buf the allocated chunks whose head lies
+// inside [start, start+count), in ascending address order, and returns
+// the extended slice. It walks the per-block chunk index, so cost
+// scales with the chunks present, not with the page span; a caller
+// that passes its previous result back as buf[:0] allocates nothing.
+func (k *Kernel) ChunksInRange(buf []ChunkID, start mem.PFN, count int64) []ChunkID {
+	from := len(buf)
 	end := start + count
 	lastBlock := int64(len(k.chunksIn)) - 1
 	for b := start / units.PagesPerBlock; b <= lastBlock && b*units.PagesPerBlock < end; b++ {
-		for _, c := range k.chunksIn[b] {
-			if c.PFN >= start && c.PFN < end {
-				out = append(out, c)
+		for _, i := range k.chunksIn[b] {
+			if c := &k.chunks[i]; c.PFN >= start && c.PFN < end {
+				buf = append(buf, ChunkID{idx: i, gen: c.gen})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PFN < out[j].PFN })
-	return out
+	// Live chunks never share a head, so the order is total.
+	slices.SortFunc(buf[from:], func(a, b ChunkID) int {
+		return cmp.Compare(k.chunks[a.idx].PFN, k.chunks[b.idx].PFN)
+	})
+	return buf
 }
 
 // MigrateChunk moves a chunk to a freshly allocated target in its zone
 // (the source block must already be isolated so the allocator cannot
 // hand back pages inside it). It returns the pages copied plus any
 // extra guest latency from nested faults on unbacked target pages; ok
-// is false when no target memory exists, which aborts the offline.
-func (k *Kernel) MigrateChunk(c *Chunk) (pages int64, extra sim.Duration, ok bool) {
-	dst, got := c.Zone.AllocPage(c.Order)
+// is false when no target memory exists, which aborts the offline. The
+// handle stays valid: the chunk moves, its slab entry does not.
+func (k *Kernel) MigrateChunk(id ChunkID) (pages int64, extra sim.Duration, ok bool) {
+	c := k.chunk(id)
+	dst, got := k.zones[c.zone].AllocPage(int(c.Order))
 	if !got {
 		return 0, 0, false
 	}
-	k.delOwner(c)
+	k.delOwner(id.idx)
 	c.PFN = dst
-	k.addOwner(c)
+	k.addOwner(id.idx)
 	if fresh := k.markPopulated(dst, c.Pages()); fresh > 0 {
 		extra = k.VM.PopulatePages(fresh)
 	}
@@ -636,24 +736,25 @@ func (k *Kernel) MigrateChunk(c *Chunk) (pages int64, extra sim.Duration, ok boo
 
 // AllocReserved grabs pages of free memory for p without touching them
 // — the balloon driver's reservation path: no zeroing, no population,
-// no fault cost. It allocates greedily at the largest orders available
-// and returns the chunks it reserved and how many pages they total
-// (bounded by free memory).
-func (k *Kernel) AllocReserved(p *Process, pages int64) (chunks []*Chunk, got int64) {
+// no fault cost. It allocates greedily at the largest orders available,
+// appends the chunks it reserved to buf, and returns the extended
+// slice and how many pages they total (bounded by free memory).
+func (k *Kernel) AllocReserved(buf []ChunkID, p *Process, pages int64) (chunks []ChunkID, got int64) {
 	zone := k.anonZone(p)
+	zi := k.zoneIndex(zone)
 	for got < pages {
 		pfn, o, ok := reserveChunk(zone, pages-got)
 		if !ok {
 			break
 		}
-		c := &Chunk{PFN: pfn, Order: o, Zone: zone, Proc: p}
-		k.addOwner(c)
-		p.anonChunks = append(p.anonChunks, c)
-		p.anonPages += c.Pages()
-		chunks = append(chunks, c)
-		got += c.Pages()
+		i := k.newChunk(pfn, o, zi)
+		p.anonChunks = append(p.anonChunks, i)
+		n := int64(1) << o
+		p.anonPages += n
+		buf = append(buf, ChunkID{idx: i, gen: k.chunks[i].gen})
+		got += n
 	}
-	return chunks, got
+	return buf, got
 }
 
 // reserveChunk allocates the next chunk of a reservation with remaining
@@ -678,7 +779,8 @@ func reserveChunk(zone *mem.Zone, remaining int64) (pfn mem.PFN, order int, ok b
 
 // ReleaseChunkFrames releases the host frames backing a chunk's pages
 // (madvise after a balloon report) and returns how many were released.
-func (k *Kernel) ReleaseChunkFrames(c *Chunk) int64 {
+func (k *Kernel) ReleaseChunkFrames(id ChunkID) int64 {
+	c := k.chunk(id)
 	return k.ReleaseRange(c.PFN, c.Pages())
 }
 
@@ -689,7 +791,8 @@ func (k *Kernel) ReleaseChunkFrames(c *Chunk) int64 {
 func (k *Kernel) ReturnIsolatedGaps(z *mem.Zone, start mem.PFN, count int64) int64 {
 	var returned int64
 	gapStart := start
-	for _, c := range k.ChunksInRange(start, count) {
+	for _, id := range k.ChunksInRange(nil, start, count) {
+		c := &k.chunks[id.idx]
 		if c.PFN > gapStart {
 			z.FreePageRange(gapStart, c.PFN-gapStart)
 			returned += c.PFN - gapStart
@@ -732,25 +835,46 @@ func (k *Kernel) CheckInvariants() error {
 			return err
 		}
 	}
+	// The free list threads only free entries, each once.
+	free := 0
+	for i := k.freeChunk; i >= 0; i = k.chunks[i].slot {
+		if int(i) >= len(k.chunks) || k.chunks[i].Order >= 0 || free >= len(k.chunks) {
+			return fmt.Errorf("chunk slab free list broken at entry %d", i)
+		}
+		free++
+	}
 	var owned int64
+	var indexedChunks int
 	for b, s := range k.chunksIn {
-		for i, c := range s {
+		for slot, i := range s {
+			if i < 0 || int(i) >= len(k.chunks) || k.chunks[i].Order < 0 {
+				return fmt.Errorf("rmap block %d slot %d holds free or out-of-slab entry %d", b, slot, i)
+			}
+			c := &k.chunks[i]
 			if c.PFN/units.PagesPerBlock != int64(b) {
 				return fmt.Errorf("rmap block %d != chunk head %d's block", b, c.PFN)
 			}
-			if c.slot != i {
-				return fmt.Errorf("chunk %d at rmap slot %d records slot %d", c.PFN, i, c.slot)
+			if int(c.slot) != slot {
+				return fmt.Errorf("chunk %d at rmap slot %d records slot %d", c.PFN, slot, c.slot)
 			}
-			if !c.Zone.Contains(c.PFN) {
-				return fmt.Errorf("chunk %d outside its zone %q", c.PFN, c.Zone.Name)
+			if int(c.zone) >= len(k.zones) || !k.zones[c.zone].Contains(c.PFN) {
+				return fmt.Errorf("chunk %d outside its zone %d", c.PFN, c.zone)
 			}
 			owned += c.Pages()
+			indexedChunks++
 		}
 	}
+	if indexedChunks+free != len(k.chunks) {
+		return fmt.Errorf("chunk slab: %d entries, %d indexed + %d free", len(k.chunks), indexedChunks, free)
+	}
 	// Every owned chunk sits in its block's slice at the slot it records.
-	indexed := func(c *Chunk) error {
+	indexed := func(i int32) error {
+		if i < 0 || int(i) >= len(k.chunks) || k.chunks[i].Order < 0 {
+			return fmt.Errorf("owner holds free or out-of-slab chunk entry %d", i)
+		}
+		c := &k.chunks[i]
 		s := k.chunksIn[c.PFN/units.PagesPerBlock]
-		if c.slot < 0 || c.slot >= len(s) || s[c.slot] != c {
+		if c.slot < 0 || int(c.slot) >= len(s) || s[c.slot] != i {
 			return fmt.Errorf("chunk %d (order %d) not at its rmap slot %d", c.PFN, c.Order, c.slot)
 		}
 		return nil

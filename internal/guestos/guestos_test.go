@@ -2,6 +2,7 @@ package guestos
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"squeezy/internal/costmodel"
@@ -260,7 +261,7 @@ func TestChunksInRangeAndMigration(t *testing.T) {
 		t.Fatal("no occupied block after touch")
 	}
 	start, count := k.Movable.BlockRange(blk)
-	chunks := k.ChunksInRange(start, count)
+	chunks := k.ChunksInRange(nil, start, count)
 	if len(chunks) == 0 {
 		t.Fatal("no chunks found in touched block")
 	}
@@ -273,7 +274,7 @@ func TestChunksInRangeAndMigration(t *testing.T) {
 			t.Fatal("migration failed with free memory available")
 		}
 		migrated += pages
-		if c.PFN >= start && c.PFN < start+count {
+		if pfn := k.chunk(c).PFN; pfn >= start && pfn < start+count {
 			t.Fatal("chunk migrated into the isolated block")
 		}
 	}
@@ -298,7 +299,7 @@ func TestMigrationFailsWhenNoTarget(t *testing.T) {
 		t.Fatal("fill failed")
 	}
 	start, count := k.Movable.BlockRange(0)
-	chunks := k.ChunksInRange(start, count)
+	chunks := k.ChunksInRange(nil, start, count)
 	k.Movable.IsolateBlock(0)
 	_, _, ok := k.MigrateChunk(chunks[0])
 	if ok {
@@ -466,7 +467,11 @@ func TestMarkPopulatedBulkCounting(t *testing.T) {
 // TestRecycledKernelReplaysIdentically is the reset-vs-fresh guard for
 // the kernel arena recycler: a kernel built from arenas harvested off
 // a released (and differently shaped) kernel must place every chunk at
-// the same PFN as a kernel built from fresh storage.
+// the same PFN as a kernel built from fresh storage. It also guards the
+// chunk slab's generations: a ChunkID outliving its chunk — freed by
+// Exit, FreeAnon or DropFile, or orphaned by Release while its slab
+// entry backs the next kernel — must panic, never resolve to whatever
+// chunk reuses the entry.
 func TestRecycledKernelReplaysIdentically(t *testing.T) {
 	program := func(k *Kernel) []mem.PFN {
 		k.OnlineAllMovable()
@@ -485,12 +490,12 @@ func TestRecycledKernelReplaysIdentically(t *testing.T) {
 				freeAnonRandom(k, p, 2*units.MiB, rng)
 			case 4:
 				for _, c := range p.anonChunks {
-					log = append(log, c.PFN)
+					log = append(log, k.chunks[c].PFN)
 				}
 			}
 		}
-		for _, c := range k.ChunksInRange(0, k.Movable.Start()+k.Movable.Pages()) {
-			log = append(log, c.PFN, mem.PFN(c.Order))
+		for _, c := range k.ChunksInRange(nil, 0, k.Movable.Start()+k.Movable.Pages()) {
+			log = append(log, k.chunk(c).PFN, mem.PFN(k.chunk(c).Order))
 		}
 		if err := k.CheckInvariants(); err != nil {
 			t.Fatal(err)
@@ -524,19 +529,20 @@ func TestRecycledKernelReplaysIdentically(t *testing.T) {
 	p := dirty.Spawn("hog")
 	dirty.TouchAnon(p, 512*units.MiB, HugeOrder)
 	dirty.TouchFile(p, dirty.File("lib", 0), 64*units.MiB)
+	orphans := dirty.ChunksInRange(nil, 0, dirty.Movable.Start()+dirty.Movable.Pages())
 	dirty.Release()
-	var held int
-	for _, b := range rec.rmaps {
-		held += len(b)
+	if len(rec.slabs) != 1 || cap(rec.slabs[0]) < len(orphans) {
+		t.Fatal("dirty kernel retired no chunk slab")
 	}
-	if held == 0 {
-		t.Fatal("dirty kernel retired no owned chunks")
-	}
+	expectStale(t, "after Release", func() { dirty.chunk(orphans[0]) })
 
 	// Two generations: each replayed kernel is released still holding
 	// the chunks its program left, and the next replay must not see them.
 	for gen := 0; gen < 2; gen++ {
 		k := build(rec)
+		if len(rec.slabs) != 0 {
+			t.Fatalf("gen %d: kernel did not reuse the recycled slab", gen)
+		}
 		got := program(k)
 		if len(got) != len(want) {
 			t.Fatalf("gen %d: logs differ in length: %d vs %d", gen, len(got), len(want))
@@ -546,15 +552,72 @@ func TestRecycledKernelReplaysIdentically(t *testing.T) {
 				t.Fatalf("gen %d: placement diverged at %d: recycled %d, fresh %d", gen, i, got[i], want[i])
 			}
 		}
-		for b, bucket := range k.chunksIn {
-			for _, c := range bucket[len(bucket):cap(bucket)] {
-				if c != nil {
-					t.Fatalf("gen %d: block %d bucket retains chunk %d past its end", gen, b, c.PFN)
-				}
+		// The previous kernel's live chunks now name entries of this
+		// kernel's slab; their handles must not resolve here.
+		for _, id := range orphans {
+			if int(id.idx) < len(k.chunks) {
+				expectStale(t, "from the slab's previous kernel", func() { k.chunk(id) })
+				expectStale(t, "from the slab's previous kernel", func() { k.MigrateChunk(id) })
 			}
 		}
+		checkStaleAfterFree(t, k)
+		orphans = k.ChunksInRange(nil, 0, k.Movable.Start()+k.Movable.Pages())
 		k.Release()
+		expectStale(t, "after Release", func() { k.ReleaseChunkFrames(orphans[0]) })
 	}
+}
+
+// checkStaleAfterFree frees chunks through each owner path — FreeAnon,
+// Exit, DropFile — and requires every handle to a freed chunk to go
+// stale, even once a new chunk has reused its slab entry.
+func checkStaleAfterFree(t *testing.T, k *Kernel) {
+	t.Helper()
+	ids := func(idx []int32) []ChunkID {
+		var out []ChunkID
+		for _, i := range idx {
+			out = append(out, ChunkID{idx: i, gen: k.chunks[i].gen})
+		}
+		return out
+	}
+	p := k.Spawn("victim")
+	k.TouchAnon(p, 8*units.MiB, HugeOrder)
+	held := ids(p.anonChunks)
+	k.FreeAnon(p, 2*units.MiB) // frees the newest chunk
+	expectStale(t, "after FreeAnon", func() { k.chunk(held[len(held)-1]) })
+	k.chunk(held[0]) // still live
+	k.Exit(p)
+	for _, id := range held {
+		expectStale(t, "after Exit", func() { k.chunk(id) })
+	}
+
+	f := k.File("victim-lib", 0)
+	q := k.Spawn("mapper")
+	k.TouchFile(q, f, 4*units.MiB)
+	cached := ids(f.chunks)
+	k.Exit(q)
+	k.DropFile(f)
+	// Reuse the freed entries: the new chunks must not answer to the
+	// old handles.
+	r := k.Spawn("reuser")
+	k.TouchAnon(r, 16*units.MiB, HugeOrder)
+	for _, id := range append(cached, held...) {
+		expectStale(t, "after DropFile/Exit and reuse", func() { k.ReleaseChunkFrames(id) })
+	}
+	k.Exit(r)
+	if err := k.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// expectStale requires fn to panic on a stale chunk handle.
+func expectStale(t *testing.T, when string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("stale chunk handle used %s did not panic", when)
+		}
+	}()
+	fn()
 }
 
 // freeAnonRandom releases bytes of p's anonymous memory, choosing
@@ -570,10 +633,10 @@ func freeAnonRandom(k *Kernel, p *Process, bytes int64, rng *rand.Rand) int64 {
 		last := len(p.anonChunks) - 1
 		p.anonChunks[i] = p.anonChunks[last]
 		p.anonChunks = p.anonChunks[:last]
-		k.delOwner(c)
-		c.Zone.FreePage(c.PFN, c.Order)
-		p.anonPages -= c.Pages()
-		freed += c.Pages()
+		pages := k.chunks[c].Pages()
+		k.dropChunk(c)
+		p.anonPages -= pages
+		freed += pages
 	}
 	return freed
 }
@@ -590,5 +653,17 @@ func TestReleaseIdempotent(t *testing.T) {
 	k.Release()
 	if len(rec.words) != before {
 		t.Fatal("second Release retired the bitmap again")
+	}
+}
+
+// TestChunkSlabHoldsNoPointers keeps the chunk slab invisible to the
+// garbage collector: every Chunk field must be a plain number.
+func TestChunkSlabHoldsNoPointers(t *testing.T) {
+	typ := reflect.TypeOf(Chunk{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if k := f.Type.Kind(); k < reflect.Int || k > reflect.Float64 {
+			t.Errorf("Chunk.%s is a %v, not a number", f.Name, f.Type)
+		}
 	}
 }

@@ -87,7 +87,7 @@ func TestLifecycleProperty(t *testing.T) {
 				continue
 			}
 			for _, c := range p.anonChunks {
-				if c.Zone != part {
+				if k.zones[k.chunks[c].zone] != part {
 					return false
 				}
 			}
@@ -142,7 +142,7 @@ func TestOfflineUnderLoadProperty(t *testing.T) {
 			k.Movable.IsolateBlock(b)
 			start, count := k.Movable.BlockRange(b)
 			ok := true
-			for _, c := range k.ChunksInRange(start, count) {
+			for _, c := range k.ChunksInRange(nil, start, count) {
 				if _, _, migrated := k.MigrateChunk(c); !migrated {
 					ok = false
 					break
@@ -199,13 +199,18 @@ func TestScrambleConservesMemory(t *testing.T) {
 
 // liveChunks gathers every chunk the kernel's processes and cached
 // files own, from the owners' side rather than the reverse map.
-func liveChunks(k *Kernel) []*Chunk {
-	var out []*Chunk
+func liveChunks(k *Kernel) []ChunkID {
+	var out []ChunkID
+	add := func(idx []int32) {
+		for _, i := range idx {
+			out = append(out, ChunkID{idx: i, gen: k.chunks[i].gen})
+		}
+	}
 	for _, p := range k.procs {
-		out = append(out, p.anonChunks...)
+		add(p.anonChunks)
 	}
 	for _, f := range k.files {
-		out = append(out, f.chunks...)
+		add(f.chunks)
 	}
 	return out
 }
@@ -218,6 +223,7 @@ func TestChunksInRangeMatchesBruteForce(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 0x5107))
 		k := newTestKernel(t, 4)
+		byPFN := func(a, b ChunkID) int { return cmp.Compare(k.chunk(a).PFN, k.chunk(b).PFN) }
 		span := k.Movable.Start() + k.Movable.Pages()
 		files := []string{"lib0", "lib1", "lib2"}
 		var procs []*Process
@@ -243,11 +249,11 @@ func TestChunksInRangeMatchesBruteForce(t *testing.T) {
 					continue
 				}
 				// Sorted, so the pick does not depend on map order.
-				slices.SortFunc(live, func(a, b *Chunk) int { return cmp.Compare(a.PFN, b.PFN) })
-				c := live[rng.IntN(len(live))]
-				old := c.PFN
-				if _, _, ok := k.MigrateChunk(c); ok {
-					c.Zone.FreePage(old, c.Order)
+				slices.SortFunc(live, byPFN)
+				id := live[rng.IntN(len(live))]
+				old := *k.chunk(id) // a copy: migration moves the entry
+				if _, _, ok := k.MigrateChunk(id); ok {
+					k.zones[old.zone].FreePage(old.PFN, int(old.Order))
 				}
 			case op < 11:
 				i := rng.IntN(len(procs))
@@ -262,14 +268,14 @@ func TestChunksInRangeMatchesBruteForce(t *testing.T) {
 			for q := 0; q < 3; q++ {
 				start := int64(rng.IntN(int(span)))
 				count := int64(rng.IntN(int(span-start))) + 1
-				var want []*Chunk
+				var want []ChunkID
 				for _, c := range live {
-					if c.PFN >= start && c.PFN < start+count {
+					if pfn := k.chunk(c).PFN; pfn >= start && pfn < start+count {
 						want = append(want, c)
 					}
 				}
-				slices.SortFunc(want, func(a, b *Chunk) int { return cmp.Compare(a.PFN, b.PFN) })
-				if got := k.ChunksInRange(start, count); !slices.Equal(got, want) {
+				slices.SortFunc(want, byPFN)
+				if got := k.ChunksInRange(nil, start, count); !slices.Equal(got, want) {
 					t.Logf("step %d: ChunksInRange(%d, %d) returned %d chunks, brute force %d", step, start, count, len(got), len(want))
 					return false
 				}
@@ -294,7 +300,7 @@ func TestChunksInRangeMatchesBruteForce(t *testing.T) {
 func refScramble(k *Kernel, z *mem.Zone, rng *rand.Rand) {
 	p := k.Spawn("scrambler")
 	p.AssignedZone = z
-	k.AllocReserved(p, z.NrFree())
+	k.AllocReserved(nil, p, z.NrFree())
 	freeAnonRandom(k, p, units.PagesToBytes(p.AnonPages()), rng)
 	k.Exit(p)
 }

@@ -70,6 +70,10 @@ type Driver struct {
 	// a time.
 	busy    bool
 	pending []func()
+
+	// chunks is the offline loop's ChunksInRange buffer, reused across
+	// blocks and commands.
+	chunks []guestos.ChunkID
 }
 
 // deliver completes a command, imposing the injected stall first; the
@@ -208,10 +212,10 @@ func (d *Driver) unplug(bytes int64, onDone func(UnplugResult)) {
 		occupied := zone.IsolateBlock(b)
 		start, count := zone.BlockRange(b)
 		isolatedFree := count - occupied
-		chunks := d.K.ChunksInRange(start, count)
+		d.chunks = d.K.ChunksInRange(d.chunks[:0], start, count)
 		aborted := false
 		var blockMigrated int64
-		for _, c := range chunks {
+		for _, c := range d.chunks {
 			pages, extra, ok := d.K.MigrateChunk(c)
 			if !ok {
 				aborted = true

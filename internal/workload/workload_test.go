@@ -120,17 +120,24 @@ func TestMemhogChurnScattersFootprint(t *testing.T) {
 			}
 		}
 	}
-	// Count blocks containing pages from more than one process.
-	mixed := 0
-	for i := 0; i < k.Movable.Blocks(); i++ {
-		start, count := k.Movable.BlockRange(i)
-		procs := map[*guestos.Process]bool{}
-		for _, c := range k.ChunksInRange(start, count) {
-			if c.Proc != nil {
-				procs[c.Proc] = true
+	// Count blocks containing pages from more than one process: kill
+	// the hogs one at a time and see which blocks each exit empties.
+	owners := make([]int, k.Movable.Blocks())
+	for _, h := range hogs {
+		before := make([]int64, len(owners))
+		for b := range owners {
+			before[b] = k.Movable.OccupiedInBlock(b)
+		}
+		h.Kill()
+		for b := range owners {
+			if k.Movable.OccupiedInBlock(b) < before[b] {
+				owners[b]++
 			}
 		}
-		if len(procs) > 1 {
+	}
+	mixed := 0
+	for _, n := range owners {
+		if n > 1 {
 			mixed++
 		}
 	}

@@ -6,9 +6,10 @@
 #
 # One iteration per registered experiment (-benchtime 1x) keeps the job
 # cheap while still timing the exact protocol the paper tables use; the
-# point records ns/op and allocs/op per experiment plus their geomeans.
-# Compare two points (e.g. a PR's base and head) with any JSON diff;
-# per-experiment speedup is before_ns / after_ns.
+# point records ns/op, allocs/op and B/op (bytes_per_op) per experiment
+# plus the ns and allocs geomeans. Compare two points (e.g. a PR's base
+# and head) with any JSON diff, or gate allocation growth with
+# scripts/alloc_gate.sh; per-experiment speedup is before_ns / after_ns.
 set -eu
 out="${1:-bench_point.json}"
 
@@ -20,10 +21,12 @@ awk -v out="$out" '
     name = parts[2]
     sub(/-[0-9]+$/, "", name)   # strip the GOMAXPROCS suffix
     names[n] = name; ns[n] = $3
-    # With -benchmem the line ends "... X B/op Y allocs/op"; find Y.
-    allocs[n] = ""
-    for (i = 4; i <= NF; i++)
+    # With -benchmem the line ends "... X B/op Y allocs/op"; find X, Y.
+    allocs[n] = ""; bytes[n] = ""
+    for (i = 4; i <= NF; i++) {
       if ($i == "allocs/op") allocs[n] = $(i-1)
+      if ($i == "B/op") bytes[n] = $(i-1)
+    }
     n++
   }
   END {
@@ -34,6 +37,9 @@ awk -v out="$out" '
     printf "  },\n  \"allocs_per_op\": {\n" > out
     for (i = 0; i < n; i++)
       printf "    \"%s\": %s%s\n", names[i], (allocs[i] == "" ? "null" : allocs[i]), (i < n-1 ? "," : "") > out
+    printf "  },\n  \"bytes_per_op\": {\n" > out
+    for (i = 0; i < n; i++)
+      printf "    \"%s\": %s%s\n", names[i], (bytes[i] == "" ? "null" : bytes[i]), (i < n-1 ? "," : "") > out
     printf "  },\n" > out
     glog = 0; galloc = 0; gac = 0
     for (i = 0; i < n; i++) {
