@@ -22,9 +22,12 @@ type Allocator struct {
 	words    []uint64
 	capPages int64
 
-	// heads is the free-chunk-head bitmap: bit i is set iff page base+i
-	// heads a free chunk of some order, so range scans skip occupied
-	// pages a word at a time.
+	// heads is the free-chunk-head bitmap below MaxOrder: bit i is set
+	// iff page base+i heads a free chunk of an order below MaxOrder, so
+	// range scans skip occupied pages a word at a time. Max-order heads
+	// are only in byOrder[MaxOrder]: onlining a block pushes nothing but
+	// max-order chunks, 64 to a byOrder word, where a heads bit each
+	// would cost a cache line each. isFreeHead tests both.
 	heads []uint64
 
 	// byOrder[k] is the order-k head bitmap: bit i>>k is set iff page
@@ -39,9 +42,11 @@ type Allocator struct {
 
 	free int64 // pages currently free
 
-	// Region tracking (TrackRegions): regionPages is the region size in
-	// pages (0 = disabled) and regionFree[r] the free pages in region r.
-	regionPages int64
+	// Region tracking (TrackRegions): regionShift is log2 of the region
+	// size in pages (0 = disabled; TrackRegions requires a power of two
+	// of at least 2^MaxOrder), so region arithmetic is shifts and masks,
+	// and regionFree[r] is the free pages in region r.
+	regionShift uint
 	regionFree  []int64
 }
 
@@ -90,7 +95,9 @@ func (a *Allocator) layout(npages int64) {
 // stacks are truncated, and region tracking — if it was enabled —
 // survives at the same region size with cleared counters. All pages
 // start absent again, exactly as after New, so a reset allocator
-// behaves identically to a freshly constructed one.
+// behaves identically to a freshly constructed one. A sparse span's
+// reset costs O(stack entries), so resetting a span with nothing
+// allocated is the cheap way to withdraw all its memory at once.
 func (a *Allocator) Reset(base, npages int64) {
 	if npages <= 0 {
 		panic(fmt.Sprintf("buddy: non-positive span %d", npages))
@@ -113,7 +120,9 @@ func (a *Allocator) Reset(base, npages int64) {
 		if 2*entries <= int64(len(a.words)) {
 			for k, st := range a.stacks {
 				for _, i := range st {
-					a.heads[i/64] = 0
+					if k < MaxOrder {
+						a.heads[i/64] = 0
+					}
 					a.byOrder[k][i>>k/64] = 0
 				}
 			}
@@ -129,8 +138,8 @@ func (a *Allocator) Reset(base, npages int64) {
 		a.stacks[k] = a.stacks[k][:0]
 	}
 	a.free = 0
-	if rp := a.regionPages; rp != 0 {
-		regions := (npages + rp - 1) / rp
+	if sh := a.regionShift; sh != 0 {
+		regions := (npages + 1<<sh - 1) >> sh
 		if int64(cap(a.regionFree)) >= regions {
 			a.regionFree = a.regionFree[:regions]
 			clear(a.regionFree)
@@ -151,8 +160,8 @@ func (a *Allocator) TrackRegions(regionPages int64) {
 	if a.free != 0 {
 		panic("buddy: TrackRegions on a populated allocator")
 	}
-	a.regionPages = regionPages
-	a.regionFree = make([]int64, (a.npages+regionPages-1)/regionPages)
+	a.regionShift = uint(bits.TrailingZeros64(uint64(regionPages)))
+	a.regionFree = make([]int64, (a.npages+regionPages-1)>>a.regionShift)
 }
 
 // Base returns the first page frame number of the span.
@@ -176,8 +185,8 @@ func (a *Allocator) Contains(pfn int64) bool {
 // creditRegion adjusts the free counter of the region containing
 // relative page i.
 func (a *Allocator) creditRegion(i, delta int64) {
-	if a.regionPages != 0 {
-		a.regionFree[i/a.regionPages] += delta
+	if sh := a.regionShift; sh != 0 {
+		a.regionFree[i>>sh] += delta
 	}
 }
 
@@ -222,7 +231,7 @@ func (a *Allocator) Free(pfn int64, order int) {
 	if i&((1<<order)-1) != 0 {
 		panic(fmt.Sprintf("buddy: Free(%d, %d) misaligned", pfn, order))
 	}
-	if a.heads[i/64]&(1<<(i%64)) != 0 {
+	if a.isFreeHead(i) {
 		panic(fmt.Sprintf("buddy: double free of pfn %d", pfn))
 	}
 	a.creditRegion(i, 1<<order)
@@ -244,18 +253,33 @@ func (a *Allocator) Free(pfn int64, order int) {
 }
 
 // FreeRange onlines an arbitrary (not necessarily aligned or power-of-
-// two) range of pages, decomposing it into maximal aligned chunks.
+// two) range of pages, decomposing it into maximal aligned chunks and
+// freeing them in ascending order. A whole tracked region with no free
+// page (a block coming online) is freed in one pass: no chunk in it
+// can be a double free, and a max-order chunk never merges, so its
+// chunks are pushed directly and its counter credited once.
 func (a *Allocator) FreeRange(pfn, count int64) {
-	i := pfn
-	remaining := count
-	for remaining > 0 {
+	i := pfn - a.base
+	end := i + count
+	if i < 0 || end > a.npages {
+		panic(fmt.Sprintf("buddy: FreeRange(%d, %d) outside span [%d,%d)", pfn, count, a.base, a.base+a.npages))
+	}
+	for i < end {
+		if sh := a.regionShift; sh != 0 && i&(1<<sh-1) == 0 && i+1<<sh <= end && a.regionFree[i>>sh] == 0 {
+			for c := i; c < i+1<<sh; c += 1 << MaxOrder {
+				a.push(c, MaxOrder)
+			}
+			a.regionFree[i>>sh] = 1 << sh
+			a.free += 1 << sh
+			i += 1 << sh
+			continue
+		}
 		k := MaxOrder
-		for k > 0 && ((i-a.base)&((1<<k)-1) != 0 || int64(1)<<k > remaining) {
+		for k > 0 && (i&((1<<k)-1) != 0 || int64(1)<<k > end-i) {
 			k--
 		}
-		a.Free(i, k)
+		a.Free(a.base+i, k)
 		i += 1 << k
-		remaining -= 1 << k
 	}
 }
 
@@ -281,20 +305,26 @@ func (a *Allocator) IsolateRange(pfn, count int64) int64 {
 	// O(free chunks + words left uncovered), not O(pages).
 	var isolated int64
 	for i := start; i < end; {
-		if rp := a.regionPages; rp != 0 && i%rp == 0 && i+rp <= end && a.regionFree[i/rp] == 0 {
-			i += rp
+		if sh := a.regionShift; sh != 0 && i&(1<<sh-1) == 0 && i+1<<sh <= end && a.regionFree[i>>sh] == 0 {
+			i += 1 << sh
 			continue
 		}
-		word := a.heads[i/64] >> (i % 64)
-		if word == 0 {
-			i = (i/64 + 1) * 64
-			continue
+		// Every max-order boundary in the range is visited (the word
+		// skip stops at each, and no smaller chunk crosses one), so a
+		// max-order chunk, which heads does not mark, is found there.
+		k := MaxOrder
+		if i&(1<<MaxOrder-1) != 0 || !a.isHead(i, MaxOrder) {
+			word := a.heads[i/64] >> (i % 64)
+			if word == 0 {
+				i = (i/64 + 1) * 64
+				continue
+			}
+			i += int64(bits.TrailingZeros64(word))
+			if i >= end {
+				break
+			}
+			k = a.orderAt(i)
 		}
-		i += int64(bits.TrailingZeros64(word))
-		if i >= end {
-			break
-		}
-		k := a.orderAt(i)
 		sz := int64(1) << k
 		if i+sz > end {
 			panic(fmt.Sprintf("buddy: free chunk at %d order %d straddles isolation boundary", a.base+i, k))
@@ -327,9 +357,9 @@ func (a *Allocator) FreeInRange(pfn, count int64) int64 {
 	if end > a.npages {
 		end = a.npages
 	}
-	if rp := a.regionPages; rp != 0 && start%rp == 0 && (end%rp == 0 || end == a.npages) {
+	if sh := a.regionShift; sh != 0 && start&(1<<sh-1) == 0 && (end&(1<<sh-1) == 0 || end == a.npages) {
 		var n int64
-		for r := start / rp; r*rp < end; r++ {
+		for r := start >> sh; r<<sh < end; r++ {
 			n += a.regionFree[r]
 		}
 		return n
@@ -339,16 +369,20 @@ func (a *Allocator) FreeInRange(pfn, count int64) int64 {
 	// below start finds every chunk that can overlap the range.
 	var n int64
 	for i := start &^ ((1 << MaxOrder) - 1); i < end; {
-		word := a.heads[i/64] >> (i % 64)
-		if word == 0 {
-			i = (i/64 + 1) * 64
-			continue
+		k := MaxOrder // max-order heads are found at their boundary, as in IsolateRange
+		if i&(1<<MaxOrder-1) != 0 || !a.isHead(i, MaxOrder) {
+			word := a.heads[i/64] >> (i % 64)
+			if word == 0 {
+				i = (i/64 + 1) * 64
+				continue
+			}
+			i += int64(bits.TrailingZeros64(word))
+			if i >= end {
+				break
+			}
+			k = a.orderAt(i)
 		}
-		i += int64(bits.TrailingZeros64(word))
-		if i >= end {
-			break
-		}
-		sz := int64(1) << a.orderAt(i)
+		sz := int64(1) << k
 		lo, hi := i, i+sz
 		if lo < start {
 			lo = start
@@ -369,10 +403,7 @@ func (a *Allocator) FreeInRange(pfn, count int64) int64 {
 // pages, and absent pages all return ok=false.
 func (a *Allocator) FreeChunkAt(pfn int64) (order int, ok bool) {
 	i := pfn - a.base
-	if i < 0 || i >= a.npages {
-		return 0, false
-	}
-	if a.heads[i/64]&(1<<(i%64)) == 0 {
+	if i < 0 || i >= a.npages || !a.isFreeHead(i) {
 		return 0, false
 	}
 	return a.orderAt(i), true
@@ -462,6 +493,11 @@ func (a *Allocator) ShuffleFreeLists(order int, draw func(n int) int) {
 	}
 }
 
+// isFreeHead reports whether page i heads a free chunk of any order.
+func (a *Allocator) isFreeHead(i int64) bool {
+	return a.heads[i/64]&(1<<(i%64)) != 0 || i&(1<<MaxOrder-1) == 0 && a.isHead(i, MaxOrder)
+}
+
 // isHead reports whether page i heads a free order-k chunk.
 func (a *Allocator) isHead(i int64, k int) bool {
 	j := i >> k
@@ -492,7 +528,9 @@ func (a *Allocator) orderAt(i int64) int {
 
 func (a *Allocator) push(i int64, order int) {
 	a.setOrderBit(i, order, true)
-	a.heads[i/64] |= 1 << (i % 64)
+	if order < MaxOrder {
+		a.heads[i/64] |= 1 << (i % 64)
+	}
 	a.stacks[order] = append(a.stacks[order], i)
 }
 
@@ -500,7 +538,9 @@ func (a *Allocator) push(i int64, order int) {
 // bitmaps. Any stack entry for it goes stale.
 func (a *Allocator) clearHead(i int64, k int) {
 	a.setOrderBit(i, k, false)
-	a.heads[i/64] &^= 1 << (i % 64)
+	if k < MaxOrder {
+		a.heads[i/64] &^= 1 << (i % 64)
+	}
 }
 
 func (a *Allocator) pop(order int) (int64, bool) {
@@ -519,8 +559,9 @@ func (a *Allocator) pop(order int) (int64, bool) {
 }
 
 // CheckInvariants validates internal consistency — the bitmaps agree
-// (every order bit has its head bit, every head bit carries exactly one
-// order, no bit is set beyond the span, and the storage past the span's
+// (every order bit below MaxOrder has its head bit and no max-order bit
+// has one, every head bit carries exactly one order, no bit is set
+// beyond the span, and the storage past the span's
 // words is zero, as Reset's layout relies on), the free count matches
 // the chunks they record, no free chunk overlaps another or overruns
 // the span, every chunk has an entry in its order's stack (Reset's
@@ -549,8 +590,11 @@ func (a *Allocator) CheckInvariants() error {
 				if i >= a.npages {
 					return fmt.Errorf("order-%d bit set for page %d beyond the span", k, a.base+i)
 				}
-				if !headBit(i) {
+				if k < MaxOrder && !headBit(i) {
 					return fmt.Errorf("order-%d head %d missing from the head bitmap", k, a.base+i)
+				}
+				if k == MaxOrder && headBit(i) {
+					return fmt.Errorf("max-order head %d marked in the head bitmap", a.base+i)
 				}
 			}
 		}
@@ -583,7 +627,7 @@ func (a *Allocator) CheckInvariants() error {
 	regions := make([]int64, len(a.regionFree))
 	i := int64(0)
 	for i < a.npages {
-		if !headBit(i) {
+		if !a.isFreeHead(i) {
 			i++
 			continue
 		}
@@ -599,13 +643,13 @@ func (a *Allocator) CheckInvariants() error {
 			return fmt.Errorf("chunk at %d order %d not merged with its free buddy", a.base+i, k)
 		}
 		for j := i + 1; j < i+sz; j++ {
-			if headBit(j) {
+			if a.isFreeHead(j) {
 				return fmt.Errorf("nested chunk head at %d inside chunk at %d", a.base+j, a.base+i)
 			}
 		}
 		counted += sz
-		if a.regionPages != 0 {
-			regions[i/a.regionPages] += sz
+		if sh := a.regionShift; sh != 0 {
+			regions[i>>sh] += sz
 		}
 		i += sz
 	}

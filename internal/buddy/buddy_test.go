@@ -1320,3 +1320,20 @@ func TestMatchesByteMapReference(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFreeRangeOverFreeRegionPanics onlines a tracked region twice.
+// The second FreeRange must take the checked per-chunk path, because
+// the region already holds free pages, and panic on the double free
+// rather than push every chunk a second time.
+func TestFreeRangeOverFreeRegionPanics(t *testing.T) {
+	const region = 4 << MaxOrder
+	a := New(0, 2*region)
+	a.TrackRegions(region)
+	a.FreeRange(region, region)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("onlining a free region again did not panic")
+		}
+	}()
+	a.FreeRange(region, region)
+}

@@ -16,5 +16,10 @@
 //   - the partition_users reference counting across fork/exit;
 //   - the partition-aware unplug path that offlines empty partitions
 //     without touching a single page, and the allocator hot(un)plug-
-//     awareness that skips zeroing.
+//     awareness that skips zeroing. A partition's zone queues the
+//     frees of its instance's exit (mem.Zone.FreePage), and Unplug
+//     takes each free partition offline in one step
+//     (guestos.Kernel.OfflineZone): no coalescing, isolation scan or
+//     per-block emptiness check. It reports the request as issued, even
+//     when a fault window cuts how many partitions it attempts.
 package core

@@ -333,11 +333,15 @@ func (m *Manager) onExit(proc *guestos.Process) {
 
 // Unplug reclaims up to nParts free partitions instantly: their blocks
 // are guaranteed empty, so offlining involves zero migrations and zero
-// zeroing (Figure 4 step 6). onDone receives the result once the host
-// has madvise()d the frames away.
+// zeroing (Figure 4 step 6), and each partition's zone goes offline in
+// one step (guestos.Kernel.OfflineZone) rather than block by block.
+// onDone receives the result once the host has madvise()d the frames
+// away. RequestedBytes is the request as issued, even when a fault
+// window cuts how many partitions the command attempts.
 func (m *Manager) Unplug(nParts int, onDone func(UnplugResult)) {
 	m.enqueue(func() {
 		vm := m.K.VM
+		req := int64(nParts) * m.PartitionBlocks() * units.BlockSize
 		if m.Faults != nil {
 			if f := m.Faults.ReclaimFraction(); f < 1 {
 				// Partial command: the degraded device attempts only a
@@ -356,13 +360,8 @@ func (m *Manager) Unplug(nParts int, onDone func(UnplugResult)) {
 		}
 		var blocks int64
 		for _, p := range victims {
-			for i := 0; i < p.Zone.Blocks(); i++ {
-				if occ := p.Zone.IsolateBlock(i); occ != 0 {
-					panic(fmt.Sprintf("core: free partition %d block %d has %d occupied pages", p.ID, i, occ))
-				}
-				p.Zone.FinishOffline(i)
-				blocks++
-			}
+			m.K.OfflineZone(p.Zone)
+			blocks += int64(p.Zone.Blocks())
 			p.state = PartEmpty
 		}
 		exits := blocks
@@ -378,7 +377,6 @@ func (m *Manager) Unplug(nParts int, onDone func(UnplugResult)) {
 		}
 		vm.CountExit("squeezy-unplug", exits)
 		reclaimed := blocks * units.BlockSize
-		req := int64(nParts) * m.PartitionBlocks() * units.BlockSize
 		cmdStart := vm.Sched.Now()
 		vmm.RunChain(vm.Sched, steps, func(bd *stats.Breakdown, total sim.Duration) {
 			m.deliver(func() {

@@ -340,3 +340,50 @@ func TestBatchedExitsAblation(t *testing.T) {
 		t.Fatalf("batched %v not faster than unbatched %v", res2.Latency, unbatched)
 	}
 }
+
+// halfFaults is a fault window that cuts every unplug to half its
+// partitions and stalls nothing.
+type halfFaults struct{}
+
+func (halfFaults) ReclaimStall() sim.Duration { return 0 }
+func (halfFaults) ReclaimFraction() float64   { return 0.5 }
+
+func TestFaultedUnplugReportsRequestAsIssued(t *testing.T) {
+	m, _, s := newRig(t, 2, 256*units.MiB, 0, 0)
+	m.Plug(2, func(int) {})
+	s.Run()
+	m.Faults = halfFaults{}
+	var res UnplugResult
+	m.Unplug(2, func(r UnplugResult) { res = r })
+	s.Run()
+	if res.RequestedBytes != 2*256*units.MiB {
+		t.Fatalf("requested = %s, want the 2 partitions asked for", units.HumanBytes(res.RequestedBytes))
+	}
+	if res.ReclaimedBytes != 256*units.MiB {
+		t.Fatalf("reclaimed = %s, want the 1 partition the fault allows", units.HumanBytes(res.ReclaimedBytes))
+	}
+}
+
+func TestUnplugPanicsOnLiveChunkInFreePartition(t *testing.T) {
+	m, k, s := newRig(t, 1, 256*units.MiB, 0, 0)
+	m.Plug(1, func(int) {})
+	s.Run()
+	part := m.Partitions()[0]
+	// A process confined to the partition without Attach leaves it free
+	// (no partition_users) while its chunk lives in the zone.
+	stray := k.Spawn("stray")
+	stray.AssignedZone = part.Zone
+	if _, ok := k.TouchAnon(stray, 4*units.MiB, guestos.HugeOrder); !ok {
+		t.Fatal("touch failed")
+	}
+	if part.State() != PartFree {
+		t.Fatalf("partition state = %v, want free", part.State())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unplugging a partition with a live chunk did not panic")
+		}
+	}()
+	m.Unplug(1, func(UnplugResult) {})
+	s.Run()
+}

@@ -17,9 +17,18 @@
 // map is keyed by 128 MiB hotplug block (an unordered slice of indexes
 // per block, with each chunk recording its slot so add and remove are
 // O(1)), and zone occupancy questions resolve through the buddy
-// allocator's per-region free counters. A Recycler caches the flat
-// storage a kernel allocates (zone structs with their buddy head
-// bitmaps, bitmap words, chunk slabs, reverse-map buckets) so pooled
-// simulation worlds rebuild kernels without reallocating; a kernel
-// built from recycled arenas behaves identically to one built fresh.
+// allocator's per-region free counters. Each hotplug block also keeps
+// a count of its populated pages: markPopulated answers a full block
+// without touching the bitmap, and ReleaseRange skips blocks with
+// nothing populated, clears the
+// words of blocks it covers whole without counting them, and counts
+// bits only in a block it covers in part. OfflineZone takes a free
+// Squeezy partition offline in one step (mem.Zone.OfflineAll) after
+// checking that no live chunk is left in its blocks. A Recycler caches
+// the flat storage a kernel allocates (zone structs with their buddy
+// head bitmaps, bitmap words, per-block state, chunk slabs, reverse-map
+// buckets) so pooled simulation worlds rebuild kernels without
+// reallocating; a kernel built from recycled arenas behaves identically
+// to one built fresh. Config.HotplugBytes sizes that storage for the
+// zones a caller adds after boot.
 package guestos

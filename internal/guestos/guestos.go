@@ -20,7 +20,7 @@ const HugeOrder = 9
 // Chunk is one allocated physical extent (2^Order pages), owned by a
 // process's anonymous memory or a cached file's pages. Chunks live in
 // a per-kernel slab (Kernel.chunks) and are named by int32 index: the
-// owners' lists, the per-block reverse map (Kernel.chunksIn) and the
+// owners' lists, the per-block reverse map (hotplugBlock.chunks) and the
 // offline path all carry indexes, so allocating a chunk costs no heap
 // object and the slab holds nothing the garbage collector must scan.
 // Outside the package a chunk is reached through a generation-checked
@@ -121,28 +121,39 @@ type Kernel struct {
 	// through the free entries' slot fields (-1: empty).
 	chunks    []Chunk
 	freeChunk int32
-	// chunksIn is the reverse map: allocated chunks indexed by hotplug
-	// block (PFN / PagesPerBlock), so the offline path's range queries
-	// walk the handful of chunks in a block instead of probing a map
-	// once per page frame. Chunks are naturally aligned and at most
-	// 2^MaxOrder pages, so no chunk straddles a block boundary. Each
-	// block's slice is unordered; a chunk records its index (slot) so
-	// removal is an O(1) swap-remove with no hashing.
-	chunksIn [][]int32
-	files    map[string]*CachedFile
+	// blocks is the per-hotplug-block state, indexed by PFN /
+	// PagesPerBlock: the reverse map and the populated count.
+	blocks []hotplugBlock
+	files  map[string]*CachedFile
 
 	populated bitset // per-PFN: guest page backed by a host frame
 
 	recycle *Recycler // nil unless the kernel was built through one
 }
 
+// hotplugBlock is the kernel's state for one 128 MiB hotplug block.
+// Chunks are naturally aligned and at most 2^MaxOrder pages, so no
+// chunk straddles a block boundary.
+type hotplugBlock struct {
+	// chunks is the block's share of the reverse map: the allocated
+	// chunks whose pages lie in the block, so the offline path's range
+	// queries walk the handful of chunks in a block instead of probing a
+	// map once per page frame. The slice is unordered; a chunk records
+	// its index (slot) so removal is an O(1) swap-remove with no hashing.
+	chunks []int32
+	// populated counts the block's bits set in Kernel.populated, so
+	// ReleaseRange skips never-populated blocks and clears whole ones
+	// without counting bits.
+	populated int64
+}
+
 // Recycler caches the flat storage a guest kernel allocates — zone
 // structs with their buddy head bitmaps and region counters, the
-// populated bitmap's word array, the chunk slab, and the per-block
-// reverse-map buckets — so a worker simulating many worlds in sequence
-// reuses one arena set instead of reconstructing it per run. Pass it
-// via Config.Recycle and hand a dead kernel's storage back with
-// Kernel.Release.
+// populated bitmap's word array with the per-block state, the chunk
+// slab, and the per-block reverse-map buckets — so a worker simulating
+// many worlds in sequence reuses one arena set instead of
+// reconstructing it per run. Pass it via Config.Recycle and hand a dead
+// kernel's storage back with Kernel.Release.
 //
 // Reused storage is always reset to its freshly-constructed state
 // before it is handed out, so a kernel built from recycled arenas
@@ -150,9 +161,17 @@ type Kernel struct {
 // safe for concurrent use: each worker owns its own.
 type Recycler struct {
 	zones *mem.Pool
-	words [][]uint64
+	pages []pageState
 	slabs [][]Chunk
 	rmaps [][]int32
+}
+
+// pageState is a kernel's per-page and per-block storage: the populated
+// bitmap's words and the block states. They are recycled as a unit
+// because the blocks' populated counts say which words hold set bits.
+type pageState struct {
+	words  []uint64
+	blocks []hotplugBlock
 }
 
 // NewRecycler returns an empty recycler.
@@ -167,16 +186,25 @@ func (r *Recycler) zone(name string, kind mem.ZoneKind, start mem.PFN, npages in
 	return r.zones.Zone(name, kind, start, npages)
 }
 
-// takeWords hands out a recycled bitmap backing (length zero: grow
-// clears the words it appends, so stale content is harmless), the best
-// fit for need words.
-func (r *Recycler) takeWords(need int) []uint64 {
-	if r == nil || len(r.words) == 0 {
-		return nil
+// takePages hands out recycled page state, the best fit for a span of
+// need blocks, with both slices at length zero. The words are zero to
+// their capacity, so grow appends clean ones; only the words of blocks
+// the last kernel left populated are cleared here, since the rest were
+// never set or were cleared by ReleaseRange. addZone appends each
+// block's state afresh.
+func (r *Recycler) takePages(need int) (words []uint64, blocks []hotplugBlock) {
+	if r == nil || len(r.pages) == 0 {
+		return nil, nil
 	}
-	var w []uint64
-	w, r.words = mem.TakeBestFit(r.words, func(w []uint64) int64 { return int64(cap(w)) }, int64(need))
-	return w[:0]
+	var ps pageState
+	ps, r.pages = mem.TakeBestFit(r.pages, func(ps pageState) int64 { return int64(cap(ps.blocks)) }, int64(need))
+	const blockWords = int(units.PagesPerBlock / 64)
+	for b := range ps.blocks {
+		if ps.blocks[b].populated != 0 {
+			clear(ps.words[b*blockWords : (b+1)*blockWords])
+		}
+	}
+	return ps.words[:0], ps.blocks[:0]
 }
 
 // takeRmap hands out an empty reverse-map bucket (nil when none is
@@ -219,21 +247,22 @@ func (k *Kernel) Release() {
 	}
 	k.zones = nil
 	k.Normal, k.Movable, k.SharedZone = nil, nil, nil
-	if k.populated.words != nil {
-		r.words = append(r.words, k.populated.words)
-		k.populated.words = nil
-	}
 	if cap(k.chunks) > 0 {
 		r.slabs = append(r.slabs, k.chunks)
 	}
 	k.chunks, k.freeChunk = nil, -1 // every ChunkID of this kernel is now stale
-	for i, s := range k.chunksIn {
-		if s != nil {
+	for b := range k.blocks {
+		if s := k.blocks[b].chunks; s != nil {
 			r.rmaps = append(r.rmaps, s)
-			k.chunksIn[i] = nil
+			k.blocks[b].chunks = nil
 		}
 	}
-	k.chunksIn = nil
+	if cap(k.blocks) > 0 {
+		// Full length: takePages reads the populated counts to clear the
+		// words that hold bits.
+		r.pages = append(r.pages, pageState{words: k.populated.words, blocks: k.blocks})
+	}
+	k.populated.words, k.blocks = nil, nil
 	k.recycle = nil
 }
 
@@ -249,6 +278,11 @@ type Config struct {
 	// KernelResidentBytes is the boot footprint of the guest kernel and
 	// agent, allocated from Normal and populated in the host.
 	KernelResidentBytes int64
+	// HotplugBytes is the span of the zones the caller will add after
+	// boot with AddZone (Squeezy's partitions). It only sizes the
+	// per-page and per-block storage up front, so adding those zones
+	// does not regrow and copy it zone by zone.
+	HotplugBytes int64
 	// Recycle, when non-nil, supplies recycled arena storage (zone
 	// structs, buddy head bitmaps, bitmap words, chunk slabs,
 	// reverse-map buckets) harvested from kernels a previous simulation
@@ -276,7 +310,11 @@ func NewKernel(vm *vmm.VM, cfg Config) *Kernel {
 		chunks:    cfg.Recycle.takeSlab(),
 		freeChunk: -1,
 	}
-	k.populated.words = cfg.Recycle.takeWords(int(units.BytesToPages(bootBytes+movBytes)+63) / 64)
+	span := bootBytes + movBytes + units.AlignUp(cfg.HotplugBytes, units.BlockSize)
+	words, blocks := int(units.BytesToPages(span)+63)/64, int(units.BytesToBlocks(span))
+	k.populated.words, k.blocks = cfg.Recycle.takePages(blocks)
+	k.populated.words = slices.Grow(k.populated.words, words)
+	k.blocks = slices.Grow(k.blocks, blocks)
 	k.Normal = k.addZone("Normal", mem.ZoneNormal, bootBytes)
 	for i := 0; i < k.Normal.Blocks(); i++ {
 		k.Normal.OnlineBlock(i)
@@ -305,8 +343,8 @@ func (k *Kernel) addZone(name string, kind mem.ZoneKind, bytes int64) *mem.Zone 
 	k.nextPFN += pages
 	k.zones = append(k.zones, z)
 	k.populated.grow(k.nextPFN)
-	for int64(len(k.chunksIn)) < k.nextPFN/units.PagesPerBlock {
-		k.chunksIn = append(k.chunksIn, nil)
+	for int64(len(k.blocks)) < k.nextPFN/units.PagesPerBlock {
+		k.blocks = append(k.blocks, hotplugBlock{})
 	}
 	return z
 }
@@ -349,26 +387,24 @@ func (k *Kernel) dropChunk(i int32) {
 // addOwner registers chunk i in the per-block reverse map.
 func (k *Kernel) addOwner(i int32) {
 	c := &k.chunks[i]
-	b := c.PFN / units.PagesPerBlock
-	s := k.chunksIn[b]
-	if s == nil {
-		s = k.recycle.takeRmap()
+	blk := &k.blocks[c.PFN/units.PagesPerBlock]
+	if blk.chunks == nil {
+		blk.chunks = k.recycle.takeRmap()
 	}
-	c.slot = int32(len(s))
-	k.chunksIn[b] = append(s, i)
+	c.slot = int32(len(blk.chunks))
+	blk.chunks = append(blk.chunks, i)
 }
 
 // delOwner removes chunk i from the per-block reverse map, moving the
 // block's last chunk into its slot.
 func (k *Kernel) delOwner(i int32) {
 	c := &k.chunks[i]
-	b := c.PFN / units.PagesPerBlock
-	s := k.chunksIn[b]
-	last := len(s) - 1
-	moved := s[last]
-	s[c.slot] = moved
+	blk := &k.blocks[c.PFN/units.PagesPerBlock]
+	last := len(blk.chunks) - 1
+	moved := blk.chunks[last]
+	blk.chunks[c.slot] = moved
 	k.chunks[moved].slot = c.slot
-	k.chunksIn[b] = s[:last]
+	blk.chunks = blk.chunks[:last]
 }
 
 // chunk resolves a handle to its live slab entry, panicking on a stale
@@ -394,6 +430,21 @@ func (k *Kernel) zoneIndex(z *mem.Zone) int32 {
 // Its blocks start offline.
 func (k *Kernel) AddZone(name string, kind mem.ZoneKind, bytes int64) *mem.Zone {
 	return k.addZone(name, kind, bytes)
+}
+
+// OfflineZone offlines every block of z in one step (mem.Zone.
+// OfflineAll): Squeezy's unplug of a free partition, whose allocations
+// all died with their instance. It panics if a live chunk is still in
+// the reverse map of any of z's blocks, and, through OfflineAll, unless
+// every block is online and no page is allocated.
+func (k *Kernel) OfflineZone(z *mem.Zone) {
+	first := z.Start() / units.PagesPerBlock
+	for b := first; b < first+int64(z.Blocks()); b++ {
+		if n := len(k.blocks[b].chunks); n != 0 {
+			panic(fmt.Sprintf("guestos: offlining zone %q with %d live chunks in block %d", z.Name, n, b))
+		}
+	}
+	z.OfflineAll()
 }
 
 // Zones returns all registered zones in address order.
@@ -670,9 +721,17 @@ func (k *Kernel) DropFile(f *CachedFile) {
 
 // markPopulated sets the populated bit for each page of the chunk and
 // returns how many were newly populated (needing a nested fault). The
-// whole chunk is one bulk bitset update, not a per-page loop.
+// whole chunk is one bulk bitset update, not a per-page loop, and no
+// chunk straddles a block, so one block's count takes the fresh pages
+// (and a full block answers without touching the bitmap).
 func (k *Kernel) markPopulated(pfn mem.PFN, pages int64) int64 {
-	return k.populated.setRange(pfn, pages)
+	blk := &k.blocks[pfn/units.PagesPerBlock]
+	if blk.populated == units.PagesPerBlock {
+		return 0 // a full block: no bit to set, no word to load
+	}
+	fresh := k.populated.setRange(pfn, pages)
+	blk.populated += fresh
+	return fresh
 }
 
 // PopulatedInRange counts host-backed pages in [start, start+count).
@@ -681,9 +740,28 @@ func (k *Kernel) PopulatedInRange(start mem.PFN, count int64) int64 {
 }
 
 // ReleaseRange clears population state for an unplugged range and
-// returns the host frames released.
+// returns the host frames released. It goes block by block on the
+// per-block counts: a block with nothing populated is skipped, a block
+// the range covers whole has its words cleared without counting bits,
+// and only a block the range covers in part is cleared bit-range-wise.
 func (k *Kernel) ReleaseRange(start mem.PFN, count int64) int64 {
-	n := k.populated.clearRange(start, count)
+	var n int64
+	for end := start + count; start < end; {
+		b := start / units.PagesPerBlock
+		next := min((b+1)*units.PagesPerBlock, end)
+		switch blk := &k.blocks[b]; {
+		case blk.populated == 0:
+		case next-start == units.PagesPerBlock:
+			clear(k.populated.words[start/64 : next/64])
+			n += blk.populated
+			blk.populated = 0
+		default:
+			cleared := k.populated.clearRange(start, next-start)
+			blk.populated -= cleared
+			n += cleared
+		}
+		start = next
+	}
 	k.VM.ReleasePages(n)
 	return n
 }
@@ -698,9 +776,9 @@ func (k *Kernel) ReleaseRange(start mem.PFN, count int64) int64 {
 func (k *Kernel) ChunksInRange(buf []ChunkID, start mem.PFN, count int64) []ChunkID {
 	from := len(buf)
 	end := start + count
-	lastBlock := int64(len(k.chunksIn)) - 1
+	lastBlock := int64(len(k.blocks)) - 1
 	for b := start / units.PagesPerBlock; b <= lastBlock && b*units.PagesPerBlock < end; b++ {
-		for _, i := range k.chunksIn[b] {
+		for _, i := range k.blocks[b].chunks {
 			if c := &k.chunks[i]; c.PFN >= start && c.PFN < end {
 				buf = append(buf, ChunkID{idx: i, gen: c.gen})
 			}
@@ -845,8 +923,8 @@ func (k *Kernel) CheckInvariants() error {
 	}
 	var owned int64
 	var indexedChunks int
-	for b, s := range k.chunksIn {
-		for slot, i := range s {
+	for b := range k.blocks {
+		for slot, i := range k.blocks[b].chunks {
 			if i < 0 || int(i) >= len(k.chunks) || k.chunks[i].Order < 0 {
 				return fmt.Errorf("rmap block %d slot %d holds free or out-of-slab entry %d", b, slot, i)
 			}
@@ -873,7 +951,7 @@ func (k *Kernel) CheckInvariants() error {
 			return fmt.Errorf("owner holds free or out-of-slab chunk entry %d", i)
 		}
 		c := &k.chunks[i]
-		s := k.chunksIn[c.PFN/units.PagesPerBlock]
+		s := k.blocks[c.PFN/units.PagesPerBlock].chunks
 		if c.slot < 0 || int(c.slot) >= len(s) || s[c.slot] != i {
 			return fmt.Errorf("chunk %d (order %d) not at its rmap slot %d", c.PFN, c.Order, c.slot)
 		}
@@ -900,6 +978,11 @@ func (k *Kernel) CheckInvariants() error {
 	if owned != allocated {
 		return fmt.Errorf("rmap covers %d pages, zones report %d allocated", owned, allocated)
 	}
+	for b, blk := range k.blocks {
+		if want := k.populated.countRange(int64(b)*units.PagesPerBlock, units.PagesPerBlock); blk.populated != want {
+			return fmt.Errorf("block %d populated count %d != %d bits set", b, blk.populated, want)
+		}
+	}
 	return nil
 }
 
@@ -907,11 +990,12 @@ func (k *Kernel) CheckInvariants() error {
 
 type bitset struct{ words []uint64 }
 
+// grow extends the bitset to n bits. The words past its length must be
+// zero, as fresh storage and a Recycler's backings are, so the new
+// words need no clearing.
 func (b *bitset) grow(n int64) {
-	need := int((n + 63) / 64)
-	if old := len(b.words); need > old {
-		b.words = slices.Grow(b.words, need-old)[:need]
-		clear(b.words[old:])
+	if need := int((n + 63) / 64); need > len(b.words) {
+		b.words = slices.Grow(b.words, need-len(b.words))[:need]
 	}
 }
 

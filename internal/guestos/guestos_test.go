@@ -342,6 +342,48 @@ func TestReleaseRange(t *testing.T) {
 	}
 }
 
+// TestReleaseRangeByBlockCounts releases random ranges, unaligned and
+// spanning several blocks, of a partly populated span. Each release
+// must free exactly the pages the bitmap held in the range, and the
+// per-block populated counts must keep matching the bitmap
+// (CheckInvariants), through the skip, whole-block and partial paths
+// and through re-population by later touches.
+func TestReleaseRangeByBlockCounts(t *testing.T) {
+	k := newTestKernel(t, 4)
+	rng := rand.New(rand.NewPCG(5, 3))
+	start, _ := k.Movable.BlockRange(0)
+	span := k.Movable.Pages()
+	var procs []*Process
+	for round := 0; round < 40; round++ {
+		p := k.Spawn("toucher")
+		procs = append(procs, p)
+		k.TouchAnon(p, int64(rng.IntN(48)+1)*units.MiB, rng.IntN(HugeOrder+1))
+		if round%4 == 3 {
+			q := procs[rng.IntN(len(procs))]
+			if !q.Exited() {
+				k.Exit(q)
+			}
+		}
+		lo := start + rng.Int64N(span)
+		n := rng.Int64N(start+span-lo) + 1
+		if round%5 == 0 {
+			// Whole blocks, so the clear-without-counting path runs.
+			b := rng.Int64N(int64(k.Movable.Blocks()))
+			lo, n = start+b*units.PagesPerBlock, units.PagesPerBlock*(1+rng.Int64N(int64(k.Movable.Blocks())-b))
+		}
+		want := k.PopulatedInRange(lo, n)
+		if got := k.ReleaseRange(lo, n); got != want {
+			t.Fatalf("round %d: ReleaseRange(%d, %d) released %d, bitmap held %d", round, lo, n, got, want)
+		}
+		if left := k.PopulatedInRange(lo, n); left != 0 {
+			t.Fatalf("round %d: %d pages still populated after release", round, left)
+		}
+		if err := k.CheckInvariants(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+}
+
 func TestAllocatedPagesAccounting(t *testing.T) {
 	k := newTestKernel(t, 2)
 	base := k.AllocatedPages()
@@ -447,6 +489,35 @@ func TestBitsetRangeOpsMatchReference(t *testing.T) {
 
 // markPopulated must report exactly the newly backed pages when ranges
 // overlap — the bulk-update equivalent of the old page-at-a-time loop.
+// TestMarkPopulatedThroughFullBlock populates one block chunk by chunk
+// in random order: every chunk is fresh exactly once, however full the
+// block already is, until the full block answers 0 from its count. A
+// release empties it for the next round.
+func TestMarkPopulatedThroughFullBlock(t *testing.T) {
+	k := newTestKernel(t, 2)
+	start, count := k.Movable.BlockRange(1)
+	const chunk = 1 << HugeOrder
+	rng := rand.New(rand.NewPCG(2, 8))
+	for round := 0; round < 2; round++ {
+		order := rng.Perm(int(count / chunk))
+		for i, c := range order {
+			pfn := start + int64(c)*chunk
+			if fresh := k.markPopulated(pfn, chunk); fresh != chunk {
+				t.Fatalf("round %d: chunk %d of %d fresh = %d, want %d", round, i, len(order), fresh, chunk)
+			}
+			if again := k.markPopulated(pfn, chunk); again != 0 {
+				t.Fatalf("round %d: re-marking chunk %d fresh = %d", round, i, again)
+			}
+		}
+		if err := k.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if got := k.ReleaseRange(start, count); got != count {
+			t.Fatalf("round %d: released %d of a full block", round, got)
+		}
+	}
+}
+
 func TestMarkPopulatedBulkCounting(t *testing.T) {
 	k := newTestKernel(t, 4)
 	base := k.Movable.Start()
@@ -649,9 +720,9 @@ func TestReleaseIdempotent(t *testing.T) {
 	vm := vmm.New("vm", s, costmodel.Default(), hostmem.New(0), 4)
 	k := NewKernel(vm, Config{BootBytes: units.BlockSize, Recycle: rec})
 	k.Release()
-	before := len(rec.words)
+	before := len(rec.pages)
 	k.Release()
-	if len(rec.words) != before {
+	if len(rec.pages) != before {
 		t.Fatal("second Release retired the bitmap again")
 	}
 }
@@ -666,4 +737,31 @@ func TestChunkSlabHoldsNoPointers(t *testing.T) {
 			t.Errorf("Chunk.%s is a %v, not a number", f.Name, f.Type)
 		}
 	}
+}
+
+// TestOfflineZoneChecksReverseMap frees a live chunk behind the
+// kernel's back, so the zone counts nothing allocated while the reverse
+// map still holds the chunk. The one-step offline must refuse.
+func TestOfflineZoneChecksReverseMap(t *testing.T) {
+	k := newTestKernel(t, 0)
+	z := k.AddZone("part", mem.ZoneSqueezyPrivate, 2*units.BlockSize)
+	for i := 0; i < z.Blocks(); i++ {
+		z.OnlineBlock(i)
+	}
+	p := k.Spawn("inst")
+	p.AssignedZone = z
+	if _, ok := k.TouchAnon(p, 2*units.MiB, HugeOrder); !ok {
+		t.Fatal("touch failed")
+	}
+	c := k.chunks[p.anonChunks[0]]
+	z.FreePage(c.PFN, int(c.Order))
+	if z.NrAllocated() != 0 {
+		t.Fatalf("zone still counts %d allocated pages", z.NrAllocated())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("OfflineZone with a live chunk in the reverse map did not panic")
+		}
+	}()
+	k.OfflineZone(z)
 }

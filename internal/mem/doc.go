@@ -9,6 +9,16 @@
 // (their pages released to the buddy allocator) and offlined (isolated
 // and withdrawn) independently, exactly like memory_hotplug.c.
 //
+// A ZoneSqueezyPrivate zone defers its frees: FreePage checks the chunk
+// and queues it, and every other method that reads or changes the
+// allocator replays the queue first, in order, so a partition recycled
+// to a new instance sees exactly the state eager frees would have left
+// (NrFree and NrAllocated count queued pages without replaying). A
+// partition's allocations die with its instance, so the queue usually
+// never replays: OfflineAll drops it and resets the allocator, taking
+// every block offline in one step instead of isolating and checking
+// each, once nothing in the zone is allocated.
+//
 // Zones reset in place and recycle through a Pool keyed by geometry,
 // so pooled simulation worlds reuse one arena set — including the
 // buddy allocators' head bitmaps (about 3 bits per page), whose sparse

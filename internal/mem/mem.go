@@ -60,7 +60,19 @@ type Zone struct {
 	alloc       *buddy.Allocator
 	blockOnline []bool
 	onlinePages int64
+
+	// queued holds a ZoneSqueezyPrivate zone's deferred frees in call
+	// order (see FreePage); queuedPages totals their pages.
+	queued      []queuedFree
+	queuedPages int64
 }
+
+// queuedFree is one deferred FreePage packed into a word: the chunk's
+// first page frame above four bits of order (MaxOrder is 10).
+type queuedFree uint64
+
+func (f queuedFree) pfn() PFN   { return PFN(f >> 4) }
+func (f queuedFree) order() int { return int(f & 15) }
 
 // NewZone creates a zone spanning npages pages at start. Both must be
 // memory-block aligned (128 MiB) — the hotplug core refuses anything
@@ -89,9 +101,10 @@ func NewZone(name string, kind ZoneKind, start PFN, npages int64) *Zone {
 
 // Reset re-dimensions the zone in place: a new identity and span over
 // the same backing storage (buddy head bitmaps, region counters, block
-// flags), growing only when the new span is larger. All blocks start
-// offline again, exactly as after NewZone — the reset invariant the
-// world-pooling layer depends on.
+// flags, the deferred-free queue), growing only when the new span is
+// larger. All blocks start offline again and no free is queued, exactly
+// as after NewZone — the reset invariant the world-pooling layer
+// depends on.
 func (z *Zone) Reset(name string, kind ZoneKind, start PFN, npages int64) {
 	if npages <= 0 {
 		panic(fmt.Sprintf("mem: zone %q has non-positive span %d", name, npages))
@@ -112,13 +125,16 @@ func (z *Zone) Reset(name string, kind ZoneKind, start PFN, npages int64) {
 		z.blockOnline = make([]bool, blocks)
 	}
 	z.onlinePages = 0
+	z.queued = z.queued[:0]
+	z.queuedPages = 0
 }
 
 // Pool recycles Zone objects — and through them the buddy allocator's
 // head bitmaps and region counters, the dominant allocations of a large
-// guest kernel — across simulation runs. Retired zones are handed back
-// by Zone(), Reset to the requested identity. A nil *Pool is valid and
-// always constructs fresh zones, so pooling stays opt-in.
+// guest kernel, and the deferred-free queues — across simulation runs.
+// Retired zones are handed back by Zone(), Reset to the requested
+// identity. A nil *Pool is valid and always constructs fresh zones, so
+// pooling stays opt-in.
 //
 // Pool is not safe for concurrent use: each worker owns one.
 type Pool struct {
@@ -208,6 +224,20 @@ func (z *Zone) BlockOf(pfn PFN) int {
 // BlockIsOnline reports whether block i is online.
 func (z *Zone) BlockIsOnline(i int) bool { return z.blockOnline[i] }
 
+// allocator returns the zone's buddy allocator after replaying the
+// queued frees into it, in the order they were queued, so every caller
+// sees exactly the state eager frees would have left.
+func (z *Zone) allocator() *buddy.Allocator {
+	if len(z.queued) != 0 {
+		for _, f := range z.queued {
+			z.alloc.Free(f.pfn(), f.order())
+		}
+		z.queued = z.queued[:0]
+		z.queuedPages = 0
+	}
+	return z.alloc
+}
+
 // OnlineBlock adds block i's pages to the allocator (the "online" step
 // of hot-add). Onlining an online block panics.
 func (z *Zone) OnlineBlock(i int) {
@@ -215,7 +245,7 @@ func (z *Zone) OnlineBlock(i int) {
 		panic(fmt.Sprintf("mem: zone %q block %d already online", z.Name, i))
 	}
 	start, count := z.BlockRange(i)
-	z.alloc.FreeRange(start, count)
+	z.allocator().FreeRange(start, count)
 	z.blockOnline[i] = true
 	z.onlinePages += count
 }
@@ -229,7 +259,7 @@ func (z *Zone) IsolateBlock(i int) (occupied int64) {
 		panic(fmt.Sprintf("mem: zone %q block %d not online", z.Name, i))
 	}
 	start, count := z.BlockRange(i)
-	isolated := z.alloc.IsolateRange(start, count)
+	isolated := z.allocator().IsolateRange(start, count)
 	return count - isolated
 }
 
@@ -244,7 +274,7 @@ func (z *Zone) UndoIsolate(i int, occupiedThen int64) {
 	if occupiedThen != 0 {
 		panic("mem: UndoIsolate on partially occupied block is not supported; migrate instead")
 	}
-	z.alloc.FreeRange(start, count)
+	z.allocator().FreeRange(start, count)
 }
 
 // FinishOffline marks block i offline after all its pages have been
@@ -255,44 +285,97 @@ func (z *Zone) FinishOffline(i int) {
 		panic(fmt.Sprintf("mem: zone %q block %d not online", z.Name, i))
 	}
 	start, count := z.BlockRange(i)
-	if got := z.alloc.FreeInRange(start, count); got != 0 {
+	if got := z.allocator().FreeInRange(start, count); got != 0 {
 		panic(fmt.Sprintf("mem: offlining zone %q block %d with %d pages still in allocator", z.Name, i, got))
 	}
 	z.blockOnline[i] = false
 	z.onlinePages -= count
 }
 
+// OfflineAll offlines every block of the zone in one step. It is the
+// unplug of a free Squeezy partition: every page allocated in it has
+// been freed (NrAllocated is 0, the frees typically still queued), so
+// there is nothing to isolate, migrate or check block by block. The
+// queue is dropped and the allocator reset, whose sparse clear visits
+// only the stacked free-chunk heads. The zone ends in exactly the state
+// IsolateBlock and FinishOffline on each block would leave. It panics
+// unless every block is online and NrAllocated is 0.
+func (z *Zone) OfflineAll() {
+	for i, on := range z.blockOnline {
+		if !on {
+			panic(fmt.Sprintf("mem: offlining zone %q whole with block %d offline", z.Name, i))
+		}
+	}
+	if n := z.NrAllocated(); n != 0 {
+		panic(fmt.Sprintf("mem: offlining zone %q whole with %d pages allocated", z.Name, n))
+	}
+	z.queued = z.queued[:0]
+	z.queuedPages = 0
+	z.alloc.Reset(z.start, z.npages)
+	clear(z.blockOnline)
+	z.onlinePages = 0
+}
+
 // AllocPage allocates a 2^order-page chunk from the zone's online
 // memory.
-func (z *Zone) AllocPage(order int) (PFN, bool) { return z.alloc.Alloc(order) }
+func (z *Zone) AllocPage(order int) (PFN, bool) { return z.allocator().Alloc(order) }
 
 // FreePage returns a chunk previously handed out by AllocPage.
-func (z *Zone) FreePage(pfn PFN, order int) { z.alloc.Free(pfn, order) }
+//
+// On a ZoneSqueezyPrivate zone the free is only queued, after checking
+// its span and alignment. A partition's allocations die with its
+// instance, and the partition is usually unplugged whole (OfflineAll)
+// before anything allocates in it again, so coalescing each chunk back
+// into the buddy allocator would be wasted work. Every other method
+// that reads or changes the allocator replays the queue first, so a
+// partition recycled to a new instance sees exactly the eager state; a
+// double free panics at that replay, or at OfflineAll.
+func (z *Zone) FreePage(pfn PFN, order int) {
+	if z.Kind != ZoneSqueezyPrivate {
+		z.alloc.Free(pfn, order)
+		return
+	}
+	if order < 0 || order > buddy.MaxOrder {
+		panic(fmt.Sprintf("mem: zone %q FreePage(%d, %d): bad order", z.Name, pfn, order))
+	}
+	i := pfn - z.start
+	if i < 0 || i+1<<order > z.npages || i&(1<<order-1) != 0 {
+		panic(fmt.Sprintf("mem: zone %q FreePage(%d, %d) outside the span or misaligned", z.Name, pfn, order))
+	}
+	if cap(z.queued) == 0 {
+		// One entry per 2 MiB, the THP chunk a partition's instance
+		// allocates, so a zone (pooled zones keep it) allocates its queue
+		// once.
+		z.queued = make([]queuedFree, 0, z.npages>>9)
+	}
+	z.queued = append(z.queued, queuedFree(pfn)<<4|queuedFree(order))
+	z.queuedPages += 1 << order
+}
 
 // ShuffleFreeLists reorders the zone's free lists as if all its free
 // memory were reserved 2^order pages at a time and freed in the order
 // draw picks; see buddy.Allocator.ShuffleFreeLists.
 func (z *Zone) ShuffleFreeLists(order int, draw func(n int) int) {
-	z.alloc.ShuffleFreeLists(order, draw)
+	z.allocator().ShuffleFreeLists(order, draw)
 }
 
 // FreePageRange returns an arbitrary page range to the allocator,
 // decomposed into aligned chunks (used when aborting an offline).
-func (z *Zone) FreePageRange(pfn PFN, count int64) { z.alloc.FreeRange(pfn, count) }
+func (z *Zone) FreePageRange(pfn PFN, count int64) { z.allocator().FreeRange(pfn, count) }
 
 // NrOnline returns the number of online pages.
 func (z *Zone) NrOnline() int64 { return z.onlinePages }
 
-// NrFree returns the number of free pages.
-func (z *Zone) NrFree() int64 { return z.alloc.NrFree() }
+// NrFree returns the number of free pages, queued frees included.
+func (z *Zone) NrFree() int64 { return z.alloc.NrFree() + z.queuedPages }
 
 // NrAllocated returns the number of allocated (online, not free) pages.
-func (z *Zone) NrAllocated() int64 { return z.onlinePages - z.alloc.NrFree() }
+func (z *Zone) NrAllocated() int64 { return z.onlinePages - z.NrFree() }
 
 // FreeInBlock returns the number of free pages in block i.
 func (z *Zone) FreeInBlock(i int) int64 {
 	start, count := z.BlockRange(i)
-	return z.alloc.FreeInRange(start, count)
+	return z.allocator().FreeInRange(start, count)
 }
 
 // OccupiedInBlock returns the number of allocated pages in block i (0
@@ -317,11 +400,12 @@ func (z *Zone) OnlineBlocks() []int {
 }
 
 // FreeChunkAt reports whether pfn heads a free chunk, and its order.
-func (z *Zone) FreeChunkAt(pfn PFN) (order int, ok bool) { return z.alloc.FreeChunkAt(pfn) }
+func (z *Zone) FreeChunkAt(pfn PFN) (order int, ok bool) { return z.allocator().FreeChunkAt(pfn) }
 
-// CheckInvariants validates zone-level accounting; O(span), for tests.
+// CheckInvariants validates zone-level accounting after replaying the
+// queued frees; O(span), for tests.
 func (z *Zone) CheckInvariants() error {
-	if err := z.alloc.CheckInvariants(); err != nil {
+	if err := z.allocator().CheckInvariants(); err != nil {
 		return fmt.Errorf("zone %q: %w", z.Name, err)
 	}
 	var online int64

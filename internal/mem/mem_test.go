@@ -274,16 +274,24 @@ func replaysTwin(t *testing.T, z *Zone) {
 }
 
 // TestZoneResetEquivalence runs the same allocation program on a fresh
-// zone and on a pooled zone reset from a different identity, and
-// requires identical chunk placement.
+// zone and on a pooled zone reset from a different identity, retired
+// with frees still queued, and requires identical chunk placement.
 func TestZoneResetEquivalence(t *testing.T) {
 	pool := NewPool()
 	dirty := pool.Zone("b", ZoneSqueezyPrivate, 0, 8*units.PagesPerBlock)
 	for i := 0; i < dirty.Blocks(); i++ {
 		dirty.OnlineBlock(i)
 	}
+	var held []PFN
 	for i := 0; i < 100; i++ {
-		dirty.AllocPage(i % 9)
+		pfn, _ := dirty.AllocPage(i % 9)
+		held = append(held, pfn)
+	}
+	for i := 0; i < 100; i += 2 {
+		dirty.FreePage(held[i], i%9) // queued: a private zone defers frees
+	}
+	if len(dirty.queued) == 0 {
+		t.Fatal("the retired zone has no queued free")
 	}
 	pool.Retire(dirty)
 	reused := pool.Zone("a", ZoneMovable, units.PagesPerBlock, 4*units.PagesPerBlock)
@@ -341,4 +349,189 @@ func TestNilPoolConstructsFresh(t *testing.T) {
 		t.Fatal("nil pool did not construct a fresh zone")
 	}
 	p.Retire(z) // must not panic
+}
+
+// TestDeferredFreesMatchEagerZone drives a ZoneSqueezyPrivate zone,
+// whose frees are queued, and a ZoneMovable reference of the same span,
+// whose frees reach the buddy allocator at once, with one seeded
+// sequence: block onlining, allocations at random orders, frees of
+// random live chunks, instance exits that free them all, shuffles, and
+// whole-zone offlines (one step on the
+// private zone, per-block isolate and finish on the reference). Every
+// allocation must land on the same page frame, and the cheap counters
+// must agree after every step. The state queries that replay the queue
+// run only every few steps, so frees stay queued across allocations,
+// shuffles and onlining in between.
+func TestDeferredFreesMatchEagerZone(t *testing.T) {
+	const blocks = 2
+	span := int64(blocks) * units.PagesPerBlock
+	for seed := uint64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 17))
+		priv := NewZone("priv", ZoneSqueezyPrivate, units.PagesPerBlock, span)
+		ref := NewZone("ref", ZoneMovable, units.PagesPerBlock, span)
+		type chunk struct {
+			pfn   PFN
+			order int
+		}
+		var live []chunk
+		queuedMax := 0
+		allOnline := func() bool {
+			for i := 0; i < blocks; i++ {
+				if !ref.BlockIsOnline(i) {
+					return false
+				}
+			}
+			return true
+		}
+		for step := 0; step < 3000; step++ {
+			switch r := rng.IntN(100); {
+			case r < 4 && !allOnline():
+				i := rng.IntN(blocks)
+				for ref.BlockIsOnline(i) {
+					i = (i + 1) % blocks
+				}
+				priv.OnlineBlock(i)
+				ref.OnlineBlock(i)
+			case r < 6:
+				s := rng.Uint64()
+				order := rng.IntN(11)
+				priv.ShuffleFreeLists(order, rand.New(rand.NewPCG(s, 1)).IntN)
+				ref.ShuffleFreeLists(order, rand.New(rand.NewPCG(s, 1)).IntN)
+			case r < 8 && allOnline():
+				if len(live) == 0 {
+					priv.OfflineAll()
+					for i := 0; i < blocks; i++ {
+						if occ := ref.IsolateBlock(i); occ != 0 {
+							t.Fatalf("seed %d step %d: reference block %d has %d occupied pages", seed, step, i, occ)
+						}
+						ref.FinishOffline(i)
+					}
+					break
+				}
+				// Live chunks: the one-step offline must refuse and
+				// leave the zone as it was.
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("seed %d step %d: OfflineAll with %d live chunks did not panic", seed, step, len(live))
+						}
+					}()
+					priv.OfflineAll()
+				}()
+			case r < 10:
+				// An instance exit: every live chunk freed, in random order.
+				rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+				for _, c := range live {
+					priv.FreePage(c.pfn, c.order)
+					ref.FreePage(c.pfn, c.order)
+				}
+				live = live[:0]
+			case r < 50 && len(live) > 0:
+				j := rng.IntN(len(live))
+				c := live[j]
+				live[j] = live[len(live)-1]
+				live = live[:len(live)-1]
+				priv.FreePage(c.pfn, c.order)
+				ref.FreePage(c.pfn, c.order)
+			default:
+				order := thpOrder
+				if rng.IntN(3) == 0 {
+					order = rng.IntN(11)
+				}
+				got, gotOK := priv.AllocPage(order)
+				want, wantOK := ref.AllocPage(order)
+				if got != want || gotOK != wantOK {
+					t.Fatalf("seed %d step %d: AllocPage(%d) = %d,%v, eager zone %d,%v", seed, step, order, got, gotOK, want, wantOK)
+				}
+				if gotOK {
+					live = append(live, chunk{got, order})
+				}
+			}
+			queuedMax = max(queuedMax, len(priv.queued))
+			if priv.NrFree() != ref.NrFree() || priv.NrAllocated() != ref.NrAllocated() || priv.NrOnline() != ref.NrOnline() {
+				t.Fatalf("seed %d step %d: free/allocated/online %d/%d/%d, eager zone %d/%d/%d", seed, step,
+					priv.NrFree(), priv.NrAllocated(), priv.NrOnline(), ref.NrFree(), ref.NrAllocated(), ref.NrOnline())
+			}
+			if rng.IntN(40) != 0 {
+				continue
+			}
+			for i := 0; i < blocks; i++ {
+				if got, want := priv.FreeInBlock(i), ref.FreeInBlock(i); got != want {
+					t.Fatalf("seed %d step %d: block %d free %d, eager zone %d", seed, step, i, got, want)
+				}
+			}
+			for pfn := priv.Start(); pfn < priv.Start()+span; pfn++ {
+				o1, ok1 := priv.FreeChunkAt(pfn)
+				o2, ok2 := ref.FreeChunkAt(pfn)
+				if o1 != o2 || ok1 != ok2 {
+					t.Fatalf("seed %d step %d: FreeChunkAt(%d) = %d,%v, eager zone %d,%v", seed, step, pfn, o1, ok1, o2, ok2)
+				}
+			}
+			if err := priv.CheckInvariants(); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+		}
+		if queuedMax < 20 {
+			t.Fatalf("seed %d: at most %d frees were ever queued; the sequence does not exercise the queue", seed, queuedMax)
+		}
+	}
+}
+
+// thpOrder is the order of a 2 MiB THP chunk, which the Squeezy
+// workloads allocate at.
+const thpOrder = 9
+
+// TestQueuedDoubleFreePanics frees one chunk of a private partition
+// twice, with its buddy allocated so the first free cannot coalesce.
+// Queuing cannot tell, but the replay before the next allocation must
+// panic, and so must a one-step offline once the buddy is freed too,
+// since the allocated count then goes negative.
+func TestQueuedDoubleFreePanics(t *testing.T) {
+	for name, next := range map[string]func(z *Zone, buddy PFN){
+		"replay":  func(z *Zone, _ PFN) { z.AllocPage(0) },
+		"offline": func(z *Zone, b PFN) { z.FreePage(b, thpOrder); z.OfflineAll() },
+	} {
+		t.Run(name, func(t *testing.T) {
+			z := NewZone("p", ZoneSqueezyPrivate, 0, units.PagesPerBlock)
+			z.OnlineBlock(0)
+			a, _ := z.AllocPage(thpOrder)
+			b, _ := z.AllocPage(thpOrder)
+			if a^b != 1<<thpOrder {
+				t.Fatalf("chunks %d and %d are not buddies", a, b)
+			}
+			z.FreePage(a, thpOrder)
+			z.FreePage(a, thpOrder)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("double free of %d did not panic at the %s", a, name)
+				}
+			}()
+			next(z, b)
+		})
+	}
+}
+
+// TestFreePageChecksQueuedChunk: a private zone queues frees without
+// the allocator's span and alignment checks, so FreePage makes them.
+func TestFreePageChecksQueuedChunk(t *testing.T) {
+	z := NewZone("p", ZoneSqueezyPrivate, units.PagesPerBlock, units.PagesPerBlock)
+	z.OnlineBlock(0)
+	for name, c := range map[string]struct {
+		pfn   PFN
+		order int
+	}{
+		"below the span": {0, 0},
+		"past the span":  {2*units.PagesPerBlock - 1, 1},
+		"misaligned":     {units.PagesPerBlock + 1, 1},
+		"bad order":      {units.PagesPerBlock, 11},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("FreePage %s (%d, %d) did not panic", name, c.pfn, c.order)
+				}
+			}()
+			z.FreePage(c.pfn, c.order)
+		}()
+	}
 }

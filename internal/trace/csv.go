@@ -4,6 +4,9 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"maps"
+	"math"
+	"slices"
 	"strconv"
 
 	"squeezy/internal/sim"
@@ -124,9 +127,13 @@ func (cc *countCursor) Next() (TaggedInvocation, bool) {
 	return TaggedInvocation{}, false
 }
 
+// maxCountMinute is the last minute a count row may name: every
+// invocation of minute m falls before (m+1) minutes, which must fit in
+// a sim.Time.
+const maxCountMinute = math.MaxInt64/int64(sim.Minute) - 1
+
 func openCounts(cr *csv.Reader, hasFunc bool) (*CSVStream, error) {
 	perFunc := map[int][]countRow{}
-	maxFn := -1
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -149,17 +156,20 @@ func openCounts(cr *csv.Reader, hasFunc bool) (*CSVStream, error) {
 		if err1 != nil || err2 != nil || minute < 0 || count < 0 {
 			return nil, fmt.Errorf("trace: malformed count row %q", rec)
 		}
+		if int64(minute) > maxCountMinute {
+			return nil, fmt.Errorf("trace: count row %q: minute past %d overflows the clock", rec, maxCountMinute)
+		}
 		if n := len(perFunc[fn]); n > 0 && perFunc[fn][n-1].minute >= minute {
 			return nil, fmt.Errorf("trace: count rows for func %d not sorted by minute", fn)
 		}
 		perFunc[fn] = append(perFunc[fn], countRow{minute, count})
-		if fn > maxFn {
-			maxFn = fn
-		}
 	}
-	srcs := make([]Stream, maxFn+1)
-	for fn := 0; fn <= maxFn; fn++ {
-		srcs[fn] = &countCursor{fn: fn, rows: perFunc[fn]}
+	// One cursor per function present, in ascending id order: sparse ids
+	// cost nothing, and since NewMerged breaks time ties by Func, the
+	// merged order is the same as with a cursor for every id.
+	srcs := make([]Stream, 0, len(perFunc))
+	for _, fn := range slices.Sorted(maps.Keys(perFunc)) {
+		srcs = append(srcs, &countCursor{fn: fn, rows: perFunc[fn]})
 	}
 	return &CSVStream{src: NewMerged(srcs)}, nil
 }

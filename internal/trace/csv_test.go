@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -105,4 +108,76 @@ func TestCSVErrors(t *testing.T) {
 	if _, err := OpenCSV(strings.NewReader("func,minute,invocations\n0,1,2\n0,1,3\n")); err == nil {
 		t.Fatal("duplicate count minute accepted")
 	}
+}
+
+// TestCSVCountsSparseFuncIDs: the counts layout builds cursors only for
+// the function ids present, so a lone huge id costs nothing, and ids
+// with gaps between them merge in the same (time, func) order.
+func TestCSVCountsSparseFuncIDs(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cs, err := OpenCSV(strings.NewReader("func,minute,invocations\n1000000000000,0,2\n7,0,1\n"))
+	if err != nil {
+		t.Fatalf("OpenCSV: %v", err)
+	}
+	got := drain(cs)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("opening a 2-function trace allocated %d bytes", grew)
+	}
+	half, third := sim.Time(sim.Minute/2), sim.Time(sim.Minute/3)
+	want := []TaggedInvocation{{T: third, Func: 1000000000000}, {T: half, Func: 7}, {T: 2 * third, Func: 1000000000000}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("expanded %+v, want %+v", got, want)
+	}
+}
+
+// TestCSVCountsRejectsOverflowingMinute: a minute whose invocations
+// would fall past the largest sim.Time is an error, not a stream of
+// negative times; the last minute that fits is accepted.
+func TestCSVCountsRejectsOverflowingMinute(t *testing.T) {
+	for _, m := range []int64{maxCountMinute + 1, 1 << 40} {
+		in := fmt.Sprintf("minute,invocations\n%d,3\n", m)
+		if _, err := OpenCSV(strings.NewReader(in)); err == nil {
+			t.Fatalf("minute %d accepted", m)
+		}
+	}
+	cs, err := OpenCSV(strings.NewReader(fmt.Sprintf("minute,invocations\n%d,3\n", maxCountMinute)))
+	if err != nil {
+		t.Fatalf("last representable minute rejected: %v", err)
+	}
+	for _, inv := range drain(cs) {
+		if inv.T < sim.Time(maxCountMinute)*sim.Time(sim.Minute) {
+			t.Fatalf("invocation at %d wrapped below its minute", inv.T)
+		}
+	}
+}
+
+// FuzzOpenCSV feeds arbitrary bytes to OpenCSV in both layouts (the
+// seed corpus under testdata/fuzz covers each). Whatever the input, it
+// must not panic, and every invocation it yields before the stream
+// ends or errors must be at a non-negative time and in (T, Func) order.
+// Only the first invocations are drained, since a count row can expand
+// into billions.
+func FuzzOpenCSV(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cs, err := OpenCSV(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var last TaggedInvocation
+		for i := 0; i < 4096; i++ {
+			inv, ok := cs.Next()
+			if !ok {
+				break
+			}
+			if inv.T < 0 {
+				t.Fatalf("invocation %d at negative time %d", i, inv.T)
+			}
+			if i > 0 && (inv.T < last.T || inv.T == last.T && inv.Func < last.Func) {
+				t.Fatalf("invocation %d %+v after %+v", i, inv, last)
+			}
+			last = inv
+		}
+	})
 }
