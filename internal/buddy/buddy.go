@@ -309,21 +309,12 @@ func (a *Allocator) IsolateRange(pfn, count int64) int64 {
 			i += 1 << sh
 			continue
 		}
-		// Every max-order boundary in the range is visited (the word
-		// skip stops at each, and no smaller chunk crosses one), so a
-		// max-order chunk, which heads does not mark, is found there.
-		k := MaxOrder
-		if i&(1<<MaxOrder-1) != 0 || !a.isHead(i, MaxOrder) {
-			word := a.heads[i/64] >> (i % 64)
-			if word == 0 {
-				i = (i/64 + 1) * 64
-				continue
-			}
-			i += int64(bits.TrailingZeros64(word))
-			if i >= end {
-				break
-			}
-			k = a.orderAt(i)
+		var k int
+		if i, k = a.nextHead(i); k < 0 {
+			continue
+		}
+		if i >= end {
+			break
 		}
 		sz := int64(1) << k
 		if i+sz > end {
@@ -369,18 +360,12 @@ func (a *Allocator) FreeInRange(pfn, count int64) int64 {
 	// below start finds every chunk that can overlap the range.
 	var n int64
 	for i := start &^ ((1 << MaxOrder) - 1); i < end; {
-		k := MaxOrder // max-order heads are found at their boundary, as in IsolateRange
-		if i&(1<<MaxOrder-1) != 0 || !a.isHead(i, MaxOrder) {
-			word := a.heads[i/64] >> (i % 64)
-			if word == 0 {
-				i = (i/64 + 1) * 64
-				continue
-			}
-			i += int64(bits.TrailingZeros64(word))
-			if i >= end {
-				break
-			}
-			k = a.orderAt(i)
+		var k int
+		if i, k = a.nextHead(i); k < 0 {
+			continue
+		}
+		if i >= end {
+			break
 		}
 		sz := int64(1) << k
 		lo, hi := i, i+sz
@@ -491,6 +476,25 @@ func (a *Allocator) ShuffleFreeLists(order int, draw func(n int) int) {
 			a.stacks[c.order] = append(a.stacks[c.order], c.head)
 		}
 	}
+}
+
+// nextHead is one step of a range scan from page i. It returns i and
+// MaxOrder when a max-order chunk heads there; else the first head of
+// a smaller chunk in the rest of i's heads word, with its order; else
+// the start of the next word and -1. Max-order heads are not in heads,
+// but every max-order boundary starts a word and no smaller chunk
+// crosses one, so a scan that steps through nextHead tests each
+// boundary it passes.
+func (a *Allocator) nextHead(i int64) (int64, int) {
+	if i&(1<<MaxOrder-1) == 0 && a.isHead(i, MaxOrder) {
+		return i, MaxOrder
+	}
+	word := a.heads[i/64] >> (i % 64)
+	if word == 0 {
+		return (i/64 + 1) * 64, -1
+	}
+	i += int64(bits.TrailingZeros64(word))
+	return i, a.orderAt(i)
 }
 
 // isFreeHead reports whether page i heads a free chunk of any order.

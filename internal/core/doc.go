@@ -22,4 +22,6 @@
 //     (guestos.Kernel.OfflineZone): no coalescing, isolation scan or
 //     per-block emptiness check. It reports the request as issued, even
 //     when a fault window cuts how many partitions it attempts.
+//     NewManager reserves the kernel's per-page storage for all the
+//     partitions (guestos.Kernel.ReserveZones) before adding them.
 package core

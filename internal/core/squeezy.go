@@ -132,6 +132,8 @@ func NewManager(k *guestos.Kernel, cfg Config) *Manager {
 	}
 	m := &Manager{K: k, Cfg: cfg, byZone: make(map[*mem.Zone]*Partition)}
 	partBytes := units.AlignUp(cfg.PartitionBytes, units.BlockSize)
+	shBytes := units.AlignUp(max(cfg.SharedBytes, 0), units.BlockSize)
+	k.ReserveZones(int64(cfg.Concurrency)*partBytes + shBytes)
 	for i := 0; i < cfg.Concurrency; i++ {
 		z := k.AddZone(fmt.Sprintf("squeezy%d", i), mem.ZoneSqueezyPrivate, partBytes)
 		p := &Partition{ID: i, Zone: z, state: PartEmpty}
@@ -139,7 +141,6 @@ func NewManager(k *guestos.Kernel, cfg Config) *Manager {
 		m.byZone[z] = p
 	}
 	if cfg.SharedBytes > 0 {
-		shBytes := units.AlignUp(cfg.SharedBytes, units.BlockSize)
 		m.Shared = k.AddZone("squeezy-shared", mem.ZoneSqueezyShared, shBytes)
 		if !k.VM.Commit(units.BytesToPages(shBytes)) {
 			panic("core: host cannot back the shared partition")

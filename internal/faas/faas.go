@@ -412,7 +412,6 @@ func newFuncVM(rec *Recycler, sched *sim.Scheduler, host *hostmem.Host, cost *co
 			BootBytes:           bootBytes,
 			MovableBytes:        0,
 			KernelResidentBytes: cfg.Fn.GuestOSBytes,
-			HotplugBytes:        int64(cfg.N)*units.AlignUp(instBytes, units.BlockSize) + units.AlignUp(sharedBytes, units.BlockSize),
 			Recycle:             cfg.Recycle,
 		})
 		fv.sq = core.NewManager(fv.K, core.Config{

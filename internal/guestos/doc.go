@@ -29,6 +29,7 @@
 // head bitmaps, bitmap words, per-block state, chunk slabs, reverse-map
 // buckets) so pooled simulation worlds rebuild kernels without
 // reallocating; a kernel built from recycled arenas behaves identically
-// to one built fresh. Config.HotplugBytes sizes that storage for the
-// zones a caller adds after boot.
+// to one built fresh. ReserveZones sizes a kernel's per-page and
+// per-block storage for zones about to be added, so a caller adding
+// many (Squeezy's partitions) does not regrow it zone by zone.
 package guestos

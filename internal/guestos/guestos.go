@@ -278,11 +278,6 @@ type Config struct {
 	// KernelResidentBytes is the boot footprint of the guest kernel and
 	// agent, allocated from Normal and populated in the host.
 	KernelResidentBytes int64
-	// HotplugBytes is the span of the zones the caller will add after
-	// boot with AddZone (Squeezy's partitions). It only sizes the
-	// per-page and per-block storage up front, so adding those zones
-	// does not regrow and copy it zone by zone.
-	HotplugBytes int64
 	// Recycle, when non-nil, supplies recycled arena storage (zone
 	// structs, buddy head bitmaps, bitmap words, chunk slabs,
 	// reverse-map buckets) harvested from kernels a previous simulation
@@ -310,11 +305,7 @@ func NewKernel(vm *vmm.VM, cfg Config) *Kernel {
 		chunks:    cfg.Recycle.takeSlab(),
 		freeChunk: -1,
 	}
-	span := bootBytes + movBytes + units.AlignUp(cfg.HotplugBytes, units.BlockSize)
-	words, blocks := int(units.BytesToPages(span)+63)/64, int(units.BytesToBlocks(span))
-	k.populated.words, k.blocks = cfg.Recycle.takePages(blocks)
-	k.populated.words = slices.Grow(k.populated.words, words)
-	k.blocks = slices.Grow(k.blocks, blocks)
+	k.populated.words, k.blocks = cfg.Recycle.takePages(int(units.BytesToBlocks(bootBytes + movBytes)))
 	k.Normal = k.addZone("Normal", mem.ZoneNormal, bootBytes)
 	for i := 0; i < k.Normal.Blocks(); i++ {
 		k.Normal.OnlineBlock(i)
@@ -430,6 +421,19 @@ func (k *Kernel) zoneIndex(z *mem.Zone) int32 {
 // Its blocks start offline.
 func (k *Kernel) AddZone(name string, kind mem.ZoneKind, bytes int64) *mem.Zone {
 	return k.addZone(name, kind, bytes)
+}
+
+// ReserveZones sizes the kernel's per-page and per-block storage for
+// zones spanning bytes that the caller is about to add with AddZone, so
+// adding them one by one does not regrow and copy it.
+func (k *Kernel) ReserveZones(bytes int64) {
+	end := k.nextPFN + units.BytesToPages(bytes)
+	if n := int((end+63)/64) - len(k.populated.words); n > 0 {
+		k.populated.words = slices.Grow(k.populated.words, n)
+	}
+	if n := int(end/units.PagesPerBlock) - len(k.blocks); n > 0 {
+		k.blocks = slices.Grow(k.blocks, n)
+	}
 }
 
 // OfflineZone offlines every block of z in one step (mem.Zone.

@@ -1,6 +1,7 @@
 package guestos
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -487,8 +488,6 @@ func TestBitsetRangeOpsMatchReference(t *testing.T) {
 	}
 }
 
-// markPopulated must report exactly the newly backed pages when ranges
-// overlap — the bulk-update equivalent of the old page-at-a-time loop.
 // TestMarkPopulatedThroughFullBlock populates one block chunk by chunk
 // in random order: every chunk is fresh exactly once, however full the
 // block already is, until the full block answers 0 from its count. A
@@ -518,6 +517,8 @@ func TestMarkPopulatedThroughFullBlock(t *testing.T) {
 	}
 }
 
+// markPopulated must report exactly the newly backed pages when ranges
+// overlap — the bulk-update equivalent of the old page-at-a-time loop.
 func TestMarkPopulatedBulkCounting(t *testing.T) {
 	k := newTestKernel(t, 4)
 	base := k.Movable.Start()
@@ -761,6 +762,62 @@ func TestOfflineZoneChecksReverseMap(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("OfflineZone with a live chunk in the reverse map did not panic")
+		}
+	}()
+	k.OfflineZone(z)
+}
+
+// TestReserveZonesSizesStorage adds the zones a ReserveZones call
+// covered: neither the populated bitmap nor the block states may
+// regrow, and both must reach the new span.
+func TestReserveZonesSizesStorage(t *testing.T) {
+	k := newTestKernel(t, 0)
+	k.ReserveZones(40 * units.BlockSize)
+	words, blocks := cap(k.populated.words), cap(k.blocks)
+	for i := 0; i < 8; i++ {
+		k.AddZone(fmt.Sprintf("part%d", i), mem.ZoneSqueezyPrivate, 4*units.BlockSize)
+	}
+	k.AddZone("shared", mem.ZoneSqueezyShared, 8*units.BlockSize)
+	if cap(k.populated.words) != words || cap(k.blocks) != blocks {
+		t.Fatalf("storage regrew: words cap %d -> %d, blocks cap %d -> %d",
+			words, cap(k.populated.words), blocks, cap(k.blocks))
+	}
+	if got, want := int64(len(k.blocks)), k.nextPFN/units.PagesPerBlock; got != want {
+		t.Fatalf("%d block states for %d blocks", got, want)
+	}
+	if got, want := int64(len(k.populated.words)), (k.nextPFN+63)/64; got != want {
+		t.Fatalf("%d bitmap words for %d pages", got, k.nextPFN)
+	}
+	if err := k.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOfflineZoneCatchesBalancedDoubleFree frees one instance's chunk
+// twice while another instance's chunk of the same size stays live. The
+// zone's page count balances to nothing allocated, so only the reverse
+// map shows the live chunk, and the one-step offline must refuse.
+func TestOfflineZoneCatchesBalancedDoubleFree(t *testing.T) {
+	k := newTestKernel(t, 0)
+	z := k.AddZone("part", mem.ZoneSqueezyPrivate, units.BlockSize)
+	z.OnlineBlock(0)
+	var procs [2]*Process
+	for i := range procs {
+		procs[i] = k.Spawn("inst")
+		procs[i].AssignedZone = z
+		if _, ok := k.TouchAnon(procs[i], 2*units.MiB, HugeOrder); !ok {
+			t.Fatal("touch failed")
+		}
+	}
+	freed := k.chunks[procs[0].anonChunks[0]]
+	k.Exit(procs[0])
+	z.FreePage(freed.PFN, int(freed.Order))
+	if z.NrAllocated() != 0 {
+		t.Fatalf("zone still counts %d allocated pages", z.NrAllocated())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("OfflineZone after a balanced double free did not panic")
 		}
 	}()
 	k.OfflineZone(z)

@@ -17,7 +17,9 @@
 // partition's allocations die with its instance, so the queue usually
 // never replays: OfflineAll drops it and resets the allocator, taking
 // every block offline in one step instead of isolating and checking
-// each, once nothing in the zone is allocated.
+// each, once nothing in the zone is allocated. Since it does not
+// replay, it cannot see a double free that a live chunk of the same
+// size balances; its caller proves the zone holds no live chunk first.
 //
 // Zones reset in place and recycle through a Pool keyed by geometry,
 // so pooled simulation worlds reuse one arena set — including the

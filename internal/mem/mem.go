@@ -300,6 +300,12 @@ func (z *Zone) FinishOffline(i int) {
 // only the stacked free-chunk heads. The zone ends in exactly the state
 // IsolateBlock and FinishOffline on each block would leave. It panics
 // unless every block is online and NrAllocated is 0.
+//
+// The caller must have proved that nothing in the zone is live, as
+// guestos.Kernel.OfflineZone does through its reverse map. NrAllocated
+// counts pages, not chunks: a chunk freed twice while another chunk of
+// the same size is still allocated leaves it at 0, and OfflineAll then
+// drops the live chunk with the queue instead of panicking.
 func (z *Zone) OfflineAll() {
 	for i, on := range z.blockOnline {
 		if !on {
@@ -328,8 +334,11 @@ func (z *Zone) AllocPage(order int) (PFN, bool) { return z.allocator().Alloc(ord
 // before anything allocates in it again, so coalescing each chunk back
 // into the buddy allocator would be wasted work. Every other method
 // that reads or changes the allocator replays the queue first, so a
-// partition recycled to a new instance sees exactly the eager state; a
-// double free panics at that replay, or at OfflineAll.
+// partition recycled to a new instance sees exactly the eager state,
+// and a double free panics at that replay. OfflineAll does not replay:
+// it catches a double free only when the pages freed exceed the pages
+// allocated, and a caller must check for live chunks first (see
+// OfflineAll).
 func (z *Zone) FreePage(pfn PFN, order int) {
 	if z.Kind != ZoneSqueezyPrivate {
 		z.alloc.Free(pfn, order)

@@ -485,7 +485,10 @@ const thpOrder = 9
 // twice, with its buddy allocated so the first free cannot coalesce.
 // Queuing cannot tell, but the replay before the next allocation must
 // panic, and so must a one-step offline once the buddy is freed too,
-// since the allocated count then goes negative.
+// since the allocated count then goes negative. A double free that a
+// live chunk balances leaves that count at 0, so OfflineAll cannot see
+// it; guestos's TestOfflineZoneCatchesBalancedDoubleFree checks that
+// Kernel.OfflineZone, the caller that proves the zone empty, refuses it.
 func TestQueuedDoubleFreePanics(t *testing.T) {
 	for name, next := range map[string]func(z *Zone, buddy PFN){
 		"replay":  func(z *Zone, _ PFN) { z.AllocPage(0) },
