@@ -21,7 +21,7 @@ func TestWarmInvokeAllocatesNothing(t *testing.T) {
 	for _, kind := range []faas.BackendKind{faas.VirtioMem, faas.Squeezy} {
 		t.Run(kind.String(), func(t *testing.T) {
 			cost := costmodel.Default()
-			c := NewSharded(cost, Config{
+			c := New(cost, Config{
 				Hosts: 2, Backend: kind, N: 2, KeepAlive: 10 * sim.Second,
 				Sketch: &stats.SketchConfig{K: 64, Seed: 1},
 			}, NewPolicy("least-loaded", cost))

@@ -40,7 +40,7 @@ func fleetEvents(churn []trace.ChurnEvent) []FleetEvent {
 // churnTable extends the metrics fingerprint with the fleet-dynamics
 // outcome: churn counters, final fleet shape, and the phase-split
 // latency numbers.
-func churnTable(c *ShardedCluster) string {
+func churnTable(c *Cluster) string {
 	base := metricsTable(c)
 	m := &c.Metrics
 	s := fmt.Sprintf("%s joins=%d fails=%d drains=%d repl=%d warmlost=%d nodes=%d active=%d live=%d",
@@ -86,7 +86,7 @@ func churnRun(seed uint64, shards int, exec func([]func())) (uint64, string) {
 	const hosts = 4
 	dur := 25 * sim.Second
 	cost := costmodel.Default()
-	c := NewSharded(cost, Config{
+	c := New(cost, Config{
 		Hosts: hosts, HostMemBytes: 18 * units.GiB, Backend: faas.Squeezy,
 		N: 4, KeepAlive: 20 * sim.Second,
 		PhaseBounds: []sim.Time{sim.Time(dur / 2)},
@@ -144,7 +144,7 @@ func TestAutoscaleShardInvariance(t *testing.T) {
 	run := func(shards int, exec func([]func())) (uint64, string, int) {
 		dur := 25 * sim.Second
 		cost := costmodel.Default()
-		c := NewSharded(cost, Config{
+		c := New(cost, Config{
 			Hosts: 2, HostMemBytes: 12 * units.GiB, Backend: faas.Squeezy,
 			N: 4, KeepAlive: 20 * sim.Second,
 		}, NewPolicy("reclaim-aware", cost))
@@ -341,7 +341,7 @@ func TestFailLastWarmHost(t *testing.T) {
 // boundary. LongHaul outlives the 5 s grace period by construction.
 func TestDrainDeadlineReplacesExactlyOnce(t *testing.T) {
 	cost := costmodel.Default()
-	c := NewSharded(cost, Config{
+	c := New(cost, Config{
 		Hosts: 2, Backend: faas.Squeezy, N: 2, KeepAlive: 30 * sim.Second,
 	}, NewPolicy("round-robin", cost))
 	c.Exec = goExec
@@ -457,17 +457,17 @@ func TestResetClearsChurnState(t *testing.T) {
 	cost := costmodel.Default()
 	cfg := Config{Hosts: 3, HostMemBytes: 24 * units.GiB, Backend: faas.Squeezy, N: 4,
 		KeepAlive: 30 * sim.Second}
-	replay := func(c *ShardedCluster) (uint64, string) {
+	replay := func(c *Cluster) (uint64, string) {
 		c.Play(fleetInvs(3, 8, 30*sim.Second, 4, 24), PlayConfig{
 			TickEvery: sim.Second, TickUntil: sim.Time(30 * sim.Second),
 			DrainUntil: sim.Time(300 * sim.Second),
 		})
 		return c.Fired(), churnTable(c)
 	}
-	fresh := NewSharded(cost, cfg, NewPolicy("reclaim-aware", cost))
+	fresh := New(cost, cfg, NewPolicy("reclaim-aware", cost))
 	wantFired, wantTable := replay(fresh)
 
-	churned := NewSharded(cost, cfg, NewPolicy("reclaim-aware", cost))
+	churned := New(cost, cfg, NewPolicy("reclaim-aware", cost))
 	churned.Play(fleetInvs(5, 8, 20*sim.Second, 4, 24), PlayConfig{
 		TickEvery: sim.Second, TickUntil: sim.Time(20 * sim.Second),
 		DrainUntil: sim.Time(100 * sim.Second),

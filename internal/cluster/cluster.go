@@ -16,7 +16,7 @@ import (
 )
 
 // Config sizes a fleet. The zero value of optional fields selects
-// sensible defaults (see NewSharded).
+// sensible defaults (see New).
 type Config struct {
 	// Hosts is the number of simulated hosts.
 	Hosts int
@@ -341,9 +341,9 @@ type Metrics struct {
 	Populated stats.TimeSeries
 }
 
-// ShardedCluster is a fleet of hosts behind one dispatcher, executed
+// Cluster is a fleet of hosts behind one dispatcher, executed
 // as per-host sub-simulations: every host runs on its own scheduler,
-// and the epoch engine (shard.go) advances all hosts in lockstep to
+// and the epoch engine (epoch.go) advances all hosts in lockstep to
 // each dispatcher boundary — an invocation to route or a fleet-wide
 // memory sample — merging the hosts back into one deterministic
 // timeline at every boundary.
@@ -356,7 +356,7 @@ type Metrics struct {
 // order, and breaks every tie by host ID, so a fleet run is a pure
 // function of its traces and seed — at any shard count, on any worker
 // pool, byte-identical to the serial single-shard run.
-type ShardedCluster struct {
+type Cluster struct {
 	Cost   *costmodel.Model
 	Cfg    Config
 	Policy Policy
@@ -418,7 +418,7 @@ type ShardedCluster struct {
 	obsT     *obs.Trace
 	fleetObs *obs.Recorder
 
-	// Epoch-engine state (shard.go).
+	// Epoch-engine state (epoch.go).
 	shardsWanted int             // requested drain shard count
 	shardWalls   []time.Duration // wall-clock per drain shard this run
 
@@ -458,11 +458,11 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// NewSharded builds a fleet of cfg.Hosts identical hosts, each on its
+// New builds a fleet of cfg.Hosts identical hosts, each on its
 // own scheduler with its own recycler, with placement delegated to
 // policy.
-func NewSharded(cost *costmodel.Model, cfg Config, policy Policy) *ShardedCluster {
-	c := &ShardedCluster{
+func New(cost *costmodel.Model, cfg Config, policy Policy) *Cluster {
+	c := &Cluster{
 		Cost: cost, Cfg: cfg.withDefaults(), Policy: policy,
 		Metrics: Metrics{
 			ColdLatMs: &stats.Sample{}, WarmLatMs: &stats.Sample{}, MemWaitMs: &stats.Sample{},
@@ -501,7 +501,7 @@ func (m *Metrics) applySketch(cfg *stats.SketchConfig) {
 }
 
 // newNode builds one host under the cluster's current config.
-func (c *ShardedCluster) newNode(id int) *Node {
+func (c *Cluster) newNode(id int) *Node {
 	topo := c.Cfg.Topology
 	sched := sim.NewScheduler()
 	host := hostmem.New(topo.HostMem(id, c.Cfg.HostMemBytes))
@@ -528,7 +528,7 @@ func (c *ShardedCluster) newNode(id int) *Node {
 // run's guest kernels, vmm.VMs, and agent shells are harvested into
 // the per-host recyclers. A reset cluster replays a run identically
 // to a freshly constructed one.
-func (c *ShardedCluster) Reset(cost *costmodel.Model, cfg Config, policy Policy) {
+func (c *Cluster) Reset(cost *costmodel.Model, cfg Config, policy Policy) {
 	c.Release()
 	c.Cost = cost
 	c.Cfg = cfg.withDefaults()
@@ -607,7 +607,7 @@ func (c *ShardedCluster) Reset(cost *costmodel.Model, cfg Config, policy Policy)
 // Release harvests every node's guest kernels, vmm.VMs, and FuncVM
 // shells into its per-host recycler. The fleet's VMs must not be used
 // afterwards; Reset calls it before rebuilding.
-func (c *ShardedCluster) Release() {
+func (c *Cluster) Release() {
 	for _, n := range c.Nodes {
 		n.RT.Release()
 	}
@@ -615,15 +615,15 @@ func (c *ShardedCluster) Release() {
 
 // Now returns the dispatcher clock: the epoch boundary the fleet last
 // advanced to.
-func (c *ShardedCluster) Now() sim.Time { return c.now }
+func (c *Cluster) Now() sim.Time { return c.now }
 
 // AttachObs enables tracing into t: the fleet track records dispatcher
 // decisions on the dispatcher clock, and every host (including ones
 // that join later) gets a host track on its private scheduler. Call
-// right after NewSharded/Reset, before the run; nil detaches. The
+// right after New/Reset, before the run; nil detaches. The
 // recorders only observe — no call site reads them back — so an
 // attached trace provably never perturbs the simulation.
-func (c *ShardedCluster) AttachObs(t *obs.Trace) {
+func (c *Cluster) AttachObs(t *obs.Trace) {
 	c.obsT = t
 	if t == nil {
 		c.fleetObs = nil
@@ -642,7 +642,7 @@ func (c *ShardedCluster) AttachObs(t *obs.Trace) {
 // attachNodeObs binds host n to its track in the attached trace (no-op
 // when tracing is off). Runs serially: at attach time or at a join
 // boundary.
-func (c *ShardedCluster) attachNodeObs(n *Node) {
+func (c *Cluster) attachNodeObs(n *Node) {
 	if c.obsT == nil {
 		return
 	}
@@ -662,7 +662,7 @@ func (c *ShardedCluster) attachNodeObs(n *Node) {
 // dispatcher clock (AdvanceTo/Drain establish this). The routing
 // decision reads fleet-wide state; the routed request's consequences
 // are host-local events that play out when the hosts advance again.
-func (c *ShardedCluster) Invoke(fn *workload.Function, onDone func(faas.Result)) {
+func (c *Cluster) Invoke(fn *workload.Function, onDone func(faas.Result)) {
 	c.Metrics.Invocations++
 	if c.fleetObs != nil {
 		c.fleetObs.Count("invocations", 1)
@@ -682,7 +682,7 @@ func (c *ShardedCluster) Invoke(fn *workload.Function, onDone func(faas.Result))
 // active hosts only: a fresh one from Invoke (fl nil; its flight record
 // comes from the serving host's pool) or a flight re-placed after a
 // host failure. It runs serially at an epoch boundary.
-func (c *ShardedCluster) route(fn *workload.Function, arrival sim.Time, onDone func(faas.Result), fl *flight) {
+func (c *Cluster) route(fn *workload.Function, arrival sim.Time, onDone func(faas.Result), fl *flight) {
 	tier, serving, fv := c.chooseVM(fn, nil)
 	if fv == nil {
 		// No host can even boot a VM for fn: admission-drop rather than
@@ -716,7 +716,7 @@ func (c *ShardedCluster) route(fn *workload.Function, arrival sim.Time, onDone f
 // hosts — the resilience layer excludes hosts already racing an
 // attempt of the same invocation; a nil excl reproduces the plain
 // routing decision exactly.
-func (c *ShardedCluster) chooseVM(fn *workload.Function, excl func(*Node) bool) (string, *Node, *faas.FuncVM) {
+func (c *Cluster) chooseVM(fn *workload.Function, excl func(*Node) bool) (string, *Node, *faas.FuncVM) {
 	tier := "warm"
 	target := c.warmNode(fn, excl)
 	if target == nil {
@@ -742,7 +742,7 @@ func (c *ShardedCluster) chooseVM(fn *workload.Function, excl func(*Node) bool) 
 
 // eligible returns the placement-eligible hosts under the exclusion
 // predicate; with none it is the active list itself (no allocation).
-func (c *ShardedCluster) eligible(excl func(*Node) bool) []*Node {
+func (c *Cluster) eligible(excl func(*Node) bool) []*Node {
 	if excl == nil {
 		return c.active
 	}
@@ -760,7 +760,7 @@ func (c *ShardedCluster) eligible(excl func(*Node) bool) []*Node {
 // ties to the lowest ID — or nil when no host has one. Warm routing is
 // policy-independent on purpose: policies compete on cold placement,
 // not on rediscovering instance affinity.
-func (c *ShardedCluster) warmNode(fn *workload.Function, excl func(*Node) bool) *Node {
+func (c *Cluster) warmNode(fn *workload.Function, excl func(*Node) bool) *Node {
 	var best *Node
 	bestIdle := 0
 	for _, n := range c.active {
@@ -780,7 +780,7 @@ func (c *ShardedCluster) warmNode(fn *workload.Function, excl func(*Node) bool) 
 
 // nodesWithSlack returns hosts whose existing VM for fn has spare
 // concurrency, in host order. The slice is valid until the next call.
-func (c *ShardedCluster) nodesWithSlack(fn *workload.Function, excl func(*Node) bool) []*Node {
+func (c *Cluster) nodesWithSlack(fn *workload.Function, excl func(*Node) bool) []*Node {
 	out := c.slack[:0]
 	for _, n := range c.active {
 		if excl != nil && excl(n) {
@@ -796,7 +796,7 @@ func (c *ShardedCluster) nodesWithSlack(fn *workload.Function, excl func(*Node) 
 
 // vmOn returns the host's VM for fn, booting one if the host can back
 // its boot footprint. It returns nil when the host is too full to boot.
-func (c *ShardedCluster) vmOn(n *Node, fn *workload.Function) *faas.FuncVM {
+func (c *Cluster) vmOn(n *Node, fn *workload.Function) *faas.FuncVM {
 	if fv := n.vms[fn.Name]; fv != nil {
 		return fv
 	}
@@ -828,7 +828,7 @@ func (c *ShardedCluster) vmOn(n *Node, fn *workload.Function) *faas.FuncVM {
 // the least-backlogged host that already runs fn, else boot on the host
 // with the most free memory that can. Returns nils when the whole fleet
 // is too full.
-func (c *ShardedCluster) fallbackVM(fn *workload.Function, excl func(*Node) bool) (*Node, *faas.FuncVM) {
+func (c *Cluster) fallbackVM(fn *workload.Function, excl func(*Node) bool) (*Node, *faas.FuncVM) {
 	var existing *faas.FuncVM
 	var existingNode *Node
 	bestQueue := 0
@@ -954,7 +954,7 @@ func (n *Node) removeFlight(fl *flight) {
 // so the merged view is identical at every shard count. Call it after
 // the run (or after any Drain) — merging while hosts are advancing
 // would race the completion callbacks.
-func (c *ShardedCluster) Stats() *Metrics {
+func (c *Cluster) Stats() *Metrics {
 	m := &c.Metrics
 	m.ColdStarts, m.WarmStarts, m.Dropped, m.Failed = 0, 0, 0, 0
 	m.ColdLatMs.Reset()
@@ -983,7 +983,7 @@ func (c *ShardedCluster) Stats() *Metrics {
 // SampleMemory appends one fleet-wide committed/populated point (GiB)
 // at the dispatcher clock, over the live hosts (a dead host's memory
 // no longer exists). Call at an epoch boundary only.
-func (c *ShardedCluster) SampleMemory() {
+func (c *Cluster) SampleMemory() {
 	var committed, populated int64
 	for _, n := range c.live {
 		committed += n.Host.CommittedPages()
@@ -1017,7 +1017,7 @@ func (c *ShardedCluster) SampleMemory() {
 // capacity, but heterogeneous topologies make that product wrong — the
 // autoscaler, the shed signal, and the hedge gate all divide by this
 // sum. Zero means unlimited (some host has no capacity bound).
-func (c *ShardedCluster) activeCapacityPages() int64 {
+func (c *Cluster) activeCapacityPages() int64 {
 	var total int64
 	for _, n := range c.active {
 		cp := n.Host.CapacityPages()
@@ -1032,7 +1032,7 @@ func (c *ShardedCluster) activeCapacityPages() int64 {
 // MemoryEfficiency returns the time-averaged fraction of committed host
 // memory the guests actually use (populated/committed over the sampled
 // window) — the fleet-scale version of Figure 1's idle-memory gap.
-func (c *ShardedCluster) MemoryEfficiency() float64 {
+func (c *Cluster) MemoryEfficiency() float64 {
 	ci := c.Metrics.Committed.Integral()
 	if ci <= 0 {
 		return 0
@@ -1042,10 +1042,10 @@ func (c *ShardedCluster) MemoryEfficiency() float64 {
 
 // CommittedGiBs returns the fleet's committed-memory time integral
 // (GiB·s), the cost metric of Figure 10 at fleet scale.
-func (c *ShardedCluster) CommittedGiBs() float64 { return c.Metrics.Committed.Integral() }
+func (c *Cluster) CommittedGiBs() float64 { return c.Metrics.Committed.Integral() }
 
 // Evictions sums instance evictions across the fleet.
-func (c *ShardedCluster) Evictions() int {
+func (c *Cluster) Evictions() int {
 	total := 0
 	for _, n := range c.Nodes {
 		for _, fv := range n.vmOrder {
@@ -1058,7 +1058,7 @@ func (c *ShardedCluster) Evictions() int {
 // Fired sums fired events across every host scheduler — the per-host
 // analogue of a shared scheduler's Fired count, used by determinism
 // tests to pin down the exact event schedule.
-func (c *ShardedCluster) Fired() uint64 {
+func (c *Cluster) Fired() uint64 {
 	var total uint64
 	for _, n := range c.Nodes {
 		total += n.Sched.Fired()
@@ -1067,7 +1067,7 @@ func (c *ShardedCluster) Fired() uint64 {
 }
 
 // VMCount returns the number of VMs booted across the fleet.
-func (c *ShardedCluster) VMCount() int {
+func (c *Cluster) VMCount() int {
 	total := 0
 	for _, n := range c.Nodes {
 		total += len(n.vmOrder)

@@ -12,16 +12,16 @@ import (
 	"squeezy/internal/workload"
 )
 
-func newTestCluster(hosts int, hostMem int64, kind faas.BackendKind, policy string) *ShardedCluster {
+func newTestCluster(hosts int, hostMem int64, kind faas.BackendKind, policy string) *Cluster {
 	cost := costmodel.Default()
-	return NewSharded(cost, Config{
+	return New(cost, Config{
 		Hosts: hosts, HostMemBytes: hostMem, Backend: kind, N: 4,
 		KeepAlive: 30 * sim.Second,
 	}, NewPolicy(policy, cost))
 }
 
 // drainFor runs every host d further and parks the dispatcher there.
-func drainFor(c *ShardedCluster, d sim.Duration) { c.Drain(c.Now().Add(d)) }
+func drainFor(c *Cluster, d sim.Duration) { c.Drain(c.Now().Add(d)) }
 
 func TestWarmAffinityReusesInstance(t *testing.T) {
 	c := newTestCluster(2, 0, faas.Squeezy, "round-robin")
@@ -173,7 +173,7 @@ func fleetInvs(seed uint64, funcs int, duration sim.Duration, baseRPS, burstRPS 
 }
 
 // metricsTable flattens the run's outcome into a comparable string.
-func metricsTable(c *ShardedCluster) string {
+func metricsTable(c *Cluster) string {
 	m := c.Stats()
 	return fmt.Sprintf("inv=%d cold=%d warm=%d drop=%d evict=%d p50=%.6f p99=%.6f memwait=%.6f eff=%.6f gibs=%.6f",
 		m.Invocations, m.ColdStarts, m.WarmStarts,
@@ -212,7 +212,7 @@ func TestFleetDeterminism(t *testing.T) {
 func TestFullRunDeterministicFiredAndTables(t *testing.T) {
 	run := func() (uint64, string) {
 		cost := costmodel.Default()
-		c := NewSharded(cost, Config{
+		c := New(cost, Config{
 			Hosts: 2, HostMemBytes: 24 * units.GiB, Backend: faas.Squeezy,
 			N: 4, KeepAlive: 20 * sim.Second,
 		}, NewPolicy("reclaim-aware", cost))
@@ -242,7 +242,7 @@ func TestFullRunDeterministicFiredAndTables(t *testing.T) {
 // including the recycled kernels, vmm.VMs, and FuncVM shells the
 // per-host recyclers now hand back.
 func TestResetReplaysIdentically(t *testing.T) {
-	replay := func(c *ShardedCluster) (uint64, string) {
+	replay := func(c *Cluster) (uint64, string) {
 		c.Play(fleetInvs(3, 8, 30*sim.Second, 4, 24), PlayConfig{
 			TickEvery: sim.Second, TickUntil: sim.Time(30 * sim.Second),
 			DrainUntil: sim.Time(300 * sim.Second),
@@ -254,11 +254,11 @@ func TestResetReplaysIdentically(t *testing.T) {
 	cfg := Config{Hosts: 3, HostMemBytes: 24 * units.GiB, Backend: faas.Squeezy, N: 4,
 		KeepAlive: 30 * sim.Second}
 
-	fresh := NewSharded(cost, cfg, NewPolicy("reclaim-aware", cost))
+	fresh := New(cost, cfg, NewPolicy("reclaim-aware", cost))
 	wantFired, wantTable := replay(fresh)
 
 	// A reused cluster: run a different fleet shape first, then reset.
-	reused := NewSharded(cost, Config{
+	reused := New(cost, Config{
 		Hosts: 5, HostMemBytes: 16 * units.GiB, Backend: faas.VirtioMem, N: 8,
 	}, NewPolicy("round-robin", cost))
 	replay(reused)
@@ -276,7 +276,7 @@ func TestResetReplaysIdentically(t *testing.T) {
 func TestResetHarvestsKernels(t *testing.T) {
 	cost := costmodel.Default()
 	cfg := Config{Hosts: 2, Backend: faas.Squeezy, N: 4, KeepAlive: 10 * sim.Second}
-	c := NewSharded(cost, cfg, NewPolicy("round-robin", cost))
+	c := New(cost, cfg, NewPolicy("round-robin", cost))
 	c.Invoke(workload.ByName("HTML"), nil)
 	drainFor(c, sim.Minute)
 	if c.VMCount() == 0 {

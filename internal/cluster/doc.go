@@ -2,7 +2,7 @@
 // and, since PR 5, executes that fleet as per-host sub-simulations
 // merged deterministically at dispatcher epochs.
 //
-// A ShardedCluster is N simulated hosts, each with its own
+// A Cluster is N simulated hosts, each with its own
 // sim.Scheduler, hostmem.Host, faas.Runtime, reclamation backend,
 // memory broker, and recycler, fronted by a dispatcher that routes
 // invocations and places cold scale-ups through a pluggable Policy.
@@ -17,7 +17,7 @@
 //
 // Hosts interact only through the dispatcher, and the dispatcher only
 // acts at known times: trace invocations and fleet-wide memory
-// samples. The epoch engine (shard.go) exploits this: it advances
+// samples. The epoch engine (epoch.go) exploits this: it advances
 // every host to the next boundary with sim.Scheduler.RunUntilEpoch
 // (events strictly before the boundary fire, clocks land exactly on
 // it), runs the boundary's dispatcher work serially in canonical

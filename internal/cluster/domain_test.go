@@ -24,7 +24,7 @@ import (
 // domainTable extends the fault fingerprint with the failure-domain
 // outcome, so a divergence in rack expansion or recovery pacing breaks
 // byte-identity.
-func domainTable(c *ShardedCluster) string {
+func domainTable(c *Cluster) string {
 	return fmt.Sprintf("%s rackev=%d paced=%d", faultTable(c), c.Metrics.RackEvents, c.Metrics.Paced)
 }
 
@@ -53,11 +53,11 @@ func splitDomainChurn(churn []trace.ChurnEvent) ([]FleetEvent, []fault.Event) {
 // domainCluster plays one pressured fleet with a topology, fuzzed
 // rack-aware churn and faults, a blast-radius policy, pacing, and the
 // full resilience layer, and returns the cluster for inspection.
-func domainCluster(seed uint64, shards int, exec func([]func())) *ShardedCluster {
+func domainCluster(seed uint64, shards int, exec func([]func())) *Cluster {
 	const hosts = 4
 	dur := 25 * sim.Second
 	cost := costmodel.Default()
-	c := NewSharded(cost, Config{
+	c := New(cost, Config{
 		Hosts: hosts, HostMemBytes: 18 * units.GiB, Backend: faas.Squeezy,
 		N: 4, KeepAlive: 20 * sim.Second,
 		Topology:    &Topology{Racks: 2, Zones: 2},
@@ -138,7 +138,7 @@ func TestDomainNoOpEventsByteIdentical(t *testing.T) {
 	run := func(topo *Topology, faults []fault.Event) (uint64, string) {
 		dur := 25 * sim.Second
 		cost := costmodel.Default()
-		c := NewSharded(cost, Config{
+		c := New(cost, Config{
 			Hosts: 3, HostMemBytes: 18 * units.GiB, Backend: faas.Squeezy,
 			N: 4, KeepAlive: 20 * sim.Second,
 			Topology: topo,
@@ -186,7 +186,7 @@ func TestDomainNoOpEventsByteIdentical(t *testing.T) {
 // including the paced re-placement queue, in fixed steps up to
 // `until`. The manual-mode edge tests need it: outside Play nothing
 // else releases queued re-placements.
-func domainStep(c *ShardedCluster, until sim.Time) {
+func domainStep(c *Cluster, until sim.Time) {
 	for t := c.Now(); t < until; {
 		t = t.Add(500 * sim.Millisecond)
 		if t > until {
@@ -209,7 +209,7 @@ func domainStep(c *ShardedCluster, until sim.Time) {
 func TestRackFailWithDrainingMember(t *testing.T) {
 	long := workload.LongHaul()
 	cost := costmodel.Default()
-	c := NewSharded(cost, Config{
+	c := New(cost, Config{
 		Hosts: 4, Backend: faas.Squeezy, N: 1, KeepAlive: 60 * sim.Second,
 		Topology: &Topology{Racks: 2, Zones: 2},
 	}, NewPolicy("round-robin", cost))
@@ -253,7 +253,7 @@ func TestRackFailWithDrainingMember(t *testing.T) {
 func TestRackFailLosesWarmPool(t *testing.T) {
 	fn := workload.ByName("HTML")
 	cost := costmodel.Default()
-	c := NewSharded(cost, Config{
+	c := New(cost, Config{
 		Hosts: 4, Backend: faas.Squeezy, N: 4, KeepAlive: 60 * sim.Second,
 		Topology: &Topology{Racks: 2, Zones: 2},
 	}, NewPolicy("round-robin", cost))
@@ -313,7 +313,7 @@ func TestRackFailLosesWarmPool(t *testing.T) {
 func TestRepaceDrainsAcrossJoin(t *testing.T) {
 	long := workload.LongHaul()
 	cost := costmodel.Default()
-	c := NewSharded(cost, Config{
+	c := New(cost, Config{
 		Hosts: 2, Backend: faas.Squeezy, N: 1, KeepAlive: 60 * sim.Second,
 		Topology: &Topology{Racks: 2, Zones: 2},
 		Repace:   &RepaceConfig{PerTick: 1, Every: 250 * sim.Millisecond},
@@ -366,7 +366,7 @@ func TestRepaceDrainsAcrossJoin(t *testing.T) {
 func TestSpreadPicksUnderloadedRack(t *testing.T) {
 	fn := workload.ByName("HTML")
 	cost := costmodel.Default()
-	c := NewSharded(cost, Config{
+	c := New(cost, Config{
 		Hosts: 4, Backend: faas.Squeezy, N: 4, KeepAlive: 60 * sim.Second,
 		Topology: &Topology{Racks: 2, Zones: 2},
 	}, NewPolicy("round-robin", cost))
@@ -403,7 +403,7 @@ func TestZoneHeadroomPicksRoomiestZone(t *testing.T) {
 	// Racks 2, zones 2: host i is rack i%2, zone = rack. The MemBytes
 	// cycle gives rack-0 hosts 8 GiB and rack-1 hosts 32 GiB, so zone 1
 	// holds most of the fleet's headroom.
-	c := NewSharded(cost, Config{
+	c := New(cost, Config{
 		Hosts: 4, Backend: faas.Squeezy, N: 4, KeepAlive: 60 * sim.Second,
 		HostMemBytes: 16 * units.GiB,
 		Topology: &Topology{
@@ -423,7 +423,7 @@ func TestZoneHeadroomPicksRoomiestZone(t *testing.T) {
 }
 
 // TestTopologyAccessors: the nil-safe topology helpers and the
-// round-robin rack/zone assignment NewSharded derives from them.
+// round-robin rack/zone assignment New derives from them.
 func TestTopologyAccessors(t *testing.T) {
 	var nilTopo *Topology
 	if nilTopo.RackOf(3) != 0 || nilTopo.ZoneOfRack(2) != 0 || nilTopo.ValidRack(0) {
@@ -447,7 +447,7 @@ func TestTopologyAccessors(t *testing.T) {
 		t.Fatal("ValidRack bounds are wrong")
 	}
 	cost := costmodel.Default()
-	c := NewSharded(cost, Config{
+	c := New(cost, Config{
 		Hosts: 6, Backend: faas.Squeezy, N: 4, Topology: topo,
 	}, NewPolicy("round-robin", cost))
 	for _, n := range c.Nodes {
@@ -472,7 +472,7 @@ func TestHeterogeneousCapacity(t *testing.T) {
 			MemBytes: []int64{16 * units.GiB, 32 * units.GiB},
 		},
 	}
-	c := NewSharded(cost, cfg, NewPolicy("round-robin", cost))
+	c := New(cost, cfg, NewPolicy("round-robin", cost))
 	check := func(stage string) {
 		want := []int64{16 * units.GiB, 32 * units.GiB, 16 * units.GiB}
 		var sum int64

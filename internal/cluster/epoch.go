@@ -87,7 +87,7 @@ type PlayConfig struct {
 // DrainUntil and the merged fleet metrics ready in Stats(). Play is a
 // thin wrapper over PlayStream (stream.go), which accepts a streaming
 // source and bounds memory independently of invocation count.
-func (c *ShardedCluster) Play(invs []Invocation, pc PlayConfig) {
+func (c *Cluster) Play(invs []Invocation, pc PlayConfig) {
 	c.PlayStream(SliceStream(invs), pc)
 }
 
@@ -97,7 +97,7 @@ func (c *ShardedCluster) Play(invs []Invocation, pc PlayConfig) {
 // invocations or sample memory against the paused fleet. Hosts advance
 // inline in host-ID order: an epoch is a few microseconds of host
 // work, less than handing it to another worker would cost.
-func (c *ShardedCluster) AdvanceTo(t sim.Time) {
+func (c *Cluster) AdvanceTo(t sim.Time) {
 	for _, n := range c.live {
 		n.Sched.RunUntilEpoch(t)
 	}
@@ -110,7 +110,7 @@ func (c *ShardedCluster) AdvanceTo(t sim.Time) {
 // interact, so it is the only fan-out: the live hosts split into
 // contiguous shards (PlayConfig.Shards) that run to the horizon as
 // independent tasks through the Exec hook, each timing its own wall.
-func (c *ShardedCluster) Drain(t sim.Time) {
+func (c *Cluster) Drain(t sim.Time) {
 	if t < c.now {
 		t = c.now
 	}
@@ -146,4 +146,4 @@ func (c *ShardedCluster) Drain(t sim.Time) {
 // consumed during the run — the numbers behind `squeezyctl
 // -cellstats`'s per-shard breakdown. Epoch advances run inline on the
 // cell's own goroutine and are not included.
-func (c *ShardedCluster) ShardWalls() []time.Duration { return c.shardWalls }
+func (c *Cluster) ShardWalls() []time.Duration { return c.shardWalls }

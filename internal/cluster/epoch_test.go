@@ -16,7 +16,7 @@ import (
 func shardedRun(t *testing.T, backend faas.BackendKind, shards int, exec func([]func())) (uint64, string) {
 	t.Helper()
 	cost := costmodel.Default()
-	c := NewSharded(cost, Config{
+	c := New(cost, Config{
 		Hosts: 3, HostMemBytes: 20 * units.GiB, Backend: backend,
 		N: 4, KeepAlive: 20 * sim.Second,
 	}, NewPolicy("reclaim-aware", cost))
@@ -108,7 +108,7 @@ func TestEpochsRunInline(t *testing.T) {
 // 1 s, ..., TickUntil inclusive, regardless of invocation timing.
 func TestPlayTickCadence(t *testing.T) {
 	cost := costmodel.Default()
-	c := NewSharded(cost, Config{Hosts: 2, Backend: faas.Squeezy},
+	c := New(cost, Config{Hosts: 2, Backend: faas.Squeezy},
 		NewPolicy("round-robin", cost))
 	c.Play(fleetInvs(5, 4, 10*sim.Second, 2, 8), PlayConfig{
 		TickEvery: sim.Second, TickUntil: sim.Time(10 * sim.Second),
@@ -126,7 +126,7 @@ func TestPlayTickCadence(t *testing.T) {
 // run reports one drain wall-clock accumulator per shard.
 func TestShardWallsCoverShards(t *testing.T) {
 	cost := costmodel.Default()
-	c := NewSharded(cost, Config{Hosts: 4, Backend: faas.Squeezy},
+	c := New(cost, Config{Hosts: 4, Backend: faas.Squeezy},
 		NewPolicy("round-robin", cost))
 	c.Play(fleetInvs(5, 4, 5*sim.Second, 2, 8), PlayConfig{
 		Shards: 2, DrainUntil: sim.Time(10 * sim.Second),

@@ -25,7 +25,7 @@ import (
 // faultTable extends the churn fingerprint with the resilience-layer
 // outcome, so a divergence anywhere in the retry/hedge/shed machinery
 // breaks byte-identity.
-func faultTable(c *ShardedCluster) string {
+func faultTable(c *Cluster) string {
 	m := &c.Metrics
 	return fmt.Sprintf("%s failed=%d shed=%d admdrop=%d timeouts=%d retries=%d hedges=%d hedgewins=%d",
 		churnTable(c), c.Stats().Failed, m.Shed, m.AdmissionDrops,
@@ -39,7 +39,7 @@ func faultRun(seed uint64, shards int, exec func([]func())) (uint64, string) {
 	const hosts = 4
 	dur := 25 * sim.Second
 	cost := costmodel.Default()
-	c := NewSharded(cost, Config{
+	c := New(cost, Config{
 		Hosts: hosts, HostMemBytes: 18 * units.GiB, Backend: faas.Squeezy,
 		N: 4, KeepAlive: 20 * sim.Second,
 		PhaseBounds: []sim.Time{sim.Time(dur / 2)},
@@ -106,11 +106,11 @@ func TestFaultShardInvariance(t *testing.T) {
 
 // rerunForMetrics replays one serial faultRun and returns the cluster
 // for non-degeneracy inspection.
-func rerunForMetrics(seed uint64) *ShardedCluster {
+func rerunForMetrics(seed uint64) *Cluster {
 	const hosts = 4
 	dur := 25 * sim.Second
 	cost := costmodel.Default()
-	c := NewSharded(cost, Config{
+	c := New(cost, Config{
 		Hosts: hosts, HostMemBytes: 18 * units.GiB, Backend: faas.Squeezy,
 		N: 4, KeepAlive: 20 * sim.Second,
 		Resilience: &ResilienceConfig{
@@ -136,7 +136,7 @@ func TestFaultTracedMatchesUntraced(t *testing.T) {
 		const hosts = 4
 		dur := 25 * sim.Second
 		cost := costmodel.Default()
-		c := NewSharded(cost, Config{
+		c := New(cost, Config{
 			Hosts: hosts, HostMemBytes: 18 * units.GiB, Backend: faas.Squeezy,
 			N: 4, KeepAlive: 20 * sim.Second,
 			Resilience: &ResilienceConfig{
@@ -172,7 +172,7 @@ func TestFaultNoOpPlansByteIdentical(t *testing.T) {
 	run := func(faults []fault.Event) (uint64, string) {
 		dur := 25 * sim.Second
 		cost := costmodel.Default()
-		c := NewSharded(cost, Config{
+		c := New(cost, Config{
 			Hosts: 3, HostMemBytes: 18 * units.GiB, Backend: faas.Squeezy,
 			N: 4, KeepAlive: 20 * sim.Second,
 		}, NewPolicy("reclaim-aware", cost))
@@ -205,7 +205,7 @@ func TestFaultNoOpPlansByteIdentical(t *testing.T) {
 // attempts, fire due resilience decisions — in fixed steps up to
 // `until`. Manual-mode tests need it: outside Play nothing else runs
 // the boundary sequence, so retries and hedges would never fire.
-func resilStep(c *ShardedCluster, until sim.Time) {
+func resilStep(c *Cluster, until sim.Time) {
 	for t := c.Now(); t < until; {
 		t = t.Add(500 * sim.Millisecond)
 		if t > until {
@@ -227,7 +227,7 @@ func resilStep(c *ShardedCluster, until sim.Time) {
 // at ~3 s, past the 1 s window close.
 func TestRetryAfterColdFail(t *testing.T) {
 	cost := costmodel.Default()
-	c := NewSharded(cost, Config{
+	c := New(cost, Config{
 		Hosts: 2, Backend: faas.Squeezy, N: 4, KeepAlive: 30 * sim.Second,
 		Resilience: &ResilienceConfig{BackoffBase: 2 * sim.Second},
 	}, NewPolicy("round-robin", cost))
@@ -262,7 +262,7 @@ func TestRetryAfterColdFail(t *testing.T) {
 // exactly one failure callback, accounted exactly once.
 func TestRetryBudgetExhaustedFailsOnce(t *testing.T) {
 	cost := costmodel.Default()
-	c := NewSharded(cost, Config{
+	c := New(cost, Config{
 		Hosts: 2, Backend: faas.Squeezy, N: 4, KeepAlive: 30 * sim.Second,
 		Resilience: &ResilienceConfig{MaxRetries: 2},
 	}, NewPolicy("round-robin", cost))
@@ -298,7 +298,7 @@ func TestRetryBudgetExhaustedFailsOnce(t *testing.T) {
 // attempt-vs-churn boundary.
 func TestHostFailMidBackoff(t *testing.T) {
 	cost := costmodel.Default()
-	c := NewSharded(cost, Config{
+	c := New(cost, Config{
 		Hosts: 2, Backend: faas.Squeezy, N: 4, KeepAlive: 30 * sim.Second,
 		Resilience: &ResilienceConfig{BackoffBase: 4 * sim.Second},
 	}, NewPolicy("round-robin", cost))
@@ -342,7 +342,7 @@ func TestHostFailMidBackoff(t *testing.T) {
 func TestHedgeOutstandingWhenHostDrains(t *testing.T) {
 	long := workload.LongHaul()
 	cost := costmodel.Default()
-	c := NewSharded(cost, Config{
+	c := New(cost, Config{
 		Hosts: 2, Backend: faas.Squeezy, N: 1, KeepAlive: 60 * sim.Second,
 		Resilience: &ResilienceConfig{Hedge: true, HedgeDelay: 2 * sim.Second},
 	}, NewPolicy("round-robin", cost))
@@ -396,7 +396,7 @@ func TestHedgeOutstandingWhenHostDrains(t *testing.T) {
 // retry lands there cleanly, exactly once.
 func TestRetryLandsOnJoinedHost(t *testing.T) {
 	cost := costmodel.Default()
-	c := NewSharded(cost, Config{
+	c := New(cost, Config{
 		Hosts: 1, Backend: faas.Squeezy, N: 4, KeepAlive: 30 * sim.Second,
 		Resilience: &ResilienceConfig{BackoffBase: 4 * sim.Second},
 	}, NewPolicy("round-robin", cost))

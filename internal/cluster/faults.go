@@ -32,7 +32,7 @@ type openFault struct {
 // reclaim backends see stalls and partial completions. Call before the
 // run places any VM (Play does, via PlayConfig.Faults); an empty plan
 // is a no-op and leaves the fleet byte-identical to a fault-free run.
-func (c *ShardedCluster) ScheduleFaults(events []fault.Event, seed uint64) {
+func (c *Cluster) ScheduleFaults(events []fault.Event, seed uint64) {
 	if len(events) == 0 {
 		return
 	}
@@ -51,14 +51,14 @@ func (c *ShardedCluster) ScheduleFaults(events []fault.Event, seed uint64) {
 // armInjector gives the host its decision stream. The injector seed
 // depends only on the plan seed and the host ID, so a host's stream is
 // identical no matter when it joined or which worker advances it.
-func (c *ShardedCluster) armInjector(n *Node) {
+func (c *Cluster) armInjector(n *Node) {
 	n.inj = fault.NewInjector(n.ID, c.faultSeed)
 	n.RT.Faults = n.inj
 }
 
 // enqueueFault inserts the event keeping the queue sorted by time,
 // FIFO among equal times.
-func (c *ShardedCluster) enqueueFault(ev fault.Event) {
+func (c *Cluster) enqueueFault(ev fault.Event) {
 	i := len(c.faultQ)
 	for i > 0 && c.faultQ[i-1].T > ev.T {
 		i--
@@ -70,7 +70,7 @@ func (c *ShardedCluster) enqueueFault(ev fault.Event) {
 
 // nextFault reports the earliest pending fault boundary — a window
 // opening or closing — at or before horizon.
-func (c *ShardedCluster) nextFault(horizon sim.Time) (sim.Time, bool) {
+func (c *Cluster) nextFault(horizon sim.Time) (sim.Time, bool) {
 	t, have := sim.Time(0), false
 	if len(c.faultQ) > 0 && c.faultQ[0].T <= horizon {
 		t, have = c.faultQ[0].T, true
@@ -86,7 +86,7 @@ func (c *ShardedCluster) nextFault(horizon sim.Time) (sim.Time, bool) {
 // fireFaultEvents applies every window transition due at or before t:
 // expired windows close first, then due windows open. The fleet must
 // be paused at boundary t.
-func (c *ShardedCluster) fireFaultEvents(t sim.Time) {
+func (c *Cluster) fireFaultEvents(t sim.Time) {
 	if !c.faultsOn {
 		return
 	}
@@ -104,7 +104,7 @@ func (c *ShardedCluster) fireFaultEvents(t sim.Time) {
 
 // openFaultWindow resolves the event's target hosts, opens the window
 // on each, and records the applied set so the close mirrors it.
-func (c *ShardedCluster) openFaultWindow(ev fault.Event) {
+func (c *Cluster) openFaultWindow(ev fault.Event) {
 	if ev.Kind.Domain() {
 		c.openDomainFault(ev)
 		return
@@ -145,7 +145,7 @@ func (c *ShardedCluster) openFaultWindow(ev fault.Event) {
 // no topology, a dangling rack index, or a rack with no live members
 // makes the event a deterministic no-op — the domain mirror of the
 // dangling-host contract.
-func (c *ShardedCluster) openDomainFault(ev fault.Event) {
+func (c *Cluster) openDomainFault(ev fault.Event) {
 	topo := c.Cfg.Topology
 	if !topo.ValidRack(ev.Host) {
 		return
@@ -202,7 +202,7 @@ func rackStraggler(ev fault.Event, n *Node) fault.Event {
 // partitionHost isolates the host from the dispatcher: it leaves the
 // placement-eligible set but keeps advancing, so in-flight work
 // completes normally — the control plane just routes around the rack.
-func (c *ShardedCluster) partitionHost(n *Node) {
+func (c *Cluster) partitionHost(n *Node) {
 	n.partitioned++
 	if n.partitioned == 1 && n.state == nodeActive {
 		c.active = removeNode(c.active, n)
@@ -213,7 +213,7 @@ func (c *ShardedCluster) partitionHost(n *Node) {
 // placement set in host-ID order only when no other window still
 // covers it and it is still active (a host drained or killed
 // mid-partition stays out).
-func (c *ShardedCluster) unpartitionHost(n *Node) {
+func (c *Cluster) unpartitionHost(n *Node) {
 	if n.partitioned > 0 {
 		n.partitioned--
 	}
@@ -237,7 +237,7 @@ func insertNode(nodes []*Node, n *Node) []*Node {
 
 // insertOpenFault keeps the active-window list sorted by expiry, FIFO
 // among equal expiries.
-func (c *ShardedCluster) insertOpenFault(of openFault) {
+func (c *Cluster) insertOpenFault(of openFault) {
 	i := len(c.faultOpen)
 	for i > 0 && c.faultOpen[i-1].until > of.until {
 		i--
@@ -250,7 +250,7 @@ func (c *ShardedCluster) insertOpenFault(of openFault) {
 // closeFault closes the window on exactly the hosts it opened on;
 // hosts that died mid-window are skipped (their injectors are frozen
 // with their schedulers).
-func (c *ShardedCluster) closeFault(of openFault) {
+func (c *Cluster) closeFault(of openFault) {
 	for _, n := range of.hosts {
 		if n.state == nodeDead {
 			continue
@@ -280,7 +280,7 @@ func (c *ShardedCluster) closeFault(of openFault) {
 // finishes at the new speed; the dispatcher's policy costs stay
 // unscaled — the control plane doesn't know the host got slow, which
 // is exactly the blindness resilience has to absorb.
-func (c *ShardedCluster) applyStraggler(n *Node) {
+func (c *Cluster) applyStraggler(n *Node) {
 	cost := c.Cost
 	if scale := n.inj.StragglerScale(); scale > 1 {
 		cost = c.Cost.Scaled(scale)

@@ -82,22 +82,22 @@ type AutoscaleConfig struct {
 
 // ScheduleFleetEvents queues churn events for the next Play. Events
 // need not be sorted; same-time events fire in the given order.
-func (c *ShardedCluster) ScheduleFleetEvents(events []FleetEvent) {
+func (c *Cluster) ScheduleFleetEvents(events []FleetEvent) {
 	for _, ev := range events {
 		c.enqueueFleet(ev)
 	}
 }
 
 // ActiveHosts returns the number of placement-eligible hosts.
-func (c *ShardedCluster) ActiveHosts() int { return len(c.active) }
+func (c *Cluster) ActiveHosts() int { return len(c.active) }
 
 // LiveHosts returns the number of hosts still advancing (active +
 // draining).
-func (c *ShardedCluster) LiveHosts() int { return len(c.live) }
+func (c *Cluster) LiveHosts() int { return len(c.live) }
 
 // enqueueFleet inserts the event keeping the queue sorted by time,
 // FIFO among equal times.
-func (c *ShardedCluster) enqueueFleet(ev FleetEvent) {
+func (c *Cluster) enqueueFleet(ev FleetEvent) {
 	i := len(c.fleetQ)
 	for i > 0 && c.fleetQ[i-1].T > ev.T {
 		i--
@@ -109,7 +109,7 @@ func (c *ShardedCluster) enqueueFleet(ev FleetEvent) {
 
 // fireFleetEvents applies every queued event due at or before t. The
 // fleet must be paused at boundary t.
-func (c *ShardedCluster) fireFleetEvents(t sim.Time) {
+func (c *Cluster) fireFleetEvents(t sim.Time) {
 	for len(c.fleetQ) > 0 && c.fleetQ[0].T <= t {
 		ev := c.fleetQ[0]
 		c.fleetQ = c.fleetQ[1:]
@@ -117,7 +117,7 @@ func (c *ShardedCluster) fireFleetEvents(t sim.Time) {
 	}
 }
 
-func (c *ShardedCluster) applyFleetEvent(ev FleetEvent) {
+func (c *Cluster) applyFleetEvent(ev FleetEvent) {
 	switch ev.Kind {
 	case HostJoin:
 		c.joinHost()
@@ -142,7 +142,7 @@ func (c *ShardedCluster) applyFleetEvent(ev FleetEvent) {
 // host already dead (or already draining, for a drain), or a removal
 // that would leave no active host all resolve to nil — churn schedules
 // are fuzzed, so impossible events must be safe no-ops.
-func (c *ShardedCluster) victim(id int, allowDraining bool) *Node {
+func (c *Cluster) victim(id int, allowDraining bool) *Node {
 	var n *Node
 	switch {
 	case id == -1:
@@ -173,7 +173,7 @@ func (c *ShardedCluster) victim(id int, allowDraining bool) *Node {
 // both guards are needed once partitions exist). Shared by victim and
 // the rack-level expansion (faults.go), so a rack holding the whole
 // fleet degrades to a partial loss instead of an empty fleet.
-func (c *ShardedCluster) canRemove(n *Node) bool {
+func (c *Cluster) canRemove(n *Node) bool {
 	if n.state == nodeActive && n.partitioned == 0 && len(c.active) <= 1 {
 		return false
 	}
@@ -184,7 +184,7 @@ func (c *ShardedCluster) canRemove(n *Node) bool {
 // next monotonic index — dead hosts keep their IDs — and the host's
 // private scheduler jumps to now, so its first event lands on the
 // fleet timeline.
-func (c *ShardedCluster) joinHost() *Node {
+func (c *Cluster) joinHost() *Node {
 	n := c.newNode(len(c.Nodes))
 	n.Sched.Jump(c.now)
 	c.Nodes = append(c.Nodes, n)
@@ -207,7 +207,7 @@ func (c *ShardedCluster) joinHost() *Node {
 // failHost kills the host abruptly: warm pool destroyed, runtime
 // released into the host's recycler, in-flight invocations re-placed
 // through the dispatcher in routing order, exactly once each.
-func (c *ShardedCluster) failHost(n *Node) {
+func (c *Cluster) failHost(n *Node) {
 	c.Metrics.HostFails++
 	warmLost := n.RT.IdleInstances()
 	c.Metrics.WarmLost += warmLost
@@ -227,7 +227,7 @@ func (c *ShardedCluster) failHost(n *Node) {
 // startDrain stops placements on the host and arms the drain deadline.
 // The host keeps advancing with the fleet until its in-flight work
 // completes (settleDrains) or the deadline fires (expireDrain).
-func (c *ShardedCluster) startDrain(n *Node) {
+func (c *Cluster) startDrain(n *Node) {
 	c.Metrics.HostDrains++
 	if c.fleetObs != nil {
 		c.fleetObs.Count("fleet/drains", 1)
@@ -245,7 +245,7 @@ func (c *ShardedCluster) startDrain(n *Node) {
 // still in flight: the stragglers re-place exactly once — their doomed
 // completions can never fire, the retired host's scheduler is frozen —
 // and the host retires.
-func (c *ShardedCluster) expireDrain(n *Node) {
+func (c *Cluster) expireDrain(n *Node) {
 	if c.fleetObs != nil {
 		c.fleetObs.Instant("drain-deadline", obs.CatFleet,
 			obs.I("host", int64(n.ID)), obs.I("stragglers", int64(len(n.inflight)+len(n.attempts))))
@@ -258,7 +258,7 @@ func (c *ShardedCluster) expireDrain(n *Node) {
 // settleDrains retires draining hosts whose in-flight work has
 // completed. Called at every epoch boundary, before fleet events and
 // routing, so a finished drain frees its shard slot promptly.
-func (c *ShardedCluster) settleDrains() {
+func (c *Cluster) settleDrains() {
 	var done []*Node // collected first: retire edits c.live in place
 	for _, n := range c.live {
 		if n.state == nodeDraining && len(n.inflight) == 0 && len(n.attempts) == 0 {
@@ -275,7 +275,7 @@ func (c *ShardedCluster) settleDrains() {
 // agent shells — the same harvest a finished run performs), and its
 // scheduler never advances again, freezing any event still pending on
 // it.
-func (c *ShardedCluster) retire(n *Node) {
+func (c *Cluster) retire(n *Node) {
 	n.state = nodeDead
 	c.active = removeNode(c.active, n)
 	c.live = removeNode(c.live, n)
@@ -288,7 +288,7 @@ func (c *ShardedCluster) retire(n *Node) {
 // keeps its arrival time, so its eventual latency pays for the lost
 // work. Re-placement runs after retirement: the dispatcher no longer
 // sees the dead host.
-func (c *ShardedCluster) replaceFlights(n *Node) {
+func (c *Cluster) replaceFlights(n *Node) {
 	flights := n.inflight
 	n.inflight = nil // ownership moves; the dead host drops its list
 	for _, fl := range flights {
@@ -311,7 +311,7 @@ func (c *ShardedCluster) replaceFlights(n *Node) {
 // pressure at a sample tick. Scale-ups are provisioning-delayed joins;
 // scale-downs drain the idlest active host (fewest live instances, tie
 // to the highest ID — the newest host retires first).
-func (c *ShardedCluster) autoscaleTick() {
+func (c *Cluster) autoscaleTick() {
 	as := c.autoscale
 	if as == nil {
 		return
@@ -363,7 +363,7 @@ func (c *ShardedCluster) autoscaleTick() {
 
 // queuedJoins counts joins already in flight, so a sustained pressure
 // spike doesn't over-provision while provisioning delay runs.
-func (c *ShardedCluster) queuedJoins() int {
+func (c *Cluster) queuedJoins() int {
 	joins := 0
 	for _, ev := range c.fleetQ {
 		if ev.Kind == HostJoin {
@@ -375,7 +375,7 @@ func (c *ShardedCluster) queuedJoins() int {
 
 // idlestActive returns the scale-down victim: fewest live instances,
 // tie to the highest ID.
-func (c *ShardedCluster) idlestActive() *Node {
+func (c *Cluster) idlestActive() *Node {
 	var best *Node
 	bestLive := 0
 	for _, n := range c.active {

@@ -26,7 +26,7 @@ func churnRunObs(seed uint64, shards int, exec func([]func())) (uint64, string, 
 	const hosts = 4
 	dur := 25 * sim.Second
 	cost := costmodel.Default()
-	c := NewSharded(cost, Config{
+	c := New(cost, Config{
 		Hosts: hosts, HostMemBytes: 18 * units.GiB, Backend: faas.Squeezy,
 		N: 4, KeepAlive: 20 * sim.Second,
 		PhaseBounds: []sim.Time{sim.Time(dur / 2)},
@@ -112,10 +112,10 @@ func TestObsTraceShardInvariance(t *testing.T) {
 // decisions — tables stay identical to the untraced run, and the
 // counter registry reports the same scale-ups the metrics struct does.
 func TestObsAutoscaleCounters(t *testing.T) {
-	run := func(attach bool) (uint64, string, *obs.Trace, *ShardedCluster, int) {
+	run := func(attach bool) (uint64, string, *obs.Trace, *Cluster, int) {
 		dur := 25 * sim.Second
 		cost := costmodel.Default()
-		c := NewSharded(cost, Config{
+		c := New(cost, Config{
 			Hosts: 2, HostMemBytes: 12 * units.GiB, Backend: faas.Squeezy,
 			N: 4, KeepAlive: 20 * sim.Second,
 		}, NewPolicy("reclaim-aware", cost))

@@ -67,14 +67,14 @@ func NewPolicy(name string, cost *costmodel.Model) Policy {
 }
 
 // fleetBound is implemented by policies that score candidates against
-// fleet-wide domain state. NewSharded and Reset bind such a policy to
+// fleet-wide domain state. New and Reset bind such a policy to
 // its cluster; an unbound instance falls back to scoring over the
 // candidate set alone (unit tests construct policies bare).
-type fleetBound interface{ bind(c *ShardedCluster) }
+type fleetBound interface{ bind(c *Cluster) }
 
 // bindPolicy attaches a fleet-bound policy to c (no-op for the
 // candidate-only policies).
-func bindPolicy(p Policy, c *ShardedCluster) {
+func bindPolicy(p Policy, c *Cluster) {
 	if b, ok := p.(fleetBound); ok {
 		b.bind(c)
 	}
@@ -204,11 +204,11 @@ func (p ReclaimAware) penalty(n *Node, instPages int64) sim.Duration {
 // the lowest host ID (scan order). On a flat fleet every host is rack
 // 0 and Spread degrades to pure headroom scoring.
 type Spread struct {
-	c        *ShardedCluster
+	c        *Cluster
 	rackLoad []int // scratch, reused across picks
 }
 
-func (p *Spread) bind(c *ShardedCluster) { p.c = c }
+func (p *Spread) bind(c *Cluster) { p.c = c }
 
 // Name implements Policy.
 func (p *Spread) Name() string { return "spread" }
@@ -254,11 +254,11 @@ func (p *Spread) Pick(nodes []*Node, fn *workload.Function) *Node {
 // with headroom to absorb the displaced load. On a flat fleet it
 // degrades to pure headroom scoring.
 type ZoneHeadroom struct {
-	c        *ShardedCluster
+	c        *Cluster
 	zoneHead []int64 // scratch, reused across picks
 }
 
-func (p *ZoneHeadroom) bind(c *ShardedCluster) { p.c = c }
+func (p *ZoneHeadroom) bind(c *Cluster) { p.c = c }
 
 // Name implements Policy.
 func (p *ZoneHeadroom) Name() string { return "zone-headroom" }

@@ -81,7 +81,7 @@ func (e repaceEntry) memLimit() int64 {
 // keeping it sorted by descending priority, FIFO within a priority
 // class, and arms the pacing tick if it isn't already. Runs serially
 // at a boundary (re-placement is always boundary work).
-func (c *ShardedCluster) queueRepace(e repaceEntry) {
+func (c *Cluster) queueRepace(e repaceEntry) {
 	c.Metrics.Paced++
 	if c.fleetObs != nil {
 		c.fleetObs.Count("repace/queued", 1)
@@ -102,7 +102,7 @@ func (c *ShardedCluster) queueRepace(e repaceEntry) {
 }
 
 // nextRepace reports the pending pacing boundary, if armed.
-func (c *ShardedCluster) nextRepace() (sim.Time, bool) {
+func (c *Cluster) nextRepace() (sim.Time, bool) {
 	if c.repaceAt == 0 {
 		return 0, false
 	}
@@ -114,7 +114,7 @@ func (c *ShardedCluster) nextRepace() (sim.Time, bool) {
 // boundary order after the resilience events and before the
 // invocations due at t, so recovered work and fresh arrivals interleave
 // deterministically.
-func (c *ShardedCluster) fireRepace(t sim.Time) {
+func (c *Cluster) fireRepace(t sim.Time) {
 	if c.repace == nil || c.repaceAt == 0 || c.repaceAt > t {
 		return
 	}
@@ -136,7 +136,7 @@ func (c *ShardedCluster) fireRepace(t sim.Time) {
 // dispatchRepace re-places one displaced invocation through the normal
 // machinery. Replaced counts here — at actual re-dispatch — mirroring
 // the unpaced path's accounting.
-func (c *ShardedCluster) dispatchRepace(e repaceEntry) {
+func (c *Cluster) dispatchRepace(e repaceEntry) {
 	if e.rfl != nil && e.rfl.resolved {
 		return // a surviving racer won while this one waited
 	}
@@ -158,7 +158,7 @@ func (c *ShardedCluster) dispatchRepace(e repaceEntry) {
 // It joins the broker-queued pages in the admission-shed signal, so
 // the overload measure sees a rack's worth of displaced demand the
 // moment the rack dies, not only after the queue drains onto brokers.
-func (c *ShardedCluster) repaceBacklogPages() int64 {
+func (c *Cluster) repaceBacklogPages() int64 {
 	var pages int64
 	for _, e := range c.repaceQ {
 		pages += units.BytesToPages(e.memLimit())

@@ -149,7 +149,7 @@ type resilEvent struct {
 
 // enqueueResil inserts the event keeping the queue sorted by time,
 // FIFO among equal times.
-func (c *ShardedCluster) enqueueResil(ev resilEvent) {
+func (c *Cluster) enqueueResil(ev resilEvent) {
 	i := len(c.resilQ)
 	for i > 0 && c.resilQ[i-1].T > ev.T {
 		i--
@@ -164,7 +164,7 @@ func (c *ShardedCluster) enqueueResil(ev resilEvent) {
 // the epoch loop doesn't advance to boundaries with nothing to do.
 // Pruning reads only simulation state settled at the last boundary, so
 // it is shard- and worker-invariant.
-func (c *ShardedCluster) nextResil() (sim.Time, bool) {
+func (c *Cluster) nextResil() (sim.Time, bool) {
 	for len(c.resilQ) > 0 {
 		ev := c.resilQ[0]
 		if ev.fl.resolved ||
@@ -181,7 +181,7 @@ func (c *ShardedCluster) nextResil() (sim.Time, bool) {
 // t. The fleet must be paused at boundary t, with settled attempts
 // already resolved (resolveSettled) so a completion at t' < t beats a
 // timeout due at t.
-func (c *ShardedCluster) fireResilEvents(t sim.Time) {
+func (c *Cluster) fireResilEvents(t sim.Time) {
 	for len(c.resilQ) > 0 && c.resilQ[0].T <= t {
 		ev := c.resilQ[0]
 		c.resilQ = c.resilQ[1:]
@@ -202,7 +202,7 @@ func (c *ShardedCluster) fireResilEvents(t sim.Time) {
 // invokeResilient admits one invocation through the resilience layer:
 // shed under memory pressure, else launch the primary attempt and arm
 // the hedge timer.
-func (c *ShardedCluster) invokeResilient(fn *workload.Function, onDone func(faas.Result)) {
+func (c *Cluster) invokeResilient(fn *workload.Function, onDone func(faas.Result)) {
 	if c.shouldShed(fn) {
 		c.shedInvocation(fn, onDone)
 		return
@@ -217,7 +217,7 @@ func (c *ShardedCluster) invokeResilient(fn *workload.Function, onDone func(faas
 // shedConfigured reports whether any admission-shedding mode is on:
 // the resilience layer's (ResilienceConfig.Shed) or the
 // recovery-storm controller's domain-aware variant (RepaceConfig.Shed).
-func (c *ShardedCluster) shedConfigured() bool {
+func (c *Cluster) shedConfigured() bool {
 	return (c.resil != nil && c.resil.Shed) || (c.repace != nil && c.repace.Shed)
 }
 
@@ -234,7 +234,7 @@ func (c *ShardedCluster) shedConfigured() bool {
 // correlated failure tightens admission immediately. Low-priority work
 // sheds first; the highest class holds on until the unmet backlog
 // itself covers the whole surviving fleet's memory.
-func (c *ShardedCluster) shouldShed(fn *workload.Function) bool {
+func (c *Cluster) shouldShed(fn *workload.Function) bool {
 	if !c.shedConfigured() || len(c.active) == 0 {
 		return false
 	}
@@ -253,7 +253,7 @@ func (c *ShardedCluster) shouldShed(fn *workload.Function) bool {
 // shedInvocation drops one invocation at admission, accounting it on
 // the dispatcher-side counters. Shared by the resilient and plain
 // dispatch paths.
-func (c *ShardedCluster) shedInvocation(fn *workload.Function, onDone func(faas.Result)) {
+func (c *Cluster) shedInvocation(fn *workload.Function, onDone func(faas.Result)) {
 	c.Metrics.Shed++
 	if c.fleetObs != nil {
 		c.fleetObs.Count("resil/shed", 1)
@@ -286,7 +286,7 @@ func exclOf(fl *rflight) func(*Node) bool {
 // dispatcher tiers, preferring hosts not already racing one. If even
 // the unexcluded fleet cannot admit it, the attempt fails
 // synchronously and the retry machinery takes over.
-func (c *ShardedCluster) launchAttempt(fl *rflight) {
+func (c *Cluster) launchAttempt(fl *rflight) {
 	tier, n, fv := c.chooseVM(fl.fn, exclOf(fl))
 	if fv == nil && len(fl.outstanding) > 0 {
 		// Better a second attempt on a racing host than none at all.
@@ -318,7 +318,7 @@ func (c *ShardedCluster) launchAttempt(fl *rflight) {
 // hedges flow; under fleet-wide degradation every broker has a queue
 // and this gate suppresses hedging entirely. The hedge spends no retry
 // budget.
-func (c *ShardedCluster) hedgeAttempt(fl *rflight) {
+func (c *Cluster) hedgeAttempt(fl *rflight) {
 	if fl.hedged || len(fl.outstanding) == 0 {
 		return
 	}
@@ -349,7 +349,7 @@ func (c *ShardedCluster) hedgeAttempt(fl *rflight) {
 // timeout. The completion callback is the only piece of this machinery
 // that runs host-side, and it only moves the attempt onto the host's
 // settled list — resolution waits for the next boundary.
-func (c *ShardedCluster) startAttempt(fl *rflight, tier string, n *Node, fv *faas.FuncVM, hedge bool) {
+func (c *Cluster) startAttempt(fl *rflight, tier string, n *Node, fv *faas.FuncVM, hedge bool) {
 	att := &attempt{fl: fl, node: n, idx: fl.attempts, hedge: hedge}
 	fl.attempts++
 	fl.outstanding = append(fl.outstanding, att)
@@ -375,7 +375,7 @@ func (c *ShardedCluster) startAttempt(fl *rflight, tier string, n *Node, fv *faa
 // completes successfully first wins, and resolveFlight withdraws the
 // losers. A stuck attempt (reclaim stall, straggler host) thus gets
 // escaped without betting against a healthy queue.
-func (c *ShardedCluster) timeoutAttempt(fl *rflight, att *attempt) {
+func (c *Cluster) timeoutAttempt(fl *rflight, att *attempt) {
 	if att.settled || att.cancelled || att.dead {
 		return // settled results resolve via resolveSettled, not here
 	}
@@ -395,7 +395,7 @@ func (c *ShardedCluster) timeoutAttempt(fl *rflight, att *attempt) {
 // drop, or a placement the fleet could not admit; n is nil for the
 // latter). With another attempt still racing the flight just waits;
 // otherwise a retry is scheduled, or the failure becomes final.
-func (c *ShardedCluster) attemptFailed(fl *rflight, n *Node, res faas.Result) {
+func (c *Cluster) attemptFailed(fl *rflight, n *Node, res faas.Result) {
 	if len(fl.outstanding) > 0 {
 		return
 	}
@@ -408,7 +408,7 @@ func (c *ShardedCluster) attemptFailed(fl *rflight, n *Node, res faas.Result) {
 
 // scheduleRetry arms the flight's next attempt after capped
 // exponential backoff.
-func (c *ShardedCluster) scheduleRetry(fl *rflight) {
+func (c *Cluster) scheduleRetry(fl *rflight) {
 	backoff := c.resil.BackoffBase << fl.retries
 	if backoff <= 0 || backoff > c.resil.BackoffCap {
 		backoff = c.resil.BackoffCap
@@ -428,7 +428,7 @@ func (c *ShardedCluster) scheduleRetry(fl *rflight) {
 // fleet never admitted any attempt — then only the dispatcher-side
 // admission counters have seen the flight, mirroring the plain path's
 // admission drops).
-func (c *ShardedCluster) finalFail(fl *rflight, n *Node, res faas.Result) {
+func (c *Cluster) finalFail(fl *rflight, n *Node, res faas.Result) {
 	fl.resolved = true
 	if n != nil {
 		n.account(fl.fn, fl.arrival, fl.replaced, res)
@@ -452,7 +452,7 @@ func (c *ShardedCluster) finalFail(fl *rflight, n *Node, res faas.Result) {
 // results of already-resolved flights are dropped (a hedge loser that
 // could not be cancelled). Runs serially at a boundary, before
 // fireResilEvents, so completions beat same-instant timeouts.
-func (c *ShardedCluster) resolveSettled() {
+func (c *Cluster) resolveSettled() {
 	if c.resil == nil {
 		return
 	}
@@ -469,7 +469,7 @@ func (c *ShardedCluster) resolveSettled() {
 }
 
 // settleAttempt resolves one completed attempt against its flight.
-func (c *ShardedCluster) settleAttempt(att *attempt) {
+func (c *Cluster) settleAttempt(att *attempt) {
 	fl := att.fl
 	fl.removeOutstanding(att)
 	if fl.resolved {
@@ -485,7 +485,7 @@ func (c *ShardedCluster) settleAttempt(att *attempt) {
 // resolveFlight crowns the winning attempt: deliver its result on its
 // host's metrics, and withdraw every loser still racing. A loser too
 // far along to cancel runs detached; its eventual result is ignored.
-func (c *ShardedCluster) resolveFlight(fl *rflight, att *attempt) {
+func (c *Cluster) resolveFlight(fl *rflight, att *attempt) {
 	fl.resolved = true
 	if att.hedge {
 		c.Metrics.HedgeWins++
@@ -516,7 +516,7 @@ func (c *ShardedCluster) resolveFlight(fl *rflight, att *attempt) {
 // recovery-storm control is on (the resilient mirror of
 // replaceFlights). Settled-but-unresolved attempts keep their results;
 // they resolve at the next boundary from the dead host's settled list.
-func (c *ShardedCluster) replaceAttempts(n *Node) {
+func (c *Cluster) replaceAttempts(n *Node) {
 	atts := n.attempts
 	n.attempts = nil
 	for _, att := range atts {
@@ -545,7 +545,7 @@ func (c *ShardedCluster) replaceAttempts(n *Node) {
 // have retried become final — there are no boundaries left to retry
 // at. Flights whose attempts never completed by the horizon stay
 // unresolved, exactly as the plain path leaves queued work unserved.
-func (c *ShardedCluster) finishResil() {
+func (c *Cluster) finishResil() {
 	if c.resil == nil {
 		return
 	}

@@ -52,12 +52,12 @@ func (s *sliceStream) Next() (Invocation, bool) {
 
 // PlayStream replays a time-sorted invocation stream through the
 // dispatcher under the epoch protocol (see Play and the package
-// comment in shard.go). The stream is consumed exactly once, one
+// comment in epoch.go). The stream is consumed exactly once, one
 // boundary at a time: peak memory is bounded by the stream's own
 // cursor state plus the fleet, independent of how many invocations
 // flow through — the property the memory-bound regression test
 // asserts for million-invocation multi-day runs.
-func (c *ShardedCluster) PlayStream(src InvocationStream, pc PlayConfig) {
+func (c *Cluster) PlayStream(src InvocationStream, pc PlayConfig) {
 	c.shardsWanted, c.shardWalls = pc.Shards, nil
 	c.autoscale = pc.Autoscale
 	c.ScheduleFleetEvents(pc.Events)

@@ -61,7 +61,7 @@ func streamRun(seed uint64, shards int, exec func([]func()), materialize bool) (
 	const hosts, funcs = 4, 6
 	dur := 25 * sim.Second
 	cost := costmodel.Default()
-	c := NewSharded(cost, Config{
+	c := New(cost, Config{
 		Hosts: hosts, HostMemBytes: 18 * units.GiB, Backend: faas.Squeezy,
 		N: 4, KeepAlive: 20 * sim.Second,
 		PhaseBounds: []sim.Time{sim.Time(dur / 2)},
@@ -158,7 +158,7 @@ func TestSketchResetReplay(t *testing.T) {
 		N: 4, KeepAlive: 20 * sim.Second,
 		Sketch: &stats.SketchConfig{K: 128, Seed: 7},
 	}
-	replay := func(c *ShardedCluster) (uint64, string) {
+	replay := func(c *Cluster) (uint64, string) {
 		c.Play(fleetInvs(11, 6, 25*sim.Second, 4, 20), PlayConfig{
 			TickEvery: sim.Second, TickUntil: sim.Time(25 * sim.Second),
 			DrainUntil: sim.Time(250 * sim.Second),
@@ -167,10 +167,10 @@ func TestSketchResetReplay(t *testing.T) {
 		return c.Fired(), fmt.Sprintf("%s skfp=%x p999=%.6f",
 			metricsTable(c), m.ColdLatMs.SketchFingerprint(), m.ColdLatMs.Percentile(99.9))
 	}
-	fresh := NewSharded(cost, cfg, NewPolicy("reclaim-aware", cost))
+	fresh := New(cost, cfg, NewPolicy("reclaim-aware", cost))
 	wantFired, wantTable := replay(fresh)
 
-	reused := NewSharded(cost, cfg, NewPolicy("reclaim-aware", cost))
+	reused := New(cost, cfg, NewPolicy("reclaim-aware", cost))
 	replay(reused) // dirty the pools with a full sketched run
 	reused.Reset(cost, cfg, NewPolicy("reclaim-aware", cost))
 	gotFired, gotTable := replay(reused)

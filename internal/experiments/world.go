@@ -25,7 +25,7 @@ import (
 // everything built this way draws from the worker's pools and is
 // released back when the cell ends. The reset invariants of the
 // underlying layers (sim.Scheduler.Reset, buddy.Allocator.Reset,
-// mem.Zone.Reset, vmm.VM.Reset, cluster.ShardedCluster.Reset, ...)
+// mem.Zone.Reset, vmm.VM.Reset, cluster.Cluster.Reset, ...)
 // guarantee a cell runs identically on a pooled world and on a fresh
 // one, so worker count and cell interleaving never leak into results.
 //
@@ -39,7 +39,7 @@ type World struct {
 
 	kernels  []*guestos.Kernel
 	runtimes []*faas.Runtime
-	fleet    *cluster.ShardedCluster
+	fleet    *cluster.Cluster
 
 	vmInUse []*vmm.VM // this cell's kernel-direct VMs, retired at cell end
 
@@ -171,9 +171,9 @@ func (w *World) Runtime(host *hostmem.Host, cost *costmodel.Model) *faas.Runtime
 // reuses that host's storage; the fleet's Exec hook is wired to the
 // world so the final drain's shard tasks land on the executor's worker
 // pool (epoch advances run inline on this world's goroutine).
-func (w *World) Fleet(cost *costmodel.Model, cfg cluster.Config, policy cluster.Policy) *cluster.ShardedCluster {
+func (w *World) Fleet(cost *costmodel.Model, cfg cluster.Config, policy cluster.Policy) *cluster.Cluster {
 	if w.fleet == nil {
-		w.fleet = cluster.NewSharded(cost, cfg, policy)
+		w.fleet = cluster.New(cost, cfg, policy)
 	} else {
 		w.fleet.Reset(cost, cfg, policy)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // Clock supplies the simulated time a Recorder stamps events with.
-// sim.Scheduler and cluster.ShardedCluster both satisfy it.
+// sim.Scheduler and cluster.Cluster both satisfy it.
 type Clock interface {
 	Now() sim.Time
 }
