@@ -26,11 +26,10 @@
 //	-format F    text, json, or csv
 //	-o FILE      write output to FILE instead of stdout
 //	-cellstats   print per-cell wall-clock timings to stderr after the
-//	             run (cells are the executor's scheduling unit; sharded
-//	             fleet cells additionally break down into the per-shard
-//	             walls of their final drain, the only part that fans
-//	             out); -cellstats=json emits the same numbers plus
-//	             the parallel-floor rule as JSON on stderr
+//	             run (cells are the executor's scheduling unit: each
+//	             runs start to finish on one worker); -cellstats=json
+//	             emits the same numbers plus the parallel-floor rule as
+//	             JSON on stderr
 //	-simtrace FILE  record a simulation trace and write it as Chrome
 //	             trace-event JSON (open at https://ui.perfetto.dev): one
 //	             process per cell with a fleet/dispatcher track and one
@@ -55,7 +54,7 @@
 //	             -topology 4x2), hosts assigned round-robin. Enables
 //	             the rack-level fault scenarios and makes the
 //	             blast-radius-aware policies (spread, zone-headroom)
-//	             meaningful; a bare R means Z=1
+//	             meaningful; a bare R means Z=1. R is at most 1024
 //	-sketch      collect every fleet experiment's latency samples in
 //	             bounded-memory reservoir sketches instead of exact
 //	             retained-value samples. Order statistics are then
@@ -107,8 +106,15 @@ func validFaultScenario(name string) bool {
 	return false
 }
 
+// maxTopologyRacks bounds -topology's rack count. The experiments use
+// at most 4 racks; fleet tracing samples one memory gauge per rack per
+// tick and fault fuzzing draws rack indices from 2·R, so an unbounded
+// R either runs for hours or overflows.
+const maxTopologyRacks = 1024
+
 // parseTopology parses a -topology value: "RxZ" (racks x zones) or a
-// bare "R" (one zone). "" means no topology.
+// bare "R" (one zone), with R at most maxTopologyRacks. "" means no
+// topology.
 func parseTopology(s string) (racks, zones int, err error) {
 	if s == "" {
 		return 0, 0, nil
@@ -124,8 +130,8 @@ func parseTopology(s string) (racks, zones int, err error) {
 	if z == "" {
 		zones = 1
 	}
-	if err != nil || racks < 1 || zones < 1 || zones > racks {
-		return 0, 0, fmt.Errorf("bad -topology %q (want RxZ with 1 <= Z <= R, e.g. 4x2)", s)
+	if err != nil || racks < 1 || zones < 1 || zones > racks || racks > maxTopologyRacks {
+		return 0, 0, fmt.Errorf("bad -topology %q (want RxZ with 1 <= Z <= R <= %d, e.g. 4x2)", s, maxTopologyRacks)
 	}
 	return racks, zones, nil
 }
@@ -457,10 +463,8 @@ func parseMemBudget(s string) (int64, error) {
 }
 
 // printCellStats writes the per-cell wall-clock table to w (stderr):
-// slowest cells first, then per-experiment totals. Sharded fleet cells
-// get a per-shard breakdown line for their final drain, the one part
-// of a fleet cell that fans out to idle workers. The batch's parallel
-// floor is experiments.ParallelFloor. Timings go to stderr only, so -o
+// slowest cells first, then per-experiment totals. The batch's
+// parallel floor is experiments.ParallelFloor. Timings go to stderr only, so -o
 // result files stay byte-identical across runs.
 func printCellStats(w io.Writer, stats []experiments.CellStat) {
 	sorted := make([]experiments.CellStat, len(stats))
@@ -479,19 +483,12 @@ func printCellStats(w io.Writer, stats []experiments.CellStat) {
 	fmt.Fprintf(w, "cells: %d, summed cell wall time %v (== cpu time only if workers <= cores)\n",
 		len(stats), total.Round(time.Millisecond))
 	if len(sorted) > 0 {
-		fmt.Fprintf(w, "slowest cell: %v, parallel floor (max of the worst cell's critical path and summed wall / workers): %v when workers <= cores\n",
+		fmt.Fprintf(w, "slowest cell: %v, parallel floor (max of the slowest cell and summed wall / workers): %v when workers <= cores\n",
 			sorted[0].Wall.Round(time.Millisecond), experiments.ParallelFloor(stats).Round(time.Millisecond))
 	}
 	fmt.Fprintf(w, "%-20s %-8s %-32s %s\n", "experiment", "trial", "cell", "wall")
 	for _, s := range sorted {
 		fmt.Fprintf(w, "%-20s %-8d %-32s %v\n", s.Experiment, s.Trial, s.Label, s.Wall.Round(time.Millisecond))
-		if len(s.ShardWalls) > 0 {
-			fmt.Fprintf(w, "%-20s %-8s   shards:", "", "")
-			for i, sw := range s.ShardWalls {
-				fmt.Fprintf(w, " %d=%v", i, sw.Round(time.Millisecond))
-			}
-			fmt.Fprintln(w)
-		}
 	}
 	exps := make([]string, 0, len(perExp))
 	for e := range perExp {

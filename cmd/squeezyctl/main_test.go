@@ -25,6 +25,8 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{"run without names", []string{"run"}, 2},
 		{"bad format", []string{"-format", "yaml", "run", "fig6"}, 2},
 		{"bad topology", []string{"-topology", "2x3", "run", "fig6"}, 2},
+		{"topology racks above bound", []string{"-topology", "1025x1", "run", "fig6"}, 2},
+		{"huge topology", []string{"-parallel", "1", "-topology", "5000000000000000000x1", "-faults", "fuzz", "run", "cluster-overcommit"}, 2},
 		{"bad faults", []string{"-faults", "meteor", "run", "fig6"}, 2},
 		{"negative days", []string{"-days", "-1", "run", "fig6"}, 2},
 		{"zero trials", []string{"-trials", "0", "run", "fig6"}, 2},
@@ -61,6 +63,29 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseTopology: parseTopology never panics, "" means no topology,
+// and any value it accepts has 1 <= Z <= R <= maxTopologyRacks.
+func FuzzParseTopology(f *testing.F) {
+	for _, s := range []string{"", "4x2", "4", "1x1", "1024x1024", "1025", "2x3", "0x0", "x", "4x", "-1x-1", "5000000000000000000x1"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		racks, zones, err := parseTopology(s)
+		if s == "" {
+			if err != nil || racks != 0 || zones != 0 {
+				t.Fatalf("parseTopology(\"\") = %d, %d, %v; want 0, 0, nil", racks, zones, err)
+			}
+			return
+		}
+		if err != nil {
+			return
+		}
+		if zones < 1 || zones > racks || racks > maxTopologyRacks {
+			t.Fatalf("parseTopology(%q) accepted %dx%d", s, racks, zones)
+		}
+	})
 }
 
 // TestRunWritesResults drives one quick experiment end to end through

@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"squeezy/internal/costmodel"
@@ -14,9 +12,9 @@ import (
 	"squeezy/internal/workload"
 )
 
-// The churn determinism suite: PR 5's byte-identity guarantee — tables
-// invariant to shard count and worker count — tested against dynamic
-// fleets. Hosts join, fail, and drain mid-trace from fuzzed schedules,
+// The churn determinism suite: the epoch engine's byte-identity
+// guarantee — tables invariant to the order hosts advance in — tested
+// against dynamic fleets. Hosts join, fail, and drain mid-trace from fuzzed schedules,
 // and every run must still be a pure function of (seed, config).
 
 // fleetEvents adapts a generated churn schedule to the cluster's event
@@ -56,33 +54,9 @@ func churnTable(c *Cluster) string {
 	return s
 }
 
-// poolExec runs shard tasks on a bounded worker pool — the executor
-// shape the experiments runner uses at -parallel N.
-func poolExec(workers int) func([]func()) {
-	return func(tasks []func()) {
-		var wg sync.WaitGroup
-		ch := make(chan func())
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for f := range ch {
-					f()
-				}
-			}()
-		}
-		for _, f := range tasks {
-			ch <- f
-		}
-		close(ch)
-		wg.Wait()
-	}
-}
-
 // churnRun plays one pressured fleet under a fuzzed churn schedule
-// with the given shard count and Exec hook, and returns the full
-// fingerprint.
-func churnRun(seed uint64, shards int, exec func([]func())) (uint64, string) {
+// with the given host-order hook, and returns the full fingerprint.
+func churnRun(seed uint64, order func([]*Node) []*Node) (uint64, string) {
 	const hosts = 4
 	dur := 25 * sim.Second
 	cost := costmodel.Default()
@@ -91,12 +65,11 @@ func churnRun(seed uint64, shards int, exec func([]func())) (uint64, string) {
 		N: 4, KeepAlive: 20 * sim.Second,
 		PhaseBounds: []sim.Time{sim.Time(dur / 2)},
 	}, NewPolicy("reclaim-aware", cost))
-	c.Exec = exec
+	c.hostOrder = order
 	churn := trace.GenChurn(seed, trace.ChurnConfig{
 		Duration: dur, Events: 6, Hosts: hosts,
 	})
 	c.Play(fleetInvs(seed, 6, dur, 6, 30), PlayConfig{
-		Shards:    shards,
 		TickEvery: sim.Second, TickUntil: sim.Time(dur),
 		DrainUntil: sim.Time(10 * dur),
 		Events:     fleetEvents(churn),
@@ -106,31 +79,21 @@ func churnRun(seed uint64, shards int, exec func([]func())) (uint64, string) {
 
 // TestChurnShardInvariance is the headline property: for fuzzed churn
 // schedules — random join/fail/drain times, targets, and order across
-// seeds — the run's fingerprint is byte-identical at shard counts
-// {1, 2, hosts} and worker counts {1, 2, 8}, serial and parallel.
+// seeds — the run's fingerprint is byte-identical whether hosts advance
+// in host-ID order, reversed, or reshuffled at every epoch. Joins,
+// failures and drains change the live set mid-run, so the shuffles
+// cover every membership the run passes through.
 func TestChurnShardInvariance(t *testing.T) {
-	execs := []struct {
-		name string
-		exec func([]func())
-	}{
-		{"serial", nil},
-		{"pool-1", poolExec(1)},
-		{"pool-2", poolExec(2)},
-		{"pool-8", poolExec(8)},
-		{"goroutines", goExec},
-	}
 	for seed := uint64(1); seed <= 3; seed++ {
-		wantFired, wantTable := churnRun(seed, 1, nil)
+		wantFired, wantTable := churnRun(seed, nil)
 		if wantFired == 0 {
 			t.Fatalf("seed %d: degenerate run", seed)
 		}
-		for _, shards := range []int{1, 2, 0 /* = hosts */} {
-			for _, e := range execs {
-				gotFired, gotTable := churnRun(seed, shards, e.exec)
-				if gotFired != wantFired || gotTable != wantTable {
-					t.Fatalf("seed %d shards=%d exec=%s diverges from serial:\n%d %s\n%d %s",
-						seed, shards, e.name, gotFired, gotTable, wantFired, wantTable)
-				}
+		for _, o := range hostOrders {
+			gotFired, gotTable := churnRun(seed, o.hook())
+			if gotFired != wantFired || gotTable != wantTable {
+				t.Fatalf("seed %d: %s host order diverges from host-ID order:\n%d %s\n%d %s",
+					seed, o.name, gotFired, gotTable, wantFired, wantTable)
 			}
 		}
 	}
@@ -138,19 +101,18 @@ func TestChurnShardInvariance(t *testing.T) {
 
 // TestAutoscaleShardInvariance runs the pressure-driven autoscaler —
 // joins and drains decided by the run itself, not a schedule — across
-// shard and worker counts and requires byte-identity, plus at least
-// one scale-up so the test cannot pass vacuously.
+// the host-order grid and requires byte-identity, plus at least one
+// scale-up so the test cannot pass vacuously.
 func TestAutoscaleShardInvariance(t *testing.T) {
-	run := func(shards int, exec func([]func())) (uint64, string, int) {
+	run := func(order func([]*Node) []*Node) (uint64, string, int) {
 		dur := 25 * sim.Second
 		cost := costmodel.Default()
 		c := New(cost, Config{
 			Hosts: 2, HostMemBytes: 12 * units.GiB, Backend: faas.Squeezy,
 			N: 4, KeepAlive: 20 * sim.Second,
 		}, NewPolicy("reclaim-aware", cost))
-		c.Exec = exec
+		c.hostOrder = order
 		c.Play(fleetInvs(9, 6, dur, 6, 30), PlayConfig{
-			Shards:    shards,
 			TickEvery: sim.Second, TickUntil: sim.Time(dur),
 			DrainUntil: sim.Time(10 * dur),
 			Autoscale: &AutoscaleConfig{
@@ -160,17 +122,15 @@ func TestAutoscaleShardInvariance(t *testing.T) {
 		})
 		return c.Fired(), churnTable(c), c.Metrics.HostJoins
 	}
-	wantFired, wantTable, joins := run(1, nil)
+	wantFired, wantTable, joins := run(nil)
 	if joins == 0 {
 		t.Fatal("autoscaler never scaled up; test setup is vacuous")
 	}
-	for _, shards := range []int{2, 0} {
-		for _, exec := range []func([]func()){nil, poolExec(2), goExec} {
-			gotFired, gotTable, _ := run(shards, exec)
-			if gotFired != wantFired || gotTable != wantTable {
-				t.Fatalf("autoscale shards=%d diverges:\n%d %s\n%d %s",
-					shards, gotFired, gotTable, wantFired, wantTable)
-			}
+	for _, o := range hostOrders {
+		gotFired, gotTable, _ := run(o.hook())
+		if gotFired != wantFired || gotTable != wantTable {
+			t.Fatalf("autoscale: %s host order diverges:\n%d %s\n%d %s",
+				o.name, gotFired, gotTable, wantFired, wantTable)
 		}
 	}
 }
@@ -337,21 +297,19 @@ func TestFailLastWarmHost(t *testing.T) {
 // TestDrainDeadlineReplacesExactlyOnce is the regression for
 // costmodel.ReclaimDrainTimeout expiry during a graceful drain:
 // still-running invocations re-place exactly once — no drop, no
-// double-complete — raced on real goroutines so `-race` guards the
-// boundary. LongHaul outlives the 5 s grace period by construction.
+// double-complete. LongHaul outlives the 5 s grace period by construction.
 func TestDrainDeadlineReplacesExactlyOnce(t *testing.T) {
 	cost := costmodel.Default()
 	c := New(cost, Config{
 		Hosts: 2, Backend: faas.Squeezy, N: 2, KeepAlive: 30 * sim.Second,
 	}, NewPolicy("round-robin", cost))
-	c.Exec = goExec
 	long := workload.LongHaul()
-	var counts [2]int32 // callbacks fire on shard workers: count atomically
+	var counts [2]int
 	for i := range counts {
 		i := i
 		c.Invoke(long, func(res faas.Result) {
 			if !res.Dropped {
-				atomic.AddInt32(&counts[i], 1)
+				counts[i]++
 			}
 		})
 	}
@@ -375,7 +333,7 @@ func TestDrainDeadlineReplacesExactlyOnce(t *testing.T) {
 	}
 	drainFor(c, 120*sim.Second)
 	for i := range counts {
-		if got := atomic.LoadInt32(&counts[i]); got != 1 {
+		if got := counts[i]; got != 1 {
 			t.Fatalf("request %d completed %d times, want exactly once", i, got)
 		}
 	}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"squeezy/internal/costmodel"
 	"squeezy/internal/faas"
@@ -61,8 +60,8 @@ type Config struct {
 	// reservoir mode (stats.SketchConfig): O(K) memory per sample at
 	// any invocation count, percentiles within stats.RankErrorBound(K)
 	// of exact. Each sample's priority stream is derived from the host
-	// ID and metric index, so sketched runs stay shard-, worker-, and
-	// merge-order invariant. nil (the default) retains every
+	// ID and metric index, so sketched runs stay invariant to host
+	// advance order, worker count and merge order. nil (the default) retains every
 	// observation exactly, preserving the recorded tables bit-for-bit.
 	Sketch *stats.SketchConfig
 }
@@ -70,8 +69,8 @@ type Config struct {
 // Node is one simulated host: a private scheduler, memory pool, and
 // runtime, plus the per-function VMs the dispatcher has placed on it.
 // Between dispatcher epochs a node's simulation is fully independent
-// of every other node's, which is what lets the final drain run
-// disjoint node sets on parallel shard workers.
+// of every other node's, which is why the order nodes advance in never
+// reaches a result.
 type Node struct {
 	ID      int
 	Backend faas.BackendKind
@@ -88,16 +87,17 @@ type Node struct {
 	RT    *faas.Runtime
 	// Rec is the host's private recycler: kernels, vmm.VMs, and FuncVM
 	// shells released by a finished run back this host's next run.
-	// Per-host arenas keep shard workers from ever sharing pool state.
+	// Per-host arenas keep hosts from ever sharing pool state.
 	Rec *faas.Recycler
 	// M accumulates the host's completion-side metrics. Completion
-	// callbacks run while shard workers advance the host, so they must
-	// write host-local state only; the fleet view is merged from the
-	// per-host metrics in host-ID order (Stats).
+	// callbacks run while the host advances, in whatever order the
+	// epoch engine walks the hosts, so they must write host-local state
+	// only; the fleet view is merged from the per-host metrics in
+	// host-ID order (Stats).
 	M NodeMetrics
 	// Obs is the host's trace recorder (nil when tracing is off). Like M
-	// it is host-private: written only by whichever worker advances this
-	// host, merged in host-ID order at export.
+	// it is host-private: written only while this host advances, merged
+	// in host-ID order at export.
 	Obs *obs.Recorder
 
 	vms     map[string]*faas.FuncVM
@@ -118,8 +118,9 @@ type Node struct {
 	// host-locally. On failure or drain expiry the survivors re-place in
 	// this order, exactly once each.
 	inflight []*flight
-	// flightFree holds recycled flight records. Flights retire on the
-	// serving host's worker, so the pool is per host, never fleet-wide.
+	// flightFree holds recycled flight records. Flights retire while
+	// the serving host advances, so the pool is per host, never
+	// fleet-wide.
 	flightFree []*flight
 
 	// Resilience-layer state (resilience.go): attempts is the host's
@@ -229,8 +230,8 @@ const fleetSketchHost = 1 << 20
 // applySketch moves the metrics' samples into (or out of) reservoir
 // mode for a new run. Each sample gets a distinct priority stream
 // derived from (host ID, metric index) — a pure function of the
-// host's identity, so sketched runs are as shard- and worker-count
-// invariant as exact ones. Call with every sample empty: after
+// host's identity, so sketched runs are as invariant to host advance
+// order and worker count as exact ones. Call with every sample empty: after
 // newNodeMetrics/reset, and after initPhases (which rebuilds the
 // phased samples in exact mode).
 func (m *NodeMetrics) applySketch(cfg *stats.SketchConfig, host int) {
@@ -277,7 +278,7 @@ func (m *NodeMetrics) initPhases(bounds []sim.Time) {
 // AdmissionDrops) and the memory series are written directly by the
 // serial dispatcher; the completion-side fields are merged from the
 // per-host NodeMetrics by Stats, in host-ID order, so the aggregate is
-// identical at every shard count.
+// identical whatever order the hosts advanced in.
 type Metrics struct {
 	Invocations int
 	ColdStarts  int
@@ -354,8 +355,8 @@ type Metrics struct {
 // (grants, boots, reclaim pressure) play out host-locally between
 // boundaries. The dispatcher holds no RNG, iterates hosts in slice
 // order, and breaks every tie by host ID, so a fleet run is a pure
-// function of its traces and seed — at any shard count, on any worker
-// pool, byte-identical to the serial single-shard run.
+// function of its traces and seed — byte-identical whatever order the
+// hosts advance in and on any worker pool.
 type Cluster struct {
 	Cost   *costmodel.Model
 	Cfg    Config
@@ -364,13 +365,6 @@ type Cluster struct {
 	// order — dead hosts included, so their metrics still merge. The
 	// fleet-dynamics views below narrow it.
 	Nodes []*Node
-
-	// Exec, when non-nil, runs the final drain's shard tasks —
-	// possibly in parallel — and returns when all have completed. The
-	// tasks touch disjoint hosts, so any execution order (or true
-	// concurrency) yields identical results. nil runs them serially.
-	// Epoch advances never go through Exec; they run inline.
-	Exec func(tasks []func())
 
 	Metrics Metrics
 
@@ -418,9 +412,12 @@ type Cluster struct {
 	obsT     *obs.Trace
 	fleetObs *obs.Recorder
 
-	// Epoch-engine state (epoch.go).
-	shardsWanted int             // requested drain shard count
-	shardWalls   []time.Duration // wall-clock per drain shard this run
+	// hostOrder, when non-nil, permutes the live hosts before every
+	// epoch advance and the final drain (epoch.go). It is a test hook:
+	// the order-invariance suites use it to prove that the order in
+	// which hosts advance never reaches a result. Production leaves it
+	// nil (host-ID order).
+	hostOrder func([]*Node) []*Node
 
 	// slack is nodesWithSlack's result buffer, reused by every serial
 	// dispatch (no policy keeps the candidate slice).
@@ -586,7 +583,6 @@ func (c *Cluster) Reset(cost *costmodel.Model, cfg Config, policy Policy) {
 	c.obsT, c.fleetObs = nil, nil
 	c.autoscale = nil
 	c.lastScale, c.scaled = 0, false
-	c.shardsWanted, c.shardWalls = 0, nil
 	clear(c.slack[:cap(c.slack)]) // drop stale *Node pointers
 	bindPolicy(policy, c)
 	m := &c.Metrics
@@ -862,9 +858,9 @@ func (c *Cluster) fallbackVM(fn *workload.Function, excl func(*Node) bool) (*Nod
 
 // finish completes a flight with host-local metrics accounting and
 // in-flight retirement, then recycles the record into the serving
-// host's pool. It fires on the serving host's scheduler — possibly
-// while a shard worker advances that host — so it must only touch that
-// host's state (NodeMetrics, inflight, flightFree), never fleet-wide
+// host's pool. It fires on the serving host's scheduler while that
+// host advances — in whatever order the epoch engine walks the hosts —
+// so it must only touch that host's state (NodeMetrics, inflight, flightFree), never fleet-wide
 // state. The recorded latency spans the flight's original arrival, so
 // a re-placed invocation pays for the work its failed host lost
 // (identical to res.Latency when the flight was never re-placed).
@@ -951,9 +947,9 @@ func (n *Node) removeFlight(fl *flight) {
 // Stats merges the per-host metrics into the fleet-wide Metrics view
 // and returns it. Completion counters and latency samples are merged
 // in host-ID order; percentiles depend only on the combined multiset,
-// so the merged view is identical at every shard count. Call it after
-// the run (or after any Drain) — merging while hosts are advancing
-// would race the completion callbacks.
+// so the merged view is identical whatever order the hosts advanced
+// in. Call it after the run (or after any Drain): hosts still owe
+// completions before that.
 func (c *Cluster) Stats() *Metrics {
 	m := &c.Metrics
 	m.ColdStarts, m.WarmStarts, m.Dropped, m.Failed = 0, 0, 0, 0

@@ -22,12 +22,11 @@
 // (events strictly before the boundary fire, clocks land exactly on
 // it), runs the boundary's dispatcher work serially in canonical
 // order — invocations in trace order, then the memory sample — and
-// repeats. Epochs are tiny (a boundary at every invocation), so hosts
-// advance inline on the dispatcher's goroutine in host-ID order. Only
-// the final drain fans out: after the last boundary the live hosts
-// split into shards that run to the horizon as independent tasks,
-// concurrently when an Exec hook is installed. Completion metrics
-// accumulate per host and merge in host-ID order.
+// repeats; after the last boundary every live host drains to the
+// horizon. Epochs are tiny (a boundary at every invocation), so the
+// whole run stays on the caller's goroutine: hosts advance inline in
+// host-ID order. Completion metrics accumulate per host and merge in
+// host-ID order.
 //
 // # Fleet dynamics
 //
@@ -44,18 +43,19 @@
 // flights) re-places through the normal dispatcher exactly once.
 // Flight records are recycled through the serving host's free list and
 // are their own completion target, so a plain dispatch allocates
-// nothing; the pool is per host because completions retire flights on
-// whichever worker advances that host.
+// nothing; the pool is per host because completions retire flights
+// while their host advances, which must touch host-local state only.
 //
 // # Determinism
 //
 // The dispatcher holds no RNG, iterates hosts in slice order, and
 // breaks every tie by host ID; a host's evolution between boundaries
 // is a pure function of its state at the last boundary; and nothing
-// depends on the drain's shard partition or on which worker drained
-// which host. A fleet run is therefore a pure function of its traces, its
-// fleet-event schedule, and its seed, byte-identical at every shard
-// count — the property TestShardCountInvariance,
-// TestParallelShardsMatchSerial, and (under fuzzed churn)
-// TestChurnShardInvariance pin down.
+// depends on the order hosts advance in. A fleet run is therefore a
+// pure function of its traces, its fleet-event schedule, and its seed
+// — the property TestShardCountInvariance and, under fuzzed churn,
+// faults, domains, autoscaling and streaming, its sibling suites pin
+// down by replaying each run with hosts advancing in reversed and
+// per-epoch shuffled order and requiring identical events, tables and
+// traces.
 package cluster

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"squeezy/internal/costmodel"
@@ -19,7 +18,7 @@ import (
 // failure domains at epoch boundaries, the blast-radius-aware policies
 // read fleet-wide domain state, and displaced work drains through the
 // paced re-placement queue — and the run must still be a pure function
-// of (seed, config) at every shard and worker count.
+// of (seed, config) whatever order the hosts advance in.
 
 // domainTable extends the fault fingerprint with the failure-domain
 // outcome, so a divergence in rack expansion or recovery pacing breaks
@@ -53,7 +52,7 @@ func splitDomainChurn(churn []trace.ChurnEvent) ([]FleetEvent, []fault.Event) {
 // domainCluster plays one pressured fleet with a topology, fuzzed
 // rack-aware churn and faults, a blast-radius policy, pacing, and the
 // full resilience layer, and returns the cluster for inspection.
-func domainCluster(seed uint64, shards int, exec func([]func())) *Cluster {
+func domainCluster(seed uint64, order func([]*Node) []*Node) *Cluster {
 	const hosts = 4
 	dur := 25 * sim.Second
 	cost := costmodel.Default()
@@ -67,7 +66,7 @@ func domainCluster(seed uint64, shards int, exec func([]func())) *Cluster {
 		},
 		Repace: &RepaceConfig{Shed: true},
 	}, NewPolicy("spread", cost))
-	c.Exec = exec
+	c.hostOrder = order
 	churn := trace.GenChurn(seed, trace.ChurnConfig{
 		Duration: dur, Events: 4, Hosts: hosts, Racks: 2,
 	})
@@ -77,7 +76,6 @@ func domainCluster(seed uint64, shards int, exec func([]func())) *Cluster {
 	})
 	faults = append(faults, rackFails...)
 	c.Play(fleetInvs(seed, 6, dur, 6, 30), PlayConfig{
-		Shards:    shards,
 		TickEvery: sim.Second, TickUntil: sim.Time(dur),
 		DrainUntil: sim.Time(10 * dur),
 		Events:     fleetEvs,
@@ -87,43 +85,31 @@ func domainCluster(seed uint64, shards int, exec func([]func())) *Cluster {
 	return c
 }
 
-func domainRun(seed uint64, shards int, exec func([]func())) (uint64, string) {
-	c := domainCluster(seed, shards, exec)
+func domainRun(seed uint64, order func([]*Node) []*Node) (uint64, string) {
+	c := domainCluster(seed, order)
 	return c.Fired(), domainTable(c)
 }
 
 // TestDomainShardInvariance is the PR 9 headline property: fuzzed
 // rack-fault plans layered on fuzzed churn, with the spread policy
 // reading fleet-wide rack state and the paced re-placement queue
-// draining displaced work, byte-identical at shard counts {1, 2,
-// hosts} and worker counts {1, 2, 8}, serial and parallel.
+// draining displaced work, byte-identical at every point of the
+// host-order grid.
 func TestDomainShardInvariance(t *testing.T) {
-	execs := []struct {
-		name string
-		exec func([]func())
-	}{
-		{"serial", nil},
-		{"pool-1", poolExec(1)},
-		{"pool-2", poolExec(2)},
-		{"pool-8", poolExec(8)},
-		{"goroutines", goExec},
-	}
 	rackEvents := 0
 	for seed := uint64(1); seed <= 3; seed++ {
-		wantFired, wantTable := domainRun(seed, 1, nil)
+		wantFired, wantTable := domainRun(seed, nil)
 		if wantFired == 0 {
 			t.Fatalf("seed %d: degenerate run", seed)
 		}
-		for _, shards := range []int{1, 2, 0 /* = hosts */} {
-			for _, e := range execs {
-				gotFired, gotTable := domainRun(seed, shards, e.exec)
-				if gotFired != wantFired || gotTable != wantTable {
-					t.Fatalf("seed %d shards=%d exec=%s diverges from serial:\n%d %s\n%d %s",
-						seed, shards, e.name, gotFired, gotTable, wantFired, wantTable)
-				}
+		for _, o := range hostOrders {
+			gotFired, gotTable := domainRun(seed, o.hook())
+			if gotFired != wantFired || gotTable != wantTable {
+				t.Fatalf("seed %d: %s host order diverges from host-ID order:\n%d %s\n%d %s",
+					seed, o.name, gotFired, gotTable, wantFired, wantTable)
 			}
 		}
-		rackEvents += domainCluster(seed, 1, nil).Metrics.RackEvents
+		rackEvents += domainCluster(seed, nil).Metrics.RackEvents
 	}
 	if rackEvents == 0 {
 		t.Fatal("no seed expanded a rack-level fault; the invariance is vacuous")
@@ -205,7 +191,7 @@ func domainStep(c *Cluster, until sim.Time) {
 // TestRackFailWithDrainingMember: a rack fails while one of its hosts
 // is already draining. Both members must die, the drain must not
 // resurrect anything, and every in-flight invocation must complete
-// exactly once on the survivors. Raced on real goroutines for `-race`.
+// exactly once on the survivors.
 func TestRackFailWithDrainingMember(t *testing.T) {
 	long := workload.LongHaul()
 	cost := costmodel.Default()
@@ -213,13 +199,12 @@ func TestRackFailWithDrainingMember(t *testing.T) {
 		Hosts: 4, Backend: faas.Squeezy, N: 1, KeepAlive: 60 * sim.Second,
 		Topology: &Topology{Racks: 2, Zones: 2},
 	}, NewPolicy("round-robin", cost))
-	c.Exec = goExec
 	// One long-running flight per host (N=1 forces a fresh placement
 	// each time), each counting its completions exactly once.
-	var done [4]int32
+	var done [4]int
 	for i := range done {
 		i := i
-		c.Invoke(long, func(res faas.Result) { atomic.AddInt32(&done[i], 1) })
+		c.Invoke(long, func(res faas.Result) { done[i]++ })
 	}
 	// Rack 1 = hosts {1, 3}. Host 1 starts draining, then its whole
 	// rack fails out from under the drain.
@@ -240,7 +225,7 @@ func TestRackFailWithDrainingMember(t *testing.T) {
 	domainStep(c, sim.Time(600*sim.Second))
 	c.finishResil()
 	for i, d := range done {
-		if got := atomic.LoadInt32(&done[i]); got != 1 {
+		if got := done[i]; got != 1 {
 			t.Fatalf("flight %d completed %d times, want exactly once (%v)", i, got, d)
 		}
 	}
@@ -249,7 +234,7 @@ func TestRackFailWithDrainingMember(t *testing.T) {
 // TestRackFailLosesWarmPool: the failed rack holds a function's entire
 // warm pool. The warm loss must be counted, the in-flight warm
 // invocation must be re-placed and complete exactly once, and the next
-// invocation must cold-start on a survivor. Raced for `-race`.
+// invocation must cold-start on a survivor.
 func TestRackFailLosesWarmPool(t *testing.T) {
 	fn := workload.ByName("HTML")
 	cost := costmodel.Default()
@@ -257,16 +242,15 @@ func TestRackFailLosesWarmPool(t *testing.T) {
 		Hosts: 4, Backend: faas.Squeezy, N: 4, KeepAlive: 60 * sim.Second,
 		Topology: &Topology{Racks: 2, Zones: 2},
 	}, NewPolicy("round-robin", cost))
-	c.Exec = goExec
 	// Warm up: two completed invocations leave fn's entire warm pool —
 	// two idle instances — on host 0 in rack 0 (the second concurrent
 	// invocation scales up on the host already running fn's VM).
-	var warm int32
-	c.Invoke(fn, func(res faas.Result) { atomic.AddInt32(&warm, 1) })
-	c.Invoke(fn, func(res faas.Result) { atomic.AddInt32(&warm, 1) })
+	var warm int
+	c.Invoke(fn, func(res faas.Result) { warm++ })
+	c.Invoke(fn, func(res faas.Result) { warm++ })
 	drainFor(c, 30*sim.Second)
 	c.resolveSettled()
-	if atomic.LoadInt32(&warm) != 2 {
+	if warm != 2 {
 		t.Fatal("warm-up invocations did not complete")
 	}
 	if n := c.warmNode(fn, nil); n == nil || n.ID != 0 {
@@ -275,10 +259,10 @@ func TestRackFailLosesWarmPool(t *testing.T) {
 	// The next invocation routes warm onto host 0, leaving one idle
 	// instance beside it; while it is in flight, rack 0 — hosts
 	// {0, 2} — fails, taking both the busy and the idle instance.
-	var done int32
+	var done int
 	c.Invoke(fn, func(res faas.Result) {
 		if !res.Failed && !res.Dropped {
-			atomic.AddInt32(&done, 1)
+			done++
 		}
 	})
 	c.ScheduleFaults([]fault.Event{
@@ -296,7 +280,7 @@ func TestRackFailLosesWarmPool(t *testing.T) {
 	}
 	domainStep(c, sim.Time(600*sim.Second))
 	c.finishResil()
-	if got := atomic.LoadInt32(&done); got != 1 {
+	if got := done; got != 1 {
 		t.Fatalf("displaced warm flight completed %d times, want exactly once", got)
 	}
 	// The re-placed flight had no warm pool left: it must have
@@ -309,7 +293,6 @@ func TestRackFailLosesWarmPool(t *testing.T) {
 // TestRepaceDrainsAcrossJoin: displaced flights sit in the paced
 // re-placement queue while a new host joins; the queue must keep its
 // cadence, dispatch every entry exactly once, and be empty at the end.
-// Raced for `-race`.
 func TestRepaceDrainsAcrossJoin(t *testing.T) {
 	long := workload.LongHaul()
 	cost := costmodel.Default()
@@ -318,13 +301,12 @@ func TestRepaceDrainsAcrossJoin(t *testing.T) {
 		Topology: &Topology{Racks: 2, Zones: 2},
 		Repace:   &RepaceConfig{PerTick: 1, Every: 250 * sim.Millisecond},
 	}, NewPolicy("round-robin", cost))
-	c.Exec = goExec
-	var done [3]int32
+	var done [3]int
 	for i := range done {
 		i := i
 		c.Invoke(long, func(res faas.Result) {
 			if !res.Failed && !res.Dropped {
-				atomic.AddInt32(&done[i], 1)
+				done[i]++
 			}
 		})
 	}
@@ -354,7 +336,7 @@ func TestRepaceDrainsAcrossJoin(t *testing.T) {
 		t.Fatalf("queue depth = %d after draining, want 0", len(c.repaceQ))
 	}
 	for i := range done {
-		if got := atomic.LoadInt32(&done[i]); got != 1 {
+		if got := done[i]; got != 1 {
 			t.Fatalf("flight %d completed %d times, want exactly once", i, got)
 		}
 	}

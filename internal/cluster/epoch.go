@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"time"
-
 	"squeezy/internal/fault"
 	"squeezy/internal/sim"
 	"squeezy/internal/workload"
@@ -19,30 +17,31 @@ import (
 //
 //  1. advance: every host's scheduler runs to the next boundary T with
 //     sim.Scheduler.RunUntilEpoch — all host events strictly before T
-//     fire, host clocks land exactly on T. Hosts advance inline on the
-//     dispatcher's goroutine in host-ID order: a boundary falls at
-//     every invocation, so an epoch carries a few microseconds of host
-//     work — most have a host event on one host or none — and waking
-//     another worker for it would cost more than the work itself.
+//     fire, host clocks land exactly on T.
 //  2. merge: with every host paused at T, the dispatcher fires the
 //     boundary events at T in canonical order — invocations in trace
 //     order first, then the memory sample. Routing reads host state
 //     settled through T-1 plus the synchronous effects of earlier
-//     boundary events at T, identically at every shard count.
+//     boundary events at T.
 //  3. repeat, until the trace and ticks are exhausted; then every host
-//     drains independently to the horizon. The drain is the one
-//     stretch where hosts run without rendezvous, so it alone fans
-//     out: the live hosts split into shards that run as independent
-//     tasks, concurrently when an Exec hook is installed (disjoint
-//     hosts, so any interleaving is equivalent).
+//     drains to the horizon.
+//
+// The whole run stays on the caller's goroutine. A boundary falls at
+// every invocation, so an epoch carries a few microseconds of host
+// work, and even the final drain is a few milliseconds of a fleet
+// cell's wall: handing either to another worker would cost more than
+// it saves, and the experiment runner already keeps every core busy
+// with whole cells.
 //
 // Determinism argument: a host's event stream between boundaries is a
 // pure function of its state at the last boundary (host-local events
 // only, host-local seeds only); the dispatcher step is serial and
 // iterates hosts in ID order; completion metrics accumulate host-
-// locally and merge in host-ID order. Nothing anywhere depends on the
-// drain's shard partition or on which worker drained which host — so
-// tables are byte-identical at every shard count and worker count.
+// locally and merge in host-ID order. Nothing depends on the order in
+// which hosts advance to a boundary or drain to the horizon — the
+// order-invariance suites run every play at ID order, reversed order
+// and per-epoch shuffles (the hostOrder test hook) and require
+// identical events, tables and traces.
 
 // Invocation is one dispatcher boundary event: fn arrives at T.
 type Invocation struct {
@@ -52,12 +51,6 @@ type Invocation struct {
 
 // PlayConfig shapes one epoch-driven fleet run.
 type PlayConfig struct {
-	// Shards is the number of host partitions the final drain runs as
-	// independent tasks; 0 or anything >= the live host count means one
-	// shard per host, 1 means a serial drain. Epoch advances always run
-	// inline. The shard count never changes results, only how much of
-	// the fleet a single drain task covers.
-	Shards int
 	// TickEvery is the fleet memory-sampling cadence (0 disables);
 	// samples are taken at 0, TickEvery, ... through TickUntil.
 	TickEvery sim.Duration
@@ -94,56 +87,31 @@ func (c *Cluster) Play(invs []Invocation, pc PlayConfig) {
 // AdvanceTo advances every host to the epoch boundary t: all host
 // events strictly before t fire, every host clock — and the dispatcher
 // clock — lands exactly on t. The dispatcher may then route
-// invocations or sample memory against the paused fleet. Hosts advance
-// inline in host-ID order: an epoch is a few microseconds of host
-// work, less than handing it to another worker would cost.
+// invocations or sample memory against the paused fleet.
 func (c *Cluster) AdvanceTo(t sim.Time) {
-	for _, n := range c.live {
+	for _, n := range c.advanceOrder() {
 		n.Sched.RunUntilEpoch(t)
 	}
 	c.now = t
 }
 
 // Drain runs every host through t inclusive — unlike AdvanceTo, events
-// at exactly t fire too — and sets the dispatcher clock to t. The
-// final drain of a run is the one stretch where hosts no longer
-// interact, so it is the only fan-out: the live hosts split into
-// contiguous shards (PlayConfig.Shards) that run to the horizon as
-// independent tasks through the Exec hook, each timing its own wall.
+// at exactly t fire too — and sets the dispatcher clock to t.
 func (c *Cluster) Drain(t sim.Time) {
 	if t < c.now {
 		t = c.now
 	}
-	shards := c.shardsWanted
-	if shards <= 0 || shards > len(c.live) {
-		shards = len(c.live)
-	}
-	if len(c.shardWalls) < shards {
-		c.shardWalls = append(c.shardWalls, make([]time.Duration, shards-len(c.shardWalls))...)
-	}
-	tasks := make([]func(), shards)
-	for s := range tasks {
-		grp := c.live[s*len(c.live)/shards : (s+1)*len(c.live)/shards]
-		tasks[s] = func() {
-			start := time.Now()
-			for _, n := range grp {
-				n.Sched.RunUntil(t)
-			}
-			c.shardWalls[s] += time.Since(start)
-		}
-	}
-	if c.Exec != nil && len(tasks) > 1 {
-		c.Exec(tasks)
-	} else {
-		for _, task := range tasks {
-			task()
-		}
+	for _, n := range c.advanceOrder() {
+		n.Sched.RunUntil(t)
 	}
 	c.now = t
 }
 
-// ShardWalls returns the wall-clock time each shard of the final drain
-// consumed during the run — the numbers behind `squeezyctl
-// -cellstats`'s per-shard breakdown. Epoch advances run inline on the
-// cell's own goroutine and are not included.
-func (c *Cluster) ShardWalls() []time.Duration { return c.shardWalls }
+// advanceOrder is the order hosts advance in: host-ID order, or
+// whatever permutation of it the hostOrder test hook returns.
+func (c *Cluster) advanceOrder() []*Node {
+	if c.hostOrder != nil {
+		return c.hostOrder(c.live)
+	}
+	return c.live
+}

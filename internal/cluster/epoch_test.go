@@ -1,7 +1,8 @@
 package cluster
 
 import (
-	"sync"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"squeezy/internal/costmodel"
@@ -10,19 +11,51 @@ import (
 	"squeezy/internal/units"
 )
 
-// shardedRun plays one pressured fleet under the given shard count and
-// Exec hook and returns the run's full fingerprint: total events fired
-// plus the flattened metrics table.
-func shardedRun(t *testing.T, backend faas.BackendKind, shards int, exec func([]func())) (uint64, string) {
+// orderCase is one point of the host-order grid the order-invariance
+// suites run: hook builds a fresh hostOrder per run (shuffles carry
+// their own RNG state), nil meaning production host-ID order.
+type orderCase struct {
+	name string
+	hook func() func([]*Node) []*Node
+}
+
+// hostOrders is that grid beyond the host-ID baseline: the reverse of
+// host-ID order at every epoch and two seeded shuffles drawn afresh at
+// every epoch. A result that changes under any of them leaks the order
+// in which hosts advance — a host-locality bug.
+var hostOrders = []orderCase{
+	{"reversed", func() func([]*Node) []*Node { return reversedOrder }},
+	{"shuffle-1", func() func([]*Node) []*Node { return shuffledOrder(1) }},
+	{"shuffle-2", func() func([]*Node) []*Node { return shuffledOrder(2) }},
+}
+
+func reversedOrder(live []*Node) []*Node {
+	out := slices.Clone(live)
+	slices.Reverse(out)
+	return out
+}
+
+func shuffledOrder(seed uint64) func([]*Node) []*Node {
+	rng := rand.New(rand.NewPCG(seed, 0x5eed))
+	return func(live []*Node) []*Node {
+		out := slices.Clone(live)
+		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out
+	}
+}
+
+// orderedRun plays one pressured fleet with the given host-order hook
+// and returns the run's full fingerprint: total events fired plus the
+// flattened metrics table.
+func orderedRun(t *testing.T, backend faas.BackendKind, order func([]*Node) []*Node) (uint64, string) {
 	t.Helper()
 	cost := costmodel.Default()
 	c := New(cost, Config{
 		Hosts: 3, HostMemBytes: 20 * units.GiB, Backend: backend,
 		N: 4, KeepAlive: 20 * sim.Second,
 	}, NewPolicy("reclaim-aware", cost))
-	c.Exec = exec
+	c.hostOrder = order
 	c.Play(fleetInvs(11, 8, 30*sim.Second, 6, 30), PlayConfig{
-		Shards:    shards,
 		TickEvery: sim.Second, TickUntil: sim.Time(30 * sim.Second),
 		DrainUntil: sim.Time(300 * sim.Second),
 	})
@@ -30,76 +63,63 @@ func shardedRun(t *testing.T, backend faas.BackendKind, shards int, exec func([]
 }
 
 // TestShardCountInvariance is the core acceptance property of the
-// epoch engine: the same fleet run under shard counts 1 (the serial
-// unsharded path), 2, and hosts must fire the exact same events and
-// produce byte-identical metrics tables.
+// epoch engine: hosts interact only through the dispatcher, so the
+// same fleet run must fire the exact same events and produce a
+// byte-identical metrics table whatever order the hosts advance to
+// each boundary and drain to the horizon in. (The name predates the
+// host-order grid: the suite once varied the drain's shard count.)
 func TestShardCountInvariance(t *testing.T) {
 	for _, backend := range []faas.BackendKind{faas.VirtioMem, faas.Squeezy, faas.Harvest} {
-		wantFired, wantTable := shardedRun(t, backend, 1, nil)
+		wantFired, wantTable := orderedRun(t, backend, nil)
 		if wantFired == 0 {
 			t.Fatalf("%v: degenerate run", backend)
 		}
-		for _, shards := range []int{2, 3, 0 /* = hosts */} {
-			gotFired, gotTable := shardedRun(t, backend, shards, nil)
+		for _, o := range hostOrders {
+			gotFired, gotTable := orderedRun(t, backend, o.hook())
 			if gotFired != wantFired || gotTable != wantTable {
-				t.Fatalf("%v: shards=%d diverges from unsharded:\n%d %s\n%d %s",
-					backend, shards, gotFired, gotTable, wantFired, wantTable)
+				t.Fatalf("%v: %s host order diverges from host-ID order:\n%d %s\n%d %s",
+					backend, o.name, gotFired, gotTable, wantFired, wantTable)
 			}
 		}
 	}
 }
 
-// goExec advances shard tasks on real goroutines — the concurrency
-// shape the experiments executor provides — so the race detector sees
-// the exact parallel boundary production runs exercise.
-func goExec(tasks []func()) {
-	var wg sync.WaitGroup
-	for _, task := range tasks {
-		wg.Add(1)
-		go func(f func()) {
-			defer wg.Done()
-			f()
-		}(task)
-	}
-	wg.Wait()
-}
-
-// TestParallelShardsMatchSerial runs the drain's shard tasks truly
-// concurrently and requires byte-identity with the serial path: the
-// host partitioning and per-host metrics must make the schedule
-// independent of real execution order.
-func TestParallelShardsMatchSerial(t *testing.T) {
-	wantFired, wantTable := shardedRun(t, faas.Squeezy, 1, nil)
-	for _, shards := range []int{2, 3} {
-		gotFired, gotTable := shardedRun(t, faas.Squeezy, shards, goExec)
-		if gotFired != wantFired || gotTable != wantTable {
-			t.Fatalf("parallel shards=%d diverges from serial:\n%d %s\n%d %s",
-				shards, gotFired, gotTable, wantFired, wantTable)
-		}
-	}
-}
-
-// TestEpochsRunInline guards the engine's fan-out shape: epoch
-// advances run inline on the dispatcher's goroutine and never reach the
-// Exec hook, so a play hands Exec exactly one batch — its final drain,
-// one task per shard. Counting through the hook must not change the
-// run.
+// TestEpochsRunInline guards the engine's shape and the order hook the
+// invariance suites depend on: every epoch advance and the final drain
+// is one inline walk over the live hosts, each going through hostOrder
+// exactly once with the full live set in host-ID order — so those
+// suites cannot pass vacuously with a hook that never runs.
+// Observing through an identity hook must not change the run.
 func TestEpochsRunInline(t *testing.T) {
-	var batches, tasks int
-	count := func(ts []func()) {
-		batches++
-		tasks += len(ts)
-		for _, f := range ts {
-			f()
+	cost := costmodel.Default()
+	c := New(cost, Config{Hosts: 3, Backend: faas.Squeezy}, NewPolicy("round-robin", cost))
+	var walks int
+	c.hostOrder = func(live []*Node) []*Node {
+		walks++
+		for i, n := range live {
+			if n != c.Nodes[i] {
+				t.Fatalf("walk %d: live[%d] is host %d, want host-ID order", walks, i, n.ID)
+			}
 		}
+		if len(live) != 3 {
+			t.Fatalf("walk %d covers %d hosts, want 3", walks, len(live))
+		}
+		return live
 	}
-	wantFired, wantTable := shardedRun(t, faas.Squeezy, 0, nil)
-	gotFired, gotTable := shardedRun(t, faas.Squeezy, 0, count)
-	if batches != 1 || tasks != 3 {
-		t.Fatalf("Exec saw %d batches / %d tasks, want 1 drain batch of 3 shard tasks", batches, tasks)
+	// Memory ticks at 0, 1 s, ..., 10 s are the only boundaries: eleven
+	// advances, then one drain.
+	c.Play(nil, PlayConfig{
+		TickEvery: sim.Second, TickUntil: sim.Time(10 * sim.Second),
+		DrainUntil: sim.Time(20 * sim.Second),
+	})
+	if walks != 12 {
+		t.Fatalf("hostOrder ran %d times, want 11 advances + 1 drain", walks)
 	}
+
+	wantFired, wantTable := orderedRun(t, faas.Squeezy, nil)
+	gotFired, gotTable := orderedRun(t, faas.Squeezy, func(live []*Node) []*Node { return live })
 	if gotFired != wantFired || gotTable != wantTable {
-		t.Fatalf("counting Exec diverges from nil Exec:\n%d %s\n%d %s",
+		t.Fatalf("identity hook diverges from nil hook:\n%d %s\n%d %s",
 			gotFired, gotTable, wantFired, wantTable)
 	}
 }
@@ -119,19 +139,5 @@ func TestPlayTickCadence(t *testing.T) {
 	}
 	if c.Now() != sim.Time(20*sim.Second) {
 		t.Fatalf("dispatcher clock = %v, want drain horizon", c.Now())
-	}
-}
-
-// TestShardWallsCoverShards checks the -cellstats plumbing: a sharded
-// run reports one drain wall-clock accumulator per shard.
-func TestShardWallsCoverShards(t *testing.T) {
-	cost := costmodel.Default()
-	c := New(cost, Config{Hosts: 4, Backend: faas.Squeezy},
-		NewPolicy("round-robin", cost))
-	c.Play(fleetInvs(5, 4, 5*sim.Second, 2, 8), PlayConfig{
-		Shards: 2, DrainUntil: sim.Time(10 * sim.Second),
-	})
-	if len(c.ShardWalls()) != 2 {
-		t.Fatalf("shard walls = %v, want 2 entries", c.ShardWalls())
 	}
 }

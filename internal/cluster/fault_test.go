@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"squeezy/internal/costmodel"
@@ -20,7 +19,7 @@ import (
 // every kind, probabilistic boot failures and crashes drawn from
 // per-host counter-mode streams — compose with fuzzed churn and the
 // full resilience layer, and the run must still be a pure function of
-// (seed, config) at every shard and worker count.
+// (seed, config) whatever order the hosts advance in.
 
 // faultTable extends the churn fingerprint with the resilience-layer
 // outcome, so a divergence anywhere in the retry/hedge/shed machinery
@@ -35,7 +34,7 @@ func faultTable(c *Cluster) string {
 // faultRun plays one pressured fleet under a fuzzed fault plan, fuzzed
 // churn, and the full resilience layer (tight timeout so retries and
 // hedges actually fire at this scale), and returns the fingerprint.
-func faultRun(seed uint64, shards int, exec func([]func())) (uint64, string) {
+func faultRun(seed uint64, order func([]*Node) []*Node) (uint64, string) {
 	const hosts = 4
 	dur := 25 * sim.Second
 	cost := costmodel.Default()
@@ -47,12 +46,11 @@ func faultRun(seed uint64, shards int, exec func([]func())) (uint64, string) {
 			Timeout: 5 * sim.Second, Hedge: true, HedgeDelay: 3 * sim.Second, Shed: true,
 		},
 	}, NewPolicy("reclaim-aware", cost))
-	c.Exec = exec
+	c.hostOrder = order
 	churn := trace.GenChurn(seed, trace.ChurnConfig{
 		Duration: dur, Events: 4, Hosts: hosts,
 	})
 	c.Play(fleetInvs(seed, 6, dur, 6, 30), PlayConfig{
-		Shards:    shards,
 		TickEvery: sim.Second, TickUntil: sim.Time(dur),
 		DrainUntil: sim.Time(10 * dur),
 		Events:     fleetEvents(churn),
@@ -66,32 +64,19 @@ func faultRun(seed uint64, shards int, exec func([]func())) (uint64, string) {
 
 // TestFaultShardInvariance is the PR 8 headline property: fuzzed fault
 // plans layered on fuzzed churn with retries, hedging, and shedding
-// all active, byte-identical at shard counts {1, 2, hosts} and worker
-// counts {1, 2, 8}, serial and parallel.
+// all active, byte-identical at every point of the host-order grid.
 func TestFaultShardInvariance(t *testing.T) {
-	execs := []struct {
-		name string
-		exec func([]func())
-	}{
-		{"serial", nil},
-		{"pool-1", poolExec(1)},
-		{"pool-2", poolExec(2)},
-		{"pool-8", poolExec(8)},
-		{"goroutines", goExec},
-	}
 	exercised := false
 	for seed := uint64(1); seed <= 3; seed++ {
-		wantFired, wantTable := faultRun(seed, 1, nil)
+		wantFired, wantTable := faultRun(seed, nil)
 		if wantFired == 0 {
 			t.Fatalf("seed %d: degenerate run", seed)
 		}
-		for _, shards := range []int{1, 2, 0 /* = hosts */} {
-			for _, e := range execs {
-				gotFired, gotTable := faultRun(seed, shards, e.exec)
-				if gotFired != wantFired || gotTable != wantTable {
-					t.Fatalf("seed %d shards=%d exec=%s diverges from serial:\n%d %s\n%d %s",
-						seed, shards, e.name, gotFired, gotTable, wantFired, wantTable)
-				}
+		for _, o := range hostOrders {
+			gotFired, gotTable := faultRun(seed, o.hook())
+			if gotFired != wantFired || gotTable != wantTable {
+				t.Fatalf("seed %d: %s host order diverges from host-ID order:\n%d %s\n%d %s",
+					seed, o.name, gotFired, gotTable, wantFired, wantTable)
 			}
 		}
 		c := rerunForMetrics(seed)
@@ -294,25 +279,23 @@ func TestRetryBudgetExhaustedFailsOnce(t *testing.T) {
 // TestHostFailMidBackoff: the flight's only attempt fails on a fault
 // window, and while its retry backoff is pending the host that failed
 // it dies. The retry must land on the survivor and complete exactly
-// once — raced on real goroutines so `-race` guards the
-// attempt-vs-churn boundary.
+// once.
 func TestHostFailMidBackoff(t *testing.T) {
 	cost := costmodel.Default()
 	c := New(cost, Config{
 		Hosts: 2, Backend: faas.Squeezy, N: 4, KeepAlive: 30 * sim.Second,
 		Resilience: &ResilienceConfig{BackoffBase: 4 * sim.Second},
 	}, NewPolicy("round-robin", cost))
-	c.Exec = goExec
 	c.ScheduleFaults([]fault.Event{
 		// Only host 0 fails boots; round-robin places the primary there.
 		{T: 0, Dur: 1 * sim.Second, Kind: fault.ColdFail, Host: 0, Mag: 1},
 	}, 7)
 	c.fireFaultEvents(0)
 	fn := workload.ByName("HTML")
-	var completions int32
+	var completions int
 	c.Invoke(fn, func(res faas.Result) {
 		if !res.Failed && !res.Dropped {
-			atomic.AddInt32(&completions, 1)
+			completions++
 		}
 	})
 	// Let the boot failure settle and the backoff arm, then kill the
@@ -326,7 +309,7 @@ func TestHostFailMidBackoff(t *testing.T) {
 	c.failHost(c.Nodes[0])
 	resilStep(c, sim.Time(120*sim.Second))
 	c.finishResil()
-	if got := atomic.LoadInt32(&completions); got != 1 {
+	if got := completions; got != 1 {
 		t.Fatalf("completions = %d, want exactly 1 on the survivor", got)
 	}
 	if c.Nodes[1].VM(fn.Name) == nil {
@@ -337,8 +320,7 @@ func TestHostFailMidBackoff(t *testing.T) {
 // TestHedgeOutstandingWhenHostDrains: the primary runs on a straggling
 // host, the hedge lands warm on the other — which then drains with the
 // hedge outstanding. The drain deadline re-places the hedge attempt;
-// whichever racer wins, the flight completes exactly once. Raced on
-// real goroutines for `-race`.
+// whichever racer wins, the flight completes exactly once.
 func TestHedgeOutstandingWhenHostDrains(t *testing.T) {
 	long := workload.LongHaul()
 	cost := costmodel.Default()
@@ -346,14 +328,13 @@ func TestHedgeOutstandingWhenHostDrains(t *testing.T) {
 		Hosts: 2, Backend: faas.Squeezy, N: 1, KeepAlive: 60 * sim.Second,
 		Resilience: &ResilienceConfig{Hedge: true, HedgeDelay: 2 * sim.Second},
 	}, NewPolicy("round-robin", cost))
-	c.Exec = goExec
 	// Pre-warm both hosts so the hedge finds an idle warm instance.
-	var warm int32
-	c.Invoke(long, func(res faas.Result) { atomic.AddInt32(&warm, 1) })
-	c.Invoke(long, func(res faas.Result) { atomic.AddInt32(&warm, 1) })
+	var warm int
+	c.Invoke(long, func(res faas.Result) { warm++ })
+	c.Invoke(long, func(res faas.Result) { warm++ })
 	drainFor(c, 60*sim.Second)
 	c.resolveSettled()
-	if got := atomic.LoadInt32(&warm); got != 2 {
+	if got := warm; got != 2 {
 		t.Fatalf("pre-warm completions = %d, want 2", got)
 	}
 	// Host 0 turns straggler; the next invocation runs warm there (12 s
@@ -363,10 +344,10 @@ func TestHedgeOutstandingWhenHostDrains(t *testing.T) {
 		{T: c.Now(), Dur: 600 * sim.Second, Kind: fault.Straggler, Host: 0, Mag: 10},
 	}, 7)
 	c.fireFaultEvents(c.Now())
-	var completions int32
+	var completions int
 	c.Invoke(long, func(res faas.Result) {
 		if !res.Failed && !res.Dropped {
-			atomic.AddInt32(&completions, 1)
+			completions++
 		}
 	})
 	start := c.Now()
@@ -384,7 +365,7 @@ func TestHedgeOutstandingWhenHostDrains(t *testing.T) {
 	c.fireFleetEvents(deadline)
 	drainFor(c, 600*sim.Second)
 	c.finishResil()
-	if got := atomic.LoadInt32(&completions); got != 1 {
+	if got := completions; got != 1 {
 		t.Fatalf("completions = %d, want exactly once across primary, hedge, and re-placement", got)
 	}
 }

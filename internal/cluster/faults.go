@@ -12,7 +12,7 @@ import (
 // deterministic. Between boundaries each host consults only its own
 // injector (internal/fault), whose probabilistic decisions come from a
 // counter-mode stream seeded by (plan seed, host ID) — so nothing an
-// injected fault does depends on the shard partition or worker pool.
+// injected fault does depends on the order hosts advance in.
 //
 // Window semantics follow fault.Event: Host -1 targets every host live
 // at open time (the applied set is recorded, so the close targets
@@ -50,7 +50,7 @@ func (c *Cluster) ScheduleFaults(events []fault.Event, seed uint64) {
 
 // armInjector gives the host its decision stream. The injector seed
 // depends only on the plan seed and the host ID, so a host's stream is
-// identical no matter when it joined or which worker advances it.
+// identical no matter when it joined or in what order it advances.
 func (c *Cluster) armInjector(n *Node) {
 	n.inj = fault.NewInjector(n.ID, c.faultSeed)
 	n.RT.Faults = n.inj
@@ -141,7 +141,7 @@ func (c *Cluster) openFaultWindow(ev fault.Event) {
 // fleet state every worker agrees on at the boundary (live membership
 // in host-ID order) plus, for partial RackFail, the counter-mode
 // fault.DomainDraw — so losing rack 2 of 4 is one plan entry that
-// plays out identically at every shard and worker count. A fleet with
+// plays out identically whatever order the hosts advance in. A fleet with
 // no topology, a dangling rack index, or a rack with no live members
 // makes the event a deterministic no-op — the domain mirror of the
 // dangling-host contract.

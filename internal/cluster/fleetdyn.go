@@ -14,7 +14,7 @@ import (
 // boundary order is: retire finished drains, fire due fleet events in
 // queue order, route invocations in trace order, sample memory,
 // evaluate the autoscaler. Nothing about a shape change depends on the
-// shard partition or the worker pool:
+// order hosts advance in or on the worker pool:
 //
 //   - Failure: the host's warm pool is lost, its runtime is released
 //     into its recycler (kernels, vmm.VMs, shells harvested), and its
@@ -30,12 +30,10 @@ import (
 //     never reused — and its private scheduler jumps to the fleet
 //     clock. Host identity (VM names, per-VM RNG streams) derives only
 //     from the ID and join order, so a joined host's sub-simulation is
-//     reproducible at any shard count.
+//     reproducible whatever order the hosts advance in.
 //
-// Epoch advances walk the live hosts inline, so a membership change
-// needs no repartitioning; only the final drain splits the hosts that
-// are live by then into shards, which never affects results, only
-// which worker drains which host.
+// Epoch advances and the final drain walk the live hosts inline, so a
+// membership change needs no repartitioning.
 
 // FleetEventKind classifies one fleet-shape change.
 type FleetEventKind int
@@ -257,7 +255,7 @@ func (c *Cluster) expireDrain(n *Node) {
 
 // settleDrains retires draining hosts whose in-flight work has
 // completed. Called at every epoch boundary, before fleet events and
-// routing, so a finished drain frees its shard slot promptly.
+// routing, so a finished drain stops advancing promptly.
 func (c *Cluster) settleDrains() {
 	var done []*Node // collected first: retire edits c.live in place
 	for _, n := range c.live {

@@ -16,13 +16,13 @@ import (
 
 // The observability determinism suite: attaching a trace recorder must
 // not perturb the simulation (tables byte-identical to an untraced
-// run), and the recorded trace itself must be byte-identical at every
-// shard and worker count — the TestChurnShardInvariance bar applied to
-// the instrumentation.
+// run), and the recorded trace itself must be byte-identical whatever
+// order the hosts advance in — the TestChurnShardInvariance bar
+// applied to the instrumentation.
 
 // churnRunObs is churnRun with a trace attached; same fixture, same
 // fingerprint, plus the recorded trace.
-func churnRunObs(seed uint64, shards int, exec func([]func())) (uint64, string, *obs.Trace) {
+func churnRunObs(seed uint64, order func([]*Node) []*Node) (uint64, string, *obs.Trace) {
 	const hosts = 4
 	dur := 25 * sim.Second
 	cost := costmodel.Default()
@@ -31,14 +31,13 @@ func churnRunObs(seed uint64, shards int, exec func([]func())) (uint64, string, 
 		N: 4, KeepAlive: 20 * sim.Second,
 		PhaseBounds: []sim.Time{sim.Time(dur / 2)},
 	}, NewPolicy("reclaim-aware", cost))
-	c.Exec = exec
+	c.hostOrder = order
 	tr := &obs.Trace{Experiment: "churn", Label: fmt.Sprintf("seed%d", seed)}
 	c.AttachObs(tr)
 	churn := trace.GenChurn(seed, trace.ChurnConfig{
 		Duration: dur, Events: 6, Hosts: hosts,
 	})
 	c.Play(fleetInvs(seed, 6, dur, 6, 30), PlayConfig{
-		Shards:    shards,
 		TickEvery: sim.Second, TickUntil: sim.Time(dur),
 		DrainUntil: sim.Time(10 * dur),
 		Events:     fleetEvents(churn),
@@ -62,48 +61,39 @@ func exportBytes(t *testing.T, tr *obs.Trace) string {
 
 // TestObsLeavesTablesIdentical is the tentpole guarantee: the same
 // churned fleet run with tracing attached produces a byte-identical
-// fingerprint to the untraced run, at shard counts {1, 2, hosts} and
-// serial/pooled/goroutine executors. Recording observes; it never
-// schedules, randomizes, or feeds back.
+// fingerprint to the untraced run, in host-ID order and across the
+// host-order grid. Recording observes; it never schedules, randomizes,
+// or feeds back.
 func TestObsLeavesTablesIdentical(t *testing.T) {
+	orders := append([]orderCase{{"id", func() func([]*Node) []*Node { return nil }}}, hostOrders...)
 	for seed := uint64(1); seed <= 2; seed++ {
-		wantFired, wantTable := churnRun(seed, 1, nil) // tracing off
-		for _, shards := range []int{1, 2, 0 /* = hosts */} {
-			for _, e := range []struct {
-				name string
-				exec func([]func())
-			}{{"serial", nil}, {"pool-2", poolExec(2)}, {"goroutines", goExec}} {
-				gotFired, gotTable, tr := churnRunObs(seed, shards, e.exec)
-				if gotFired != wantFired || gotTable != wantTable {
-					t.Fatalf("seed %d shards=%d exec=%s: tracing perturbed the run:\n%d %s\n%d %s",
-						seed, shards, e.name, gotFired, gotTable, wantFired, wantTable)
-				}
-				if tr.Empty() {
-					t.Fatalf("seed %d: churned run recorded nothing; test is vacuous", seed)
-				}
+		wantFired, wantTable := churnRun(seed, nil) // tracing off
+		for _, o := range orders {
+			gotFired, gotTable, tr := churnRunObs(seed, o.hook())
+			if gotFired != wantFired || gotTable != wantTable {
+				t.Fatalf("seed %d order=%s: tracing perturbed the run:\n%d %s\n%d %s",
+					seed, o.name, gotFired, gotTable, wantFired, wantTable)
+			}
+			if tr.Empty() {
+				t.Fatalf("seed %d: churned run recorded nothing; test is vacuous", seed)
 			}
 		}
 	}
 }
 
 // TestObsTraceShardInvariance: the exported trace (events, lanes,
-// counters — the full byte stream) is identical at every shard and
-// worker count. Host tracks are host-private and the fleet track is
-// written only at serial boundaries, so parallelism cannot reorder
-// anything; run under -race this also guards the merge.
+// counters — the full byte stream) is identical at every point of the
+// host-order grid. Host tracks are host-private and the fleet track is
+// written only at serial boundaries, so the order in which hosts
+// advance cannot reorder anything.
 func TestObsTraceShardInvariance(t *testing.T) {
-	_, _, base := churnRunObs(1, 1, nil)
+	_, _, base := churnRunObs(1, nil)
 	want := exportBytes(t, base)
-	for _, shards := range []int{2, 0} {
-		for _, e := range []struct {
-			name string
-			exec func([]func())
-		}{{"serial", nil}, {"pool-2", poolExec(2)}, {"pool-8", poolExec(8)}, {"goroutines", goExec}} {
-			_, _, tr := churnRunObs(1, shards, e.exec)
-			if got := exportBytes(t, tr); got != want {
-				t.Fatalf("shards=%d exec=%s: exported trace diverges from serial export (%d vs %d bytes)",
-					shards, e.name, len(got), len(want))
-			}
+	for _, o := range hostOrders {
+		_, _, tr := churnRunObs(1, o.hook())
+		if got := exportBytes(t, tr); got != want {
+			t.Fatalf("%s host order: exported trace diverges from host-ID order (%d vs %d bytes)",
+				o.name, len(got), len(want))
 		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // bounded rate on its own timed boundaries, so the recovery load
 // spreads over simulated time. The queue is dispatcher-owned serial
 // state and its tick is an epoch boundary like any other, so pacing is
-// byte-identical at every shard and worker count.
+// byte-identical whatever order the hosts advance in.
 
 // RepaceConfig turns on paced re-placement (Config.Repace; nil
 // preserves immediate re-placement bit-for-bit). Zero-valued fields

@@ -18,16 +18,15 @@ import (
 // dispatcher owns every decision (launch, timeout, retry, hedge, shed,
 // resolution) and acts only at epoch boundaries with the hosts paused;
 // hosts own every consequence. An attempt's completion callback fires
-// on the serving host's scheduler — possibly while a shard worker
-// advances it — so it only moves the attempt to the host's settled
-// list; the dispatcher drains those lists at the next boundary in
-// host-ID order and resolves each invocation exactly once. The first
-// successful attempt wins; losers are withdrawn with
-// faas.Ticket.TryCancel, and a loser too far along to cancel runs
-// detached, its result ignored. Timed events (timeouts, backoff
+// on the serving host's scheduler while that host advances, so it only
+// moves the attempt to the host's settled list; the dispatcher drains
+// those lists at the next boundary in host-ID order and resolves each
+// invocation exactly once. The first successful attempt wins; losers
+// are withdrawn with faas.Ticket.TryCancel, and a loser too far along
+// to cancel runs detached, its result ignored. Timed events (timeouts, backoff
 // expirations, hedge launches) live in a dispatcher-side queue that
 // contributes epoch boundaries, so resilience decisions happen at
-// exact simulated times, identical at every shard count.
+// exact simulated times, identical whatever order the hosts advance in.
 
 // ResilienceConfig turns on the dispatcher resilience layer
 // (Config.Resilience; nil preserves the plain dispatch path
@@ -163,7 +162,7 @@ func (c *Cluster) enqueueResil(ev resilEvent) {
 // moot head events (resolved flights, attempts already withdrawn) so
 // the epoch loop doesn't advance to boundaries with nothing to do.
 // Pruning reads only simulation state settled at the last boundary, so
-// it is shard- and worker-invariant.
+// it is invariant to host advance order and worker count.
 func (c *Cluster) nextResil() (sim.Time, bool) {
 	for len(c.resilQ) > 0 {
 		ev := c.resilQ[0]

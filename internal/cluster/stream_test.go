@@ -15,9 +15,9 @@ import (
 
 // The streaming determinism suite: the epoch loop fed by a live trace
 // cursor — diurnally modulated, with reservoir sketches collecting the
-// latency tails — must remain byte-identical across shard counts,
-// worker counts, and streamed-vs-materialized replay. This extends the
-// PR 5–9 invariance harness to the PR 10 streaming path.
+// latency tails — must remain byte-identical across host orders and
+// streamed-vs-materialized replay. This extends the PR 5–9 invariance
+// harness to the PR 10 streaming path.
 
 // fnStream adapts a trace cursor to the dispatcher's invocation
 // stream for the tests, buffering one invocation for Peek.
@@ -57,7 +57,7 @@ func (s *fnStream) Next() (Invocation, bool) {
 // fully materialized first, and returns the run's fingerprint — the
 // churn table extended with the sketches' order-insensitive content
 // fingerprints and a deep-tail percentile only sketches serve.
-func streamRun(seed uint64, shards int, exec func([]func()), materialize bool) (uint64, string) {
+func streamRun(seed uint64, order func([]*Node) []*Node, materialize bool) (uint64, string) {
 	const hosts, funcs = 4, 6
 	dur := 25 * sim.Second
 	cost := costmodel.Default()
@@ -67,7 +67,7 @@ func streamRun(seed uint64, shards int, exec func([]func()), materialize bool) (
 		PhaseBounds: []sim.Time{sim.Time(dur / 2)},
 		Sketch:      &stats.SketchConfig{K: 256, Seed: seed},
 	}, NewPolicy("reclaim-aware", cost))
-	c.Exec = exec
+	c.hostOrder = order
 	src := &fnStream{
 		fleet: workload.Fleet(funcs),
 		src: trace.NewFleetStream(seed, trace.FleetConfig{
@@ -80,7 +80,6 @@ func streamRun(seed uint64, shards int, exec func([]func()), materialize bool) (
 		}),
 	}
 	pc := PlayConfig{
-		Shards:    shards,
 		TickEvery: sim.Second, TickUntil: sim.Time(dur),
 		DrainUntil: sim.Time(10 * dur),
 	}
@@ -111,35 +110,23 @@ func streamRun(seed uint64, shards int, exec func([]func()), materialize bool) (
 // TestStreamShardInvariance is the streaming headline property: a
 // diurnally modulated trace streamed straight from its generator
 // cursors, with sketched latency samples, fingerprints byte-identically
-// at shard counts {1, 2, hosts} and worker counts {1, 2, 8}, serial
-// and parallel — and identically again when the same stream is first
-// materialized into a slice and replayed through Play.
+// at every point of the host-order grid — and identically again when
+// the same stream is first materialized into a slice and replayed
+// through Play.
 func TestStreamShardInvariance(t *testing.T) {
-	execs := []struct {
-		name string
-		exec func([]func())
-	}{
-		{"serial", nil},
-		{"pool-1", poolExec(1)},
-		{"pool-2", poolExec(2)},
-		{"pool-8", poolExec(8)},
-		{"goroutines", goExec},
-	}
 	for seed := uint64(1); seed <= 3; seed++ {
-		wantFired, wantTable := streamRun(seed, 1, nil, false)
+		wantFired, wantTable := streamRun(seed, nil, false)
 		if wantFired == 0 {
 			t.Fatalf("seed %d: degenerate run", seed)
 		}
-		for _, shards := range []int{1, 2, 0 /* = hosts */} {
-			for _, e := range execs {
-				gotFired, gotTable := streamRun(seed, shards, e.exec, false)
-				if gotFired != wantFired || gotTable != wantTable {
-					t.Fatalf("seed %d shards=%d exec=%s diverges from serial:\n%d %s\n%d %s",
-						seed, shards, e.name, gotFired, gotTable, wantFired, wantTable)
-				}
+		for _, o := range hostOrders {
+			gotFired, gotTable := streamRun(seed, o.hook(), false)
+			if gotFired != wantFired || gotTable != wantTable {
+				t.Fatalf("seed %d: %s host order diverges from host-ID order:\n%d %s\n%d %s",
+					seed, o.name, gotFired, gotTable, wantFired, wantTable)
 			}
 		}
-		gotFired, gotTable := streamRun(seed, 0, poolExec(2), true)
+		gotFired, gotTable := streamRun(seed, reversedOrder, true)
 		if gotFired != wantFired || gotTable != wantTable {
 			t.Fatalf("seed %d: materialized replay diverges from streamed:\n%d %s\n%d %s",
 				seed, gotFired, gotTable, wantFired, wantTable)

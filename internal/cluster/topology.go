@@ -4,7 +4,7 @@ package cluster
 // round-robin by ID (rack = id % Racks), so the assignment is balanced,
 // independent of fleet size, and stable under joins: host IDs are
 // monotonic, and a host that joins mid-run lands in a definite rack no
-// matter which shard or worker observes it. Racks group contiguously
+// matter when or in what order it is observed. Racks group contiguously
 // into zones (zone = rack * Zones / Racks).
 //
 // A nil *Topology means a flat fleet: every host is rack 0 / zone 0,

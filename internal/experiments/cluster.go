@@ -31,10 +31,6 @@ type fleetCfg struct {
 	duration sim.Duration
 	baseRPS  float64 // fleet-aggregate quiet rate
 	burstRPS float64 // fleet-aggregate in-burst rate
-	// shards overrides the shard count of the fleet's final drain; 0
-	// selects one shard per host. Any value produces byte-identical
-	// tables — the knob exists for the determinism tests.
-	shards int
 
 	// Fleet dynamics (cluster-elastic): a churn schedule, an optional
 	// autoscaler, and phase bounds that split latency metrics at the
@@ -211,14 +207,14 @@ func (s *traceStream) Next() (cluster.Invocation, bool) {
 	return s.next, true
 }
 
-// fleetRun replays a Zipf fleet trace against a sharded cluster and
+// fleetRun replays a Zipf fleet trace against a cluster and
 // collects fleet-wide latency, churn, and memory-efficiency metrics.
 // The trace streams straight from the generator cursors into the epoch
 // loop (never materialized — the same sequence the pre-streaming
 // GenFleet+Merge produced, byte-identical by the trace package's
 // golden-fingerprint contract). The run is a pure function of
 // (seed, fc) — the pooled world only contributes recycled storage, and
-// the epoch engine's shard count and worker placement never reach the
+// the order in which the epoch engine advances hosts never reaches the
 // results (the cluster package's determinism contract).
 func fleetRun(w *World, seed uint64, fc fleetCfg) fleetStats {
 	cost := costmodel.Default()
@@ -256,7 +252,6 @@ func fleetRun(w *World, seed uint64, fc fleetCfg) fleetStats {
 	// is unbounded, not merely long). The memory series still covers
 	// only the trace window.
 	c.PlayStream(src, cluster.PlayConfig{
-		Shards:     fc.shards,
 		TickEvery:  tick,
 		TickUntil:  sim.Time(fc.duration),
 		DrainUntil: sim.Time(10 * fc.duration),
@@ -265,7 +260,6 @@ func fleetRun(w *World, seed uint64, fc fleetCfg) fleetStats {
 		Faults:     fc.faults,
 		FaultSeed:  fc.faultSeed,
 	})
-	w.NoteShardWalls(c.ShardWalls())
 
 	m := c.Stats()
 	served := m.ColdStarts + m.WarmStarts + m.Dropped + m.AdmissionDrops + m.Failed + m.Shed

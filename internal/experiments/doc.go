@@ -14,26 +14,23 @@
 // optionally chained into data-dependent stages. The unified executor
 // (runner.go) flattens experiments × trials × stages onto one worker
 // pool; each worker owns a pooled World (world.go) whose scheduler,
-// arena caches, recycled VMs, and sharded fleet are reset — not
-// rebuilt — between cells.
+// arena caches, recycled VMs, and fleet are reset — not rebuilt —
+// between cells.
 //
-// Cells may decompose further at run time: a sharded fleet cell
-// advances its hosts inline, one tiny epoch per dispatcher boundary,
-// and fans only its final drain — the one stretch where hosts run
-// independently — through World.Exec onto the same worker pool, where
-// idle workers, and workers blocked in their own Exec, steal the drain
-// shards. A full run's wall-clock floor is therefore its worst cell's
-// serial dispatch plus slowest drain shard, or its summed cell wall
-// spread over the workers, whichever is larger (ParallelFloor).
+// A cell runs start to finish on the worker that popped it; a fleet
+// cell advances its hosts inline, one tiny epoch per dispatcher
+// boundary, and drains them to the horizon the same way. A full run's
+// wall-clock floor is therefore its slowest cell or its summed cell
+// wall spread over the workers, whichever is larger (ParallelFloor).
 //
 // # Determinism
 //
 // Workers write only pre-assigned result slots, per-trial and per-cell
 // seeds derive through SubSeed (splitmix64), pooled worlds reset to
-// fresh-equivalent state, drain shards are order-independent, and
-// reports carry no timing fields — so output is byte-identical across
-// worker counts, shard counts, and serial/parallel execution, which
-// the determinism tests assert for every registered experiment.
+// fresh-equivalent state, and reports carry no timing fields — so
+// output is byte-identical across worker counts and serial/parallel
+// execution, which the determinism tests assert for every registered
+// experiment.
 //
 // EXPERIMENTS.md records paper-reported vs measured values for each
 // driver.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"squeezy/internal/obs"
@@ -95,7 +96,10 @@ func TestObsSinkWorkerInvariance(t *testing.T) {
 }
 
 // TestObsCellStatsJSONShape: the machine-readable -cellstats=json
-// document carries every cell with the floor rule applied.
+// document carries every cell, and its batch fields are exactly the
+// floor rule: parallel_floor_ms = max(slowest_cell_ms, summed_wall_ms ÷
+// workers). The comparison runs in integer nanoseconds, the unit the
+// runner measures in, so it is exact.
 func TestObsCellStatsJSONShape(t *testing.T) {
 	opts := Options{Seed: 1, Quick: true}
 	_, stats, err := RunWithCellStats([]string{"cluster-elastic"}, opts, 1, 2)
@@ -108,12 +112,10 @@ func TestObsCellStatsJSONShape(t *testing.T) {
 	}
 	var doc struct {
 		Cells []struct {
-			Experiment string    `json:"experiment"`
-			Cell       string    `json:"cell"`
-			Worker     int       `json:"worker"`
-			WallMs     float64   `json:"wall_ms"`
-			ShardWalls []float64 `json:"shard_walls_ms"`
-			FloorMs    float64   `json:"floor_ms"`
+			Experiment string  `json:"experiment"`
+			Cell       string  `json:"cell"`
+			Worker     int     `json:"worker"`
+			WallMs     float64 `json:"wall_ms"`
 		} `json:"cells"`
 		SummedWallMs    float64 `json:"summed_wall_ms"`
 		SlowestCellMs   float64 `json:"slowest_cell_ms"`
@@ -125,30 +127,27 @@ func TestObsCellStatsJSONShape(t *testing.T) {
 	if len(doc.Cells) != len(stats) {
 		t.Fatalf("doc has %d cells, want %d", len(doc.Cells), len(stats))
 	}
+	ns := func(ms float64) int64 { return int64(math.Round(ms * 1e6)) }
 	workers := map[int]bool{}
+	var summed, slowest int64
 	for _, c := range doc.Cells {
 		if c.WallMs <= 0 {
 			t.Fatalf("cell %s/%s has non-positive wall", c.Experiment, c.Cell)
 		}
-		if len(c.ShardWalls) > 0 && c.FloorMs > c.WallMs {
-			t.Fatalf("cell %s floor %v exceeds wall %v", c.Cell, c.FloorMs, c.WallMs)
-		}
-		if c.FloorMs > doc.ParallelFloorMs {
-			t.Fatalf("cell %s floor %v exceeds parallel floor %v", c.Cell, c.FloorMs, doc.ParallelFloorMs)
-		}
+		summed += ns(c.WallMs)
+		slowest = max(slowest, ns(c.WallMs))
 		workers[c.Worker] = true
 	}
-	if doc.ParallelFloorMs <= 0 || doc.ParallelFloorMs > doc.SummedWallMs {
-		t.Fatalf("parallel floor %v outside (0, summed %v]", doc.ParallelFloorMs, doc.SummedWallMs)
+	if got := ns(doc.SummedWallMs); got != summed {
+		t.Fatalf("summed_wall_ms = %d ns, cells sum to %d ns", got, summed)
 	}
-	// No schedule beats the summed wall spread evenly over the workers
-	// that ran it (less the nanosecond the integer division may drop).
-	if spread := doc.SummedWallMs / float64(len(workers)); doc.ParallelFloorMs < spread-1e-6 {
-		t.Fatalf("parallel floor %v below summed wall / %d workers = %v",
-			doc.ParallelFloorMs, len(workers), spread)
+	if got := ns(doc.SlowestCellMs); got != slowest {
+		t.Fatalf("slowest_cell_ms = %d ns, slowest cell is %d ns", got, slowest)
 	}
-	if doc.SlowestCellMs > doc.SummedWallMs {
-		t.Fatalf("slowest cell %v exceeds summed wall %v", doc.SlowestCellMs, doc.SummedWallMs)
+	want := max(slowest, summed/int64(len(workers)))
+	if got := ns(doc.ParallelFloorMs); got != want {
+		t.Fatalf("parallel_floor_ms = %d ns, want max(slowest %d, summed %d / %d workers) = %d ns",
+			got, slowest, summed, len(workers), want)
 	}
 }
 

@@ -17,14 +17,9 @@ package experiments
 // style) is gone, and EXPERIMENTS.md's tables are baselined on the
 // SubSeed streams.
 //
-// Sub-cell shards: a cell is the executor's scheduling unit, but a
-// cell may decompose further at run time by fanning independent tasks
-// through World.Exec — a sharded fleet cell drains each host shard to
-// the horizon as one such task after its last epoch (the epochs
-// themselves run inline), with the executor's idle workers picking
-// them up. Shard tasks never touch the World's own pools, only state
-// the cell handed them, and must be order-independent so serial and
-// pooled execution agree byte-for-byte.
+// A cell is the executor's scheduling unit and never decomposes: it
+// runs start to finish on the worker that popped it, fleet cells
+// included.
 
 // Cell is one independently runnable simulation unit: a label for
 // per-cell timing (-cellstats), and a closure that runs the simulation

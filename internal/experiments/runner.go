@@ -84,46 +84,28 @@ type CellStat struct {
 	Start  time.Duration
 	Wait   time.Duration
 	Worker int
-	// ShardWalls is the per-shard wall-clock breakdown of a cell that
-	// decomposed into sub-cell shards (a sharded fleet run's final
-	// drain): entry i is the time drain shard i consumed, wherever it
-	// ran. Epoch advances run inline and are not included.
+	// ShardWalls is always nil: a cell runs entirely on its worker's
+	// goroutine, so there is no per-shard breakdown to report. The
+	// field stays because the perfbench harness still reads it, and
+	// perfbench changes only together with the benchmark definition.
 	ShardWalls []time.Duration
 }
 
 // CellFloor is a cell's critical path: the shortest wall it could take
-// with idle workers to spare. A plain cell contributes its whole wall.
-// A sharded fleet cell's epochs run inline on its own worker and only
-// its final drain fans out, so the bound is the serial remainder (wall
-// minus all drain-shard work) plus the slowest drain shard.
-func CellFloor(s CellStat) time.Duration {
-	if len(s.ShardWalls) == 0 {
-		return s.Wall
-	}
-	var slowest, sum time.Duration
-	for _, sw := range s.ShardWalls {
-		sum += sw
-		if sw > slowest {
-			slowest = sw
-		}
-	}
-	floor := s.Wall - sum + slowest
-	if floor < slowest {
-		floor = slowest
-	}
-	return floor
-}
+// with idle workers to spare. Every cell runs on one goroutine, so
+// that is its whole wall. It stays because the perfbench harness still
+// calls it.
+func CellFloor(s CellStat) time.Duration { return s.Wall }
 
 // ParallelFloor is the batch's modeled wall-clock floor on workers that
-// each own a core: no run finishes before its worst cell's critical
-// path (CellFloor), nor before the summed cell wall spread evenly over
-// the workers. The worker count is the number of distinct
-// CellStat.Worker values.
+// each own a core: no run finishes before its slowest cell, nor before
+// the summed cell wall spread evenly over the workers. The worker count
+// is the number of distinct CellStat.Worker values.
 func ParallelFloor(stats []CellStat) time.Duration {
 	var worst, summed time.Duration
 	workers := map[int]bool{}
 	for _, s := range stats {
-		worst = max(worst, CellFloor(s))
+		worst = max(worst, s.Wall)
 		summed += s.Wall
 		workers[s.Worker] = true
 	}
@@ -156,20 +138,6 @@ type cellUnit struct {
 	pr   *planRun
 	cell Cell
 	enq  time.Time // when the cell was published, for queue-wait stats
-}
-
-// subGroup tracks one World.Exec batch of sub-cell tasks; left is
-// guarded by the executor mutex.
-type subGroup struct {
-	left int
-}
-
-// subUnit is one schedulable sub-cell task (a drain shard of a
-// sharded fleet cell). Sub-tasks never need a World: they operate on
-// state owned by the cell that published them.
-type subUnit struct {
-	run func()
-	g   *subGroup
 }
 
 // RunWithCellStats is Run plus the per-cell wall-clock timings of the
@@ -220,9 +188,7 @@ func RunWithCellStats(names []string, opts Options, trials, workers int) ([]Repo
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			w := newWorld()
-			w.par = x.par
-			x.work(w, wk)
+			x.work(newWorld(), wk)
 		}(wk)
 	}
 	wg.Wait()
@@ -230,73 +196,17 @@ func RunWithCellStats(names []string, opts Options, trials, workers int) ([]Repo
 }
 
 // executor is the shared scheduling state of one RunWithCellStats
-// call: a FIFO of runnable cells, a LIFO of sub-cell tasks published
-// by running cells (sharded fleet drains), and per-report stage
-// bookkeeping. All fields are guarded by mu; simulations run outside
-// the lock.
-//
-// Sub-tasks always outrank cells: a worker with both available picks
-// the sub-task, because a published sub-task is on some running cell's
-// critical path while a queued cell is not on anyone's yet.
+// call: a FIFO of runnable cells and per-report stage bookkeeping. All
+// fields are guarded by mu; simulations run outside the lock.
 type executor struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	queue   []cellUnit
-	subq    []subUnit
 	pending int // reports not yet assembled
 	stats   []CellStat
 
 	obsSink *obs.Sink // per-cell trace collection; nil when tracing is off
 	start   time.Time // batch start, the zero of CellStat.Start
-}
-
-// par is World.Exec's pooled implementation: publish the batch on the
-// sub-task queue, then help until the whole batch has completed. The
-// helping loop makes the scheme deadlock-free at any worker count —
-// the publishing worker can always run its own tasks — and lets idle
-// workers (and workers blocked in their own par) steal drain shards.
-// A fleet cell publishes one batch, its final drain; its epochs are
-// too small to be worth a hand-off and run inline. Tasks may be
-// executed in any order by any worker; callers guarantee
-// order-independence.
-func (x *executor) par(tasks []func()) {
-	if len(tasks) <= 1 {
-		for _, t := range tasks {
-			t()
-		}
-		return
-	}
-	g := &subGroup{left: len(tasks)}
-	x.mu.Lock()
-	for _, t := range tasks {
-		x.subq = append(x.subq, subUnit{run: t, g: g})
-	}
-	x.cond.Broadcast()
-	for g.left > 0 {
-		if n := len(x.subq); n > 0 {
-			u := x.subq[n-1] // LIFO: newest batch first, likely our own
-			x.subq[n-1] = subUnit{}
-			x.subq = x.subq[:n-1]
-			x.mu.Unlock()
-			u.run()
-			x.mu.Lock()
-			x.finishSub(u)
-			continue
-		}
-		// Our remaining tasks are running on other workers; wait for
-		// their completion broadcasts.
-		x.cond.Wait()
-	}
-	x.mu.Unlock()
-}
-
-// finishSub retires one executed sub-task under the lock, waking its
-// publisher when the batch drains.
-func (x *executor) finishSub(u subUnit) {
-	u.g.left--
-	if u.g.left == 0 {
-		x.cond.Broadcast()
-	}
 }
 
 // advance schedules pr's current stage, walking the Then chain past
@@ -336,26 +246,14 @@ func (x *executor) advance(pr *planRun) {
 	x.mu.Unlock()
 }
 
-// work is one worker's loop: run a published sub-task when one is
-// available (it is on a running cell's critical path), else pop a
-// cell, simulate it on the pooled world, and on the stage's last cell
-// advance the report to its next stage (or assemble it).
+// work is one worker's loop: pop a cell, simulate it on the pooled
+// world, and on the stage's last cell advance the report to its next
+// stage (or assemble it).
 func (x *executor) work(w *World, wk int) {
 	for {
 		x.mu.Lock()
-		for len(x.subq) == 0 && len(x.queue) == 0 && x.pending > 0 {
+		for len(x.queue) == 0 && x.pending > 0 {
 			x.cond.Wait()
-		}
-		if n := len(x.subq); n > 0 {
-			u := x.subq[n-1]
-			x.subq[n-1] = subUnit{}
-			x.subq = x.subq[:n-1]
-			x.mu.Unlock()
-			u.run()
-			x.mu.Lock()
-			x.finishSub(u)
-			x.mu.Unlock()
-			continue
 		}
 		if len(x.queue) == 0 {
 			x.mu.Unlock()
@@ -370,8 +268,6 @@ func (x *executor) work(w *World, wk int) {
 		start := time.Now()
 		u.cell.Run(w)
 		wall := time.Since(start)
-		shardWalls := w.shardWalls
-		w.shardWalls = nil
 		w.endCell()
 
 		x.mu.Lock()
@@ -383,7 +279,6 @@ func (x *executor) work(w *World, wk int) {
 			Start:      start.Sub(x.start),
 			Wait:       start.Sub(u.enq),
 			Worker:     wk,
-			ShardWalls: shardWalls,
 		})
 		u.pr.left--
 		last := u.pr.left == 0
@@ -439,15 +334,13 @@ func EncodeJSON(w io.Writer, reports []Report) error {
 // cellStatJSON is the machine-readable form of one CellStat
 // (`squeezyctl -cellstats=json`). Durations are milliseconds.
 type cellStatJSON struct {
-	Experiment  string    `json:"experiment"`
-	Trial       int       `json:"trial"`
-	Cell        string    `json:"cell"`
-	WallMs      float64   `json:"wall_ms"`
-	StartMs     float64   `json:"start_ms"`
-	WaitMs      float64   `json:"wait_ms"`
-	Worker      int       `json:"worker"`
-	ShardWallMs []float64 `json:"shard_walls_ms,omitempty"`
-	FloorMs     float64   `json:"floor_ms"`
+	Experiment string  `json:"experiment"`
+	Trial      int     `json:"trial"`
+	Cell       string  `json:"cell"`
+	WallMs     float64 `json:"wall_ms"`
+	StartMs    float64 `json:"start_ms"`
+	WaitMs     float64 `json:"wait_ms"`
+	Worker     int     `json:"worker"`
 }
 
 // cellStatsDoc is the `-cellstats=json` document: the per-cell walls
@@ -460,8 +353,8 @@ type cellStatsDoc struct {
 	SummedWallMs float64 `json:"summed_wall_ms"`
 	// SlowestCellMs is the wall of the slowest single cell.
 	SlowestCellMs float64 `json:"slowest_cell_ms"`
-	// ParallelFloorMs is ParallelFloor: the worst cell's critical path
-	// or the summed wall spread over the workers, whichever is larger —
+	// ParallelFloorMs is ParallelFloor: the slowest cell's wall or the
+	// summed wall spread over the workers, whichever is larger —
 	// the wall-clock floor when workers <= cores.
 	ParallelFloorMs float64 `json:"parallel_floor_ms"`
 }
@@ -473,20 +366,13 @@ func EncodeCellStatsJSON(w io.Writer, stats []CellStat) error {
 	doc := cellStatsDoc{Cells: make([]cellStatJSON, 0, len(stats))}
 	var summed, slowest time.Duration
 	for _, s := range stats {
-		f := CellFloor(s)
 		summed += s.Wall
-		if s.Wall > slowest {
-			slowest = s.Wall
-		}
-		c := cellStatJSON{
+		slowest = max(slowest, s.Wall)
+		doc.Cells = append(doc.Cells, cellStatJSON{
 			Experiment: s.Experiment, Trial: s.Trial, Cell: s.Label,
 			WallMs: msf(s.Wall), StartMs: msf(s.Start), WaitMs: msf(s.Wait),
-			Worker: s.Worker, FloorMs: msf(f),
-		}
-		for _, sw := range s.ShardWalls {
-			c.ShardWallMs = append(c.ShardWallMs, msf(sw))
-		}
-		doc.Cells = append(doc.Cells, c)
+			Worker: s.Worker,
+		})
 	}
 	doc.SummedWallMs = msf(summed)
 	doc.SlowestCellMs = msf(slowest)
@@ -509,7 +395,6 @@ func RunnerSpans(stats []CellStat) []obs.RunnerSpan {
 		spans = append(spans, obs.RunnerSpan{
 			Worker: s.Worker, Name: name,
 			Start: s.Start, Wait: s.Wait, Dur: s.Wall,
-			ShardWalls: s.ShardWalls,
 		})
 	}
 	return spans

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"time"
-
 	"squeezy/internal/cluster"
 	"squeezy/internal/costmodel"
 	"squeezy/internal/faas"
@@ -29,10 +27,8 @@ import (
 // guarantee a cell runs identically on a pooled world and on a fresh
 // one, so worker count and cell interleaving never leak into results.
 //
-// A World is owned by exactly one goroutine. Sharded fleet cells are
-// still single-owner: the drain shards a cell fans out through Exec
-// touch the fleet's per-host state (each host with its own scheduler
-// and recycler), never the World's own pools.
+// A World is owned by exactly one goroutine, and a cell — fleet cells
+// included — runs entirely on it.
 type World struct {
 	sched *sim.Scheduler
 	rec   *faas.Recycler
@@ -42,16 +38,6 @@ type World struct {
 	fleet    *cluster.Cluster
 
 	vmInUse []*vmm.VM // this cell's kernel-direct VMs, retired at cell end
-
-	// par, when non-nil, runs a batch of independent sub-cell tasks on
-	// the executor's worker pool (runner.go installs it); nil runs
-	// them serially. Exec exposes it to cells.
-	par func(tasks []func())
-
-	// shardWalls is the per-shard wall-clock breakdown the current
-	// cell reported via NoteShardWalls, if any; the executor drains it
-	// into the cell's CellStat.
-	shardWalls []time.Duration
 
 	// Observability: the executor hands each cell its identity and the
 	// run's sink via beginObs; Trace lazily creates the cell's trace,
@@ -70,11 +56,9 @@ func newWorld() *World {
 }
 
 // begin prepares the world for the next cell: the scheduler restarts
-// at virtual time zero with its arenas kept, and any per-cell
-// reporting state clears.
+// at virtual time zero with its arenas kept.
 func (w *World) begin() {
 	w.sched.Reset()
-	w.shardWalls = nil
 }
 
 // beginObs sets the next cell's trace identity. A nil sink disables
@@ -164,42 +148,16 @@ func (w *World) Runtime(host *hostmem.Host, cost *costmodel.Model) *faas.Runtime
 	return rt
 }
 
-// Fleet returns a sharded fleet of the requested shape: the worker's
-// cached fleet reset in place when one exists, else a fresh one. Each
-// of the fleet's hosts runs on its own scheduler with its own
-// recycler (per-host arenas), so whichever shard worker drains a host
-// reuses that host's storage; the fleet's Exec hook is wired to the
-// world so the final drain's shard tasks land on the executor's worker
-// pool (epoch advances run inline on this world's goroutine).
+// Fleet returns a fleet of the requested shape: the worker's cached
+// fleet reset in place when one exists, else a fresh one. Each of the
+// fleet's hosts keeps its own scheduler and recycler (per-host arenas)
+// across cells, so a pooled fleet reuses every host's storage.
 func (w *World) Fleet(cost *costmodel.Model, cfg cluster.Config, policy cluster.Policy) *cluster.Cluster {
 	if w.fleet == nil {
 		w.fleet = cluster.New(cost, cfg, policy)
 	} else {
 		w.fleet.Reset(cost, cfg, policy)
 	}
-	w.fleet.Exec = w.Exec
 	w.fleet.AttachObs(w.Trace())
 	return w.fleet
-}
-
-// Exec runs independent sub-cell tasks — a sharded fleet's final-drain
-// shards — to completion: on the executor's worker pool when the
-// world belongs to one (idle and waiting workers pick them up), else
-// serially in order. Tasks must be order-independent; results may not
-// depend on which path ran them.
-func (w *World) Exec(tasks []func()) {
-	if w.par != nil {
-		w.par(tasks)
-		return
-	}
-	for _, t := range tasks {
-		t()
-	}
-}
-
-// NoteShardWalls reports the finished cell's per-shard wall-clock
-// breakdown for `squeezyctl -cellstats`. Walls are instrumentation
-// only and never enter a Report.
-func (w *World) NoteShardWalls(walls []time.Duration) {
-	w.shardWalls = append(w.shardWalls[:0], walls...)
 }

@@ -24,7 +24,7 @@
 // draws from it and FuncVM.Release returns to it, with every
 // observable field re-initialized on reuse so a recycled FuncVM is
 // indistinguishable from a fresh one. One Recycler belongs to one
-// goroutine — in the sharded fleet, to one host.
+// goroutine — in a fleet, to one host.
 //
 // The warm invocation path allocates nothing: request records come off
 // a per-FuncVM free list (a Ticket carries the record's generation, so

@@ -21,8 +21,7 @@ import (
 // guestos zone/bitmap recycling, and the FuncVM field reset in
 // newFuncVM) guarantee a recycled FuncVM behaves identically to a
 // freshly constructed one. A Recycler is not safe for concurrent use;
-// give each worker — or each simulated host advanced by its own shard
-// worker — its own.
+// give each worker — and each simulated host of a fleet — its own.
 type Recycler struct {
 	// Kernels caches guest-kernel arena storage; it is injected as
 	// VMConfig.Recycle into every VM built through the recycler.

@@ -9,10 +9,10 @@
 // boundaries each host consults its own Injector — host-local state
 // plus a counter-mode decision stream seeded by (plan seed, host ID) —
 // so every probabilistic draw depends only on the host's own event
-// order. That makes plans shard- and worker-invariant by the same
-// argument as the epoch engine itself: the fleet's tables and
-// schedulers fingerprint byte-identically at every shard and worker
-// count (TestFaultShardInvariance in internal/cluster).
+// order. That makes plans invariant to host advance order and worker
+// count by the same argument as the epoch engine itself: the fleet's
+// tables and schedulers fingerprint byte-identically whatever order
+// hosts advance in (TestFaultShardInvariance in internal/cluster).
 //
 // GenFaults fuzzes plans from a seed (the mirror of trace.GenChurn);
 // Scenario builds the named profiles the cluster-resilience experiment

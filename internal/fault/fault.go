@@ -242,8 +242,8 @@ func SubSeed(seed uint64, i int) uint64 {
 // pure function of (plan seed, event time, kind, host ID) — the same
 // counter-mode construction as the per-host injector streams, but on a
 // separate channel, so expanding a domain event never advances any
-// host's own decision counter. That makes the expansion shard- and
-// worker-invariant by construction.
+// host's own decision counter. That makes the expansion invariant to
+// host advance order and worker count by construction.
 func DomainDraw(seed uint64, ev Event, host int) float64 {
 	x := SubSeed(seed^(uint64(ev.T)*0x9E3779B97F4A7C15+uint64(ev.Kind)), host)
 	return float64(x>>11) / (1 << 53)
@@ -252,11 +252,11 @@ func DomainDraw(seed uint64, ev Event, host int) float64 {
 // Injector is one host's view of the active fault windows plus its
 // probabilistic decision stream. The serial dispatcher Opens and
 // Closes windows at epoch boundaries (hosts parked); between
-// boundaries only the owning host's worker consults it, so there is
-// never concurrent access. Decisions are drawn counter-mode from the
-// host's SubSeed — the i-th draw on a host is a pure function of
-// (plan seed, host ID, i), and because each host's event order is
-// deterministic regardless of sharding, so is every decision.
+// boundaries only the owning host's events consult it. Decisions are
+// drawn counter-mode from the host's SubSeed — the i-th draw on a host
+// is a pure function of (plan seed, host ID, i), and because each
+// host's event order is deterministic whatever order hosts advance in,
+// so is every decision.
 type Injector struct {
 	host int
 	seed uint64

@@ -7,13 +7,12 @@
 // a clock and appends to recorder-local storage; it never schedules
 // events, never draws randomness, and never feeds back into any
 // decision. A Trace holds one recorder per host (host-private, written
-// only by whichever goroutine advances that host — the dispatcher's
-// between epochs, a shard worker in the final drain — exactly like
-// cluster.NodeMetrics) plus one fleet-level
-// recorder written only by the serial dispatcher at boundaries.
-// Export concatenates the fleet track and then the host tracks in
-// host-ID order, so the trace is byte-identical at every shard and
-// worker count — the same merge discipline as stats.Sample.
+// only while that host advances, exactly like cluster.NodeMetrics)
+// plus one fleet-level recorder written only by the serial dispatcher
+// at boundaries. Export concatenates the fleet track and then the host
+// tracks in host-ID order, so the trace is byte-identical whatever
+// order hosts advance in and at every worker count — the same merge
+// discipline as stats.Sample.
 //
 // Every recording method is safe on a nil receiver, and a nil Trace
 // hands out nil Recorders, so instrumentation call sites stay
@@ -24,5 +23,5 @@
 // perfetto.go renders traces in the Chrome trace-event JSON format
 // (load at https://ui.perfetto.dev): one process per cell, one track
 // per host plus a fleet/dispatcher track, and an optional wall-clock
-// process carrying the experiment runner's own cell/shard spans.
+// process carrying the experiment runner's own cell spans.
 package obs

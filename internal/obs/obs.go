@@ -257,7 +257,7 @@ func (t *Trace) Empty() bool {
 
 // Counters merges the counter registries of every track — fleet first,
 // then hosts in host-ID order — into one map. Counters are additive,
-// so the merged registry is identical at every shard count.
+// so the merged registry is identical whatever order hosts advance in.
 func (t *Trace) Counters() map[string]int64 {
 	if t == nil {
 		return nil

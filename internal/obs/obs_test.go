@@ -97,7 +97,7 @@ func TestArgValues(t *testing.T) {
 }
 
 // TestTraceCounterMerge checks the registry merge is additive over
-// fleet-then-hosts, so it cannot depend on which shard recorded what.
+// fleet-then-hosts, so it cannot depend on which host recorded what first.
 func TestTraceCounterMerge(t *testing.T) {
 	clk := &fakeClock{}
 	tr := &Trace{Experiment: "e"}

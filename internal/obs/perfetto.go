@@ -42,12 +42,11 @@ const laneStride = 100
 // the run's start, not absolute timestamps, so exports are comparable
 // across runs.
 type RunnerSpan struct {
-	Worker     int             // pool worker that ran the cell
-	Name       string          // experiment/trial/cell label
-	Start      time.Duration   // run start -> cell start
-	Wait       time.Duration   // time spent queued before Start
-	Dur        time.Duration   // cell wall clock
-	ShardWalls []time.Duration // per-shard final-drain walls, if sharded
+	Worker int           // pool worker that ran the cell
+	Name   string        // experiment/trial/cell label
+	Start  time.Duration // run start -> cell start
+	Wait   time.Duration // time spent queued before Start
+	Dur    time.Duration // cell wall clock
 }
 
 // WriteTrace renders traces (simulated time) and runner spans (wall
@@ -171,14 +170,11 @@ func appendRunner(events *[]map[string]any, meta func(int, int, string, string),
 				"args": map[string]any{"state": "queued"},
 			})
 		}
-		args := map[string]any{"wall_ms": float64(rs.Dur) / float64(time.Millisecond)}
-		for i, sw := range rs.ShardWalls {
-			args[fmt.Sprintf("shard%02d_ms", i)] = float64(sw) / float64(time.Millisecond)
-		}
 		*events = append(*events, map[string]any{
 			"name": rs.Name, "cat": "run", "ph": "X",
 			"ts": wallMicros(rs.Start), "dur": wallMicros(rs.Dur),
-			"pid": pid, "tid": tid, "args": args,
+			"pid": pid, "tid": tid,
+			"args": map[string]any{"wall_ms": float64(rs.Dur) / float64(time.Millisecond)},
 		})
 	}
 	seen := map[int]bool{}

@@ -49,8 +49,7 @@ func testTrace() *Trace {
 func testRunner() []RunnerSpan {
 	return []RunnerSpan{
 		{Worker: 0, Name: "demo/1/cellA", Start: 2 * time.Millisecond,
-			Wait: 2 * time.Millisecond, Dur: 10 * time.Millisecond,
-			ShardWalls: []time.Duration{4 * time.Millisecond, 3 * time.Millisecond}},
+			Wait: 2 * time.Millisecond, Dur: 10 * time.Millisecond},
 		{Worker: 1, Name: "demo/1/cellB", Dur: 5 * time.Millisecond},
 	}
 }

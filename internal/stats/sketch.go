@@ -25,10 +25,10 @@ const DefaultSketchK = 4096
 // (priority, value) pairs. Because each priority depends only on the
 // observation's identity, not on when or where it was processed, and
 // because "bottom K of a multiset" is commutative and associative, the
-// kept set is invariant under sharding, worker count, and merge order:
-// merging per-host sketches in any order yields byte-identical
-// reservoirs, the same property the exact Sample.Merge guarantees for
-// full retention.
+// kept set is invariant under host advance order, worker count, and
+// merge order: merging per-host sketches in any order yields
+// byte-identical reservoirs, the same property the exact Sample.Merge
+// guarantees for full retention.
 type SketchConfig struct {
 	// K is the reservoir capacity; <= 0 selects DefaultSketchK.
 	K int

@@ -85,7 +85,7 @@ func TestSketchAccuracy(t *testing.T) {
 
 // TestSketchMergeOrderInvariance: merging per-host sketches in any
 // order yields a byte-identical reservoir (fingerprint equality) and
-// identical percentile answers — the property the sharded cluster's
+// identical percentile answers — the property the cluster's
 // host-order metric merge relies on.
 func TestSketchMergeOrderInvariance(t *testing.T) {
 	const hosts = 8

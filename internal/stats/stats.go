@@ -175,7 +175,7 @@ func (s *Sample) Stddev() float64 {
 
 // Merge adds every observation of o to s. Percentiles, Min, and Max of
 // the result depend only on the combined multiset of observations, so
-// merging per-shard samples in any fixed order reproduces the
+// merging per-host samples in any fixed order reproduces the
 // order-statistics of a single globally-accumulated sample.
 //
 // Sketched samples merge with sketched samples of the same capacity
@@ -310,7 +310,7 @@ func (p *PhasedSample) Phases() int { return len(p.phases) }
 func (p *PhasedSample) Phase(i int) *Sample { return p.phases[i] }
 
 // Merge adds every observation of o into the matching phase of p. Both
-// samples must have identical bounds — per-shard phased samples are
+// samples must have identical bounds — per-host phased samples are
 // built from one shared configuration — and Merge panics otherwise.
 // Like Sample.Merge, the result depends only on the combined multiset
 // per phase, so merging in any fixed order is order-insensitive.

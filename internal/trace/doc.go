@@ -10,7 +10,7 @@
 // function popularity over the bursty generator to shape whole-fleet
 // workloads, and Merge flattens per-function traces into the single
 // time-ordered stream the cluster dispatcher replays — the boundary
-// events of the sharded fleet's epoch protocol.
+// events of the fleet's epoch protocol.
 //
 // Every generator is a pure function of its seed; sub-streams for
 // adjacent functions or cells should derive through well-separated
