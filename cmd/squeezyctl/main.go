@@ -46,7 +46,8 @@
 //	             scenario (rack-fail, zone-degrade, rack-partition —
 //	             meaningful only with -topology), or "fuzz" for a
 //	             random plan derived from -faultseed. Single-host
-//	             experiments ignore it
+//	             experiments ignore it, and so do cluster-resilience
+//	             and cluster-domains, which sweep their own fault plans
 //	-faultseed N seed for fuzzed fault plans and every host's fault
 //	             decision stream (default: -seed)
 //	-topology RxZ  overlay a rack/zone topology on every fleet
@@ -54,7 +55,8 @@
 //	             -topology 4x2), hosts assigned round-robin. Enables
 //	             the rack-level fault scenarios and makes the
 //	             blast-radius-aware policies (spread, zone-headroom)
-//	             meaningful; a bare R means Z=1. R is at most 1024
+//	             meaningful; a bare R means Z=1. R is at most 1024.
+//	             cluster-domains keeps its own topology
 //	-sketch      collect every fleet experiment's latency samples in
 //	             bounded-memory reservoir sketches instead of exact
 //	             retained-value samples. Order statistics are then
@@ -62,7 +64,9 @@
 //	             byte-exact; off (the default) keeps every recorded
 //	             table byte-identical
 //	-days N      simulated days for the multi-day experiments
-//	             (cluster-diurnal); 0 keeps the experiment's default
+//	             (cluster-diurnal); 0 keeps the experiment's default.
+//	             At most 10675: each cell drains to ten times its trace,
+//	             and that horizon must fit in simulated time
 //	-cpuprofile FILE  write a pprof CPU profile of the run to FILE
 //	-memprofile FILE  write a pprof heap profile at exit to FILE
 package main
@@ -85,6 +89,7 @@ import (
 	"squeezy/internal/experiments"
 	"squeezy/internal/fault"
 	"squeezy/internal/obs"
+	"squeezy/internal/sim"
 )
 
 // validFaultScenario accepts the empty string (fault-free), any named
@@ -111,6 +116,12 @@ func validFaultScenario(name string) bool {
 // tick and fault fuzzing draws rack indices from 2·R, so an unbounded
 // R either runs for hours or overflows.
 const maxTopologyRacks = 1024
+
+// maxDays bounds -days. A fleet cell drains to ten times its trace,
+// and that horizon must fit in sim.Time's int64 nanoseconds: 10,675
+// whole days. Past it the horizon overflows and the run silently
+// replays nothing.
+const maxDays = math.MaxInt64 / (10 * 24 * int64(sim.Hour))
 
 // parseTopology parses a -topology value: "RxZ" (racks x zones) or a
 // bare "R" (one zone), with R at most maxTopologyRacks. "" means no
@@ -259,8 +270,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *parallel < 0 {
 		return fail(2, "bad -parallel %d (want >= 0; 0 = GOMAXPROCS)", *parallel)
 	}
-	if math.IsNaN(*days) || math.IsInf(*days, 0) || *days < 0 {
-		return fail(2, "bad -days %v (want >= 0)", *days)
+	if math.IsNaN(*days) || *days < 0 || *days > float64(maxDays) {
+		return fail(2, "bad -days %v (want 0 <= days <= %d)", *days, maxDays)
 	}
 	if !validFaultScenario(*faults) {
 		return fail(2, "unknown -faults scenario %q (want %s, %s, or fuzz)",

@@ -29,6 +29,9 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{"huge topology", []string{"-parallel", "1", "-topology", "5000000000000000000x1", "-faults", "fuzz", "run", "cluster-overcommit"}, 2},
 		{"bad faults", []string{"-faults", "meteor", "run", "fig6"}, 2},
 		{"negative days", []string{"-days", "-1", "run", "fig6"}, 2},
+		{"days past the sim.Time horizon", []string{"-parallel", "1", "-days", "1e300", "run", "cluster-diurnal"}, 2},
+		{"days just past the bound", []string{"-days", "10675.001", "run", "cluster-diurnal"}, 2},
+		{"infinite days", []string{"-days", "+Inf", "run", "cluster-diurnal"}, 2},
 		{"zero trials", []string{"-trials", "0", "run", "fig6"}, 2},
 		{"negative trials", []string{"-trials", "-2", "run", "fig6"}, 2},
 		{"negative parallel", []string{"-parallel", "-3", "run", "fig6"}, 2},

@@ -209,7 +209,7 @@ func TestFailDuringStartedDrain(t *testing.T) {
 	// The armed drain deadline (t=6s) must find a dead host: no second
 	// re-placement, no panic.
 	c.AdvanceTo(sim.Time(10 * sim.Second))
-	c.fireFleetEvents(sim.Time(10 * sim.Second))
+	c.fireQueued(sim.Time(10 * sim.Second))
 	if c.Metrics.Replaced != 1 {
 		t.Fatalf("drain deadline re-placed again: Replaced = %d", c.Metrics.Replaced)
 	}
@@ -324,7 +324,7 @@ func TestDrainDeadlineReplacesExactlyOnce(t *testing.T) {
 	if c.LiveHosts() != 2 {
 		t.Fatal("drain settled with work in flight")
 	}
-	c.fireFleetEvents(deadline)
+	c.fireQueued(deadline)
 	if c.Metrics.Replaced != 2 {
 		t.Fatalf("Replaced = %d, want 2 at the drain deadline", c.Metrics.Replaced)
 	}
@@ -399,7 +399,7 @@ func TestFleetEventNoOps(t *testing.T) {
 		{T: 0, Kind: HostFail, Host: 1},  // would remove the last active host
 		{T: 0, Kind: HostDrain, Host: 1}, // likewise
 	})
-	c.fireFleetEvents(0)
+	c.fireQueued(0)
 	if c.Metrics.HostDrains != 1 || c.Metrics.HostFails != 0 {
 		t.Fatalf("drains=%d fails=%d, want exactly one drain", c.Metrics.HostDrains, c.Metrics.HostFails)
 	}

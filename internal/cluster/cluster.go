@@ -345,9 +345,10 @@ type Metrics struct {
 // Cluster is a fleet of hosts behind one dispatcher, executed
 // as per-host sub-simulations: every host runs on its own scheduler,
 // and the epoch engine (epoch.go) advances all hosts in lockstep to
-// each dispatcher boundary — an invocation to route or a fleet-wide
-// memory sample — merging the hosts back into one deterministic
-// timeline at every boundary.
+// each dispatcher boundary — an invocation to route or queued
+// dispatcher work such as a fleet-wide memory sample (boundary.go) —
+// merging the hosts back into one deterministic timeline at every
+// boundary.
 //
 // Hosts interact only through the dispatcher: warm routing, scale-up
 // placement, and admission decisions all read host state while every
@@ -374,36 +375,36 @@ type Cluster struct {
 	// eligible subset of Nodes; live additionally includes draining
 	// hosts — everything that still advances. Both stay in host-ID
 	// order; with no churn, active == live == Nodes.
-	active    []*Node
-	live      []*Node
-	fleetQ    []FleetEvent // pending fleet events, sorted by T, FIFO at ties
-	autoscale *AutoscaleConfig
-	lastScale sim.Time // autoscaler cooldown anchor
-	scaled    bool     // an autoscaler action has happened this run
+	active      []*Node
+	live        []*Node
+	autoscale   *AutoscaleConfig
+	lastScale   sim.Time // autoscaler cooldown anchor
+	scaled      bool     // an autoscaler action has happened this run
+	joinsQueued int      // HostJoin events waiting in q
+
+	// q holds every piece of timed dispatcher work (boundary.go);
+	// tickEvery and tickUntil are the current play's memory-sample
+	// cadence.
+	q         boundaryQueue
+	tickEvery sim.Duration
+	tickUntil sim.Time
 
 	// Resilience state (resilience.go): resil is the normalized config
-	// (nil = plain dispatch), resilQ the pending timed decisions sorted
-	// by T, FIFO at ties; horizon flips after the final drain so
+	// (nil = plain dispatch); horizon flips after the final drain so
 	// late-settling failures stop scheduling retries.
 	resil   *ResilienceConfig
-	resilQ  []resilEvent
 	horizon bool
 
-	// Fault-injection state (faults.go): the pending plan sorted by T,
-	// the open windows sorted by expiry, and the plan seed every host
+	// Fault-injection state (faults.go): the plan seed every host
 	// injector derives its decision stream from.
-	faultQ    []fault.Event
-	faultOpen []openFault
 	faultSeed uint64
 	faultsOn  bool
 
 	// Recovery-storm control (repace.go): repace is the normalized
 	// pacing config (nil = immediate re-placement), repaceQ the
-	// priority-ordered queue of displaced work, repaceAt the next
-	// pacing boundary (0 = unarmed).
-	repace   *RepaceConfig
-	repaceQ  []repaceEntry
-	repaceAt sim.Time
+	// priority-ordered queue of displaced work.
+	repace  *RepaceConfig
+	repaceQ []repaceEntry
 
 	// Observability (internal/obs): obsT is the run's trace, fleetObs its
 	// fleet-level recorder written only by the serial dispatcher. Both are
@@ -568,18 +569,15 @@ func (c *Cluster) Reset(cost *costmodel.Model, cfg Config, policy Policy) {
 	}
 	c.active = append(c.active[:0], c.Nodes...)
 	c.live = append(c.live[:0], c.Nodes...)
-	c.fleetQ = c.fleetQ[:0]
+	c.q.reset()
+	c.joinsQueued = 0
+	c.tickEvery, c.tickUntil = 0, 0
 	c.resil = c.Cfg.Resilience
-	clear(c.resilQ) // drop stale *rflight pointers
-	c.resilQ = c.resilQ[:0]
 	c.horizon = false
-	clear(c.faultOpen)
-	c.faultQ, c.faultOpen = c.faultQ[:0], c.faultOpen[:0]
 	c.faultSeed, c.faultsOn = 0, false
 	c.repace = c.Cfg.Repace
 	clear(c.repaceQ) // drop stale *flight/*rflight pointers
 	c.repaceQ = c.repaceQ[:0]
-	c.repaceAt = 0
 	c.obsT, c.fleetObs = nil, nil
 	c.autoscale = nil
 	c.lastScale, c.scaled = 0, false

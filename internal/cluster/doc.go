@@ -16,16 +16,19 @@
 // # Execution model
 //
 // Hosts interact only through the dispatcher, and the dispatcher only
-// acts at known times: trace invocations and fleet-wide memory
-// samples. The epoch engine (epoch.go) exploits this: it advances
-// every host to the next boundary with sim.Scheduler.RunUntilEpoch
-// (events strictly before the boundary fire, clocks land exactly on
-// it), runs the boundary's dispatcher work serially in canonical
-// order — invocations in trace order, then the memory sample — and
-// repeats; after the last boundary every live host drains to the
-// horizon. Epochs are tiny (a boundary at every invocation), so the
-// whole run stays on the caller's goroutine: hosts advance inline in
-// host-ID order. Completion metrics accumulate per host and merge in
+// acts at known times: trace invocations and the timed work in its
+// boundary queue (boundary.go) — fleet events, fault windows,
+// resilience decisions, pacing ticks and fleet-wide memory samples.
+// The epoch engine (epoch.go) exploits this: it advances every host to
+// the next boundary with sim.Scheduler.RunUntilEpoch (events strictly
+// before the boundary fire, clocks land exactly on it), runs the
+// boundary's dispatcher work serially in canonical order — queued
+// fleet events, fault windows, resilience decisions and pacing, then
+// invocations in trace order, then the memory sample — and repeats;
+// after the last boundary every live host drains to the horizon.
+// Epochs are tiny (a boundary at every invocation), so the whole run
+// stays on the caller's goroutine: hosts advance inline in host-ID
+// order. Completion metrics accumulate per host and merge in
 // host-ID order.
 //
 // # Fleet dynamics

@@ -168,26 +168,6 @@ func TestDomainNoOpEventsByteIdentical(t *testing.T) {
 	}
 }
 
-// domainStep drives the dispatcher boundary loop the way Play does,
-// including the paced re-placement queue, in fixed steps up to
-// `until`. The manual-mode edge tests need it: outside Play nothing
-// else releases queued re-placements.
-func domainStep(c *Cluster, until sim.Time) {
-	for t := c.Now(); t < until; {
-		t = t.Add(500 * sim.Millisecond)
-		if t > until {
-			t = until
-		}
-		c.AdvanceTo(t)
-		c.settleDrains()
-		c.fireFleetEvents(t)
-		c.fireFaultEvents(t)
-		c.resolveSettled()
-		c.fireResilEvents(t)
-		c.fireRepace(t)
-	}
-}
-
 // TestRackFailWithDrainingMember: a rack fails while one of its hosts
 // is already draining. Both members must die, the drain must not
 // resurrect anything, and every in-flight invocation must complete
@@ -212,7 +192,7 @@ func TestRackFailWithDrainingMember(t *testing.T) {
 	c.ScheduleFaults([]fault.Event{
 		{T: c.Now(), Kind: fault.RackFail, Host: 1, Mag: 1},
 	}, 7)
-	c.fireFaultEvents(c.Now())
+	c.fireQueued(c.Now())
 	if c.LiveHosts() != 2 || c.Metrics.HostFails != 2 {
 		t.Fatalf("live=%d fails=%d after rack-fail, want 2 live and 2 fails", c.LiveHosts(), c.Metrics.HostFails)
 	}
@@ -222,7 +202,7 @@ func TestRackFailWithDrainingMember(t *testing.T) {
 	if c.Metrics.Replaced != 2 {
 		t.Fatalf("Replaced = %d, want the two displaced flights", c.Metrics.Replaced)
 	}
-	domainStep(c, sim.Time(600*sim.Second))
+	stepBoundaries(c, sim.Time(600*sim.Second))
 	c.finishResil()
 	for i, d := range done {
 		if got := done[i]; got != 1 {
@@ -268,7 +248,7 @@ func TestRackFailLosesWarmPool(t *testing.T) {
 	c.ScheduleFaults([]fault.Event{
 		{T: c.Now(), Kind: fault.RackFail, Host: 0, Mag: 1},
 	}, 7)
-	c.fireFaultEvents(c.Now())
+	c.fireQueued(c.Now())
 	if c.LiveHosts() != 2 {
 		t.Fatalf("live = %d after rack-fail, want 2", c.LiveHosts())
 	}
@@ -278,7 +258,7 @@ func TestRackFailLosesWarmPool(t *testing.T) {
 	if n := c.warmNode(fn, nil); n != nil {
 		t.Fatalf("warm pool survived on host %d, want none", n.ID)
 	}
-	domainStep(c, sim.Time(600*sim.Second))
+	stepBoundaries(c, sim.Time(600*sim.Second))
 	c.finishResil()
 	if got := done; got != 1 {
 		t.Fatalf("displaced warm flight completed %d times, want exactly once", got)
@@ -327,7 +307,7 @@ func TestRepaceDrainsAcrossJoin(t *testing.T) {
 	if c.LiveHosts() != 2 {
 		t.Fatalf("live = %d after join, want 2", c.LiveHosts())
 	}
-	domainStep(c, sim.Time(600*sim.Second))
+	stepBoundaries(c, sim.Time(600*sim.Second))
 	c.finishResil()
 	if c.Metrics.Replaced != 2 {
 		t.Fatalf("Replaced = %d after draining, want 2", c.Metrics.Replaced)

@@ -12,19 +12,24 @@ import (
 // Hosts in a fleet interact only through the dispatcher — warm
 // routing, scale-up placement, admission — and the dispatcher only
 // acts at known times: the invocation timestamps of the trace and the
-// fleet-wide memory-sample ticks. Those times are the epochs. The
+// entries of its boundary queue (boundary.go) — fleet events, fault
+// windows opening and closing, resilience decisions, pacing ticks and
+// the fleet-wide memory-sample ticks. Those times are the epochs. The
 // engine repeats three steps:
 //
 //  1. advance: every host's scheduler runs to the next boundary T with
 //     sim.Scheduler.RunUntilEpoch — all host events strictly before T
 //     fire, host clocks land exactly on T.
 //  2. merge: with every host paused at T, the dispatcher fires the
-//     boundary events at T in canonical order — invocations in trace
-//     order first, then the memory sample. Routing reads host state
-//     settled through T-1 plus the synchronous effects of earlier
-//     boundary events at T.
-//  3. repeat, until the trace and ticks are exhausted; then every host
-//     drains to the horizon.
+//     work due at T in canonical order — finished drains retire, then
+//     fleet events, fault closes, fault opens, settled attempts
+//     resolve, resilience decisions, the pacing tick, the invocations
+//     in trace order, and last the memory sample and the autoscaler.
+//     Routing reads host state settled through T-1 plus the
+//     synchronous effects of earlier boundary work at T.
+//  3. repeat, until the trace and the queue are exhausted (queued work
+//     past DrainUntil never sets a boundary); then every host drains
+//     to the horizon.
 //
 // The whole run stays on the caller's goroutine. A boundary falls at
 // every invocation, so an epoch carries a few microseconds of host
@@ -52,7 +57,8 @@ type Invocation struct {
 // PlayConfig shapes one epoch-driven fleet run.
 type PlayConfig struct {
 	// TickEvery is the fleet memory-sampling cadence (0 disables);
-	// samples are taken at 0, TickEvery, ... through TickUntil.
+	// samples are taken at 0, TickEvery, ... through TickUntil (and no
+	// later than DrainUntil, like every other queued boundary).
 	TickEvery sim.Duration
 	TickUntil sim.Time
 	// DrainUntil is the horizon every host runs to after the last

@@ -185,23 +185,19 @@ func TestFaultNoOpPlansByteIdentical(t *testing.T) {
 	}
 }
 
-// resilStep drives the dispatcher boundary loop the way Play does —
-// advance, settle drains, fire fleet and fault events, resolve settled
-// attempts, fire due resilience decisions — in fixed steps up to
-// `until`. Manual-mode tests need it: outside Play nothing else runs
-// the boundary sequence, so retries and hedges would never fire.
-func resilStep(c *Cluster, until sim.Time) {
+// stepBoundaries drives the dispatcher boundary loop the way Play does
+// — advance, then fire the boundary's queued work — in fixed steps up
+// to `until`. Manual-mode tests need it: outside Play nothing else runs
+// the boundary sequence, so retries, hedges and paced re-placements
+// would never fire.
+func stepBoundaries(c *Cluster, until sim.Time) {
 	for t := c.Now(); t < until; {
 		t = t.Add(500 * sim.Millisecond)
 		if t > until {
 			t = until
 		}
 		c.AdvanceTo(t)
-		c.settleDrains()
-		c.fireFleetEvents(t)
-		c.fireFaultEvents(t)
-		c.resolveSettled()
-		c.fireResilEvents(t)
+		c.fireQueued(t)
 	}
 }
 
@@ -219,7 +215,7 @@ func TestRetryAfterColdFail(t *testing.T) {
 	c.ScheduleFaults([]fault.Event{
 		{T: 0, Dur: 1 * sim.Second, Kind: fault.ColdFail, Host: -1, Mag: 1},
 	}, 7)
-	c.fireFaultEvents(0)
+	c.fireQueued(0)
 	fn := workload.ByName("HTML")
 	completions, failures := 0, 0
 	c.Invoke(fn, func(res faas.Result) {
@@ -229,7 +225,7 @@ func TestRetryAfterColdFail(t *testing.T) {
 			completions++
 		}
 	})
-	resilStep(c, sim.Time(120*sim.Second))
+	stepBoundaries(c, sim.Time(120*sim.Second))
 	c.finishResil()
 	if completions != 1 || failures != 0 {
 		t.Fatalf("completions=%d failures=%d, want exactly one clean completion", completions, failures)
@@ -254,7 +250,7 @@ func TestRetryBudgetExhaustedFailsOnce(t *testing.T) {
 	c.ScheduleFaults([]fault.Event{
 		{T: 0, Dur: 600 * sim.Second, Kind: fault.ColdFail, Host: -1, Mag: 1},
 	}, 7)
-	c.fireFaultEvents(0)
+	c.fireQueued(0)
 	fn := workload.ByName("HTML")
 	callbacks, failures := 0, 0
 	c.Invoke(fn, func(res faas.Result) {
@@ -263,7 +259,7 @@ func TestRetryBudgetExhaustedFailsOnce(t *testing.T) {
 			failures++
 		}
 	})
-	resilStep(c, sim.Time(120*sim.Second))
+	stepBoundaries(c, sim.Time(120*sim.Second))
 	c.finishResil()
 	if callbacks != 1 || failures != 1 {
 		t.Fatalf("callbacks=%d failures=%d, want exactly one terminal failure", callbacks, failures)
@@ -290,7 +286,7 @@ func TestHostFailMidBackoff(t *testing.T) {
 		// Only host 0 fails boots; round-robin places the primary there.
 		{T: 0, Dur: 1 * sim.Second, Kind: fault.ColdFail, Host: 0, Mag: 1},
 	}, 7)
-	c.fireFaultEvents(0)
+	c.fireQueued(0)
 	fn := workload.ByName("HTML")
 	var completions int
 	c.Invoke(fn, func(res faas.Result) {
@@ -301,13 +297,12 @@ func TestHostFailMidBackoff(t *testing.T) {
 	// Let the boot failure settle and the backoff arm, then kill the
 	// failed host while the retry is still pending.
 	c.AdvanceTo(sim.Time(2 * sim.Second))
-	c.resolveSettled()
-	c.fireResilEvents(sim.Time(2 * sim.Second))
+	c.fireQueued(sim.Time(2 * sim.Second))
 	if c.Metrics.Retries != 1 {
 		t.Fatalf("Retries = %d, want 1 armed before the host dies", c.Metrics.Retries)
 	}
 	c.failHost(c.Nodes[0])
-	resilStep(c, sim.Time(120*sim.Second))
+	stepBoundaries(c, sim.Time(120*sim.Second))
 	c.finishResil()
 	if got := completions; got != 1 {
 		t.Fatalf("completions = %d, want exactly 1 on the survivor", got)
@@ -343,7 +338,7 @@ func TestHedgeOutstandingWhenHostDrains(t *testing.T) {
 	c.ScheduleFaults([]fault.Event{
 		{T: c.Now(), Dur: 600 * sim.Second, Kind: fault.Straggler, Host: 0, Mag: 10},
 	}, 7)
-	c.fireFaultEvents(c.Now())
+	c.fireQueued(c.Now())
 	var completions int
 	c.Invoke(long, func(res faas.Result) {
 		if !res.Failed && !res.Dropped {
@@ -352,8 +347,7 @@ func TestHedgeOutstandingWhenHostDrains(t *testing.T) {
 	})
 	start := c.Now()
 	c.AdvanceTo(start.Add(3 * sim.Second))
-	c.resolveSettled()
-	c.fireResilEvents(c.Now())
+	c.fireQueued(c.Now())
 	if c.Metrics.Hedges != 1 {
 		t.Fatalf("Hedges = %d, want the hedge launched before the drain", c.Metrics.Hedges)
 	}
@@ -361,8 +355,7 @@ func TestHedgeOutstandingWhenHostDrains(t *testing.T) {
 	// Ride past the drain deadline: the hedge attempt re-places.
 	deadline := c.Now().Add(costmodel.ReclaimDrainTimeout)
 	c.AdvanceTo(deadline)
-	c.settleDrains()
-	c.fireFleetEvents(deadline)
+	c.fireQueued(deadline)
 	drainFor(c, 600*sim.Second)
 	c.finishResil()
 	if got := completions; got != 1 {
@@ -384,7 +377,7 @@ func TestRetryLandsOnJoinedHost(t *testing.T) {
 	c.ScheduleFaults([]fault.Event{
 		{T: 0, Dur: 600 * sim.Second, Kind: fault.ColdFail, Host: 0, Mag: 1},
 	}, 7)
-	c.fireFaultEvents(0)
+	c.fireQueued(0)
 	fn := workload.ByName("HTML")
 	completions, failures := 0, 0
 	c.Invoke(fn, func(res faas.Result) {
@@ -395,8 +388,7 @@ func TestRetryLandsOnJoinedHost(t *testing.T) {
 		}
 	})
 	c.AdvanceTo(sim.Time(2 * sim.Second))
-	c.resolveSettled()
-	c.fireResilEvents(sim.Time(2 * sim.Second))
+	c.fireQueued(sim.Time(2 * sim.Second))
 	if c.Metrics.Retries != 1 {
 		t.Fatalf("Retries = %d, want the backoff armed", c.Metrics.Retries)
 	}
@@ -405,7 +397,7 @@ func TestRetryLandsOnJoinedHost(t *testing.T) {
 		t.Fatal("joined host was not armed with an injector")
 	}
 	c.failHost(c.Nodes[0])
-	resilStep(c, sim.Time(120*sim.Second))
+	stepBoundaries(c, sim.Time(120*sim.Second))
 	c.finishResil()
 	if completions != 1 || failures != 0 {
 		t.Fatalf("completions=%d failures=%d, want the retry to land cleanly on the joiner", completions, failures)

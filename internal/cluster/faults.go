@@ -3,7 +3,6 @@ package cluster
 import (
 	"squeezy/internal/fault"
 	"squeezy/internal/obs"
-	"squeezy/internal/sim"
 )
 
 // Fault-plan execution: windows open and close at dispatcher epoch
@@ -17,12 +16,15 @@ import (
 // Window semantics follow fault.Event: Host -1 targets every host live
 // at open time (the applied set is recorded, so the close targets
 // exactly those hosts and a mid-window joiner is unaffected); dangling
-// IDs are no-ops. At a boundary, closes fire before opens.
+// IDs are no-ops. Opens and closes wait in the dispatcher's boundary
+// queue (boundary.go); at one instant closes fire before opens, and a
+// close queued by an open waits for the next boundary.
 
-// openFault is one active window and the hosts it was applied to.
+// openFault is one plan window and, once open, the hosts it was
+// applied to. Its open and close entries in the boundary queue share
+// it.
 type openFault struct {
 	ev    fault.Event
-	until sim.Time
 	hosts []*Node
 }
 
@@ -43,8 +45,10 @@ func (c *Cluster) ScheduleFaults(events []fault.Event, seed uint64) {
 			c.armInjector(n)
 		}
 	}
-	for _, ev := range events {
-		c.enqueueFault(ev)
+	wins := make([]openFault, len(events))
+	for i, ev := range events {
+		wins[i].ev = ev
+		c.q.push(entry{t: ev.T, class: classOpen, win: &wins[i]})
 	}
 }
 
@@ -56,57 +60,13 @@ func (c *Cluster) armInjector(n *Node) {
 	n.RT.Faults = n.inj
 }
 
-// enqueueFault inserts the event keeping the queue sorted by time,
-// FIFO among equal times.
-func (c *Cluster) enqueueFault(ev fault.Event) {
-	i := len(c.faultQ)
-	for i > 0 && c.faultQ[i-1].T > ev.T {
-		i--
-	}
-	c.faultQ = append(c.faultQ, fault.Event{})
-	copy(c.faultQ[i+1:], c.faultQ[i:])
-	c.faultQ[i] = ev
-}
-
-// nextFault reports the earliest pending fault boundary — a window
-// opening or closing — at or before horizon.
-func (c *Cluster) nextFault(horizon sim.Time) (sim.Time, bool) {
-	t, have := sim.Time(0), false
-	if len(c.faultQ) > 0 && c.faultQ[0].T <= horizon {
-		t, have = c.faultQ[0].T, true
-	}
-	if len(c.faultOpen) > 0 {
-		if u := c.faultOpen[0].until; u <= horizon && (!have || u < t) {
-			t, have = u, true
-		}
-	}
-	return t, have
-}
-
-// fireFaultEvents applies every window transition due at or before t:
-// expired windows close first, then due windows open. The fleet must
-// be paused at boundary t.
-func (c *Cluster) fireFaultEvents(t sim.Time) {
-	if !c.faultsOn {
-		return
-	}
-	for len(c.faultOpen) > 0 && c.faultOpen[0].until <= t {
-		of := c.faultOpen[0]
-		c.faultOpen = c.faultOpen[1:]
-		c.closeFault(of)
-	}
-	for len(c.faultQ) > 0 && c.faultQ[0].T <= t {
-		ev := c.faultQ[0]
-		c.faultQ = c.faultQ[1:]
-		c.openFaultWindow(ev)
-	}
-}
-
-// openFaultWindow resolves the event's target hosts, opens the window
-// on each, and records the applied set so the close mirrors it.
-func (c *Cluster) openFaultWindow(ev fault.Event) {
+// openFaultWindow resolves the window's target hosts, opens it on
+// each, records the applied set so the close mirrors it, and queues
+// the close. The fleet must be paused at the boundary.
+func (c *Cluster) openFaultWindow(w *openFault) {
+	ev := w.ev
 	if ev.Kind.Domain() {
-		c.openDomainFault(ev)
+		c.openDomainFault(w)
 		return
 	}
 	var hosts []*Node
@@ -127,7 +87,7 @@ func (c *Cluster) openFaultWindow(ev fault.Event) {
 			c.applyStraggler(n)
 		}
 	}
-	c.insertOpenFault(openFault{ev: ev, until: ev.T.Add(ev.Dur), hosts: hosts})
+	c.queueClose(w, hosts)
 	if c.fleetObs != nil {
 		c.fleetObs.Count("faults/windows", 1)
 		c.fleetObs.Instant("fault-open: "+ev.Kind.String(), obs.CatFault,
@@ -145,7 +105,8 @@ func (c *Cluster) openFaultWindow(ev fault.Event) {
 // no topology, a dangling rack index, or a rack with no live members
 // makes the event a deterministic no-op — the domain mirror of the
 // dangling-host contract.
-func (c *Cluster) openDomainFault(ev fault.Event) {
+func (c *Cluster) openDomainFault(w *openFault) {
+	ev := w.ev
 	topo := c.Cfg.Topology
 	if !topo.ValidRack(ev.Host) {
 		return
@@ -182,13 +143,20 @@ func (c *Cluster) openDomainFault(ev fault.Event) {
 			n.inj.Open(rackStraggler(ev, n))
 			c.applyStraggler(n)
 		}
-		c.insertOpenFault(openFault{ev: ev, until: ev.T.Add(ev.Dur), hosts: hosts})
+		c.queueClose(w, hosts)
 	case fault.RackPartition:
 		for _, n := range hosts {
 			c.partitionHost(n)
 		}
-		c.insertOpenFault(openFault{ev: ev, until: ev.T.Add(ev.Dur), hosts: hosts})
+		c.queueClose(w, hosts)
 	}
+}
+
+// queueClose records the hosts an opened window applies to and queues
+// its close at T+Dur.
+func (c *Cluster) queueClose(w *openFault, hosts []*Node) {
+	w.hosts = hosts
+	c.q.push(entry{t: w.ev.T.Add(w.ev.Dur), class: classClose, win: w})
 }
 
 // rackStraggler synthesizes the per-host window a RackDegrade expands
@@ -235,22 +203,10 @@ func insertNode(nodes []*Node, n *Node) []*Node {
 	return nodes
 }
 
-// insertOpenFault keeps the active-window list sorted by expiry, FIFO
-// among equal expiries.
-func (c *Cluster) insertOpenFault(of openFault) {
-	i := len(c.faultOpen)
-	for i > 0 && c.faultOpen[i-1].until > of.until {
-		i--
-	}
-	c.faultOpen = append(c.faultOpen, openFault{})
-	copy(c.faultOpen[i+1:], c.faultOpen[i:])
-	c.faultOpen[i] = of
-}
-
 // closeFault closes the window on exactly the hosts it opened on;
 // hosts that died mid-window are skipped (their injectors are frozen
 // with their schedulers).
-func (c *Cluster) closeFault(of openFault) {
+func (c *Cluster) closeFault(of *openFault) {
 	for _, n := range of.hosts {
 		if n.state == nodeDead {
 			continue

@@ -10,11 +10,13 @@ import (
 //
 // Every fleet-shape change happens at a dispatcher epoch boundary,
 // with all hosts paused — the same serialization point that makes
-// routing deterministic makes churn deterministic. The canonical
-// boundary order is: retire finished drains, fire due fleet events in
-// queue order, route invocations in trace order, sample memory,
-// evaluate the autoscaler. Nothing about a shape change depends on the
-// order hosts advance in or on the worker pool:
+// routing deterministic makes churn deterministic. Scheduled events,
+// drain deadlines and autoscaler joins wait in the boundary queue
+// (boundary.go); at a boundary finished drains retire first, then due
+// fleet events fire in queue order, ahead of every other kind of
+// queued work, the invocations, the memory sample and the autoscaler.
+// Nothing about a shape change depends on the order hosts advance in
+// or on the worker pool:
 //
 //   - Failure: the host's warm pool is lost, its runtime is released
 //     into its recycler (kernels, vmm.VMs, shells harvested), and its
@@ -82,7 +84,10 @@ type AutoscaleConfig struct {
 // need not be sorted; same-time events fire in the given order.
 func (c *Cluster) ScheduleFleetEvents(events []FleetEvent) {
 	for _, ev := range events {
-		c.enqueueFleet(ev)
+		if ev.Kind == HostJoin {
+			c.joinsQueued++
+		}
+		c.q.push(entry{t: ev.T, class: classFleet, fleet: ev.Kind, host: ev.Host})
 	}
 }
 
@@ -93,42 +98,22 @@ func (c *Cluster) ActiveHosts() int { return len(c.active) }
 // draining).
 func (c *Cluster) LiveHosts() int { return len(c.live) }
 
-// enqueueFleet inserts the event keeping the queue sorted by time,
-// FIFO among equal times.
-func (c *Cluster) enqueueFleet(ev FleetEvent) {
-	i := len(c.fleetQ)
-	for i > 0 && c.fleetQ[i-1].T > ev.T {
-		i--
-	}
-	c.fleetQ = append(c.fleetQ, FleetEvent{})
-	copy(c.fleetQ[i+1:], c.fleetQ[i:])
-	c.fleetQ[i] = ev
-}
-
-// fireFleetEvents applies every queued event due at or before t. The
-// fleet must be paused at boundary t.
-func (c *Cluster) fireFleetEvents(t sim.Time) {
-	for len(c.fleetQ) > 0 && c.fleetQ[0].T <= t {
-		ev := c.fleetQ[0]
-		c.fleetQ = c.fleetQ[1:]
-		c.applyFleetEvent(ev)
-	}
-}
-
-func (c *Cluster) applyFleetEvent(ev FleetEvent) {
-	switch ev.Kind {
+// applyFleetEvent fires one due fleet event. The fleet must be paused
+// at the boundary.
+func (c *Cluster) applyFleetEvent(kind FleetEventKind, host int) {
+	switch kind {
 	case HostJoin:
 		c.joinHost()
 	case HostFail:
-		if n := c.victim(ev.Host, true); n != nil {
+		if n := c.victim(host, true); n != nil {
 			c.failHost(n)
 		}
 	case HostDrain:
-		if n := c.victim(ev.Host, false); n != nil {
+		if n := c.victim(host, false); n != nil {
 			c.startDrain(n)
 		}
 	case drainDeadline:
-		n := c.Nodes[ev.Host]
+		n := c.Nodes[host]
 		if n.state == nodeDraining {
 			c.expireDrain(n)
 		}
@@ -234,8 +219,8 @@ func (c *Cluster) startDrain(n *Node) {
 	}
 	n.state = nodeDraining
 	c.active = removeNode(c.active, n)
-	c.enqueueFleet(FleetEvent{
-		T: c.now.Add(costmodel.ReclaimDrainTimeout), Kind: drainDeadline, Host: n.ID,
+	c.q.push(entry{
+		t: c.now.Add(costmodel.ReclaimDrainTimeout), class: classFleet, fleet: drainDeadline, host: n.ID,
 	})
 }
 
@@ -292,7 +277,7 @@ func (c *Cluster) replaceFlights(n *Node) {
 	for _, fl := range flights {
 		fl.replaced = true
 		if c.repace != nil {
-			c.queueRepace(repaceEntry{fl: fl, from: n.ID})
+			c.queueRepace(repaceEntry{fn: fl.fn, fl: fl, from: n.ID})
 			continue
 		}
 		c.Metrics.Replaced++
@@ -338,8 +323,12 @@ func (c *Cluster) autoscaleTick() {
 		maxHosts = int(^uint(0) >> 1)
 	}
 	switch {
-	case pressure >= as.High && len(c.active)+c.queuedJoins() < maxHosts:
-		c.enqueueFleet(FleetEvent{T: c.now.Add(as.JoinDelay), Kind: HostJoin, Host: -1})
+	case pressure >= as.High && len(c.active)+c.joinsQueued < maxHosts:
+		// Joins already queued count against MaxHosts, so a sustained
+		// pressure spike doesn't over-provision while provisioning
+		// delay runs.
+		c.joinsQueued++
+		c.q.push(entry{t: c.now.Add(as.JoinDelay), class: classFleet, fleet: HostJoin, host: -1})
 		c.lastScale, c.scaled = c.now, true
 		if c.fleetObs != nil {
 			c.fleetObs.Count("autoscale/up", 1)
@@ -357,18 +346,6 @@ func (c *Cluster) autoscaleTick() {
 			}
 		}
 	}
-}
-
-// queuedJoins counts joins already in flight, so a sustained pressure
-// spike doesn't over-provision while provisioning delay runs.
-func (c *Cluster) queuedJoins() int {
-	joins := 0
-	for _, ev := range c.fleetQ {
-		if ev.Kind == HostJoin {
-			joins++
-		}
-	}
-	return joins
 }
 
 // idlestActive returns the scale-down victim: fewest live instances,

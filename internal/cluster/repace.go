@@ -5,6 +5,7 @@ import (
 	"squeezy/internal/obs"
 	"squeezy/internal/sim"
 	"squeezy/internal/units"
+	"squeezy/internal/workload"
 )
 
 // Recovery-storm control: when a whole rack dies, the exactly-once
@@ -15,8 +16,9 @@ import (
 // enters a priority-ordered queue that the dispatcher drains at a
 // bounded rate on its own timed boundaries, so the recovery load
 // spreads over simulated time. The queue is dispatcher-owned serial
-// state and its tick is an epoch boundary like any other, so pacing is
-// byte-identical whatever order the hosts advance in.
+// state, ordered by priority rather than time; only its tick waits in
+// the boundary queue (boundary.go), an epoch boundary like any other,
+// so pacing is byte-identical whatever order the hosts advance in.
 
 // RepaceConfig turns on paced re-placement (Config.Repace; nil
 // preserves immediate re-placement bit-for-bit). Zero-valued fields
@@ -48,89 +50,40 @@ func (r RepaceConfig) withDefaults() RepaceConfig {
 }
 
 // repaceEntry is one displaced invocation waiting for a pacing slot:
-// a plain-path flight or a resilient rflight, plus the host it was
-// displaced from (for the dispatch-time trace instant).
+// its function, the plain-path flight or resilient rflight it belongs
+// to, and the host it was displaced from (for the dispatch-time trace
+// instant).
 type repaceEntry struct {
+	fn   *workload.Function
 	fl   *flight
 	rfl  *rflight
 	from int
 }
 
-func (e repaceEntry) priority() int {
-	if e.rfl != nil {
-		return e.rfl.fn.Priority
-	}
-	return e.fl.fn.Priority
-}
-
-func (e repaceEntry) fnName() string {
-	if e.rfl != nil {
-		return e.rfl.fn.Name
-	}
-	return e.fl.fn.Name
-}
-
-func (e repaceEntry) memLimit() int64 {
-	if e.rfl != nil {
-		return e.rfl.fn.MemoryLimit
-	}
-	return e.fl.fn.MemoryLimit
-}
-
 // queueRepace admits one displaced invocation to the pacing queue,
 // keeping it sorted by descending priority, FIFO within a priority
-// class, and arms the pacing tick if it isn't already. Runs serially
-// at a boundary (re-placement is always boundary work).
+// class. Queueing into an empty queue arms the pacing tick; the tick
+// (boundary.go) releases up to PerTick entries in the canonical
+// boundary order — after the resilience decisions, before the
+// invocations due at its boundary — and re-arms while work remains.
+// Runs serially at a boundary (re-placement is always boundary work).
 func (c *Cluster) queueRepace(e repaceEntry) {
 	c.Metrics.Paced++
 	if c.fleetObs != nil {
 		c.fleetObs.Count("repace/queued", 1)
-		c.fleetObs.Instant("replace-queued: "+e.fnName(), obs.CatInvoke,
+		c.fleetObs.Instant("replace-queued: "+e.fn.Name, obs.CatInvoke,
 			obs.I("from_host", int64(e.from)), obs.I("depth", int64(len(c.repaceQ)+1)))
 	}
-	p := e.priority()
+	if len(c.repaceQ) == 0 {
+		c.q.push(entry{t: c.now.Add(c.repace.Every), class: classPacing})
+	}
 	i := len(c.repaceQ)
-	for i > 0 && c.repaceQ[i-1].priority() < p {
+	for i > 0 && c.repaceQ[i-1].fn.Priority < e.fn.Priority {
 		i--
 	}
 	c.repaceQ = append(c.repaceQ, repaceEntry{})
 	copy(c.repaceQ[i+1:], c.repaceQ[i:])
 	c.repaceQ[i] = e
-	if c.repaceAt == 0 {
-		c.repaceAt = c.now.Add(c.repace.Every)
-	}
-}
-
-// nextRepace reports the pending pacing boundary, if armed.
-func (c *Cluster) nextRepace() (sim.Time, bool) {
-	if c.repaceAt == 0 {
-		return 0, false
-	}
-	return c.repaceAt, true
-}
-
-// fireRepace releases up to PerTick queued re-placements at boundary t
-// and re-arms the tick while work remains. Runs in the canonical
-// boundary order after the resilience events and before the
-// invocations due at t, so recovered work and fresh arrivals interleave
-// deterministically.
-func (c *Cluster) fireRepace(t sim.Time) {
-	if c.repace == nil || c.repaceAt == 0 || c.repaceAt > t {
-		return
-	}
-	budget := c.repace.PerTick
-	for budget > 0 && len(c.repaceQ) > 0 {
-		e := c.repaceQ[0]
-		c.repaceQ[0] = repaceEntry{}
-		c.repaceQ = c.repaceQ[1:]
-		budget--
-		c.dispatchRepace(e)
-	}
-	if len(c.repaceQ) > 0 {
-		c.repaceAt = t.Add(c.repace.Every)
-	} else {
-		c.repaceAt = 0
-	}
 }
 
 // dispatchRepace re-places one displaced invocation through the normal
@@ -143,14 +96,14 @@ func (c *Cluster) dispatchRepace(e repaceEntry) {
 	c.Metrics.Replaced++
 	if c.fleetObs != nil {
 		c.fleetObs.Count("replaced", 1)
-		c.fleetObs.Instant("replace: "+e.fnName(), obs.CatInvoke,
+		c.fleetObs.Instant("replace: "+e.fn.Name, obs.CatInvoke,
 			obs.I("from_host", int64(e.from)))
 	}
 	if e.rfl != nil {
 		c.launchAttempt(e.rfl)
 		return
 	}
-	c.route(e.fl.fn, e.fl.arrival, e.fl.onDone, e.fl)
+	c.route(e.fn, e.fl.arrival, e.fl.onDone, e.fl)
 }
 
 // repaceBacklogPages sums the queued re-placements' memory demand —
@@ -161,7 +114,7 @@ func (c *Cluster) dispatchRepace(e repaceEntry) {
 func (c *Cluster) repaceBacklogPages() int64 {
 	var pages int64
 	for _, e := range c.repaceQ {
-		pages += units.BytesToPages(e.memLimit())
+		pages += units.BytesToPages(e.fn.MemoryLimit)
 	}
 	return pages
 }

@@ -23,10 +23,11 @@ import (
 // those lists at the next boundary in host-ID order and resolves each
 // invocation exactly once. The first successful attempt wins; losers
 // are withdrawn with faas.Ticket.TryCancel, and a loser too far along
-// to cancel runs detached, its result ignored. Timed events (timeouts, backoff
-// expirations, hedge launches) live in a dispatcher-side queue that
-// contributes epoch boundaries, so resilience decisions happen at
-// exact simulated times, identical whatever order the hosts advance in.
+// to cancel runs detached, its result ignored. Timed decisions
+// (timeouts, backoff expirations, hedge launches) wait in the
+// dispatcher's boundary queue (boundary.go), which turns them into
+// epoch boundaries, so resilience decisions happen at exact simulated
+// times, identical whatever order the hosts advance in.
 
 // ResilienceConfig turns on the dispatcher resilience layer
 // (Config.Resilience; nil preserves the plain dispatch path
@@ -126,7 +127,7 @@ type attempt struct {
 }
 
 // resilEventKind classifies one dispatcher-side timed decision.
-type resilEventKind int
+type resilEventKind uint8
 
 const (
 	// attemptTimeout fires when an attempt exceeds the dispatch
@@ -137,66 +138,6 @@ const (
 	// hedgeLaunch fires HedgeDelay after the primary attempt.
 	hedgeLaunch
 )
-
-// resilEvent is one scheduled resilience decision on simulated time.
-type resilEvent struct {
-	T    sim.Time
-	kind resilEventKind
-	fl   *rflight
-	att  *attempt // attemptTimeout only
-}
-
-// enqueueResil inserts the event keeping the queue sorted by time,
-// FIFO among equal times.
-func (c *Cluster) enqueueResil(ev resilEvent) {
-	i := len(c.resilQ)
-	for i > 0 && c.resilQ[i-1].T > ev.T {
-		i--
-	}
-	c.resilQ = append(c.resilQ, resilEvent{})
-	copy(c.resilQ[i+1:], c.resilQ[i:])
-	c.resilQ[i] = ev
-}
-
-// nextResil reports the earliest pending resilience boundary, pruning
-// moot head events (resolved flights, attempts already withdrawn) so
-// the epoch loop doesn't advance to boundaries with nothing to do.
-// Pruning reads only simulation state settled at the last boundary, so
-// it is invariant to host advance order and worker count.
-func (c *Cluster) nextResil() (sim.Time, bool) {
-	for len(c.resilQ) > 0 {
-		ev := c.resilQ[0]
-		if ev.fl.resolved ||
-			(ev.kind == attemptTimeout && (ev.att.cancelled || ev.att.dead)) {
-			c.resilQ = c.resilQ[1:]
-			continue
-		}
-		return ev.T, true
-	}
-	return 0, false
-}
-
-// fireResilEvents applies every due resilience decision at or before
-// t. The fleet must be paused at boundary t, with settled attempts
-// already resolved (resolveSettled) so a completion at t' < t beats a
-// timeout due at t.
-func (c *Cluster) fireResilEvents(t sim.Time) {
-	for len(c.resilQ) > 0 && c.resilQ[0].T <= t {
-		ev := c.resilQ[0]
-		c.resilQ = c.resilQ[1:]
-		if ev.fl.resolved {
-			continue
-		}
-		switch ev.kind {
-		case attemptTimeout:
-			c.timeoutAttempt(ev.fl, ev.att)
-		case retryLaunch:
-			c.launchAttempt(ev.fl)
-		case hedgeLaunch:
-			c.hedgeAttempt(ev.fl)
-		}
-	}
-}
 
 // invokeResilient admits one invocation through the resilience layer:
 // shed under memory pressure, else launch the primary attempt and arm
@@ -209,7 +150,7 @@ func (c *Cluster) invokeResilient(fn *workload.Function, onDone func(faas.Result
 	fl := &rflight{fn: fn, arrival: c.now, onDone: onDone}
 	c.launchAttempt(fl)
 	if c.resil.Hedge && !fl.resolved {
-		c.enqueueResil(resilEvent{T: c.now.Add(c.resil.HedgeDelay), kind: hedgeLaunch, fl: fl})
+		c.q.push(entry{t: c.now.Add(c.resil.HedgeDelay), class: classResil, resil: hedgeLaunch, fl: fl})
 	}
 }
 
@@ -358,7 +299,7 @@ func (c *Cluster) startAttempt(fl *rflight, tier string, n *Node, fv *faas.FuncV
 		n.removeAttempt(att)
 		n.settled = append(n.settled, att)
 	})
-	c.enqueueResil(resilEvent{T: c.now.Add(c.resil.Timeout), kind: attemptTimeout, fl: fl, att: att})
+	c.q.push(entry{t: c.now.Add(c.resil.Timeout), class: classResil, resil: attemptTimeout, fl: fl, att: att})
 	if c.fleetObs != nil {
 		c.fleetObs.Count("dispatch/"+tier, 1)
 		c.fleetObs.Instant("dispatch/"+tier+": "+fl.fn.Name, obs.CatInvoke,
@@ -419,7 +360,7 @@ func (c *Cluster) scheduleRetry(fl *rflight) {
 		c.fleetObs.Instant("retry: "+fl.fn.Name, obs.CatFault,
 			obs.I("retry", int64(fl.retries)), obs.I("backoff_ms", int64(backoff.Milliseconds())))
 	}
-	c.enqueueResil(resilEvent{T: c.now.Add(backoff), kind: retryLaunch, fl: fl})
+	c.q.push(entry{t: c.now.Add(backoff), class: classResil, resil: retryLaunch, fl: fl})
 }
 
 // finalFail resolves the flight with its terminal failure. The result
@@ -449,8 +390,9 @@ func (c *Cluster) finalFail(fl *rflight, n *Node, res faas.Result) {
 // order and resolves their flights: the first successful completion in
 // canonical order wins, failures feed the retry machinery, and
 // results of already-resolved flights are dropped (a hedge loser that
-// could not be cancelled). Runs serially at a boundary, before
-// fireResilEvents, so completions beat same-instant timeouts.
+// could not be cancelled). Runs serially at a boundary, before the
+// due resilience decisions fire, so completions beat same-instant
+// timeouts.
 func (c *Cluster) resolveSettled() {
 	if c.resil == nil {
 		return
@@ -526,7 +468,7 @@ func (c *Cluster) replaceAttempts(n *Node) {
 		}
 		att.fl.replaced = true
 		if c.repace != nil {
-			c.queueRepace(repaceEntry{rfl: att.fl, from: n.ID})
+			c.queueRepace(repaceEntry{fn: att.fl.fn, rfl: att.fl, from: n.ID})
 			continue
 		}
 		c.Metrics.Replaced++

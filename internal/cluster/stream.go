@@ -61,71 +61,27 @@ func (c *Cluster) PlayStream(src InvocationStream, pc PlayConfig) {
 	c.autoscale = pc.Autoscale
 	c.ScheduleFleetEvents(pc.Events)
 	c.ScheduleFaults(pc.Faults, pc.FaultSeed)
-	ticks := pc.TickEvery > 0
-	if ticks {
+	c.tickEvery, c.tickUntil = pc.TickEvery, pc.TickUntil
+	if pc.TickEvery > 0 && pc.TickUntil >= 0 {
 		// Pre-size the fleet memory series for the full tick count: a
 		// multi-day run at 1 s cadence appends hundreds of thousands of
 		// points, and growing through repeated appends would double the
 		// buffers a dozen times mid-run.
-		if n := int(pc.TickUntil/sim.Time(pc.TickEvery)) + 1; n > 0 {
-			c.Metrics.Committed.Reserve(n)
-			c.Metrics.Populated.Reserve(n)
-		}
+		n := int(pc.TickUntil/sim.Time(pc.TickEvery)) + 1
+		c.Metrics.Committed.Reserve(n)
+		c.Metrics.Populated.Reserve(n)
+		c.q.push(entry{t: 0, class: classMemory})
 	}
-	var nextTick sim.Time
 	for {
-		// Next boundary: the earliest of the next invocation, the next
-		// tick, the next due fleet event, the next fault-window
-		// transition, and the next live resilience decision.
-		t, have := sim.Time(0), false
-		consider := func(x sim.Time) {
-			if !have || x < t {
-				t, have = x, true
-			}
-		}
-		late := func(x sim.Time) sim.Time {
-			if x < c.now {
-				return c.now // late-queued event fires at the next boundary
-			}
-			return x
-		}
-		if it, ok := src.Peek(); ok {
-			consider(it)
-		}
-		if ticks && nextTick <= pc.TickUntil {
-			consider(nextTick)
-		}
-		if len(c.fleetQ) > 0 && c.fleetQ[0].T <= pc.DrainUntil {
-			consider(late(c.fleetQ[0].T))
-		}
-		if ft, ok := c.nextFault(pc.DrainUntil); ok {
-			consider(late(ft))
-		}
-		if rt, ok := c.nextResil(); ok && rt <= pc.DrainUntil {
-			consider(late(rt))
-		}
-		if pt, ok := c.nextRepace(); ok && pt <= pc.DrainUntil {
-			consider(late(pt))
-		}
-		if !have {
+		t, ok := c.nextBoundary(src, pc.DrainUntil)
+		if !ok {
 			break
 		}
 		if t < c.now {
 			panic(fmt.Sprintf("cluster: invocation stream not sorted: %d after %d", t, c.now))
 		}
 		c.AdvanceTo(t)
-		// Canonical boundary order: finished drains retire, fleet
-		// events fire in queue order, fault windows transition (closes
-		// before opens), settled attempts resolve (so a completion
-		// beats a same-instant timeout), resilience decisions fire,
-		// paced re-placements release, invocations route in trace
-		// order, then the memory sample and the autoscaler.
-		c.settleDrains()
-		c.fireFleetEvents(t)
-		c.fireFaultEvents(t)
-		c.resolveSettled()
-		c.fireResilEvents(t)
-		c.fireRepace(t)
+		c.fireQueued(t)
 		for {
 			it, ok := src.Peek()
 			if !ok || it != t {
@@ -134,11 +90,7 @@ func (c *Cluster) PlayStream(src InvocationStream, pc PlayConfig) {
 			inv, _ := src.Next()
 			c.Invoke(inv.Fn, nil)
 		}
-		if ticks && nextTick == t && t <= pc.TickUntil {
-			c.SampleMemory()
-			nextTick += sim.Time(pc.TickEvery)
-			c.autoscaleTick()
-		}
+		c.fireDue(t, classMemory)
 	}
 	c.Drain(pc.DrainUntil)
 	c.finishResil()

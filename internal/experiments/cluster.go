@@ -39,19 +39,20 @@ type fleetCfg struct {
 	autoscale *cluster.AutoscaleConfig
 	phases    []sim.Time
 
-	// Fault injection and resilience (cluster-resilience, or any fleet
-	// experiment under squeezyctl -faults): a fault plan with its
-	// decision-stream seed, and the dispatcher resilience config (nil =
-	// plain dispatch). All zero for the fault-free experiments.
+	// Fault injection and resilience (cluster-resilience and
+	// cluster-domains, or the other fleet experiments under squeezyctl
+	// -faults): a fault plan with its decision-stream seed, and the
+	// dispatcher resilience config (nil = plain dispatch). All zero for
+	// the fault-free experiments.
 	faults    []fault.Event
 	faultSeed uint64
 	resil     *cluster.ResilienceConfig
 
-	// Failure domains (cluster-domains, or any fleet experiment under
-	// squeezyctl -topology): the rack/zone topology and the recovery
-	// pacing config. Both nil for the flat-fleet experiments, which
-	// keeps their tables byte-identical to builds without the domain
-	// machinery.
+	// Failure domains (cluster-domains, or the other fleet experiments
+	// under squeezyctl -topology): the rack/zone topology and the
+	// recovery pacing config. Both nil for the flat-fleet experiments,
+	// which keeps their tables byte-identical to builds without the
+	// domain machinery.
 	topo   *cluster.Topology
 	repace *cluster.RepaceConfig
 
@@ -70,63 +71,47 @@ type fleetCfg struct {
 	sketch *stats.SketchConfig
 }
 
-// applyOptTopology overlays the options' rack/zone topology (squeezyctl
-// -topology) on a cell config. Call it before applyOptFaults so fuzzed
-// fault plans know whether rack-level kinds are drawable.
-func applyOptTopology(opts Options, fc *fleetCfg) {
-	if opts.TopoRacks <= 1 {
-		return
+// overlay applies the CLI's fleet overlays (squeezyctl -topology,
+// -faults, -sketch) to one cell config; fleetPlan calls it on every
+// cell. Each overlay fills only a field the cell left nil, so a sweep
+// that configures its own topology, fault plan or sketch keeps it. The
+// topology goes first so fuzzed fault plans know the racks. A fault
+// plan adds a phase bound at the trace midpoint when the cell has
+// none, so the post-fault tail is readable even in the static
+// experiments. Sketched order statistics may differ from exact ones
+// within the documented rank-error bound; the byte-identity contract
+// holds only with sketches off.
+func overlay(opts Options, fc *fleetCfg) {
+	if fc.topo == nil && opts.TopoRacks > 1 {
+		fc.topo = &cluster.Topology{Racks: opts.TopoRacks, Zones: max(opts.TopoZones, 1)}
 	}
-	zones := opts.TopoZones
-	if zones <= 0 {
-		zones = 1
-	}
-	fc.topo = &cluster.Topology{Racks: opts.TopoRacks, Zones: zones}
-}
-
-// applyOptSketch overlays bounded-memory reservoir sketches
-// (squeezyctl -sketch) on a cell config, unless the cell already
-// configured its own. Order statistics then come from the sketch, so
-// recorded tables may differ within the documented rank-error bound;
-// the byte-identity contract holds only with sketches off.
-func applyOptSketch(opts Options, fc *fleetCfg) {
-	if !opts.Sketch || fc.sketch != nil {
-		return
-	}
-	fc.sketch = &stats.SketchConfig{K: stats.DefaultSketchK, Seed: opts.seed()}
-}
-
-// applyOptFaults overlays the options' fault scenario (squeezyctl
-// -faults) on a cell config. Phase bounds are added at the window
-// start when the run has none, so the post-fault tail is readable even
-// in the static experiments.
-func applyOptFaults(opts Options, fc *fleetCfg) {
-	name := opts.FaultScenario
-	if name == "" || name == "none" {
-		return
-	}
-	seed := opts.FaultSeed
-	if seed == 0 {
-		seed = opts.seed()
-	}
-	if name == "fuzz" {
-		racks := 0
-		if fc.topo != nil {
-			racks = fc.topo.Racks
+	if name := opts.FaultScenario; fc.faults == nil && name != "" && name != "none" {
+		seed := opts.FaultSeed
+		if seed == 0 {
+			seed = opts.seed()
 		}
-		fc.faults = fault.GenFaults(seed, fault.Config{
-			Duration: fc.duration, Events: 12, Hosts: fc.hosts, Racks: racks,
-		})
-	} else {
-		evs, ok := fault.Scenario(name, fc.hosts, fc.duration)
-		if !ok {
-			panic("experiments: unknown fault scenario " + name)
+		if name == "fuzz" {
+			racks := 0
+			if fc.topo != nil {
+				racks = fc.topo.Racks
+			}
+			fc.faults = fault.GenFaults(seed, fault.Config{
+				Duration: fc.duration, Events: 12, Hosts: fc.hosts, Racks: racks,
+			})
+		} else {
+			evs, ok := fault.Scenario(name, fc.hosts, fc.duration)
+			if !ok {
+				panic("experiments: unknown fault scenario " + name)
+			}
+			fc.faults = evs
 		}
-		fc.faults = evs
+		fc.faultSeed = seed
+		if len(fc.phases) == 0 {
+			fc.phases = []sim.Time{sim.Time(fc.duration / 2)}
+		}
 	}
-	fc.faultSeed = seed
-	if len(fc.phases) == 0 {
-		fc.phases = []sim.Time{sim.Time(fc.duration / 2)}
+	if fc.sketch == nil && opts.Sketch {
+		fc.sketch = &stats.SketchConfig{K: stats.DefaultSketchK, Seed: opts.seed()}
 	}
 }
 
@@ -314,8 +299,9 @@ func fleetScale(opts Options) (funcs int, duration sim.Duration, baseRPS, burstR
 	return 40, 180 * sim.Second, 16, 80
 }
 
-func addFleetRow(t *Table, s fleetStats, lead ...string) {
-	t.AddRow(append(lead,
+// fleetRow formats the shared fleet columns (fleetCols).
+func fleetRow(s fleetStats) []string {
+	return []string{
 		fmt.Sprintf("%d", s.VMs),
 		fmt.Sprintf("%d", s.Cold),
 		fmt.Sprintf("%d", s.Warm),
@@ -327,7 +313,7 @@ func addFleetRow(t *Table, s fleetStats, lead ...string) {
 		fmt.Sprintf("%d", s.Unserved),
 		f2(s.MemEff),
 		f1(s.GiBs),
-	)...)
+	}
 }
 
 var fleetCols = []string{"vms", "cold", "warm", "cold_p50_ms", "cold_p99_ms", "memwait_p99_ms", "evictions", "dropped", "unserved", "mem_eff", "GiB*s"}
@@ -338,27 +324,25 @@ type fleetCell struct {
 	lead []string
 }
 
-// fleetPlan turns a list of fleet configurations into a cell plan: one
-// cell per configuration, each simulating its fleet on the pooled
-// world and writing its own result slot; Assemble emits the rows in
-// enumeration order, so the table is identical at any worker count.
-// extra, when non-nil, appends run-derived lead columns after each
-// cell's static ones (cluster-scale's invocation count).
-func fleetPlan(title string, header []string, seed uint64, cells []fleetCell, extra func(fleetStats) []string) *Plan {
+// fleetPlan builds every fleet sweep's cell plan: one cell per
+// configuration, each overlaid with the CLI options (overlay),
+// simulating its fleet on the pooled world and writing its own result
+// slot. Assemble emits one row per cell in enumeration order — the
+// cell's lead columns, then row of its outcome — so the table is
+// identical at any worker count.
+func fleetPlan(opts Options, title string, header []string, cells []fleetCell, row func(fleetStats) []string) *Plan {
+	seed := opts.seed()
 	results := make([]fleetStats, len(cells))
 	p := &Plan{Assemble: func() Result {
 		t := &Table{Title: title, Header: header}
 		for i, c := range cells {
-			lead := c.lead
-			if extra != nil {
-				lead = append(append([]string{}, lead...), extra(results[i])...)
-			}
-			addFleetRow(t, results[i], lead...)
+			t.AddRow(append(append([]string{}, c.lead...), row(results[i])...)...)
 		}
 		return t
 	}}
-	for i, c := range cells {
-		i, c := i, c
+	for i := range cells {
+		overlay(opts, &cells[i].fc)
+		c := cells[i]
 		p.Stage.Cell(strings.Join(c.lead, "/"), func(w *World) {
 			results[i] = fleetRun(w, seed, c.fc)
 		})
@@ -382,24 +366,20 @@ func ClusterPoliciesPlan(opts Options) *Plan {
 	for _, hosts := range hostCounts {
 		for _, backend := range []faas.BackendKind{faas.VirtioMem, faas.Squeezy} {
 			for _, policy := range cluster.PolicyNames() {
-				fc := fleetCfg{
-					policy: policy, backend: backend, hosts: hosts, hostMem: hostMem,
-					funcs: funcs, duration: duration, baseRPS: baseRPS, burstRPS: burstRPS,
-				}
-				applyOptTopology(opts, &fc)
-				applyOptFaults(opts, &fc)
-				applyOptSketch(opts, &fc)
 				cells = append(cells, fleetCell{
-					fc:   fc,
+					fc: fleetCfg{
+						policy: policy, backend: backend, hosts: hosts, hostMem: hostMem,
+						funcs: funcs, duration: duration, baseRPS: baseRPS, burstRPS: burstRPS,
+					},
 					lead: []string{policy, backend.String(), fmt.Sprintf("%d", hosts)},
 				})
 			}
 		}
 	}
-	return fleetPlan(
+	return fleetPlan(opts,
 		"cluster-policies: placement policy x backend x host count under a Zipf fleet",
 		append([]string{"policy", "backend", "hosts"}, fleetCols...),
-		opts.seed(), cells, nil)
+		cells, fleetRow)
 }
 
 // ClusterPolicies runs the policy sweep serially.
@@ -421,26 +401,22 @@ func ClusterScalePlan(opts Options) *Plan {
 	var cells []fleetCell
 	for _, hosts := range hostCounts {
 		funcs := perHostFuncs * hosts
-		fc := fleetCfg{
-			policy: "reclaim-aware", backend: faas.Squeezy,
-			hosts: hosts, hostMem: 32 * units.GiB,
-			funcs: funcs, duration: duration,
-			baseRPS: perHostBase * float64(hosts), burstRPS: perHostBurst * float64(hosts),
-		}
-		applyOptTopology(opts, &fc)
-		applyOptFaults(opts, &fc)
-		applyOptSketch(opts, &fc)
 		cells = append(cells, fleetCell{
-			fc:   fc,
+			fc: fleetCfg{
+				policy: "reclaim-aware", backend: faas.Squeezy,
+				hosts: hosts, hostMem: 32 * units.GiB,
+				funcs: funcs, duration: duration,
+				baseRPS: perHostBase * float64(hosts), burstRPS: perHostBurst * float64(hosts),
+			},
 			lead: []string{fmt.Sprintf("%d", hosts), fmt.Sprintf("%d", funcs)},
 		})
 	}
-	return fleetPlan(
+	return fleetPlan(opts,
 		"cluster-scale: weak scaling of the fleet (reclaim-aware, squeezy)",
 		append([]string{"hosts", "funcs", "invocations"}, fleetCols...),
-		opts.seed(), cells,
+		cells,
 		// The invocations column comes from the run itself.
-		func(s fleetStats) []string { return []string{fmt.Sprintf("%d", s.Invoked)} })
+		func(s fleetStats) []string { return append([]string{fmt.Sprintf("%d", s.Invoked)}, fleetRow(s)...) })
 }
 
 // ClusterScale runs the weak-scaling sweep serially.
@@ -461,23 +437,19 @@ func ClusterOvercommitPlan(opts Options) *Plan {
 	var cells []fleetCell
 	for _, backend := range []faas.BackendKind{faas.VirtioMem, faas.Harvest, faas.Squeezy} {
 		for _, gib := range memSteps {
-			fc := fleetCfg{
-				policy: "reclaim-aware", backend: backend, hosts: hosts, hostMem: gib * units.GiB,
-				funcs: funcs, duration: duration, baseRPS: baseRPS, burstRPS: burstRPS,
-			}
-			applyOptTopology(opts, &fc)
-			applyOptFaults(opts, &fc)
-			applyOptSketch(opts, &fc)
 			cells = append(cells, fleetCell{
-				fc:   fc,
+				fc: fleetCfg{
+					policy: "reclaim-aware", backend: backend, hosts: hosts, hostMem: gib * units.GiB,
+					funcs: funcs, duration: duration, baseRPS: baseRPS, burstRPS: burstRPS,
+				},
 				lead: []string{backend.String(), fmt.Sprintf("%d", gib)},
 			})
 		}
 	}
-	return fleetPlan(
+	return fleetPlan(opts,
 		"cluster-overcommit: tightening per-host memory (reclaim-aware placement)",
 		append([]string{"backend", "host_mem_gib"}, fleetCols...),
-		opts.seed(), cells, nil)
+		cells, fleetRow)
 }
 
 // ClusterOvercommit runs the overcommit sweep serially.

@@ -2,8 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
+
+	"squeezy/internal/cluster"
+	"squeezy/internal/fault"
+	"squeezy/internal/sim"
+	"squeezy/internal/stats"
 )
 
 // clusterNames returns every registered cluster-* experiment; the fleet
@@ -93,5 +99,40 @@ func TestClusterScaleRowsGrow(t *testing.T) {
 			t.Fatalf("host counts not increasing: %v", tab.Rows)
 		}
 		prev = row[0]
+	}
+}
+
+// TestOverlayFillsOnlyNilFields: each CLI overlay fills a cell field
+// only when the cell left it nil — so a sweep's own topology, fault
+// plan, phase bounds and sketch survive every flag — and the topology
+// goes first, so a fuzzed plan draws rack-level kinds.
+func TestOverlayFillsOnlyNilFields(t *testing.T) {
+	opts := Options{Seed: 3, TopoRacks: 4, TopoZones: 2, FaultScenario: "fuzz", Sketch: true}
+	bare := fleetCfg{hosts: 4, duration: 60 * sim.Second}
+	overlay(opts, &bare)
+	if bare.topo == nil || bare.topo.Racks != 4 || bare.topo.Zones != 2 {
+		t.Fatalf("topology = %+v, want 4 racks in 2 zones", bare.topo)
+	}
+	racked := false
+	for _, ev := range bare.faults {
+		racked = racked || ev.Kind.Domain()
+	}
+	if !racked || bare.faultSeed != 3 || len(bare.phases) != 1 || bare.sketch == nil {
+		t.Fatalf("bare cell: faults=%v seed=%d phases=%v sketch=%v, want a racked fuzz plan, seed 3, one phase bound and a sketch",
+			bare.faults, bare.faultSeed, bare.phases, bare.sketch)
+	}
+
+	own := fleetCfg{
+		hosts: 4, duration: 60 * sim.Second,
+		topo:      &cluster.Topology{Racks: 2},
+		faults:    []fault.Event{{T: 1, Dur: 2, Kind: fault.Straggler, Host: 0, Mag: 2}},
+		faultSeed: 9,
+		phases:    []sim.Time{5},
+		sketch:    &stats.SketchConfig{K: 7},
+	}
+	want := own
+	overlay(opts, &own)
+	if !reflect.DeepEqual(own, want) {
+		t.Fatalf("overlay rewrote a configured cell:\n%+v\nwant\n%+v", own, want)
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"squeezy/internal/faas"
 	"squeezy/internal/sim"
@@ -79,58 +78,38 @@ func ClusterDiurnalPlan(opts Options) *Plan {
 		backends = []faas.BackendKind{faas.Squeezy}
 	}
 
-	type cellCfg struct {
-		fc   fleetCfg
-		lead []string
-	}
-	var cells []cellCfg
+	var cells []fleetCell
 	for _, backend := range backends {
-		fc := diurnalCfg(opts, backend)
-		applyOptTopology(opts, &fc)
-		applyOptFaults(opts, &fc)
-		cells = append(cells, cellCfg{
-			fc:   fc,
+		cells = append(cells, fleetCell{
+			fc:   diurnalCfg(opts, backend),
 			lead: []string{backend.String(), fmt.Sprintf("%.2f", days)},
 		})
 	}
+	return fleetPlan(opts,
+		"cluster-diurnal: multi-day diurnal traffic, streamed with reservoir sketches",
+		[]string{
+			"backend", "days", "invocations", "cold", "warm",
+			"cold_p50_ms", "cold_p99_ms", "cold_p999_ms", "warm_p99_ms",
+			"memwait_p99_ms", "dropped", "unserved", "mem_eff", "GiB*s",
+		},
+		cells, diurnalRow)
+}
 
-	seed := opts.seed()
-	results := make([]fleetStats, len(cells))
-	p := &Plan{Assemble: func() Result {
-		t := &Table{
-			Title: "cluster-diurnal: multi-day diurnal traffic, streamed with reservoir sketches",
-			Header: []string{
-				"backend", "days", "invocations", "cold", "warm",
-				"cold_p50_ms", "cold_p99_ms", "cold_p999_ms", "warm_p99_ms",
-				"memwait_p99_ms", "dropped", "unserved", "mem_eff", "GiB*s",
-			},
-		}
-		for i, c := range cells {
-			s := results[i]
-			t.AddRow(append(append([]string{}, c.lead...),
-				fmt.Sprintf("%d", s.Invoked),
-				fmt.Sprintf("%d", s.Cold),
-				fmt.Sprintf("%d", s.Warm),
-				f1(s.ColdP50Ms),
-				f1(s.ColdP99Ms),
-				f1(s.ColdP999Ms),
-				f1(s.WarmP99Ms),
-				f1(s.MemWaitP99),
-				fmt.Sprintf("%d", s.Dropped),
-				fmt.Sprintf("%d", s.Unserved),
-				f2(s.MemEff),
-				f1(s.GiBs),
-			)...)
-		}
-		return t
-	}}
-	for i, c := range cells {
-		i, c := i, c
-		p.Stage.Cell(strings.Join(c.lead, "/"), func(w *World) {
-			results[i] = fleetRun(w, seed, c.fc)
-		})
+func diurnalRow(s fleetStats) []string {
+	return []string{
+		fmt.Sprintf("%d", s.Invoked),
+		fmt.Sprintf("%d", s.Cold),
+		fmt.Sprintf("%d", s.Warm),
+		f1(s.ColdP50Ms),
+		f1(s.ColdP99Ms),
+		f1(s.ColdP999Ms),
+		f1(s.WarmP99Ms),
+		f1(s.MemWaitP99),
+		fmt.Sprintf("%d", s.Dropped),
+		fmt.Sprintf("%d", s.Unserved),
+		f2(s.MemEff),
+		f1(s.GiBs),
 	}
-	return p
 }
 
 // ClusterDiurnal runs the diurnal sweep serially.

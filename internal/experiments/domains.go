@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"squeezy/internal/cluster"
 	"squeezy/internal/faas"
@@ -62,8 +61,8 @@ func domainScenarios() []domainScenario {
 	}
 }
 
-func addDomainRow(t *Table, s fleetStats, lead ...string) {
-	t.AddRow(append(lead,
+func domainRow(s fleetStats) []string {
+	return []string{
 		fmt.Sprintf("%d", s.Cold),
 		fmt.Sprintf("%d", s.Fails),
 		fmt.Sprintf("%d", s.Replaced),
@@ -75,7 +74,7 @@ func addDomainRow(t *Table, s fleetStats, lead ...string) {
 		f1(s.ColdP99PostMs),
 		f1(s.LatP99PostMs),
 		fmt.Sprintf("%d", s.Unserved),
-	)...)
+	}
 }
 
 var domainCols = []string{
@@ -92,6 +91,9 @@ var domainCols = []string{
 // columns are the healthy fleet, the *_post columns are the blast and
 // the recovery.
 func ClusterDomainsPlan(opts Options) *Plan {
+	// The sweep's failure shapes are its own fault plans: -faults does
+	// not reach it (and -topology is skipped, every cell has one).
+	opts.FaultScenario = ""
 	funcs, duration, baseRPS, burstRPS := fleetScale(opts)
 	hosts, hostMem := 8, int64(16)*units.GiB
 	topo := &cluster.Topology{Racks: 4, Zones: 2}
@@ -105,11 +107,7 @@ func ClusterDomainsPlan(opts Options) *Plan {
 	}
 	at := sim.Time(duration / 2)
 
-	type cellCfg struct {
-		fc   fleetCfg
-		lead []string
-	}
-	var cells []cellCfg
+	var cells []fleetCell
 	for _, mode := range domainModes() {
 		for _, policy := range policies {
 			for _, backend := range backends {
@@ -132,8 +130,7 @@ func ClusterDomainsPlan(opts Options) *Plan {
 						fc.faults = evs
 						fc.faultSeed = opts.seed()
 					}
-					applyOptSketch(opts, &fc)
-					cells = append(cells, cellCfg{
+					cells = append(cells, fleetCell{
 						fc:   fc,
 						lead: []string{mode.name, policy, backend.String(), sc.name},
 					})
@@ -142,25 +139,10 @@ func ClusterDomainsPlan(opts Options) *Plan {
 		}
 	}
 
-	seed := opts.seed()
-	results := make([]fleetStats, len(cells))
-	p := &Plan{Assemble: func() Result {
-		t := &Table{
-			Title:  "cluster-domains: failure domains vs blast-radius-aware placement (mode x policy x backend x failure)",
-			Header: append([]string{"recovery", "policy", "backend", "failure"}, domainCols...),
-		}
-		for i, c := range cells {
-			addDomainRow(t, results[i], c.lead...)
-		}
-		return t
-	}}
-	for i, c := range cells {
-		i, c := i, c
-		p.Stage.Cell(strings.Join(c.lead, "/"), func(w *World) {
-			results[i] = fleetRun(w, seed, c.fc)
-		})
-	}
-	return p
+	return fleetPlan(opts,
+		"cluster-domains: failure domains vs blast-radius-aware placement (mode x policy x backend x failure)",
+		append([]string{"recovery", "policy", "backend", "failure"}, domainCols...),
+		cells, domainRow)
 }
 
 // ClusterDomains runs the failure-domain sweep serially.

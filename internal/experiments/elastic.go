@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"squeezy/internal/cluster"
 	"squeezy/internal/faas"
@@ -60,8 +59,8 @@ func elasticChurns() []elasticChurn {
 	}
 }
 
-func addElasticRow(t *Table, s fleetStats, lead ...string) {
-	t.AddRow(append(lead,
+func elasticRow(s fleetStats) []string {
+	return []string{
 		fmt.Sprintf("%d", s.Joins),
 		fmt.Sprintf("%d", s.Fails),
 		fmt.Sprintf("%d", s.Drains),
@@ -74,7 +73,7 @@ func addElasticRow(t *Table, s fleetStats, lead ...string) {
 		f1(s.LatP99PostMs),
 		fmt.Sprintf("%d", s.Dropped),
 		fmt.Sprintf("%d", s.Unserved),
-	)...)
+	}
 }
 
 var elasticCols = []string{
@@ -97,11 +96,7 @@ func ClusterElasticPlan(opts Options) *Plan {
 	}
 	churnAt := sim.Time(duration / 2)
 
-	type cellCfg struct {
-		fc   fleetCfg
-		lead []string
-	}
-	var cells []cellCfg
+	var cells []fleetCell
 	for _, policy := range []string{"headroom", "reclaim-aware"} {
 		for _, backend := range backends {
 			for _, churn := range elasticChurns() {
@@ -116,10 +111,7 @@ func ClusterElasticPlan(opts Options) *Plan {
 				if churn.autoscale != nil {
 					fc.autoscale = churn.autoscale(hosts)
 				}
-				applyOptTopology(opts, &fc)
-				applyOptFaults(opts, &fc)
-				applyOptSketch(opts, &fc)
-				cells = append(cells, cellCfg{
+				cells = append(cells, fleetCell{
 					fc:   fc,
 					lead: []string{policy, backend.String(), churn.name},
 				})
@@ -127,25 +119,10 @@ func ClusterElasticPlan(opts Options) *Plan {
 		}
 	}
 
-	seed := opts.seed()
-	results := make([]fleetStats, len(cells))
-	p := &Plan{Assemble: func() Result {
-		t := &Table{
-			Title:  "cluster-elastic: fleet churn at peak (policy x backend x churn profile)",
-			Header: append([]string{"policy", "backend", "churn"}, elasticCols...),
-		}
-		for i, c := range cells {
-			addElasticRow(t, results[i], c.lead...)
-		}
-		return t
-	}}
-	for i, c := range cells {
-		i, c := i, c
-		p.Stage.Cell(strings.Join(c.lead, "/"), func(w *World) {
-			results[i] = fleetRun(w, seed, c.fc)
-		})
-	}
-	return p
+	return fleetPlan(opts,
+		"cluster-elastic: fleet churn at peak (policy x backend x churn profile)",
+		append([]string{"policy", "backend", "churn"}, elasticCols...),
+		cells, elasticRow)
 }
 
 // ClusterElastic runs the churn sweep serially.

@@ -25,14 +25,16 @@ type Options struct {
 	// cell: "" or "none" runs fault-free (byte-identical to a build
 	// without the fault machinery), a name from fault.ScenarioNames()
 	// plays that profile, and "fuzz" generates a random plan from
-	// FaultSeed (squeezyctl -faults).
+	// FaultSeed (squeezyctl -faults). cluster-resilience and
+	// cluster-domains sweep their own fault plans and ignore it.
 	FaultScenario string
 	// FaultSeed seeds fuzzed fault plans and every host's fault
 	// decision stream; 0 uses the experiment seed (squeezyctl
 	// -faultseed).
 	FaultSeed uint64
 	// TopoRacks/TopoZones overlay a rack/zone topology on every fleet
-	// experiment cell (squeezyctl -topology RxZ). TopoRacks <= 1 leaves
+	// experiment cell that has none (squeezyctl -topology RxZ; the
+	// cluster-domains cells carry their own). TopoRacks <= 1 leaves
 	// fleets flat — byte-identical to a build without the topology
 	// layer. With racks set, rack-level fault scenarios and the
 	// blast-radius-aware policies become meaningful, and "fuzz" plans

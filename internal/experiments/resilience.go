@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"squeezy/internal/cluster"
 	"squeezy/internal/faas"
@@ -45,19 +44,19 @@ func resilModes() []resilMode {
 	}
 }
 
-func addResilienceRow(t *Table, s fleetStats, lead ...string) {
+func resilienceRow(s fleetStats) []string {
 	pct := func(n int) string {
 		if s.Invoked == 0 {
 			return f1(0)
 		}
 		return f1(100 * float64(n) / float64(s.Invoked))
 	}
-	t.AddRow(append(lead,
+	return []string{
 		fmt.Sprintf("%d", s.Cold),
 		fmt.Sprintf("%d", s.Failed),
 		fmt.Sprintf("%d", s.Dropped),
 		fmt.Sprintf("%d", s.Shed),
-		pct(s.Dropped+s.Failed),
+		pct(s.Dropped + s.Failed),
 		pct(s.Shed),
 		fmt.Sprintf("%d", s.TimedOut),
 		fmt.Sprintf("%d", s.Retries),
@@ -67,7 +66,7 @@ func addResilienceRow(t *Table, s fleetStats, lead ...string) {
 		f1(s.ColdP99PostMs),
 		f1(s.LatP99PostMs),
 		fmt.Sprintf("%d", s.Unserved),
-	)...)
+	}
 }
 
 var resilienceCols = []string{
@@ -83,6 +82,9 @@ var resilienceCols = []string{
 // the fault-era tail across mitigation levels — mode=none is the
 // unmitigated baseline the retry and hedge rows are read against.
 func ClusterResiliencePlan(opts Options) *Plan {
+	// The sweep's fault scenarios are its own fault plans: -faults does
+	// not reach it.
+	opts.FaultScenario = ""
 	funcs, duration, baseRPS, burstRPS := fleetScale(opts)
 	// 32 GiB hosts, not cluster-elastic's 28: the fault study needs a
 	// fleet whose healthy tails are congestion-light, so the *_post
@@ -97,11 +99,7 @@ func ClusterResiliencePlan(opts Options) *Plan {
 		backends = []faas.BackendKind{faas.Squeezy}
 	}
 
-	type cellCfg struct {
-		fc   fleetCfg
-		lead []string
-	}
-	var cells []cellCfg
+	var cells []fleetCell
 	for _, mode := range resilModes() {
 		for _, backend := range backends {
 			for _, scenario := range fault.ScenarioNames() {
@@ -117,8 +115,7 @@ func ClusterResiliencePlan(opts Options) *Plan {
 					faultSeed: opts.seed(),
 					resil:     mode.resil,
 				}
-				applyOptSketch(opts, &fc)
-				cells = append(cells, cellCfg{
+				cells = append(cells, fleetCell{
 					fc:   fc,
 					lead: []string{mode.name, backend.String(), scenario},
 				})
@@ -126,25 +123,10 @@ func ClusterResiliencePlan(opts Options) *Plan {
 		}
 	}
 
-	seed := opts.seed()
-	results := make([]fleetStats, len(cells))
-	p := &Plan{Assemble: func() Result {
-		t := &Table{
-			Title:  "cluster-resilience: fault scenarios vs dispatcher mitigation (mode x backend x fault)",
-			Header: append([]string{"resilience", "backend", "fault"}, resilienceCols...),
-		}
-		for i, c := range cells {
-			addResilienceRow(t, results[i], c.lead...)
-		}
-		return t
-	}}
-	for i, c := range cells {
-		i, c := i, c
-		p.Stage.Cell(strings.Join(c.lead, "/"), func(w *World) {
-			results[i] = fleetRun(w, seed, c.fc)
-		})
-	}
-	return p
+	return fleetPlan(opts,
+		"cluster-resilience: fault scenarios vs dispatcher mitigation (mode x backend x fault)",
+		append([]string{"resilience", "backend", "fault"}, resilienceCols...),
+		cells, resilienceRow)
 }
 
 // ClusterResilience runs the fault sweep serially.

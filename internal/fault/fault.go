@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"math/rand/v2"
 	"sort"
 
@@ -92,19 +93,22 @@ type Event struct {
 // Config parameterizes the fuzzed fault-plan generator.
 type Config struct {
 	// Duration bounds window starts: they land in (0, Duration), with
-	// window lengths up to Duration/4.
+	// window lengths from 1 ns up to Duration/4. A Duration under 4 ns
+	// fits no window, and the plan is empty.
 	Duration sim.Duration
-	// Events is the number of fault windows to generate.
+	// Events is the number of fault windows to generate (none when
+	// <= 0).
 	Events int
 	// Hosts is the fleet's initial host count; targeted events pick IDs
 	// in [0, 2*Hosts) so some deliberately name hosts that are already
 	// gone or never existed (the fleet must treat those as no-ops).
+	// Counts past MaxInt/2 draw from [0, MaxInt) instead.
 	Hosts int
 	// Racks, when > 0, widens the kind space to the domain kinds
 	// (RackFail/RackDegrade/RackPartition) with rack targets drawn in
 	// [0, 2*Racks) — half deliberately dangling, which the fleet must
-	// treat as no-ops. Zero keeps plans byte-identical to the flat
-	// generator.
+	// treat as no-ops — or [0, MaxInt) past MaxInt/2. Zero keeps plans
+	// byte-identical to the flat generator.
 	Racks int
 }
 
@@ -113,9 +117,16 @@ type Config struct {
 // targeting explicit (possibly dangling) IDs, with kind-appropriate
 // magnitudes. The same seed always yields the same plan; the
 // determinism property tests fuzz fleet runs with these plans across
-// seeds (the mirror of trace.GenChurn).
+// seeds (the mirror of trace.GenChurn). Out-of-range configs never
+// panic: a plan with no events or no room for a window is empty, and
+// target counts too large to double are capped (see Config).
 func GenFaults(seed uint64, cfg Config) []Event {
+	if cfg.Events <= 0 || cfg.Duration < 4 {
+		return nil
+	}
 	rng := rand.New(rand.NewPCG(seed, 0xfa017))
+	// target draws an ID in [0, 2n), capped so 2n cannot overflow.
+	target := func(n int) int { return rng.IntN(2 * min(n, math.MaxInt/2)) }
 	kinds := int(numHostKinds)
 	if cfg.Racks > 0 {
 		kinds = int(numKinds)
@@ -129,9 +140,9 @@ func GenFaults(seed uint64, cfg Config) []Event {
 			Host: -1,
 		}
 		if ev.Kind.Domain() {
-			ev.Host = rng.IntN(2 * cfg.Racks)
+			ev.Host = target(cfg.Racks)
 		} else if rng.IntN(2) == 0 && cfg.Hosts > 0 {
-			ev.Host = rng.IntN(2 * cfg.Hosts)
+			ev.Host = target(cfg.Hosts)
 		}
 		switch ev.Kind {
 		case ReclaimStall:

@@ -300,3 +300,31 @@ func TestDomainDraw(t *testing.T) {
 		t.Fatal("different seeds produced identical draws")
 	}
 }
+
+// FuzzGenFaults: the generator must never panic, whatever the config
+// — zero, tiny or negative durations, negative event counts, and host
+// or rack counts too large to double — and every window it does emit
+// must start strictly inside the trace and last 1 ns to Duration/4.
+// The committed corpus (testdata/fuzz/FuzzGenFaults) holds the
+// configs that once panicked.
+func FuzzGenFaults(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, duration int64, events, hosts, racks int) {
+		events = min(events, 64)
+		cfg := Config{Duration: sim.Duration(duration), Events: events, Hosts: hosts, Racks: racks}
+		plan := GenFaults(seed, cfg)
+		if want := max(events, 0); cfg.Duration >= 4 && len(plan) != want {
+			t.Fatalf("%+v: %d events, want %d", cfg, len(plan), want)
+		}
+		for _, ev := range plan {
+			if ev.T <= 0 || ev.T >= sim.Time(cfg.Duration) {
+				t.Fatalf("%+v: window at %d outside (0, %d)", cfg, ev.T, cfg.Duration)
+			}
+			if ev.Dur < 1 || ev.Dur > max(1, cfg.Duration/4) {
+				t.Fatalf("%+v: window length %d outside [1, Duration/4]", cfg, ev.Dur)
+			}
+			if ev.Kind.Domain() && racks <= 0 {
+				t.Fatalf("%+v: domain kind %v without racks", cfg, ev.Kind)
+			}
+		}
+	})
+}
