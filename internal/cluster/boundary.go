@@ -168,9 +168,6 @@ func (c *Cluster) fireDue(t sim.Time, last entryClass) {
 		e := c.q.pop()
 		switch e.class {
 		case classFleet:
-			if e.fleet == HostJoin {
-				c.joinsQueued--
-			}
 			c.applyFleetEvent(e.fleet, e.host)
 		case classClose:
 			c.closeFault(e.win)

@@ -571,7 +571,6 @@ func (c *Cluster) Reset(cost *costmodel.Model, cfg Config, policy Policy) {
 	c.live = append(c.live[:0], c.Nodes...)
 	c.q.reset()
 	c.joinsQueued = 0
-	c.tickEvery, c.tickUntil = 0, 0
 	c.resil = c.Cfg.Resilience
 	c.horizon = false
 	c.faultSeed, c.faultsOn = 0, false

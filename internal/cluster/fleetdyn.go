@@ -103,6 +103,7 @@ func (c *Cluster) LiveHosts() int { return len(c.live) }
 func (c *Cluster) applyFleetEvent(kind FleetEventKind, host int) {
 	switch kind {
 	case HostJoin:
+		c.joinsQueued--
 		c.joinHost()
 	case HostFail:
 		if n := c.victim(host, true); n != nil {
