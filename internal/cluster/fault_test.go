@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"squeezy/internal/costmodel"
@@ -31,10 +32,32 @@ func faultTable(c *Cluster) string {
 		m.TimedOut, m.Retries, m.Hedges, m.HedgeWins)
 }
 
+// hostsTable fingerprints the per-host accounting that the fleet
+// tables merge away: which host each completion was accounted on.
+func hostsTable(c *Cluster) string {
+	var sb strings.Builder
+	for _, n := range c.Nodes {
+		m := &n.M
+		fmt.Fprintf(&sb, "h%d cold=%d/%.6f warm=%d/%.6f drop=%d fail=%d\n", n.ID,
+			m.ColdStarts, m.ColdLatMs.Sum(), m.WarmStarts, m.WarmLatMs.Sum(), m.Dropped, m.Failed)
+	}
+	return sb.String()
+}
+
 // faultRun plays one pressured fleet under a fuzzed fault plan, fuzzed
 // churn, and the full resilience layer (tight timeout so retries and
 // hedges actually fire at this scale), and returns the fingerprint.
 func faultRun(seed uint64, order func([]*Node) []*Node) (uint64, string) {
+	c := playFaultFixture(seed, order, &ResilienceConfig{
+		Timeout: 5 * sim.Second, Hedge: true, HedgeDelay: 3 * sim.Second, Shed: true,
+	}, nil)
+	return c.Fired(), faultTable(c)
+}
+
+// playFaultFixture plays faultRun's fleet (4 hosts, squeezy,
+// reclaim-aware, fuzzed churn and faults) under the given resilience
+// and pacing configs and returns the cluster.
+func playFaultFixture(seed uint64, order func([]*Node) []*Node, resil *ResilienceConfig, repace *RepaceConfig) *Cluster {
 	const hosts = 4
 	dur := 25 * sim.Second
 	cost := costmodel.Default()
@@ -42,9 +65,8 @@ func faultRun(seed uint64, order func([]*Node) []*Node) (uint64, string) {
 		Hosts: hosts, HostMemBytes: 18 * units.GiB, Backend: faas.Squeezy,
 		N: 4, KeepAlive: 20 * sim.Second,
 		PhaseBounds: []sim.Time{sim.Time(dur / 2)},
-		Resilience: &ResilienceConfig{
-			Timeout: 5 * sim.Second, Hedge: true, HedgeDelay: 3 * sim.Second, Shed: true,
-		},
+		Resilience:  resil,
+		Repace:      repace,
 	}, NewPolicy("reclaim-aware", cost))
 	c.hostOrder = order
 	churn := trace.GenChurn(seed, trace.ChurnConfig{
@@ -59,7 +81,35 @@ func faultRun(seed uint64, order func([]*Node) []*Node) (uint64, string) {
 		}),
 		FaultSeed: seed,
 	})
-	return c.Fired(), faultTable(c)
+	return c
+}
+
+// TestResilienceOffMatchesPlain: the resilience layer with nothing
+// armed — no retry budget, no hedge, no shedding, a timeout too short
+// or too long to matter — must play faultRun's fuzzed churn and fault
+// fixture exactly as plain dispatch does, paced or not: same events,
+// same table, every completion accounted on the same host. Resolving
+// attempts at boundaries instead of on the host moves no result.
+func TestResilienceOffMatchesPlain(t *testing.T) {
+	replaced := 0
+	for seed := uint64(1); seed <= 8; seed++ {
+		for _, repace := range []*RepaceConfig{nil, {}} {
+			plain := playFaultFixture(seed, nil, nil, repace)
+			wantFired, wantTable := plain.Fired(), faultTable(plain)+"\n"+hostsTable(plain)
+			replaced += plain.Metrics.Replaced
+			for _, timeout := range []sim.Duration{2 * sim.Second, 1000 * sim.Second} {
+				c := playFaultFixture(seed, nil, &ResilienceConfig{MaxRetries: -1, Timeout: timeout}, repace)
+				gotFired, gotTable := c.Fired(), faultTable(c)+"\n"+hostsTable(c)
+				if gotFired != wantFired || gotTable != wantTable {
+					t.Fatalf("seed %d, paced %v, timeout %v: resilience-off diverges from plain:\n%d %s\n%d %s",
+						seed, repace != nil, timeout, gotFired, gotTable, wantFired, wantTable)
+				}
+			}
+		}
+	}
+	if replaced == 0 {
+		t.Fatal("no seed re-placed any work; the equivalence is vacuous")
+	}
 }
 
 // TestFaultShardInvariance is the PR 8 headline property: fuzzed fault
