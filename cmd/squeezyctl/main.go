@@ -65,8 +65,10 @@
 //	             table byte-identical
 //	-days N      simulated days for the multi-day experiments
 //	             (cluster-diurnal); 0 keeps the experiment's default.
-//	             At most 10675: each cell drains to ten times its trace,
-//	             and that horizon must fit in simulated time
+//	             At least one simulated minute (1/1440), so the trace
+//	             holds invocations; at most 10675: each cell drains to
+//	             ten times its trace, and that horizon must fit in
+//	             simulated time
 //	-cpuprofile FILE  write a pprof CPU profile of the run to FILE
 //	-memprofile FILE  write a pprof heap profile at exit to FILE
 package main
@@ -122,6 +124,12 @@ const maxTopologyRacks = 1024
 // whole days. Past it the horizon overflows and the run silently
 // replays nothing.
 const maxDays = math.MaxInt64 / (10 * 24 * int64(sim.Hour))
+
+// minDays bounds a positive -days from below: one simulated minute.
+// A shorter trace replays too few invocations to fill a row (1e-14
+// days replays none), and its table could not be told from a run
+// that lost its trace.
+const minDays = float64(sim.Minute) / float64(24*sim.Hour)
 
 // parseTopology parses a -topology value: "RxZ" (racks x zones) or a
 // bare "R" (one zone), with R at most maxTopologyRacks. "" means no
@@ -270,8 +278,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *parallel < 0 {
 		return fail(2, "bad -parallel %d (want >= 0; 0 = GOMAXPROCS)", *parallel)
 	}
-	if math.IsNaN(*days) || *days < 0 || *days > float64(maxDays) {
-		return fail(2, "bad -days %v (want 0 <= days <= %d)", *days, maxDays)
+	if math.IsNaN(*days) || *days < 0 || (*days > 0 && *days < minDays) || *days > float64(maxDays) {
+		return fail(2, "bad -days %v (want 0 for the default, or %g <= days <= %d)", *days, minDays, maxDays)
 	}
 	if !validFaultScenario(*faults) {
 		return fail(2, "unknown -faults scenario %q (want %s, %s, or fuzz)",

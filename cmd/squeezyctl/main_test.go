@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"testing"
 )
 
@@ -32,6 +35,8 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{"days past the sim.Time horizon", []string{"-parallel", "1", "-days", "1e300", "run", "cluster-diurnal"}, 2},
 		{"days just past the bound", []string{"-days", "10675.001", "run", "cluster-diurnal"}, 2},
 		{"infinite days", []string{"-days", "+Inf", "run", "cluster-diurnal"}, 2},
+		{"days too short to hold an invocation", []string{"-parallel", "1", "-days", "1e-14", "run", "cluster-diurnal"}, 2},
+		{"days just below a minute", []string{"-parallel", "1", "-days", strconv.FormatFloat(math.Nextafter(minDays, 0), 'g', -1, 64), "run", "cluster-diurnal"}, 2},
 		{"zero trials", []string{"-trials", "0", "run", "fig6"}, 2},
 		{"negative trials", []string{"-trials", "-2", "run", "fig6"}, 2},
 		{"negative parallel", []string{"-parallel", "-3", "run", "fig6"}, 2},
@@ -65,6 +70,39 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 				t.Fatalf("-cpuprofile started before the failure (stat: %v)", err)
 			}
 		})
+	}
+}
+
+// TestRunAcceptsMinDays: -days at exactly minDays, one simulated
+// minute, is the shortest valid trace, and it replays invocations.
+func TestRunAcceptsMinDays(t *testing.T) {
+	args := []string{"-quick", "-parallel", "1", "-format", "json",
+		"-days", strconv.FormatFloat(minDays, 'g', -1, 64), "run", "cluster-diurnal"}
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, want 0 (stderr: %s)", code, stderr.String())
+	}
+	var out []struct {
+		Table struct {
+			Header []string   `json:"header"`
+			Rows   [][]string `json:"rows"`
+		} `json:"table"`
+	}
+	if err := json.Unmarshal(stdout.Bytes(), &out); err != nil {
+		t.Fatalf("output is not a JSON result list: %v\n%s", err, stdout.String())
+	}
+	if len(out) != 1 || len(out[0].Table.Rows) == 0 {
+		t.Fatalf("want one table with rows, got %s", stdout.String())
+	}
+	tab := out[0].Table
+	col := slices.Index(tab.Header, "invocations")
+	if col < 0 {
+		t.Fatalf("no invocations column in %v", tab.Header)
+	}
+	for _, row := range tab.Rows {
+		if row[col] == "0" {
+			t.Fatalf("a one-minute trace replayed no invocations: %v", row)
+		}
 	}
 }
 

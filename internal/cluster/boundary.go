@@ -39,7 +39,7 @@ type entry struct {
 	fleet FleetEventKind // classFleet
 	host  int            // classFleet: the target host ID (-1 = busiest)
 	win   *openFault     // classClose, classOpen
-	fl    *rflight       // classResil
+	fl    *flight        // classResil
 	att   *attempt       // classResil: attemptTimeout only
 }
 
@@ -181,16 +181,16 @@ func (c *Cluster) fireDue(t sim.Time, last entryClass) {
 			case attemptTimeout:
 				c.timeoutAttempt(e.fl, e.att)
 			case retryLaunch:
-				c.launchAttempt(e.fl)
+				c.launch(e.fl, e.fl.fn, e.fl.onDone)
 			case hedgeLaunch:
 				c.hedgeAttempt(e.fl)
 			}
 		case classPacing:
 			for budget := c.repace.PerTick; budget > 0 && len(c.repaceQ) > 0; budget-- {
-				re := c.repaceQ[0]
-				c.repaceQ[0] = repaceEntry{}
+				att := c.repaceQ[0]
+				c.repaceQ[0] = nil
 				c.repaceQ = c.repaceQ[1:]
-				c.dispatchRepace(re)
+				c.redispatch(att)
 			}
 			if len(c.repaceQ) > 0 {
 				c.q.push(entry{t: t.Add(c.repace.Every), class: classPacing})

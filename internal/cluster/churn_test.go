@@ -156,7 +156,7 @@ func TestFailFreezesPendingEpochWork(t *testing.T) {
 	})
 	failAt := 2 * sim.Second
 	c.AdvanceTo(sim.Time(failAt)) // host 0 is mid-cold-start
-	if got := len(c.Nodes[0].inflight); got != 1 {
+	if got := len(c.Nodes[0].attempts); got != 1 {
 		t.Fatalf("inflight on host 0 = %d, want 1", got)
 	}
 	c.failHost(c.Nodes[0])
@@ -246,7 +246,7 @@ func TestFailWithQueuedScaleUpGrant(t *testing.T) {
 	if got := c.Nodes[0].QueuedPages(); got == 0 {
 		t.Fatal("setup: no grant queued at failure time; shrink host memory")
 	}
-	if got := len(c.Nodes[0].inflight); got != 0 {
+	if got := len(c.Nodes[0].attempts); got != 0 {
 		t.Fatalf("inflight = %d, want 0 (both requests completed)", got)
 	}
 	c.failHost(c.Nodes[0])
@@ -313,7 +313,7 @@ func TestDrainDeadlineReplacesExactlyOnce(t *testing.T) {
 			}
 		})
 	}
-	if got := len(c.Nodes[0].inflight); got != 2 {
+	if got := len(c.Nodes[0].attempts); got != 2 {
 		t.Fatalf("inflight on host 0 = %d, want both placements (N=2 slack)", got)
 	}
 	c.AdvanceTo(sim.Time(1 * sim.Second))

@@ -42,8 +42,9 @@ type Config struct {
 	PhaseBounds []sim.Time
 	// Resilience, when non-nil, turns on the dispatcher resilience
 	// layer — per-attempt timeouts with capped-backoff retries, hedged
-	// dispatch, load shedding (resilience.go). nil preserves the plain
-	// dispatch path bit-for-bit.
+	// dispatch, load shedding (resilience.go). nil is plain dispatch:
+	// the same flight and attempt path with nothing armed, each attempt
+	// resolving on its host the moment it completes.
 	Resilience *ResilienceConfig
 	// Topology, when non-nil, places hosts into failure domains
 	// (topology.go) and optionally gives them heterogeneous memory.
@@ -112,59 +113,109 @@ type Node struct {
 	// set but keeps advancing; a counter rather than a flag so
 	// overlapping windows stack and unwind correctly.
 	partitioned int
-	// inflight is the host's dispatcher-routed invocations that have not
-	// completed, in routing order. The dispatcher appends at route time
-	// (host paused at a boundary); the completion wrapper removes
+	// attempts is the host's in-flight attempts — placements that have
+	// not completed — in launch order. The dispatcher appends at launch
+	// (host paused at a boundary); the completion callback removes
 	// host-locally. On failure or drain expiry the survivors re-place in
 	// this order, exactly once each.
-	inflight []*flight
-	// flightFree holds recycled flight records. Flights retire while
-	// the serving host advances, so the pool is per host, never
-	// fleet-wide.
-	flightFree []*flight
-
-	// Resilience-layer state (resilience.go): attempts is the host's
-	// racing attempts (the resilient inflight); settled is the completed
-	// attempts parked host-locally until the dispatcher resolves them at
-	// the next boundary. Both empty when resilience is off.
 	attempts []*attempt
-	settled  []*attempt
+	// settled parks completed attempts host-locally until the
+	// dispatcher resolves them at the next boundary (resilience.go);
+	// always empty when resolveOnHost is set.
+	settled []*attempt
+	// resolveOnHost is set when resilience is off: with no timeout,
+	// retry or hedge to race it, an attempt resolves on the host the
+	// moment it completes, and its flight goes back to free.
+	resolveOnHost bool
+	// free holds recycled flight records. Flights retire while the
+	// serving host advances, so the pool is per host, never fleet-wide.
+	free []*flight
 	// inj is the host's fault injector (faults.go); nil when the run has
 	// no fault plan.
 	inj *fault.Injector
 }
 
 // flight is one dispatcher-routed invocation from arrival to
-// completion. It survives host failure: re-placement routes the same
-// flight to a new host, and the recorded latency spans the original
-// arrival — lost work is paid, not hidden.
+// resolution, under every dispatch mode. It survives host loss:
+// re-placement launches another attempt of the same flight, and the
+// recorded latency spans the original arrival — lost work is paid,
+// not hidden. It resolves exactly once: on its first successful
+// attempt, or on its final failure once the retry budget and every
+// racer are spent. Plain dispatch is the case with nothing armed (no
+// timeout, no retry budget, no hedge), so its flights race one attempt
+// at a time.
 type flight struct {
-	fn       *workload.Function
-	arrival  sim.Time
-	onDone   func(faas.Result)
-	replaced bool // re-placed after a host failure or drain expiry
-	// node is the host serving the current placement.
-	node *Node
-	// complete is fl.finish bound once per record: the flight itself is
-	// the completion target of every placement, so routing an
-	// invocation allocates no closure.
+	fn      *workload.Function
+	arrival sim.Time
+	onDone  func(faas.Result)
+
+	launched int  // attempts launched so far (primary, retries, hedge)
+	retries  int  // retry budget consumed
+	hedged   bool // the one hedge attempt has been launched
+	replaced bool // some attempt was re-placed after a host loss
+	resolved bool
+
+	// outstanding is the attempts still racing, launch order. Only the
+	// serial dispatcher mutates it — or, with resilience off, the host
+	// running the flight's only attempt as it completes.
+	outstanding []*attempt
+	// first backs the flight's first launched attempt, so a plain
+	// dispatch takes one record off the free list and recycles it whole.
+	first attempt
+}
+
+// attempt is one placement of a flight on one host. Between launch and
+// completion it is host-owned: the completion callback (running on the
+// host's scheduler) removes it from the host's attempts list and
+// resolves it there or parks it on settled; everything else is
+// dispatcher-owned and mutated only at boundaries.
+type attempt struct {
+	fl     *flight
+	node   *Node
+	ticket faas.Ticket
+	idx    int // launch index on the flight; 0 is the primary
+	hedge  bool
+
+	settled bool // host-written at completion, dispatcher-read at boundaries
+	res     faas.Result
+
+	cancelled bool // withdrawn by a first-wins cleanup
+	dead      bool // its host failed or drained out underneath it
+
+	// complete is att.done bound once per record, so launching an
+	// attempt allocates no closure.
 	complete func(faas.Result)
 }
 
 // newFlight takes a flight record off the host's free list (or
-// allocates one) for an invocation of fn that arrived at arrival.
+// allocates one) for an invocation of fn that arrived at arrival. n
+// is nil when no host can take the invocation.
 func (n *Node) newFlight(fn *workload.Function, arrival sim.Time, onDone func(faas.Result)) *flight {
 	var fl *flight
-	if k := len(n.flightFree); k > 0 {
-		fl = n.flightFree[k-1]
-		n.flightFree[k-1] = nil
-		n.flightFree = n.flightFree[:k-1]
+	if n != nil && len(n.free) > 0 {
+		k := len(n.free)
+		fl = n.free[k-1]
+		n.free[k-1] = nil
+		n.free = n.free[:k-1]
 	} else {
 		fl = new(flight)
-		fl.complete = fl.finish
+		fl.first.fl = fl
+		fl.first.complete = fl.first.done
 	}
-	fl.fn, fl.arrival, fl.onDone, fl.replaced = fn, arrival, onDone, false
+	fl.fn, fl.arrival, fl.onDone = fn, arrival, onDone
 	return fl
+}
+
+// newAttempt returns the record for the flight's next attempt: the
+// embedded first one, or a fresh record for a retry, hedge or
+// re-placement.
+func (fl *flight) newAttempt() *attempt {
+	if fl.launched == 0 {
+		return &fl.first
+	}
+	att := &attempt{fl: fl}
+	att.complete = att.done
+	return att
 }
 
 // LiveInstances returns live (starting, busy, idle) instances on the
@@ -402,9 +453,9 @@ type Cluster struct {
 
 	// Recovery-storm control (repace.go): repace is the normalized
 	// pacing config (nil = immediate re-placement), repaceQ the
-	// priority-ordered queue of displaced work.
+	// priority-ordered queue of displaced attempts.
 	repace  *RepaceConfig
-	repaceQ []repaceEntry
+	repaceQ []*attempt
 
 	// Observability (internal/obs): obsT is the run's trace, fleetObs its
 	// fleet-level recorder written only by the serial dispatcher. Both are
@@ -513,6 +564,8 @@ func (c *Cluster) newNode(id int) *Node {
 		Sched: sched, Host: host, RT: rt, Rec: rec,
 		M:   newNodeMetrics(),
 		vms: make(map[string]*faas.FuncVM),
+
+		resolveOnHost: c.Cfg.Resilience == nil,
 	}
 	n.M.initPhases(c.Cfg.PhaseBounds)
 	n.M.applySketch(c.Cfg.Sketch, id)
@@ -553,12 +606,11 @@ func (c *Cluster) Reset(cost *costmodel.Model, cfg Config, policy Policy) {
 		n.state = nodeActive
 		n.partitioned = 0
 		n.Obs = nil
-		clear(n.inflight) // drop stale *flight pointers
-		n.inflight = n.inflight[:0]
 		clear(n.attempts) // drop stale *attempt pointers
 		n.attempts = n.attempts[:0]
 		clear(n.settled)
 		n.settled = n.settled[:0]
+		n.resolveOnHost = c.Cfg.Resilience == nil
 		n.inj = nil
 		clear(n.vms)
 		clear(n.vmOrder) // drop stale *FuncVM pointers
@@ -575,7 +627,7 @@ func (c *Cluster) Reset(cost *costmodel.Model, cfg Config, policy Policy) {
 	c.horizon = false
 	c.faultSeed, c.faultsOn = 0, false
 	c.repace = c.Cfg.Repace
-	clear(c.repaceQ) // drop stale *flight/*rflight pointers
+	clear(c.repaceQ) // drop stale *attempt pointers
 	c.repaceQ = c.repaceQ[:0]
 	c.obsT, c.fleetObs = nil, nil
 	c.autoscale = nil
@@ -649,7 +701,9 @@ func (c *Cluster) attachNodeObs(n *Node) {
 // still has concurrency slots (scale up in place — booting a second VM
 // for a function whose VM has room just burns boot memory); (3) only
 // when every existing VM is saturated does the policy pick across the
-// whole fleet, booting a new VM if needed. onDone may be nil.
+// whole fleet, booting a new VM if needed. Under memory overload a
+// shedding mode may drop it at admission instead; with resilience on,
+// its hedge timer is armed. onDone may be nil.
 //
 // Invoke must be called at an epoch boundary: every host paused at the
 // dispatcher clock (AdvanceTo/Drain establish this). The routing
@@ -660,47 +714,72 @@ func (c *Cluster) Invoke(fn *workload.Function, onDone func(faas.Result)) {
 	if c.fleetObs != nil {
 		c.fleetObs.Count("invocations", 1)
 	}
-	if c.resil != nil {
-		c.invokeResilient(fn, onDone)
-		return
-	}
-	if c.repace != nil && c.repace.Shed && c.shouldShed(fn) {
+	if c.shouldShed(fn) {
 		c.shedInvocation(fn, onDone)
 		return
 	}
-	c.route(fn, c.now, onDone, nil)
+	fl := c.launch(nil, fn, onDone)
+	if c.resil != nil && c.resil.Hedge && !fl.resolved {
+		c.q.push(entry{t: c.now.Add(c.resil.HedgeDelay), class: classResil, resil: hedgeLaunch, fl: fl})
+	}
 }
 
-// route places one invocation through the dispatcher tiers, over the
-// active hosts only: a fresh one from Invoke (fl nil; its flight record
-// comes from the serving host's pool) or a flight re-placed after a
-// host failure. It runs serially at an epoch boundary.
-func (c *Cluster) route(fn *workload.Function, arrival sim.Time, onDone func(faas.Result), fl *flight) {
-	tier, serving, fv := c.chooseVM(fn, nil)
-	if fv == nil {
-		// No host can even boot a VM for fn: admission-drop rather than
-		// panic the host model with an unbackable boot.
-		c.Metrics.AdmissionDrops++
-		if c.fleetObs != nil {
-			c.fleetObs.Count("admission_drops", 1)
-			c.fleetObs.Instant("admission-drop: "+fn.Name, obs.CatInvoke)
-		}
-		if onDone != nil {
-			onDone(faas.Result{Fn: fn, Arrival: arrival, Done: c.now, Dropped: true})
-		}
-		return
-	}
-	if c.fleetObs != nil {
-		c.fleetObs.Count("dispatch/"+tier, 1)
-		c.fleetObs.Instant("dispatch/"+tier+": "+fn.Name, obs.CatInvoke,
-			obs.I("host", int64(serving.ID)))
+// launch places one attempt through the dispatcher tiers, over the
+// active hosts only: fl's next attempt (a retry or a re-placement), or,
+// with fl nil, the primary attempt of a fresh invocation of fn, whose
+// flight record comes off the serving host's free list. It prefers
+// hosts not already racing an attempt of the flight. If even the
+// unexcluded fleet cannot admit the attempt, it fails at once — a
+// retry when the budget allows, else the admission drop. It runs
+// serially at an epoch boundary and returns the flight.
+func (c *Cluster) launch(fl *flight, fn *workload.Function, onDone func(faas.Result)) *flight {
+	excl := exclOf(fl)
+	tier, n, fv := c.chooseVM(fn, excl)
+	if fv == nil && excl != nil {
+		// Better a second attempt on a racing host than none at all.
+		tier, n, fv = c.chooseVM(fn, nil)
 	}
 	if fl == nil {
-		fl = serving.newFlight(fn, arrival, onDone)
+		fl = n.newFlight(fn, c.now, onDone)
 	}
-	fl.node = serving
-	serving.inflight = append(serving.inflight, fl)
-	fv.Invoke(fn, fl.complete)
+	if fv == nil {
+		// With retries armed this is a transient placement failure, not
+		// yet an admission drop: only a terminal failure with no
+		// admitted attempt counts (finalFail).
+		if c.resil != nil && c.fleetObs != nil {
+			c.fleetObs.Instant("admission-defer: "+fn.Name, obs.CatInvoke)
+		}
+		c.attemptFailed(fl, nil, faas.Result{Fn: fn, Arrival: fl.arrival, Done: c.now, Dropped: true})
+		return fl
+	}
+	c.startAttempt(fl, tier, n, fv, false)
+	return fl
+}
+
+// startAttempt submits one attempt of the flight to the chosen VM and,
+// with resilience on, arms its timeout. The completion callback
+// (attempt.done) is the only piece of the dispatch path that runs
+// host-side.
+func (c *Cluster) startAttempt(fl *flight, tier string, n *Node, fv *faas.FuncVM, hedge bool) {
+	att := fl.newAttempt()
+	att.node, att.idx, att.hedge = n, fl.launched, hedge
+	fl.launched++
+	fl.outstanding = append(fl.outstanding, att)
+	n.attempts = append(n.attempts, att)
+	if c.resil != nil {
+		c.q.push(entry{t: c.now.Add(c.resil.Timeout), class: classResil, resil: attemptTimeout, fl: fl, att: att})
+	}
+	if c.fleetObs != nil {
+		name := "dispatch/" + tier
+		c.fleetObs.Count(name, 1)
+		if c.resil == nil {
+			c.fleetObs.Instant(name+": "+fl.fn.Name, obs.CatInvoke, obs.I("host", int64(n.ID)))
+		} else {
+			c.fleetObs.Instant(name+": "+fl.fn.Name, obs.CatInvoke,
+				obs.I("host", int64(n.ID)), obs.I("attempt", int64(att.idx)))
+		}
+	}
+	att.ticket = fv.Submit(fl.fn, att.complete)
 }
 
 // chooseVM resolves one placement through the dispatcher tiers and
@@ -853,31 +932,48 @@ func (c *Cluster) fallbackVM(fn *workload.Function, excl func(*Node) bool) (*Nod
 	return roomiest, c.vmOn(roomiest, fn)
 }
 
-// finish completes a flight with host-local metrics accounting and
-// in-flight retirement, then recycles the record into the serving
-// host's pool. It fires on the serving host's scheduler while that
-// host advances — in whatever order the epoch engine walks the hosts —
-// so it must only touch that host's state (NodeMetrics, inflight, flightFree), never fleet-wide
-// state. The recorded latency spans the flight's original arrival, so
-// a re-placed invocation pays for the work its failed host lost
-// (identical to res.Latency when the flight was never re-placed).
-func (fl *flight) finish(res faas.Result) {
-	n := fl.node
-	n.removeFlight(fl)
+// done is an attempt's completion callback. It fires on the serving
+// host's scheduler while that host advances — in whatever order the
+// epoch engine walks the hosts — so it touches only that host's state
+// and the attempt's own flight, never fleet-wide state. With
+// resilience off the attempt is its flight's only racer and resolves
+// here at once: accounted on this host, delivered, and the flight
+// recycled into this host's free list. With resilience on it parks on
+// the host's settled list for the dispatcher to resolve at the next
+// boundary.
+func (att *attempt) done(res faas.Result) {
+	n := att.node
+	n.removeAttempt(att)
+	if n.resolveOnHost {
+		fl := att.fl
+		fl.deliver(n, res)
+		outstanding, complete := fl.outstanding, fl.first.complete
+		*fl = flight{outstanding: outstanding}
+		fl.first.fl, fl.first.complete = fl, complete
+		n.free = append(n.free, fl)
+		return
+	}
+	att.settled, att.res = true, res
+	n.settled = append(n.settled, att)
+}
+
+// deliver resolves the flight with res, accounted on host n. The
+// recorded latency spans the flight's original arrival, so a re-placed
+// or retried invocation pays for the work its lost attempts did
+// (identical to res.Latency when the first attempt served it).
+func (fl *flight) deliver(n *Node, res faas.Result) {
+	fl.resolved = true
+	clear(fl.outstanding)
+	fl.outstanding = fl.outstanding[:0]
 	n.account(fl.fn, fl.arrival, fl.replaced, res)
 	if fl.onDone != nil {
 		fl.onDone(res)
 	}
-	fl.fn, fl.onDone, fl.node = nil, nil, nil
-	n.flightFree = append(n.flightFree, fl)
 }
 
-// account records one completed result in the host's metrics. Shared
-// by the plain completion wrapper (host-side, host-local by the
-// inflight contract) and the resilience layer's boundary-time delivery
-// (serial, hosts parked). The recorded latency spans the original
-// arrival, so a re-placed or retried invocation pays for the work its
-// failed attempts lost.
+// account records one completed result in the host's metrics, from
+// the host-side completion (host-local by the attempts contract) or
+// the dispatcher's boundary-time resolution (serial, hosts parked).
 func (n *Node) account(fn *workload.Function, arrival sim.Time, replaced bool, res faas.Result) {
 	m := &n.M
 	lat := res.Done.Sub(arrival)
@@ -927,15 +1023,16 @@ func (n *Node) account(fn *workload.Function, arrival sim.Time, replaced bool, r
 	}
 }
 
-// removeFlight retires the flight from the host's in-flight list,
+// removeAttempt retires the attempt from the host's in-flight list,
 // preserving order (re-placement order is part of the deterministic
-// contract). A flight already snatched away by a failure re-place is
-// simply absent — the completion of its doomed first placement never
-// fires, because a dead host's scheduler never advances again.
-func (n *Node) removeFlight(fl *flight) {
-	for i, f := range n.inflight {
-		if f == fl {
-			n.inflight = append(n.inflight[:i], n.inflight[i+1:]...)
+// contract). Called by the completion callback (host-side) or by the
+// dispatcher after a successful cancel — never both: a cancelled
+// request's completion never fires. An attempt lost with its host is
+// simply absent: a dead host's scheduler never advances again.
+func (n *Node) removeAttempt(att *attempt) {
+	for i, a := range n.attempts {
+		if a == att {
+			n.attempts = append(n.attempts[:i], n.attempts[i+1:]...)
 			return
 		}
 	}

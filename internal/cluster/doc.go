@@ -42,11 +42,19 @@
 // paused, in canonical order (settle drains, fleet events, then the
 // boundary's dispatcher work). A failed host's scheduler is simply
 // never advanced again, so its pending completions and grants are
-// frozen rather than cancelled; its in-flight work (tracked as
-// flights) re-places through the normal dispatcher exactly once.
-// Flight records are recycled through the serving host's free list and
-// are their own completion target, so a plain dispatch allocates
-// nothing; the pool is per host because completions retire flights
+// frozen rather than cancelled; its in-flight work re-places through
+// the normal dispatcher exactly once.
+//
+// # One in-flight record
+//
+// Every dispatch, plain or resilient, is one flight (the invocation)
+// and one attempt per placement of it, tracked on the serving host's
+// attempts list; re-placement, pacing and shedding have one path each.
+// Plain dispatch is the resilience layer with nothing armed, and the
+// only fork is where a completion resolves: with resilience off on the
+// host at once, the flight recycled through that host's free list (so
+// a plain dispatch allocates nothing); with resilience on at the next
+// boundary. The pool is per host because completions retire flights
 // while their host advances, which must touch host-local state only.
 //
 // # Determinism

@@ -19,11 +19,11 @@ import (
 // or on the worker pool:
 //
 //   - Failure: the host's warm pool is lost, its runtime is released
-//     into its recycler (kernels, vmm.VMs, shells harvested), and its
-//     in-flight invocations re-place through the normal dispatcher
-//     tiers in routing order. The dead host's scheduler never advances
-//     again, so the doomed first placements' completions never fire —
-//     each invocation completes exactly once, on its final host.
+//     into its recycler (kernels, vmm.VMs, shells harvested), and the
+//     flights of its in-flight attempts re-place through the normal
+//     dispatcher tiers in launch order. The dead host's scheduler never
+//     advances again, so the lost attempts' completions never fire —
+//     each invocation resolves exactly once.
 //   - Drain: the host stops taking placements but keeps advancing
 //     until its in-flight work completes or the drain deadline
 //     (costmodel.ReclaimDrainTimeout) expires, at which point the
@@ -189,8 +189,8 @@ func (c *Cluster) joinHost() *Node {
 }
 
 // failHost kills the host abruptly: warm pool destroyed, runtime
-// released into the host's recycler, in-flight invocations re-placed
-// through the dispatcher in routing order, exactly once each.
+// released into the host's recycler, in-flight attempts re-placed
+// through the dispatcher in launch order, exactly once each.
 func (c *Cluster) failHost(n *Node) {
 	c.Metrics.HostFails++
 	warmLost := n.RT.IdleInstances()
@@ -201,10 +201,9 @@ func (c *Cluster) failHost(n *Node) {
 		c.fleetObs.Instant("host-fail", obs.CatFleet,
 			obs.I("host", int64(n.ID)), obs.I("rack", int64(n.Rack)),
 			obs.I("warm_lost", int64(warmLost)),
-			obs.I("inflight", int64(len(n.inflight)+len(n.attempts))))
+			obs.I("inflight", int64(len(n.attempts))))
 	}
 	c.retire(n)
-	c.replaceFlights(n)
 	c.replaceAttempts(n)
 }
 
@@ -216,7 +215,7 @@ func (c *Cluster) startDrain(n *Node) {
 	if c.fleetObs != nil {
 		c.fleetObs.Count("fleet/drains", 1)
 		c.fleetObs.Instant("host-drain", obs.CatFleet,
-			obs.I("host", int64(n.ID)), obs.I("inflight", int64(len(n.inflight))))
+			obs.I("host", int64(n.ID)), obs.I("inflight", int64(len(n.attempts))))
 	}
 	n.state = nodeDraining
 	c.active = removeNode(c.active, n)
@@ -232,10 +231,9 @@ func (c *Cluster) startDrain(n *Node) {
 func (c *Cluster) expireDrain(n *Node) {
 	if c.fleetObs != nil {
 		c.fleetObs.Instant("drain-deadline", obs.CatFleet,
-			obs.I("host", int64(n.ID)), obs.I("stragglers", int64(len(n.inflight)+len(n.attempts))))
+			obs.I("host", int64(n.ID)), obs.I("stragglers", int64(len(n.attempts))))
 	}
 	c.retire(n)
-	c.replaceFlights(n)
 	c.replaceAttempts(n)
 }
 
@@ -245,7 +243,7 @@ func (c *Cluster) expireDrain(n *Node) {
 func (c *Cluster) settleDrains() {
 	var done []*Node // collected first: retire edits c.live in place
 	for _, n := range c.live {
-		if n.state == nodeDraining && len(n.inflight) == 0 && len(n.attempts) == 0 {
+		if n.state == nodeDraining && len(n.attempts) == 0 {
 			done = append(done, n)
 		}
 	}
@@ -266,28 +264,31 @@ func (c *Cluster) retire(n *Node) {
 	n.RT.Release()
 }
 
-// replaceFlights re-places a retired host's in-flight invocations in
-// their original routing order — immediately, or through the pacing
-// queue when recovery-storm control is on (repace.go). Each flight
-// keeps its arrival time, so its eventual latency pays for the lost
-// work. Re-placement runs after retirement: the dispatcher no longer
-// sees the dead host.
-func (c *Cluster) replaceFlights(n *Node) {
-	flights := n.inflight
-	n.inflight = nil // ownership moves; the dead host drops its list
-	for _, fl := range flights {
-		fl.replaced = true
-		if c.repace != nil {
-			c.queueRepace(repaceEntry{fn: fl.fn, fl: fl, from: n.ID})
+// replaceAttempts re-places the flights of a retired host's in-flight
+// attempts in launch order, exactly once each — immediately, or
+// through the pacing queue when recovery-storm control is on
+// (repace.go). A flight keeps its arrival time, so its eventual
+// latency pays for the lost work; a flight a surviving racer already
+// won is left alone. Attempts that settled before the host died keep
+// their results and resolve at the next boundary from the dead host's
+// settled list. Re-placement runs after retirement: the dispatcher no
+// longer sees the dead host.
+func (c *Cluster) replaceAttempts(n *Node) {
+	atts := n.attempts
+	n.attempts = nil // ownership moves; the dead host drops its list
+	for _, att := range atts {
+		att.dead = true
+		fl := att.fl
+		fl.removeOutstanding(att)
+		if fl.resolved {
 			continue
 		}
-		c.Metrics.Replaced++
-		if c.fleetObs != nil {
-			c.fleetObs.Count("replaced", 1)
-			c.fleetObs.Instant("replace: "+fl.fn.Name, obs.CatInvoke,
-				obs.I("from_host", int64(n.ID)))
+		fl.replaced = true
+		if c.repace != nil {
+			c.queueRepace(att)
+			continue
 		}
-		c.route(fl.fn, fl.arrival, fl.onDone, fl)
+		c.redispatch(att)
 	}
 }
 

@@ -21,8 +21,6 @@ import (
 // Policies may keep internal state (round-robin's cursor), so one
 // Policy value belongs to one Cluster.
 type Policy interface {
-	// Name is the CLI- and table-facing identifier.
-	Name() string
 	// Pick chooses the host for a cold start of fn. nodes is never
 	// empty; Pick must return one of them.
 	Pick(nodes []*Node, fn *workload.Function) *Node
@@ -86,9 +84,6 @@ type RoundRobin struct {
 	next int
 }
 
-// Name implements Policy.
-func (p *RoundRobin) Name() string { return "round-robin" }
-
 // Pick implements Policy.
 func (p *RoundRobin) Pick(nodes []*Node, fn *workload.Function) *Node {
 	n := nodes[p.next%len(nodes)]
@@ -99,9 +94,6 @@ func (p *RoundRobin) Pick(nodes []*Node, fn *workload.Function) *Node {
 // LeastLoaded places on the host with the fewest live instances,
 // balancing compute but ignoring memory state entirely.
 type LeastLoaded struct{}
-
-// Name implements Policy.
-func (LeastLoaded) Name() string { return "least-loaded" }
 
 // Pick implements Policy.
 func (LeastLoaded) Pick(nodes []*Node, fn *workload.Function) *Node {
@@ -118,9 +110,6 @@ func (LeastLoaded) Pick(nodes []*Node, fn *workload.Function) *Node {
 // unreserved, unqueued-for) memory: memory-aware but blind to how fast
 // a full host can free memory.
 type Headroom struct{}
-
-// Name implements Policy.
-func (Headroom) Name() string { return "headroom" }
 
 // Pick implements Policy.
 func (Headroom) Pick(nodes []*Node, fn *workload.Function) *Node {
@@ -142,9 +131,6 @@ func (Headroom) Pick(nodes []*Node, fn *workload.Function) *Node {
 type ReclaimAware struct {
 	Cost *costmodel.Model
 }
-
-// Name implements Policy.
-func (ReclaimAware) Name() string { return "reclaim-aware" }
 
 // Pick implements Policy.
 func (p ReclaimAware) Pick(nodes []*Node, fn *workload.Function) *Node {
@@ -210,9 +196,6 @@ type Spread struct {
 
 func (p *Spread) bind(c *Cluster) { p.c = c }
 
-// Name implements Policy.
-func (p *Spread) Name() string { return "spread" }
-
 // Pick implements Policy.
 func (p *Spread) Pick(nodes []*Node, fn *workload.Function) *Node {
 	view := nodes
@@ -259,9 +242,6 @@ type ZoneHeadroom struct {
 }
 
 func (p *ZoneHeadroom) bind(c *Cluster) { p.c = c }
-
-// Name implements Policy.
-func (p *ZoneHeadroom) Name() string { return "zone-headroom" }
 
 // Pick implements Policy.
 func (p *ZoneHeadroom) Pick(nodes []*Node, fn *workload.Function) *Node {

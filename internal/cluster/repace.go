@@ -5,7 +5,6 @@ import (
 	"squeezy/internal/obs"
 	"squeezy/internal/sim"
 	"squeezy/internal/units"
-	"squeezy/internal/workload"
 )
 
 // Recovery-storm control: when a whole rack dies, the exactly-once
@@ -19,10 +18,12 @@ import (
 // state, ordered by priority rather than time; only its tick waits in
 // the boundary queue (boundary.go), an epoch boundary like any other,
 // so pacing is byte-identical whatever order the hosts advance in.
+// Queued entries are the displaced attempts themselves: each names its
+// flight and the host it was lost with.
 
 // RepaceConfig turns on paced re-placement (Config.Repace; nil
-// preserves immediate re-placement bit-for-bit). Zero-valued fields
-// take the costmodel defaults.
+// re-places displaced work at once). Zero-valued fields take the
+// costmodel defaults.
 type RepaceConfig struct {
 	// PerTick bounds the displaced invocations re-dispatched per pacing
 	// tick. Default costmodel.RepacePerTick.
@@ -31,9 +32,9 @@ type RepaceConfig struct {
 	Every sim.Duration
 	// Shed extends admission shedding through the recovery window: the
 	// queued backlog's memory demand joins the broker-queued pages in
-	// the overload signal (shouldShed), and the plain dispatch path
-	// sheds on it too, so a 25%-capacity loss degrades by dropping
-	// low-priority work instead of burying the survivors.
+	// the overload signal (shouldShed), and admission sheds on it with
+	// or without the resilience layer, so a 25%-capacity loss degrades
+	// by dropping low-priority work instead of burying the survivors.
 	Shed bool
 }
 
@@ -49,61 +50,48 @@ func (r RepaceConfig) withDefaults() RepaceConfig {
 	return r
 }
 
-// repaceEntry is one displaced invocation waiting for a pacing slot:
-// its function, the plain-path flight or resilient rflight it belongs
-// to, and the host it was displaced from (for the dispatch-time trace
-// instant).
-type repaceEntry struct {
-	fn   *workload.Function
-	fl   *flight
-	rfl  *rflight
-	from int
-}
-
-// queueRepace admits one displaced invocation to the pacing queue,
+// queueRepace admits one displaced attempt to the pacing queue,
 // keeping it sorted by descending priority, FIFO within a priority
 // class. Queueing into an empty queue arms the pacing tick; the tick
 // (boundary.go) releases up to PerTick entries in the canonical
 // boundary order — after the resilience decisions, before the
 // invocations due at its boundary — and re-arms while work remains.
 // Runs serially at a boundary (re-placement is always boundary work).
-func (c *Cluster) queueRepace(e repaceEntry) {
+func (c *Cluster) queueRepace(att *attempt) {
+	fn := att.fl.fn
 	c.Metrics.Paced++
 	if c.fleetObs != nil {
 		c.fleetObs.Count("repace/queued", 1)
-		c.fleetObs.Instant("replace-queued: "+e.fn.Name, obs.CatInvoke,
-			obs.I("from_host", int64(e.from)), obs.I("depth", int64(len(c.repaceQ)+1)))
+		c.fleetObs.Instant("replace-queued: "+fn.Name, obs.CatInvoke,
+			obs.I("from_host", int64(att.node.ID)), obs.I("depth", int64(len(c.repaceQ)+1)))
 	}
 	if len(c.repaceQ) == 0 {
 		c.q.push(entry{t: c.now.Add(c.repace.Every), class: classPacing})
 	}
 	i := len(c.repaceQ)
-	for i > 0 && c.repaceQ[i-1].fn.Priority < e.fn.Priority {
+	for i > 0 && c.repaceQ[i-1].fl.fn.Priority < fn.Priority {
 		i--
 	}
-	c.repaceQ = append(c.repaceQ, repaceEntry{})
+	c.repaceQ = append(c.repaceQ, nil)
 	copy(c.repaceQ[i+1:], c.repaceQ[i:])
-	c.repaceQ[i] = e
+	c.repaceQ[i] = att
 }
 
-// dispatchRepace re-places one displaced invocation through the normal
-// machinery. Replaced counts here — at actual re-dispatch — mirroring
-// the unpaced path's accounting.
-func (c *Cluster) dispatchRepace(e repaceEntry) {
-	if e.rfl != nil && e.rfl.resolved {
+// redispatch re-places a displaced attempt's flight through the normal
+// machinery, paced or not. Replaced counts here — at actual
+// re-dispatch.
+func (c *Cluster) redispatch(att *attempt) {
+	fl := att.fl
+	if fl.resolved {
 		return // a surviving racer won while this one waited
 	}
 	c.Metrics.Replaced++
 	if c.fleetObs != nil {
 		c.fleetObs.Count("replaced", 1)
-		c.fleetObs.Instant("replace: "+e.fn.Name, obs.CatInvoke,
-			obs.I("from_host", int64(e.from)))
+		c.fleetObs.Instant("replace: "+fl.fn.Name, obs.CatInvoke,
+			obs.I("from_host", int64(att.node.ID)))
 	}
-	if e.rfl != nil {
-		c.launchAttempt(e.rfl)
-		return
-	}
-	c.route(e.fn, e.fl.arrival, e.fl.onDone, e.fl)
+	c.launch(fl, fl.fn, fl.onDone)
 }
 
 // repaceBacklogPages sums the queued re-placements' memory demand —
@@ -113,8 +101,8 @@ func (c *Cluster) dispatchRepace(e repaceEntry) {
 // moment the rack dies, not only after the queue drains onto brokers.
 func (c *Cluster) repaceBacklogPages() int64 {
 	var pages int64
-	for _, e := range c.repaceQ {
-		pages += units.BytesToPages(e.fn.MemoryLimit)
+	for _, att := range c.repaceQ {
+		pages += units.BytesToPages(att.fl.fn.MemoryLimit)
 	}
 	return pages
 }

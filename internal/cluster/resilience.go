@@ -14,7 +14,12 @@ import (
 // first-wins cancellation, and priority-aware load shedding — all on
 // simulated time, all deterministic.
 //
-// The machinery mirrors the fleet-dynamics split: the serial
+// Every dispatch runs through one record pair (cluster.go): a flight
+// is the invocation, an attempt one placement of it. Plain dispatch is
+// this layer with nothing armed — no timeout, no retry budget, no
+// hedge — so a plain flight races one attempt at a time and resolves
+// on its host the moment that attempt completes. With resilience on,
+// the machinery mirrors the fleet-dynamics split: the serial
 // dispatcher owns every decision (launch, timeout, retry, hedge, shed,
 // resolution) and acts only at epoch boundaries with the hosts paused;
 // hosts own every consequence. An attempt's completion callback fires
@@ -30,8 +35,8 @@ import (
 // times, identical whatever order the hosts advance in.
 
 // ResilienceConfig turns on the dispatcher resilience layer
-// (Config.Resilience; nil preserves the plain dispatch path
-// bit-for-bit). Zero-valued fields take the costmodel defaults.
+// (Config.Resilience; nil is plain dispatch). Zero-valued fields take
+// the costmodel defaults.
 type ResilienceConfig struct {
 	// Timeout is the per-attempt dispatch deadline: an attempt that has
 	// not completed Timeout after launch gets a speculative re-dispatch
@@ -87,45 +92,6 @@ func (r ResilienceConfig) withDefaults() ResilienceConfig {
 	return r
 }
 
-// rflight is one invocation under the resilience layer: the resilient
-// analogue of flight, tracking every attempt launched on its behalf.
-// It resolves exactly once — on the first successful attempt, or on
-// the final failure once the retry budget and all racers are spent.
-type rflight struct {
-	fn      *workload.Function
-	arrival sim.Time
-	onDone  func(faas.Result)
-
-	attempts int  // attempts launched so far (primary, retries, hedge)
-	retries  int  // retry budget consumed
-	hedged   bool // the one hedge attempt has been launched
-	replaced bool // some attempt was re-placed after a host loss
-	resolved bool
-
-	// outstanding is the attempts still racing, launch order. Only the
-	// serial dispatcher mutates it.
-	outstanding []*attempt
-}
-
-// attempt is one placement of an rflight on one host. Between launch
-// and settlement it is host-owned: the completion callback (running on
-// the host's scheduler) sets settled/res and moves it from the node's
-// attempts list to its settled list; everything else is dispatcher-
-// owned and mutated only at boundaries.
-type attempt struct {
-	fl     *rflight
-	node   *Node
-	ticket faas.Ticket
-	idx    int // launch index on the flight; 0 is the primary
-	hedge  bool
-
-	settled bool // host-written at completion, dispatcher-read at boundaries
-	res     faas.Result
-
-	cancelled bool // withdrawn by a timeout or a first-wins cleanup
-	dead      bool // its host failed or drained out underneath it
-}
-
 // resilEventKind classifies one dispatcher-side timed decision.
 type resilEventKind uint8
 
@@ -138,21 +104,6 @@ const (
 	// hedgeLaunch fires HedgeDelay after the primary attempt.
 	hedgeLaunch
 )
-
-// invokeResilient admits one invocation through the resilience layer:
-// shed under memory pressure, else launch the primary attempt and arm
-// the hedge timer.
-func (c *Cluster) invokeResilient(fn *workload.Function, onDone func(faas.Result)) {
-	if c.shouldShed(fn) {
-		c.shedInvocation(fn, onDone)
-		return
-	}
-	fl := &rflight{fn: fn, arrival: c.now, onDone: onDone}
-	c.launchAttempt(fl)
-	if c.resil.Hedge && !fl.resolved {
-		c.q.push(entry{t: c.now.Add(c.resil.HedgeDelay), class: classResil, resil: hedgeLaunch, fl: fl})
-	}
-}
 
 // shedConfigured reports whether any admission-shedding mode is on:
 // the resilience layer's (ResilienceConfig.Shed) or the
@@ -191,8 +142,7 @@ func (c *Cluster) shouldShed(fn *workload.Function) bool {
 }
 
 // shedInvocation drops one invocation at admission, accounting it on
-// the dispatcher-side counters. Shared by the resilient and plain
-// dispatch paths.
+// the dispatcher-side counters.
 func (c *Cluster) shedInvocation(fn *workload.Function, onDone func(faas.Result)) {
 	c.Metrics.Shed++
 	if c.fleetObs != nil {
@@ -207,9 +157,10 @@ func (c *Cluster) shedInvocation(fn *workload.Function, onDone func(faas.Result)
 
 // exclOf returns the host-exclusion predicate for the flight's next
 // attempt — the hosts already racing an attempt of it — or nil when
-// nothing is outstanding (no allocation on the common path).
-func exclOf(fl *rflight) func(*Node) bool {
-	if len(fl.outstanding) == 0 {
+// nothing is outstanding or there is no flight yet (no allocation on
+// the common path).
+func exclOf(fl *flight) func(*Node) bool {
+	if fl == nil || len(fl.outstanding) == 0 {
 		return nil
 	}
 	return func(n *Node) bool {
@@ -220,30 +171,6 @@ func exclOf(fl *rflight) func(*Node) bool {
 		}
 		return false
 	}
-}
-
-// launchAttempt places the flight's next attempt through the normal
-// dispatcher tiers, preferring hosts not already racing one. If even
-// the unexcluded fleet cannot admit it, the attempt fails
-// synchronously and the retry machinery takes over.
-func (c *Cluster) launchAttempt(fl *rflight) {
-	tier, n, fv := c.chooseVM(fl.fn, exclOf(fl))
-	if fv == nil && len(fl.outstanding) > 0 {
-		// Better a second attempt on a racing host than none at all.
-		tier, n, fv = c.chooseVM(fl.fn, nil)
-	}
-	if fv == nil {
-		// A transient placement failure, not yet an admission drop: the
-		// retry machinery may still land the flight later. Only a
-		// terminal failure with no admitted attempt counts (finalFail).
-		if c.fleetObs != nil {
-			c.fleetObs.Instant("admission-defer: "+fl.fn.Name, obs.CatInvoke)
-		}
-		c.attemptFailed(fl, nil,
-			faas.Result{Fn: fl.fn, Arrival: fl.arrival, Done: c.now, Dropped: true})
-		return
-	}
-	c.startAttempt(fl, tier, n, fv, false)
 }
 
 // hedgeAttempt launches the flight's one backup attempt on a host not
@@ -258,7 +185,7 @@ func (c *Cluster) launchAttempt(fl *rflight) {
 // hedges flow; under fleet-wide degradation every broker has a queue
 // and this gate suppresses hedging entirely. The hedge spends no retry
 // budget.
-func (c *Cluster) hedgeAttempt(fl *rflight) {
+func (c *Cluster) hedgeAttempt(fl *flight) {
 	if fl.hedged || len(fl.outstanding) == 0 {
 		return
 	}
@@ -285,28 +212,6 @@ func (c *Cluster) hedgeAttempt(fl *rflight) {
 	c.startAttempt(fl, tier, n, fv, true)
 }
 
-// startAttempt submits one attempt to the chosen VM and arms its
-// timeout. The completion callback is the only piece of this machinery
-// that runs host-side, and it only moves the attempt onto the host's
-// settled list — resolution waits for the next boundary.
-func (c *Cluster) startAttempt(fl *rflight, tier string, n *Node, fv *faas.FuncVM, hedge bool) {
-	att := &attempt{fl: fl, node: n, idx: fl.attempts, hedge: hedge}
-	fl.attempts++
-	fl.outstanding = append(fl.outstanding, att)
-	n.attempts = append(n.attempts, att)
-	att.ticket = fv.Submit(fl.fn, func(res faas.Result) {
-		att.settled, att.res = true, res
-		n.removeAttempt(att)
-		n.settled = append(n.settled, att)
-	})
-	c.q.push(entry{t: c.now.Add(c.resil.Timeout), class: classResil, resil: attemptTimeout, fl: fl, att: att})
-	if c.fleetObs != nil {
-		c.fleetObs.Count("dispatch/"+tier, 1)
-		c.fleetObs.Instant("dispatch/"+tier+": "+fl.fn.Name, obs.CatInvoke,
-			obs.I("host", int64(n.ID)), obs.I("attempt", int64(att.idx)))
-	}
-}
-
 // timeoutAttempt handles an attempt exceeding the dispatch deadline.
 // The slow attempt is NOT withdrawn — in a merely-backlogged fleet its
 // queue position is the fastest path to completion, and cancelling it
@@ -315,11 +220,11 @@ func (c *Cluster) startAttempt(fl *rflight, tier string, n *Node, fv *faas.FuncV
 // completes successfully first wins, and resolveFlight withdraws the
 // losers. A stuck attempt (reclaim stall, straggler host) thus gets
 // escaped without betting against a healthy queue.
-func (c *Cluster) timeoutAttempt(fl *rflight, att *attempt) {
+func (c *Cluster) timeoutAttempt(fl *flight, att *attempt) {
 	if att.settled || att.cancelled || att.dead {
 		return // settled results resolve via resolveSettled, not here
 	}
-	if c.horizon || fl.retries >= c.resil.MaxRetries {
+	if !c.canRetry(fl) {
 		return // budget spent: the racers ride to the horizon
 	}
 	c.Metrics.TimedOut++
@@ -335,20 +240,26 @@ func (c *Cluster) timeoutAttempt(fl *rflight, att *attempt) {
 // drop, or a placement the fleet could not admit; n is nil for the
 // latter). With another attempt still racing the flight just waits;
 // otherwise a retry is scheduled, or the failure becomes final.
-func (c *Cluster) attemptFailed(fl *rflight, n *Node, res faas.Result) {
+func (c *Cluster) attemptFailed(fl *flight, n *Node, res faas.Result) {
 	if len(fl.outstanding) > 0 {
 		return
 	}
-	if !c.horizon && fl.retries < c.resil.MaxRetries {
+	if c.canRetry(fl) {
 		c.scheduleRetry(fl)
 		return
 	}
 	c.finalFail(fl, n, res)
 }
 
+// canRetry reports whether the flight may still retry: resilience is
+// on, boundaries remain to retry at, and its budget is not spent.
+func (c *Cluster) canRetry(fl *flight) bool {
+	return c.resil != nil && !c.horizon && fl.retries < c.resil.MaxRetries
+}
+
 // scheduleRetry arms the flight's next attempt after capped
 // exponential backoff.
-func (c *Cluster) scheduleRetry(fl *rflight) {
+func (c *Cluster) scheduleRetry(fl *flight) {
 	backoff := c.resil.BackoffBase << fl.retries
 	if backoff <= 0 || backoff > c.resil.BackoffCap {
 		backoff = c.resil.BackoffCap
@@ -364,22 +275,19 @@ func (c *Cluster) scheduleRetry(fl *rflight) {
 }
 
 // finalFail resolves the flight with its terminal failure. The result
-// is accounted on the host that produced it (n may be nil when the
-// fleet never admitted any attempt — then only the dispatcher-side
-// admission counters have seen the flight, mirroring the plain path's
-// admission drops).
-func (c *Cluster) finalFail(fl *rflight, n *Node, res faas.Result) {
-	fl.resolved = true
+// is accounted on the host that produced it; n is nil when the fleet
+// could not admit the last attempt at all, and the failure is then the
+// dispatcher-side admission drop.
+func (c *Cluster) finalFail(fl *flight, n *Node, res faas.Result) {
 	if n != nil {
-		n.account(fl.fn, fl.arrival, fl.replaced, res)
-	} else {
-		// Never admitted anywhere: the terminal admission drop, counted
-		// dispatcher-side exactly like the plain path's.
-		c.Metrics.AdmissionDrops++
-		if c.fleetObs != nil {
-			c.fleetObs.Count("admission_drops", 1)
-			c.fleetObs.Instant("admission-drop: "+fl.fn.Name, obs.CatInvoke)
-		}
+		fl.deliver(n, res)
+		return
+	}
+	fl.resolved = true
+	c.Metrics.AdmissionDrops++
+	if c.fleetObs != nil {
+		c.fleetObs.Count("admission_drops", 1)
+		c.fleetObs.Instant("admission-drop: "+fl.fn.Name, obs.CatInvoke)
 	}
 	if fl.onDone != nil {
 		fl.onDone(res)
@@ -392,11 +300,8 @@ func (c *Cluster) finalFail(fl *rflight, n *Node, res faas.Result) {
 // results of already-resolved flights are dropped (a hedge loser that
 // could not be cancelled). Runs serially at a boundary, before the
 // due resilience decisions fire, so completions beat same-instant
-// timeouts.
+// timeouts. With resilience off every list is empty.
 func (c *Cluster) resolveSettled() {
-	if c.resil == nil {
-		return
-	}
 	for _, n := range c.Nodes {
 		if len(n.settled) == 0 {
 			continue
@@ -426,7 +331,7 @@ func (c *Cluster) settleAttempt(att *attempt) {
 // resolveFlight crowns the winning attempt: deliver its result on its
 // host's metrics, and withdraw every loser still racing. A loser too
 // far along to cancel runs detached; its eventual result is ignored.
-func (c *Cluster) resolveFlight(fl *rflight, att *attempt) {
+func (c *Cluster) resolveFlight(fl *flight, att *attempt) {
 	fl.resolved = true
 	if att.hedge {
 		c.Metrics.HedgeWins++
@@ -445,71 +350,22 @@ func (c *Cluster) resolveFlight(fl *rflight, att *attempt) {
 			other.node.removeAttempt(other)
 		}
 	}
-	fl.outstanding = fl.outstanding[:0]
-	att.node.account(fl.fn, fl.arrival, fl.replaced, att.res)
-	if fl.onDone != nil {
-		fl.onDone(att.res)
-	}
-}
-
-// replaceAttempts re-places a retired host's racing attempts, exactly
-// once each — immediately, or through the pacing queue when
-// recovery-storm control is on (the resilient mirror of
-// replaceFlights). Settled-but-unresolved attempts keep their results;
-// they resolve at the next boundary from the dead host's settled list.
-func (c *Cluster) replaceAttempts(n *Node) {
-	atts := n.attempts
-	n.attempts = nil
-	for _, att := range atts {
-		att.dead = true
-		att.fl.removeOutstanding(att)
-		if att.fl.resolved {
-			continue
-		}
-		att.fl.replaced = true
-		if c.repace != nil {
-			c.queueRepace(repaceEntry{fn: att.fl.fn, rfl: att.fl, from: n.ID})
-			continue
-		}
-		c.Metrics.Replaced++
-		if c.fleetObs != nil {
-			c.fleetObs.Count("replaced", 1)
-			c.fleetObs.Instant("replace: "+att.fl.fn.Name, obs.CatInvoke,
-				obs.I("from_host", int64(n.ID)))
-		}
-		c.launchAttempt(att.fl)
-	}
+	fl.deliver(att.node, att.res)
 }
 
 // finishResil closes out the resilience layer after the final drain:
 // completions from the drain period resolve, and failures that would
 // have retried become final — there are no boundaries left to retry
 // at. Flights whose attempts never completed by the horizon stay
-// unresolved, exactly as the plain path leaves queued work unserved.
+// unresolved, exactly as queued work stays unserved.
 func (c *Cluster) finishResil() {
-	if c.resil == nil {
-		return
-	}
 	c.horizon = true
 	c.resolveSettled()
 }
 
-// removeAttempt retires the attempt from the host's racing list,
-// preserving order. Called by the completion callback (host-side) or
-// by the dispatcher after a successful cancel — never both: a
-// cancelled request's completion never fires.
-func (n *Node) removeAttempt(att *attempt) {
-	for i, a := range n.attempts {
-		if a == att {
-			n.attempts = append(n.attempts[:i], n.attempts[i+1:]...)
-			return
-		}
-	}
-}
-
 // removeOutstanding drops the attempt from the flight's racing list,
 // preserving launch order.
-func (fl *rflight) removeOutstanding(att *attempt) {
+func (fl *flight) removeOutstanding(att *attempt) {
 	for i, a := range fl.outstanding {
 		if a == att {
 			fl.outstanding = append(fl.outstanding[:i], fl.outstanding[i+1:]...)

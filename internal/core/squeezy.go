@@ -408,9 +408,3 @@ func (m *Manager) Unplug(nParts int, onDone func(UnplugResult)) {
 // FreeReclaimable reports how many partitions are immediately
 // unpluggable.
 func (m *Manager) FreeReclaimable() int { return m.CountState(PartFree) }
-
-// PartitionOf returns the partition backing proc, if any.
-func (m *Manager) PartitionOf(proc *guestos.Process) (*Partition, bool) {
-	p, ok := m.byZone[proc.AssignedZone]
-	return p, ok
-}

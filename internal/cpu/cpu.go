@@ -186,9 +186,6 @@ func (p *Pool) Reset(cores float64) {
 	p.totalBusy = 0
 }
 
-// Cores returns the pool capacity.
-func (p *Pool) Cores() float64 { return p.cores }
-
 // Active returns the number of unfinished jobs.
 func (p *Pool) Active() int { return len(p.jobs) }
 

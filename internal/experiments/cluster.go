@@ -382,9 +382,6 @@ func ClusterPoliciesPlan(opts Options) *Plan {
 		cells, fleetRow)
 }
 
-// ClusterPolicies runs the policy sweep serially.
-func ClusterPolicies(opts Options) Result { return ClusterPoliciesPlan(opts).runSerial(newWorld()) }
-
 // ClusterScalePlan grows hosts and load together (weak scaling) under
 // the reclaim-aware policy on Squeezy hosts: per-request latency
 // should stay flat while the fleet absorbs proportionally more
@@ -419,9 +416,6 @@ func ClusterScalePlan(opts Options) *Plan {
 		func(s fleetStats) []string { return append([]string{fmt.Sprintf("%d", s.Invoked)}, fleetRow(s)...) })
 }
 
-// ClusterScale runs the weak-scaling sweep serially.
-func ClusterScale(opts Options) Result { return ClusterScalePlan(opts).runSerial(newWorld()) }
-
 // ClusterOvercommitPlan fixes the fleet and shrinks per-host memory:
 // as overcommit tightens, every scale-up depends on reclaiming another
 // function's memory, and the backend's unplug latency becomes the
@@ -451,9 +445,6 @@ func ClusterOvercommitPlan(opts Options) *Plan {
 		append([]string{"backend", "host_mem_gib"}, fleetCols...),
 		cells, fleetRow)
 }
-
-// ClusterOvercommit runs the overcommit sweep serially.
-func ClusterOvercommit(opts Options) Result { return ClusterOvercommitPlan(opts).runSerial(newWorld()) }
 
 func init() {
 	RegisterPlan("cluster-policies", "fleet placement: policy x backend x host count over a Zipf fleet", ClusterPoliciesPlan)

@@ -58,7 +58,7 @@ func TestClusterParallelMatchesSerial(t *testing.T) {
 // cluster-policies emits a policy x backend x host-count table: every
 // combination appears exactly once.
 func TestClusterPoliciesTableShape(t *testing.T) {
-	tab := ClusterPolicies(Options{Seed: 2, Quick: true}).Table()
+	tab := ClusterPoliciesPlan(Options{Seed: 2, Quick: true}).runSerial(newWorld()).Table()
 	if got := len(tab.Header); got < 10 {
 		t.Fatalf("header has %d columns: %v", got, tab.Header)
 	}
@@ -89,7 +89,7 @@ func TestClusterPoliciesTableShape(t *testing.T) {
 // TestClusterScaleRowsGrow sanity-checks the weak-scaling sweep: hosts
 // and invocations should both grow down the table.
 func TestClusterScaleRowsGrow(t *testing.T) {
-	tab := ClusterScale(Options{Seed: 2, Quick: true}).Table()
+	tab := ClusterScalePlan(Options{Seed: 2, Quick: true}).runSerial(newWorld()).Table()
 	if len(tab.Rows) < 2 {
 		t.Fatalf("want >= 2 scale points, got %d", len(tab.Rows))
 	}

@@ -112,9 +112,6 @@ func diurnalRow(s fleetStats) []string {
 	}
 }
 
-// ClusterDiurnal runs the diurnal sweep serially.
-func ClusterDiurnal(opts Options) Result { return ClusterDiurnalPlan(opts).runSerial(newWorld()) }
-
 func init() {
 	RegisterPlan("cluster-diurnal", "multi-day diurnal fleet: streamed traces + reservoir sketches (bounded memory)", ClusterDiurnalPlan)
 }

@@ -145,9 +145,6 @@ func ClusterDomainsPlan(opts Options) *Plan {
 		cells, domainRow)
 }
 
-// ClusterDomains runs the failure-domain sweep serially.
-func ClusterDomains(opts Options) Result { return ClusterDomainsPlan(opts).runSerial(newWorld()) }
-
 func init() {
 	RegisterPlan("cluster-domains", "failure domains: rack/zone faults vs blast-radius-aware placement and paced recovery", ClusterDomainsPlan)
 }

@@ -125,9 +125,6 @@ func ClusterElasticPlan(opts Options) *Plan {
 		cells, elasticRow)
 }
 
-// ClusterElastic runs the churn sweep serially.
-func ClusterElastic(opts Options) Result { return ClusterElasticPlan(opts).runSerial(newWorld()) }
-
 func init() {
 	RegisterPlan("cluster-elastic", "fleet churn: failure/drain at peak and autoscaling vs policy x backend", ClusterElasticPlan)
 }

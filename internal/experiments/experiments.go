@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"squeezy/internal/obs"
-	"squeezy/internal/sim"
 )
 
 // Options tune experiment scale; the zero value selects the paper's
@@ -108,9 +107,6 @@ func (t *Table) String() string {
 	}
 	return sb.String()
 }
-
-// ms formats a duration as milliseconds with sensible precision.
-func ms(d sim.Duration) string { return fmt.Sprintf("%.1f", d.Milliseconds()) }
 
 // f2 formats a float with two decimals.
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }

@@ -53,18 +53,6 @@ func RegisterPlan(name, desc string, plan func(Options) *Plan) {
 	registry[name] = planExperiment{name: name, desc: desc, plan: plan}
 }
 
-// Register adds an experiment from a plain driver function, wrapped as
-// a single-cell plan. Sweep drivers should prefer RegisterPlan so the
-// executor can spread their cells across workers.
-func Register(name, desc string, run func(Options) Result) {
-	RegisterPlan(name, desc, func(opts Options) *Plan {
-		var res Result
-		p := &Plan{Assemble: func() Result { return res }}
-		p.Stage.Cell(name, func(w *World) { res = run(opts) })
-		return p
-	})
-}
-
 // Get returns the named experiment, or false if none is registered.
 func Get(name string) (Experiment, bool) {
 	e, ok := registry[name]

@@ -76,10 +76,10 @@ func TestRegistryQuickDeterminism(t *testing.T) {
 func TestRegisterDuplicatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
+			t.Fatal("duplicate RegisterPlan did not panic")
 		}
 	}()
-	Register("fig1", "dup", func(Options) Result { return &Table{} })
+	RegisterPlan("fig1", "dup", func(Options) *Plan { return nil })
 }
 
 func TestTableEncoders(t *testing.T) {

@@ -129,9 +129,6 @@ func ClusterResiliencePlan(opts Options) *Plan {
 		cells, resilienceRow)
 }
 
-// ClusterResilience runs the fault sweep serially.
-func ClusterResilience(opts Options) Result { return ClusterResiliencePlan(opts).runSerial(newWorld()) }
-
 func init() {
 	RegisterPlan("cluster-resilience", "fault injection: reclaim degradation, crashes, stragglers vs retries/hedging/shedding", ClusterResiliencePlan)
 }

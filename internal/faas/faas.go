@@ -222,7 +222,7 @@ type VMConfig struct {
 // sizes derives the block-aligned memory geometry of a VM with this
 // config: per-instance size, kernel boot span (guest OS plus a fixed
 // working pad), and the shared page cache (rootfs/deps of all
-// co-located functions plus 25% headroom). NewFuncVM builds the VM
+// co-located functions plus 25% headroom). newFuncVM builds the VM
 // from exactly these numbers and BootFootprintBytes predicts its boot
 // commit from them, so the admission estimate cannot drift from the
 // real boot cost.
@@ -241,7 +241,7 @@ func (cfg VMConfig) sizes() (instBytes, bootBytes, sharedBytes int64) {
 // commits at boot, before serving any request: kernel boot memory plus
 // the shared page cache backing, and — for the Static backend — the
 // fully-onlined movable span. Dispatchers use it to avoid booting a VM
-// on a host that cannot back it (NewFuncVM panics in that case).
+// on a host that cannot back it (booting it there panics).
 func (cfg VMConfig) BootFootprintBytes() int64 {
 	instBytes, boot, shared := cfg.sizes()
 	if cfg.Kind == Static {
@@ -326,14 +326,10 @@ type FuncVM struct {
 	PlugOps        int
 }
 
-// NewFuncVM boots an N:1 VM on the host with the configured backend.
-func NewFuncVM(sched *sim.Scheduler, host *hostmem.Host, cost *costmodel.Model, broker *Broker, cfg VMConfig) *FuncVM {
-	return newFuncVM(nil, sched, host, cost, broker, nil, nil, cfg)
-}
-
-// newFuncVM is NewFuncVM with an optional recycler: the agent shell and
-// the inner vmm.VM come out of the pool when possible, and the kernel
-// arenas draw from the pool's guestos cache. Every observable field is
+// newFuncVM boots an N:1 VM on the host with the configured backend.
+// With a recycler, the agent shell and the inner vmm.VM come out of
+// the pool when possible, and the kernel arenas draw from the pool's
+// guestos cache. Every observable field is
 // (re-)initialized here, so a recycled FuncVM is indistinguishable from
 // a fresh one.
 func newFuncVM(rec *Recycler, sched *sim.Scheduler, host *hostmem.Host, cost *costmodel.Model, broker *Broker, recorder *obs.Recorder, faults FaultInjector, cfg VMConfig) *FuncVM {

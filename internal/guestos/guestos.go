@@ -900,15 +900,6 @@ func (k *Kernel) AllocatedPages() int64 {
 	return n
 }
 
-// OnlinePages returns online pages across all zones.
-func (k *Kernel) OnlinePages() int64 {
-	var n int64
-	for _, z := range k.zones {
-		n += z.NrOnline()
-	}
-	return n
-}
-
 // CheckInvariants validates cross-layer consistency; O(total span), for
 // tests.
 func (k *Kernel) CheckInvariants() error {
