@@ -106,9 +106,8 @@ func main() {
 		writeEvents(trace.NewBursty(*seed, bcfg))
 		return
 	}
-	tr := trace.GenBursty(*seed, bcfg)
 	if *churn {
-		points := trace.InstanceChurn(tr, sim.Second, 5*sim.Minute, dur)
+		points := trace.InstanceChurn(trace.NewBursty(*seed, bcfg), sim.Second, 5*sim.Minute, dur)
 		if *csvOut {
 			rows := [][]string{}
 			for _, p := range points {
@@ -123,6 +122,7 @@ func main() {
 		}
 		return
 	}
+	tr := trace.GenBursty(*seed, bcfg)
 	counts := perMinute(tr, *minutes)
 	if *csvOut {
 		rows := [][]string{}

@@ -3,11 +3,16 @@ package buddy
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // MaxOrder is the largest allocation order (inclusive); order 10 chunks
 // are 4 MiB of 4 KiB pages, matching Linux's MAX_PAGE_ORDER.
 const MaxOrder = 10
+
+// thpOrder is the order of a 2 MiB transparent huge page. Heads of this
+// order and above live only in their order bitmap, not in heads.
+const thpOrder = MaxOrder - 1
 
 // Allocator is a buddy allocator over a contiguous page-frame span. The
 // zero value is not usable; call New.
@@ -22,12 +27,13 @@ type Allocator struct {
 	words    []uint64
 	capPages int64
 
-	// heads is the free-chunk-head bitmap below MaxOrder: bit i is set
-	// iff page base+i heads a free chunk of an order below MaxOrder, so
-	// range scans skip occupied pages a word at a time. Max-order heads
-	// are only in byOrder[MaxOrder]: onlining a block pushes nothing but
-	// max-order chunks, 64 to a byOrder word, where a heads bit each
-	// would cost a cache line each. isFreeHead tests both.
+	// heads is the free-chunk-head bitmap below thpOrder: bit i is set
+	// iff page base+i heads a free chunk of an order below thpOrder, so
+	// range scans skip occupied pages a word at a time. THP and
+	// max-order heads are only in byOrder: onlining a block pushes
+	// nothing but max-order chunks, and huge-page allocation splits and
+	// frees order-9 ones, 64 to a byOrder word, where a heads bit each
+	// would cost a cache line each. isFreeHead tests all three.
 	heads []uint64
 
 	// byOrder[k] is the order-k head bitmap: bit i>>k is set iff page
@@ -41,6 +47,14 @@ type Allocator struct {
 	stacks [MaxOrder + 1][]int64
 
 	free int64 // pages currently free
+
+	// shufChunks and shufPieces are ShuffleFreeLists' scratch, kept
+	// (with their capacity, across Reset too) so a warm re-scramble
+	// allocates nothing. A chunk packs head<<shufHeadShift |
+	// order<<shufLeftBits | pieces not yet drawn; a piece is the index
+	// of its chunk.
+	shufChunks []uint64
+	shufPieces []int32
 
 	// Region tracking (TrackRegions): regionShift is log2 of the region
 	// size in pages (0 = disabled; TrackRegions requires a power of two
@@ -108,11 +122,12 @@ func (a *Allocator) Reset(base, npages int64) {
 		// Restore the all-zero state. Every set bit belongs to the head
 		// of a free chunk, and every head was recorded in a stack (pop,
 		// coalescing and isolation only ever clear bits), so zeroing
-		// the two words of each stack entry restores a sparse span
-		// without touching the untouched bulk — which the OS then never
-		// has to back. Once that would write more words than the
-		// bitmaps hold, one memclr is cheaper. Both leave the entire
-		// backing array zero, so any layout within cap starts clean.
+		// the words of each stack entry (its order word, plus its heads
+		// word below thpOrder) restores a sparse span without touching
+		// the untouched bulk — which the OS then never has to back.
+		// Once that would write more words than the bitmaps hold, one
+		// memclr is cheaper. Both leave the entire backing array zero,
+		// so any layout within cap starts clean.
 		var entries int64
 		for k := range a.stacks {
 			entries += int64(len(a.stacks[k]))
@@ -120,7 +135,7 @@ func (a *Allocator) Reset(base, npages int64) {
 		if 2*entries <= int64(len(a.words)) {
 			for k, st := range a.stacks {
 				for _, i := range st {
-					if k < MaxOrder {
+					if k < thpOrder {
 						a.heads[i/64] = 0
 					}
 					a.byOrder[k][i>>k/64] = 0
@@ -427,67 +442,79 @@ func (a *Allocator) ShuffleFreeLists(order int, draw func(n int) int) {
 	if order < 0 || order > MaxOrder {
 		panic(fmt.Sprintf("buddy: bad order %d", order))
 	}
-	// chunk is a free chunk taken off the stacks, with the number of
-	// its pieces not yet drawn. pieces indexes chunks, one entry per
-	// piece; chunks below order add one piece each beyond free>>order.
-	type chunk struct {
-		head  int64
-		order int
-		left  int
-	}
-	chunks := make([]chunk, 0, a.free>>order)
-	pieces := make([]int, 0, a.free>>order)
-	// take empties stack k in pop order. A chunk's order-k bit is
-	// cleared as it is taken, so an older duplicate entry below it is
-	// skipped, as pop would skip it once the newer entry had been
-	// popped.
-	take := func(k int) {
-		st := a.stacks[k]
-		for j := len(st) - 1; j >= 0; j-- {
-			i := st[j]
-			if !a.isHead(i, k) {
-				continue
-			}
-			a.setOrderBit(i, k, false)
-			// Alloc(order) cuts a larger chunk into ascending pieces.
-			n := 1
-			if k > order {
-				n = 1 << (k - order)
-			}
-			for range n {
-				pieces = append(pieces, len(chunks))
-			}
-			chunks = append(chunks, chunk{head: i, order: k, left: n})
-		}
-		a.stacks[k] = st[:0]
-	}
+	// There are at least free>>order pieces: a chunk at or above order
+	// gives 2^(k-order), and each one below it one more.
+	a.shufChunks = slices.Grow(a.shufChunks[:0], int(a.free>>order))
+	a.shufPieces = slices.Grow(a.shufPieces[:0], int(a.free>>order))
 	for k := order; k <= MaxOrder; k++ {
-		take(k)
+		a.takeStack(k, order)
 	}
 	for k := order - 1; k >= 0; k-- {
-		take(k)
+		a.takeStack(k, order)
 	}
+	chunks, pieces := a.shufChunks, a.shufPieces
 	for n := len(pieces); n > 0; n-- {
 		j := draw(n)
 		c := &chunks[pieces[j]]
 		pieces[j] = pieces[n-1]
-		if c.left--; c.left == 0 {
-			a.setOrderBit(c.head, c.order, true)
-			a.stacks[c.order] = append(a.stacks[c.order], c.head)
+		if *c--; *c&(1<<shufLeftBits-1) == 0 {
+			head, k := int64(*c>>shufHeadShift), int(*c>>shufLeftBits&(1<<shufOrderBits-1))
+			a.setOrderBit(head, k, true)
+			a.stacks[k] = append(a.stacks[k], head)
 		}
 	}
 }
 
+// The packing of a ShuffleFreeLists chunk: up to 1<<MaxOrder pieces
+// left, an order up to MaxOrder, and the head above them.
+const (
+	shufLeftBits  = MaxOrder + 1
+	shufOrderBits = 4
+	shufHeadShift = shufLeftBits + shufOrderBits
+)
+
+// takeStack empties stack k in pop order into the shuffle scratch,
+// with one piece per order-sized piece of each chunk (one for a chunk
+// below order): Alloc(order) cuts a larger chunk into ascending pieces.
+// A chunk's order-k bit is cleared as it is taken, so an older
+// duplicate entry below it is skipped, as pop would skip it once the
+// newer entry had been popped.
+func (a *Allocator) takeStack(k, order int) {
+	n := 1
+	if k > order {
+		n = 1 << (k - order)
+	}
+	st := a.stacks[k]
+	for j := len(st) - 1; j >= 0; j-- {
+		i := st[j]
+		if !a.isHead(i, k) {
+			continue
+		}
+		a.setOrderBit(i, k, false)
+		c := int32(len(a.shufChunks))
+		for range n {
+			a.shufPieces = append(a.shufPieces, c)
+		}
+		a.shufChunks = append(a.shufChunks, uint64(i)<<shufHeadShift|uint64(k)<<shufLeftBits|uint64(n))
+	}
+	a.stacks[k] = st[:0]
+}
+
 // nextHead is one step of a range scan from page i. It returns i and
-// MaxOrder when a max-order chunk heads there; else the first head of
-// a smaller chunk in the rest of i's heads word, with its order; else
-// the start of the next word and -1. Max-order heads are not in heads,
-// but every max-order boundary starts a word and no smaller chunk
-// crosses one, so a scan that steps through nextHead tests each
-// boundary it passes.
+// its order when a THP or max-order chunk heads there; else the first
+// head of a smaller chunk in the rest of i's heads word, with its
+// order; else the start of the next word and -1. THP and max-order
+// heads are not in heads, but every THP boundary starts a word and no
+// smaller chunk crosses one, so a scan that steps through nextHead
+// tests each boundary it passes.
 func (a *Allocator) nextHead(i int64) (int64, int) {
-	if i&(1<<MaxOrder-1) == 0 && a.isHead(i, MaxOrder) {
-		return i, MaxOrder
+	if i&(1<<thpOrder-1) == 0 {
+		if i&(1<<MaxOrder-1) == 0 && a.isHead(i, MaxOrder) {
+			return i, MaxOrder
+		}
+		if a.isHead(i, thpOrder) {
+			return i, thpOrder
+		}
 	}
 	word := a.heads[i/64] >> (i % 64)
 	if word == 0 {
@@ -499,7 +526,8 @@ func (a *Allocator) nextHead(i int64) (int64, int) {
 
 // isFreeHead reports whether page i heads a free chunk of any order.
 func (a *Allocator) isFreeHead(i int64) bool {
-	return a.heads[i/64]&(1<<(i%64)) != 0 || i&(1<<MaxOrder-1) == 0 && a.isHead(i, MaxOrder)
+	return a.heads[i/64]&(1<<(i%64)) != 0 ||
+		i&(1<<thpOrder-1) == 0 && (a.isHead(i, thpOrder) || i&(1<<MaxOrder-1) == 0 && a.isHead(i, MaxOrder))
 }
 
 // isHead reports whether page i heads a free order-k chunk.
@@ -532,7 +560,7 @@ func (a *Allocator) orderAt(i int64) int {
 
 func (a *Allocator) push(i int64, order int) {
 	a.setOrderBit(i, order, true)
-	if order < MaxOrder {
+	if order < thpOrder {
 		a.heads[i/64] |= 1 << (i % 64)
 	}
 	a.stacks[order] = append(a.stacks[order], i)
@@ -542,7 +570,7 @@ func (a *Allocator) push(i int64, order int) {
 // bitmaps. Any stack entry for it goes stale.
 func (a *Allocator) clearHead(i int64, k int) {
 	a.setOrderBit(i, k, false)
-	if k < MaxOrder {
+	if k < thpOrder {
 		a.heads[i/64] &^= 1 << (i % 64)
 	}
 }
@@ -563,17 +591,17 @@ func (a *Allocator) pop(order int) (int64, bool) {
 }
 
 // CheckInvariants validates internal consistency — the bitmaps agree
-// (every order bit below MaxOrder has its head bit and no max-order bit
-// has one, every head bit carries exactly one order, no bit is set
-// beyond the span, and the storage past the span's
-// words is zero, as Reset's layout relies on), the free count matches
-// the chunks they record, no free chunk overlaps another or overruns
-// the span, every chunk has an entry in its order's stack (Reset's
-// sparse clear relies on it), the free set is maximally coalesced (no
-// free chunk below MaxOrder has a free buddy of its order;
-// ShuffleFreeLists relies on it), and the region counters (when
-// enabled) agree with a fresh count. It is O(capacity) and intended for
-// tests.
+// (every order bit sits on a page that carries exactly one order, and
+// has its heads bit below thpOrder; every heads bit sits on a page
+// whose order is below thpOrder; no bit is set beyond the span; and
+// the storage past the span's words is zero, as Reset's layout relies
+// on), the free count matches the chunks they record, no free chunk
+// overlaps another or overruns the span, every chunk has an entry in
+// its order's stack (Reset's sparse clear relies on it), the free set
+// is maximally coalesced (no free chunk below MaxOrder has a free
+// buddy of its order; ShuffleFreeLists relies on it), and the region
+// counters (when enabled) agree with a fresh count. It is O(capacity)
+// and intended for tests.
 func (a *Allocator) CheckInvariants() error {
 	if int64(len(a.words)) != bitmapWords(a.npages) || int64(len(a.heads)) != headWords(a.npages) {
 		return fmt.Errorf("bitmaps have %d words (%d head words), span needs %d (%d)", len(a.words), len(a.heads), bitmapWords(a.npages), headWords(a.npages))
@@ -594,29 +622,30 @@ func (a *Allocator) CheckInvariants() error {
 				if i >= a.npages {
 					return fmt.Errorf("order-%d bit set for page %d beyond the span", k, a.base+i)
 				}
-				if k < MaxOrder && !headBit(i) {
+				if k < thpOrder && !headBit(i) {
 					return fmt.Errorf("order-%d head %d missing from the head bitmap", k, a.base+i)
 				}
-				if k == MaxOrder && headBit(i) {
-					return fmt.Errorf("max-order head %d marked in the head bitmap", a.base+i)
+				var orders int
+				for j := 0; j <= MaxOrder && i&(1<<j-1) == 0; j++ {
+					if a.isHead(i, j) {
+						orders++
+					}
+				}
+				if orders != 1 {
+					return fmt.Errorf("head %d carries %d orders", a.base+i, orders)
 				}
 			}
 		}
 	}
-	// With every order bit inside the span and marked in heads, a head
-	// bit carrying exactly one order is inside the span too.
-	for i := int64(0); i < int64(len(a.heads))*64; i++ {
-		if !headBit(i) {
-			continue
-		}
-		var orders int
-		for k := 0; k <= MaxOrder && i&(1<<k-1) == 0; k++ {
-			if a.isHead(i, k) {
-				orders++
+	// Every order bit is inside the span and alone on its page, so a
+	// heads bit whose page has an order below thpOrder is inside the
+	// span and names exactly one chunk.
+	for w, word := range a.heads {
+		for ; word != 0; word &= word - 1 {
+			i := int64(w)*64 + int64(bits.TrailingZeros64(word))
+			if k := a.orderAt(i); k < 0 || k >= thpOrder {
+				return fmt.Errorf("head bit of page %d marks order %d", a.base+i, k)
 			}
-		}
-		if orders != 1 {
-			return fmt.Errorf("head %d carries %d orders", a.base+i, orders)
 		}
 	}
 	stacked := make([]bool, a.npages)

@@ -898,6 +898,29 @@ func TestShuffleFreeListsMatchesReference(t *testing.T) {
 	}
 }
 
+// TestShuffleFreeListsAllocFree pins a warm re-scramble at zero
+// allocations: the chunk and piece scratch live on the allocator. An
+// order-0 shuffle takes the most pieces (one per free page), so after
+// it every order's shuffle fits the scratch it left.
+func TestShuffleFreeListsAllocFree(t *testing.T) {
+	for _, seed := range []uint64{2, 3} {
+		a := shuffleProgram(seed)
+		if a.NrFree() == 0 {
+			t.Fatalf("seed %d: the program left nothing free", seed)
+		}
+		draw := rand.New(rand.NewPCG(seed, 7)).IntN
+		a.ShuffleFreeLists(0, draw)
+		for order := 0; order <= MaxOrder; order++ {
+			if allocs := testing.AllocsPerRun(20, func() { a.ShuffleFreeLists(order, draw) }); allocs != 0 {
+				t.Errorf("seed %d: warm order-%d shuffle allocates %v objects, want 0", seed, order, allocs)
+			}
+		}
+		if err := a.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // Flipping any one bit of either bitmap, inside the span or past it,
 // must make CheckInvariants fail.
 func TestCheckInvariantsCatchesBitFlips(t *testing.T) {

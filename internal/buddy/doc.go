@@ -10,14 +10,15 @@
 // Free state is kept in bitmaps, about 3 bits per page: one head
 // bitmap per order (bit i>>k of order k is set iff page i heads a free
 // order-k chunk, so the order-9/10 heads that hotplug and huge pages
-// touch sit 64 to a word) and one head bitmap for the orders below
-// MaxOrder (bit i is set iff page i heads a free chunk of such an
-// order). Max-order heads live only in their order's bitmap, so
-// onlining a block, which frees nothing but max-order chunks, touches
-// one word per 64 chunks rather than a cache line per chunk; range
-// scans look for them at each max-order boundary. Code that already
-// knows an order tests one bit; a head's order, when unknown, is found
-// by testing the orders its alignment allows.
+// touch sit 64 to a word) and one head bitmap for the orders below 9
+// (bit i is set iff page i heads a free chunk of such an order).
+// Order-9 (2 MiB, a transparent huge page) and max-order heads live
+// only in their order's bitmap, so onlining a block, which frees
+// nothing but max-order chunks, and splitting or freeing huge pages
+// touch one word per 64 chunks rather than a cache line per chunk;
+// range scans look for them at each 512-page boundary. Code that
+// already knows an order tests one bit; a head's order, when unknown,
+// is found by testing the orders its alignment allows.
 //
 // FreeRange onlines a whole tracked region that holds no free page in
 // one pass (its chunks cannot be double frees and never merge), and a
@@ -31,7 +32,8 @@
 // coalescing or isolation is O(1) amortized: an entry whose order bit is
 // clear is stale and skipped on pop. ShuffleFreeLists gives the stacks
 // the order that reserving all free memory and freeing it in random
-// order would leave, without doing either.
+// order would leave, without doing either, in scratch the allocator
+// keeps so that a warm shuffle allocates nothing.
 //
 // For the hot-unplug paths the allocator also keeps bulk range state:
 // with TrackRegions enabled it maintains a free-page counter per

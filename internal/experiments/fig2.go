@@ -23,8 +23,9 @@ func Fig2(opts Options) *Fig2Result {
 }
 
 // Fig2Plan decomposes Figure 2 into one cell per top-10 function: each
-// cell generates only its own rank's trace and replays it through the
-// churn model; Assemble sums the per-minute points across ranks.
+// cell streams only its own rank's trace through the churn model, so no
+// trace is ever held in memory; Assemble sums the per-minute points
+// across ranks.
 func Fig2Plan(opts Options) *Plan {
 	duration := sim.Duration(sim.Hour)
 	if opts.Quick {
@@ -49,8 +50,8 @@ func Fig2Plan(opts Options) *Plan {
 	for i := 0; i < ranks; i++ {
 		i := i
 		p.Stage.Cell(fmt.Sprintf("rank%d", i), func(*World) {
-			tr := trace.TopTenTrace(opts.seed(), duration, i)
-			perRank[i] = trace.InstanceChurn(tr, sim.Second, 5*sim.Minute, duration)
+			s := trace.TopTenStream(opts.seed(), duration, i)
+			perRank[i] = trace.InstanceChurn(s, sim.Second, 5*sim.Minute, duration)
 		})
 	}
 	return p

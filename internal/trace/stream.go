@@ -295,9 +295,16 @@ func (m *FleetStream) Next() (TaggedInvocation, bool) {
 // over (live or exhausted).
 func (m *FleetStream) Funcs() int { return len(m.srcs) }
 
-// TopTenStream is the cursor behind TopTenTrace: the rank-i top-ten
-// function's trace as a stream, tagged Func=i.
+// TopTenStream synthesizes the invocation stream of the function at
+// rank i (0-based) of a set shaped like the 10 most popular functions
+// of the Azure production traces, tagged Func=i: very high aggregate
+// rates with per-function bursts, driving the thousands of instance
+// creations and evictions per minute that Figure 2 reports. Each rank
+// is independent of the other nine, so Figure 2 replays each as its
+// own cell at a cost proportional to its own stream.
 func TopTenStream(seed uint64, duration sim.Duration, i int) *Bursty {
+	// Popularity decays across the top-10 ranks; the busiest
+	// functions see hundreds of requests per second in bursts.
 	rank := float64(i + 1)
 	b := NewBursty(seed+uint64(i)*101, BurstyConfig{
 		Duration: duration,
@@ -311,8 +318,7 @@ func TopTenStream(seed uint64, duration sim.Duration, i int) *Bursty {
 }
 
 // NewTopTenStream merges the ten top-ten cursors into one
-// (T, Func)-ordered stream, the streaming form of
-// Merge(GenTopTen(seed, duration)).
+// (T, Func)-ordered stream.
 func NewTopTenStream(seed uint64, duration sim.Duration) *FleetStream {
 	srcs := make([]Stream, 10)
 	for i := range srcs {

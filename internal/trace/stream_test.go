@@ -121,9 +121,9 @@ func TestGoldenFingerprints(t *testing.T) {
 	}
 	for _, seed := range []uint64{1, 5} {
 		for _, mins := range []uint64{2, 5} {
-			got := fpTraces(GenTopTen(seed, sim.Duration(mins)*sim.Minute))
+			got := fpTraces(collectTopTen(seed, sim.Duration(mins)*sim.Minute))
 			if want := goldenTopTen[[2]uint64{seed, mins}]; got != want {
-				t.Errorf("GenTopTen seed=%d dur=%dm fingerprint %#016x, golden %#016x", seed, mins, got, want)
+				t.Errorf("TopTenStream seed=%d dur=%dm fingerprint %#016x, golden %#016x", seed, mins, got, want)
 			}
 		}
 	}
@@ -185,11 +185,11 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestTopTenStreamMatches checks the merged top-ten stream against the
-// materialized Merge(GenTopTen(...)).
+// TestTopTenStreamMatches checks the merged top-ten stream against
+// the ten rank streams collected and merged.
 func TestTopTenStreamMatches(t *testing.T) {
 	for _, seed := range []uint64{1, 9} {
-		merged := Merge(GenTopTen(seed, 2*sim.Minute))
+		merged := Merge(collectTopTen(seed, 2*sim.Minute))
 		streamed := drain(NewTopTenStream(seed, 2*sim.Minute))
 		if len(streamed) != len(merged) {
 			t.Fatalf("seed %d: %d streamed vs %d merged", seed, len(streamed), len(merged))

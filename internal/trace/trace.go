@@ -52,30 +52,6 @@ func expDur(rng *rand.Rand, mean sim.Duration) sim.Duration {
 	return d
 }
 
-// GenTopTen synthesizes invocation traces shaped like the 10 most
-// popular functions of the Azure production traces over the given
-// duration: very high aggregate rates with per-function bursts, driving
-// the thousands of instance creations and evictions per minute that
-// Figure 2 reports.
-func GenTopTen(seed uint64, duration sim.Duration) []*Trace {
-	traces := make([]*Trace, 10)
-	for i := range traces {
-		traces[i] = TopTenTrace(seed, duration, i)
-	}
-	return traces
-}
-
-// TopTenTrace synthesizes the trace of the function at rank i (0-based)
-// of the top-10 set alone — identical to GenTopTen(seed, duration)[i],
-// without generating the other nine. Sweeps that process the top-10
-// functions as independent cells use it to keep each cell's cost
-// proportional to its own trace.
-func TopTenTrace(seed uint64, duration sim.Duration, i int) *Trace {
-	// Popularity decays across the top-10 ranks; the busiest
-	// functions see hundreds of requests per second in bursts.
-	return Collect(TopTenStream(seed, duration, i))
-}
-
 // FleetConfig parameterizes the fleet generator: many functions whose
 // popularity follows a Zipf law, each driven by the bursty generator.
 type FleetConfig struct {
@@ -242,70 +218,76 @@ type ChurnPoint struct {
 	Evictions int
 }
 
-// InstanceChurn replays a trace against a simple instance pool — reuse
-// an idle instance when one exists, create one otherwise, evict after
-// keepAlive of idleness — and reports per-minute creations and
-// evictions, the analysis behind Figure 2.
-func InstanceChurn(tr *Trace, execTime, keepAlive sim.Duration, duration sim.Duration) []ChurnPoint {
+// InstanceChurn replays a stream against a simple instance pool —
+// reuse an idle instance when one exists, create one otherwise, evict
+// after keepAlive of idleness — and reports per-minute creations and
+// evictions, the analysis behind Figure 2. The stream's times must be
+// non-decreasing and execTime and keepAlive non-negative; the replay
+// stops at the first invocation at or past duration.
+func InstanceChurn(s Stream, execTime, keepAlive sim.Duration, duration sim.Duration) []ChurnPoint {
 	minutes := int((duration + sim.Minute - 1) / sim.Minute)
 	points := make([]ChurnPoint, minutes)
 	for i := range points {
 		points[i].Minute = i
 	}
-	// The pool stays sorted by freeAt without ever sorting: invocation
-	// times are non-decreasing and execTime is constant, so each new
-	// instance's freeAt is >= every existing one, and expiries (freeAt +
-	// keepAlive) leave from the front. head is the eviction cursor into
-	// the sorted slice.
-	type inst struct{ freeAt sim.Time }
-	var idle []inst // idle[head:] is the live pool, sorted by freeAt
-	head := 0
+	// Invocation times are non-decreasing and execTime is constant, so
+	// each new instance's freeAt is >= every existing one: the busy
+	// instances free up in the order they were started, and the idle
+	// ones, all freed no later than any busy one, stay sorted as busy
+	// ones join their end. Reuse takes the newest idle instance (LIFO
+	// keeps the warm pool small, like keep-alive reuse) and eviction
+	// the oldest, so each is a slice of freeAt with a head cursor.
+	var busy, idle []sim.Time
+	var busyHead, idleHead int
 
-	evictBefore := func(now sim.Time) {
-		for head < len(idle) {
-			expiry := idle[head].freeAt.Add(keepAlive)
+	// advance moves every instance free by now to idle and evicts the
+	// idle ones whose keep-alive has run out by now.
+	advance := func(now sim.Time) {
+		for ; busyHead < len(busy) && busy[busyHead] <= now; busyHead++ {
+			idle = append(idle, busy[busyHead])
+		}
+		for ; idleHead < len(idle); idleHead++ {
+			expiry := idle[idleHead].Add(keepAlive)
 			if expiry > now {
 				break
 			}
-			m := int(sim.Duration(expiry) / sim.Minute)
-			if m >= 0 && m < minutes {
+			if m := int(sim.Duration(expiry) / sim.Minute); m >= 0 && m < minutes {
 				points[m].Evictions++
 			}
-			head++
 		}
-		if head > len(idle)/2 {
-			idle = append(idle[:0], idle[head:]...)
-			head = 0
-		}
+		busy, busyHead = compact(busy, busyHead)
+		idle, idleHead = compact(idle, idleHead)
 	}
 
-	for _, t := range tr.Times {
-		evictBefore(t)
+	for {
+		inv, ok := s.Next()
+		if !ok {
+			break
+		}
+		t := inv.T
+		advance(t)
 		m := int(sim.Duration(t) / sim.Minute)
 		if m >= minutes {
 			break
 		}
-		// Reuse the most-recently-freed idle instance that is actually
-		// free (LIFO keeps the warm pool small, like keep-alive reuse):
-		// the last entry with freeAt <= t, found by binary search.
-		lo, hi := head, len(idle)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if idle[mid].freeAt <= t {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo > head {
-			idle = append(idle[:lo-1], idle[lo:]...)
+		if idleHead < len(idle) {
+			idle = idle[:len(idle)-1]
 		} else {
 			points[m].Creations++
 		}
-		idle = append(idle, inst{freeAt: t.Add(execTime)})
+		busy = append(busy, t.Add(execTime))
 	}
-	evictBefore(sim.Time(duration + sim.Duration(keepAlive)))
+	advance(sim.Time(duration + keepAlive))
 	return points
+}
+
+// compact drops q[:head] once it is more than half of q, so a queue
+// popped at its head reuses its storage in O(1) amortized per step.
+func compact(q []sim.Time, head int) ([]sim.Time, int) {
+	if head > len(q)/2 {
+		return append(q[:0], q[head:]...), 0
+	}
+	return q, head
 }
 
 // PeakConcurrency returns the maximum number of simultaneously busy

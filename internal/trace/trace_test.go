@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"squeezy/internal/sim"
@@ -94,11 +96,36 @@ func TestMerge(t *testing.T) {
 	}
 }
 
+// sliceStream replays a fixed list of invocation times.
+type sliceStream struct {
+	times []sim.Time
+}
+
+func streamOf(times ...sim.Time) *sliceStream { return &sliceStream{times: times} }
+
+func (s *sliceStream) Next() (TaggedInvocation, bool) {
+	if len(s.times) == 0 {
+		return TaggedInvocation{}, false
+	}
+	t := s.times[0]
+	s.times = s.times[1:]
+	return TaggedInvocation{T: t}, true
+}
+
+// collectTopTen materializes the ten top-ten streams, one trace per
+// rank.
+func collectTopTen(seed uint64, duration sim.Duration) []*Trace {
+	traces := make([]*Trace, 10)
+	for i := range traces {
+		traces[i] = Collect(TopTenStream(seed, duration, i))
+	}
+	return traces
+}
+
 func TestInstanceChurnReuse(t *testing.T) {
 	// Two invocations 1s apart with 100ms exec: the second reuses the
 	// idle instance.
-	tr := &Trace{Times: []sim.Time{0, sim.Time(sim.Second)}}
-	pts := InstanceChurn(tr, 100*sim.Millisecond, 5*sim.Minute, sim.Duration(sim.Minute))
+	pts := InstanceChurn(streamOf(0, sim.Time(sim.Second)), 100*sim.Millisecond, 5*sim.Minute, sim.Duration(sim.Minute))
 	creations := 0
 	for _, p := range pts {
 		creations += p.Creations
@@ -110,16 +137,14 @@ func TestInstanceChurnReuse(t *testing.T) {
 
 func TestInstanceChurnConcurrent(t *testing.T) {
 	// Two simultaneous invocations need two instances.
-	tr := &Trace{Times: []sim.Time{0, 0}}
-	pts := InstanceChurn(tr, sim.Second, 5*sim.Minute, sim.Duration(sim.Minute))
+	pts := InstanceChurn(streamOf(0, 0), sim.Second, 5*sim.Minute, sim.Duration(sim.Minute))
 	if pts[0].Creations != 2 {
 		t.Fatalf("creations = %d, want 2", pts[0].Creations)
 	}
 }
 
 func TestInstanceChurnEviction(t *testing.T) {
-	tr := &Trace{Times: []sim.Time{0}}
-	pts := InstanceChurn(tr, sim.Second, sim.Duration(2*sim.Minute), sim.Duration(10*sim.Minute))
+	pts := InstanceChurn(streamOf(0), sim.Second, sim.Duration(2*sim.Minute), sim.Duration(10*sim.Minute))
 	evictions, evMinute := 0, -1
 	for _, p := range pts {
 		if p.Evictions > 0 {
@@ -141,7 +166,7 @@ func TestCreationsAndEvictionsBalance(t *testing.T) {
 		Duration: 10 * sim.Minute, BaseRPS: 0.5, BurstRPS: 25,
 		BurstLen: 10 * sim.Second, BurstGap: 45 * sim.Second,
 	})
-	pts := InstanceChurn(tr, 500*sim.Millisecond, sim.Duration(2*sim.Minute), sim.Duration(10*sim.Minute))
+	pts := InstanceChurn(streamOf(tr.Times...), 500*sim.Millisecond, sim.Duration(2*sim.Minute), sim.Duration(10*sim.Minute))
 	var created, evicted int
 	for _, p := range pts {
 		created += p.Creations
@@ -159,7 +184,7 @@ func TestCreationsAndEvictionsBalance(t *testing.T) {
 }
 
 func TestGenTopTenScale(t *testing.T) {
-	traces := GenTopTen(1, sim.Duration(2*sim.Minute))
+	traces := collectTopTen(1, sim.Duration(2*sim.Minute))
 	if len(traces) != 10 {
 		t.Fatalf("traces = %d", len(traces))
 	}
@@ -314,4 +339,132 @@ func TestGenChurnRacks(t *testing.T) {
 	if rackFails == 0 {
 		t.Fatal("racked schedule drew no rack failures in 40 events")
 	}
+}
+
+// refInstanceChurn is the binary-search pool InstanceChurn replaced,
+// kept as a differential reference: one slice sorted by freeAt, reuse
+// removing the last entry free by now from the middle of it.
+func refInstanceChurn(tr *Trace, execTime, keepAlive sim.Duration, duration sim.Duration) []ChurnPoint {
+	minutes := int((duration + sim.Minute - 1) / sim.Minute)
+	points := make([]ChurnPoint, minutes)
+	for i := range points {
+		points[i].Minute = i
+	}
+	type inst struct{ freeAt sim.Time }
+	var idle []inst // idle[head:] is the live pool, sorted by freeAt
+	head := 0
+
+	evictBefore := func(now sim.Time) {
+		for head < len(idle) {
+			expiry := idle[head].freeAt.Add(keepAlive)
+			if expiry > now {
+				break
+			}
+			m := int(sim.Duration(expiry) / sim.Minute)
+			if m >= 0 && m < minutes {
+				points[m].Evictions++
+			}
+			head++
+		}
+		if head > len(idle)/2 {
+			idle = append(idle[:0], idle[head:]...)
+			head = 0
+		}
+	}
+
+	for _, t := range tr.Times {
+		evictBefore(t)
+		m := int(sim.Duration(t) / sim.Minute)
+		if m >= minutes {
+			break
+		}
+		lo, hi := head, len(idle)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if idle[mid].freeAt <= t {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo > head {
+			idle = append(idle[:lo-1], idle[lo:]...)
+		} else {
+			points[m].Creations++
+		}
+		idle = append(idle, inst{freeAt: t.Add(execTime)})
+	}
+	evictBefore(sim.Time(duration + sim.Duration(keepAlive)))
+	return points
+}
+
+// checkChurnMatches replays times through InstanceChurn and the
+// reference and reports the first minute where they differ.
+func checkChurnMatches(t *testing.T, name string, times []sim.Time, execTime, keepAlive, duration sim.Duration) {
+	t.Helper()
+	got := InstanceChurn(streamOf(times...), execTime, keepAlive, duration)
+	want := refInstanceChurn(&Trace{Times: times}, execTime, keepAlive, duration)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d minutes, reference %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s (exec %v, keep-alive %v, duration %v, %d invocations): minute %d is %+v, reference %+v",
+				name, execTime, keepAlive, duration, len(times), i, got[i], want[i])
+		}
+	}
+}
+
+// TestInstanceChurnMatchesReference replays seeded bursty streams
+// through InstanceChurn and the binary-search reference. Times are
+// rounded to a coarse grain so invocations tie, keep-alives range
+// from shorter than the quiet gaps to longer than a burst, execution
+// times from far below to above the keep-alive, and the streams run
+// past the replay's duration.
+func TestInstanceChurnMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 0xc8))
+	for round := 0; round < 200; round++ {
+		cfg := BurstyConfig{
+			Duration: sim.Duration(1+rng.IntN(12)) * sim.Minute,
+			BaseRPS:  rng.Float64() * 2,
+			BurstRPS: rng.Float64() * 120,
+			BurstLen: sim.Duration(1+rng.IntN(30)) * sim.Second,
+			BurstGap: sim.Duration(1+rng.IntN(120)) * sim.Second,
+		}
+		grain := []sim.Duration{sim.Microsecond, sim.Millisecond, 100 * sim.Millisecond, sim.Second}[rng.IntN(4)]
+		var times []sim.Time
+		for _, ts := range GenBursty(rng.Uint64(), cfg).Times {
+			times = append(times, ts/sim.Time(grain)*sim.Time(grain))
+		}
+		keepAlive := sim.Duration(rng.Int64N(int64(3 * sim.Minute)))
+		execTime := sim.Duration(rng.Int64N(int64(2 * sim.Second)))
+		if round%4 == 0 {
+			execTime = keepAlive + sim.Duration(rng.Int64N(int64(sim.Minute)))
+		}
+		duration := cfg.Duration - sim.Duration(rng.Int64N(int64(cfg.Duration)))
+		checkChurnMatches(t, fmt.Sprintf("round %d", round), times, execTime, keepAlive, duration)
+	}
+}
+
+// FuzzInstanceChurn decodes a replay from bytes — execution time,
+// keep-alive and duration from the first three, then one gap per byte,
+// a zero byte tying two invocations — and checks InstanceChurn against
+// the reference.
+func FuzzInstanceChurn(f *testing.F) {
+	const grain = 250 * sim.Millisecond
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		execTime := sim.Duration(data[0]) * grain
+		keepAlive := sim.Duration(data[1]) * grain
+		duration := sim.Duration(1+data[2]%10) * sim.Minute
+		var times []sim.Time
+		var now sim.Time
+		for _, b := range data[3:] {
+			now = now.Add(sim.Duration(b) * grain)
+			times = append(times, now)
+		}
+		checkChurnMatches(t, "fuzz", times, execTime, keepAlive, duration)
+	})
 }

@@ -11,8 +11,9 @@
 # layer is a package under squeezy/internal, each sample is charged to
 # the innermost such frame on its stack, and samples with no such frame
 # (GC workers, the scheduler) go to "runtime". OUT.json holds the
-# profiled CPU, the process's own user+sys CPU for comparison, and per
-# layer its CPU seconds and share of the profiled CPU, largest first.
+# profiled CPU, the process's own user+sys CPU for comparison, its peak
+# resident set (ru_maxrss, in MiB), and per layer its CPU seconds and
+# share of the profiled CPU, largest first.
 # It needs only the Go toolchain and python3.
 set -eu
 if [ $# -lt 2 ]; then
@@ -46,6 +47,8 @@ if total <= 0:
 result = {
     "args": args,
     "process_cpu_s": usage.ru_utime + usage.ru_stime,
+    # Linux reports ru_maxrss in KiB.
+    "process_peak_rss_mib": usage.ru_maxrss / 1024,
     "profile_cpu_s": total,
     "layers": {name: {"cpu_s": cpu, "share": cpu / total}
                for name, cpu in sorted(layers.items(), key=lambda kv: (-kv[1], kv[0]))},
@@ -54,5 +57,6 @@ with open(out, "w") as f:
     json.dump(result, f, indent=2)
     f.write("\n")
 top = ", ".join(f"{n} {l['share']:.0%}" for n, l in list(result["layers"].items())[:5])
-print(f"wrote {out}: {total:.2f} s profiled of {result['process_cpu_s']:.2f} s CPU; {top}", file=sys.stderr)
+print(f"wrote {out}: {total:.2f} s profiled of {result['process_cpu_s']:.2f} s CPU, "
+      f"peak RSS {result['process_peak_rss_mib']:.0f} MiB; {top}", file=sys.stderr)
 EOF
