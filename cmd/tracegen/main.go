@@ -6,20 +6,24 @@
 //
 //	tracegen [-seed N] [-minutes M] [-base RPS] [-burst RPS]
 //	         [-burstlen SEC] [-burstgap SEC] [-churn] [-csv] [-events]
-//	tracegen -funcs N [-zipf S] ...   # fleet mode (trace.GenFleet)
+//	tracegen -funcs N [-zipf S] ...   # fleet mode (trace.FleetCursors)
 //
 // In fleet mode -base and -burst are fleet-aggregate rates split across
 // functions by Zipf popularity. -csv emits machine-readable per-minute
 // counts (minute,invocations or func,minute,invocations) for plotting.
 // -events instead streams the exact-replay CSV ("func,t_ns", one row
 // per invocation) straight from the generator cursors in O(1) memory;
-// trace.OpenCSV replays either layout bit for bit.
+// trace.OpenCSV replays either layout bit for bit. Every statistic is
+// drained from the generator cursors; no trace is materialized.
 package main
 
 import (
 	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"strconv"
 
@@ -27,38 +31,63 @@ import (
 	"squeezy/internal/trace"
 )
 
-func main() {
-	seed := flag.Uint64("seed", 1, "deterministic seed")
-	minutes := flag.Int("minutes", 10, "trace length in minutes")
-	base := flag.Float64("base", 0.5, "quiet-period request rate (rps; fleet-aggregate with -funcs)")
-	burst := flag.Float64("burst", 20, "in-burst request rate (rps; fleet-aggregate with -funcs)")
-	burstLen := flag.Float64("burstlen", 20, "mean burst duration in seconds")
-	burstGap := flag.Float64("burstgap", 45, "mean quiet gap between bursts in seconds")
-	funcs := flag.Int("funcs", 0, "fleet mode: generate N functions with Zipf popularity")
-	zipf := flag.Float64("zipf", 1.1, "fleet popularity exponent (with -funcs)")
-	churn := flag.Bool("churn", false, "print instance churn (Figure 2 analysis) instead of rates")
-	csvOut := flag.Bool("csv", false, "emit per-minute counts as CSV for plotting")
-	events := flag.Bool("events", false, "emit the exact-replay events CSV (func,t_ns), streamed in O(1) memory")
-	flag.Parse()
+// keepAlive is the idle time after which the -churn analysis evicts an
+// instance.
+const keepAlive = 5 * sim.Minute
 
-	if *events && *churn {
-		fmt.Fprintln(os.Stderr, "tracegen: -events emits raw invocations; it cannot be combined with -churn")
-		os.Exit(2)
+// maxMinutes bounds -minutes: the trace plus the -churn replay's
+// keep-alive horizon must fit in sim.Time's int64 nanoseconds.
+const maxMinutes = int((math.MaxInt64 - keepAlive) / sim.Minute)
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes the requested
+// statistics to stdout and returns the exit status — 2 for a usage
+// error, 1 for an I/O failure. Every flag is validated before any
+// output is written.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Uint64("seed", 1, "deterministic seed")
+	minutes := fs.Int("minutes", 10, "trace length in minutes")
+	base := fs.Float64("base", 0.5, "quiet-period request rate (rps; fleet-aggregate with -funcs)")
+	burst := fs.Float64("burst", 20, "in-burst request rate (rps; fleet-aggregate with -funcs)")
+	burstLen := fs.Float64("burstlen", 20, "mean burst duration in seconds")
+	burstGap := fs.Float64("burstgap", 45, "mean quiet gap between bursts in seconds")
+	funcs := fs.Int("funcs", 0, "fleet mode: generate N functions with Zipf popularity")
+	zipf := fs.Float64("zipf", 1.1, "fleet popularity exponent (with -funcs)")
+	churn := fs.Bool("churn", false, "print instance churn (Figure 2 analysis) instead of rates")
+	csvOut := fs.Bool("csv", false, "emit per-minute counts as CSV for plotting")
+	events := fs.Bool("events", false, "emit the exact-replay events CSV (func,t_ns), streamed in O(1) memory")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the flag package already printed the error and usage
+	}
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "tracegen: "+format+"\n", a...)
+		return code
 	}
 
+	if *events && *churn {
+		return fail(2, "-events emits raw invocations; it cannot be combined with -churn")
+	}
+	if *minutes < 1 || *minutes > maxMinutes {
+		return fail(2, "bad -minutes %d (want 1 <= minutes <= %d)", *minutes, maxMinutes)
+	}
 	if *burstLen <= 0 || *burstGap <= 0 {
-		fmt.Fprintln(os.Stderr, "tracegen: -burstlen and -burstgap must be positive")
-		os.Exit(2)
+		return fail(2, "-burstlen and -burstgap must be positive")
+	}
+	if *funcs > 0 && *churn {
+		return fail(2, "-churn is a single-trace analysis; it cannot be combined with -funcs")
 	}
 	dur := sim.Duration(*minutes) * sim.Minute
 	bl := sim.Duration(*burstLen * float64(sim.Second))
 	bg := sim.Duration(*burstGap * float64(sim.Second))
 
+	var err error
 	if *funcs > 0 {
-		if *churn {
-			fmt.Fprintln(os.Stderr, "tracegen: -churn is a single-trace analysis; it cannot be combined with -funcs")
-			os.Exit(2)
-		}
 		fcfg := trace.FleetConfig{
 			Funcs:         *funcs,
 			Duration:      dur,
@@ -68,31 +97,32 @@ func main() {
 			BurstLen:      bl,
 			BurstGap:      bg,
 		}
-		if *events {
-			writeEvents(trace.NewFleetStream(*seed, fcfg))
-			return
-		}
-		traces := trace.GenFleet(*seed, fcfg)
-		if *csvOut {
+		switch {
+		case *events:
+			_, err = trace.WriteCSV(stdout, trace.NewFleetStream(*seed, fcfg))
+		case *csvOut:
 			rows := [][]string{}
-			for fi, tr := range traces {
-				for m, c := range perMinute(tr, *minutes) {
-					rows = append(rows, []string{strconv.Itoa(fi), strconv.Itoa(m), strconv.Itoa(c)})
+			for fi, c := range trace.FleetCursors(*seed, fcfg) {
+				counts, _ := perMinute(c, *minutes)
+				for m, n := range counts {
+					rows = append(rows, []string{strconv.Itoa(fi), strconv.Itoa(m), strconv.Itoa(n)})
 				}
 			}
-			writeCSV([]string{"func", "minute", "invocations"}, rows)
-			return
+			err = writeCSV(stdout, []string{"func", "minute", "invocations"}, rows)
+		default:
+			lens := make([]int, *funcs)
+			total := 0
+			for fi, c := range trace.FleetCursors(*seed, fcfg) {
+				_, lens[fi] = perMinute(c, *minutes)
+				total += lens[fi]
+			}
+			fmt.Fprintf(stdout, "fleet: %d functions, %d invocations over %d minutes\n", *funcs, total, *minutes)
+			fmt.Fprintln(stdout, "func   invocations  peak_concurrency@1s")
+			for fi, c := range trace.FleetCursors(*seed, fcfg) {
+				fmt.Fprintf(stdout, "%4d  %12d  %19d\n", fi, lens[fi], trace.PeakConcurrency(c, sim.Second))
+			}
 		}
-		total := 0
-		for _, tr := range traces {
-			total += tr.Len()
-		}
-		fmt.Printf("fleet: %d functions, %d invocations over %d minutes\n", *funcs, total, *minutes)
-		fmt.Println("func   invocations  peak_concurrency@1s")
-		for fi, tr := range traces {
-			fmt.Printf("%4d  %12d  %19d\n", fi, tr.Len(), trace.PeakConcurrency(tr, sim.Second))
-		}
-		return
+		return status(stderr, err)
 	}
 
 	bcfg := trace.BurstyConfig{
@@ -102,71 +132,71 @@ func main() {
 		BurstLen: bl,
 		BurstGap: bg,
 	}
-	if *events {
-		writeEvents(trace.NewBursty(*seed, bcfg))
-		return
-	}
-	if *churn {
-		points := trace.InstanceChurn(trace.NewBursty(*seed, bcfg), sim.Second, 5*sim.Minute, dur)
+	switch {
+	case *events:
+		_, err = trace.WriteCSV(stdout, trace.NewBursty(*seed, bcfg))
+	case *churn:
+		points := trace.InstanceChurn(trace.NewBursty(*seed, bcfg), sim.Second, keepAlive, dur)
 		if *csvOut {
 			rows := [][]string{}
 			for _, p := range points {
 				rows = append(rows, []string{strconv.Itoa(p.Minute), strconv.Itoa(p.Creations), strconv.Itoa(p.Evictions)})
 			}
-			writeCSV([]string{"minute", "creations", "evictions"}, rows)
-			return
+			err = writeCSV(stdout, []string{"minute", "creations", "evictions"}, rows)
+			break
 		}
-		fmt.Println("minute  creations  evictions")
+		fmt.Fprintln(stdout, "minute  creations  evictions")
 		for _, p := range points {
-			fmt.Printf("%6d  %9d  %9d\n", p.Minute, p.Creations, p.Evictions)
+			fmt.Fprintf(stdout, "%6d  %9d  %9d\n", p.Minute, p.Creations, p.Evictions)
 		}
-		return
-	}
-	tr := trace.GenBursty(*seed, bcfg)
-	counts := perMinute(tr, *minutes)
-	if *csvOut {
-		rows := [][]string{}
+	default:
+		counts, total := perMinute(trace.NewBursty(*seed, bcfg), *minutes)
+		if *csvOut {
+			rows := [][]string{}
+			for m, c := range counts {
+				rows = append(rows, []string{strconv.Itoa(m), strconv.Itoa(c)})
+			}
+			err = writeCSV(stdout, []string{"minute", "invocations"}, rows)
+			break
+		}
+		fmt.Fprintf(stdout, "total invocations: %d (peak concurrency %d at 1s exec)\n",
+			total, trace.PeakConcurrency(trace.NewBursty(*seed, bcfg), sim.Second))
+		fmt.Fprintln(stdout, "minute  invocations")
 		for m, c := range counts {
-			rows = append(rows, []string{strconv.Itoa(m), strconv.Itoa(c)})
+			fmt.Fprintf(stdout, "%6d  %11d\n", m, c)
 		}
-		writeCSV([]string{"minute", "invocations"}, rows)
-		return
 	}
-	fmt.Printf("total invocations: %d (peak concurrency %d at 1s exec)\n",
-		tr.Len(), trace.PeakConcurrency(tr, sim.Second))
-	fmt.Println("minute  invocations")
-	for m, c := range counts {
-		fmt.Printf("%6d  %11d\n", m, c)
-	}
+	return status(stderr, err)
 }
 
-func perMinute(tr *trace.Trace, minutes int) []int {
-	counts := make([]int, minutes)
-	for _, ts := range tr.Times {
-		m := int(sim.Duration(ts) / sim.Minute)
-		if m < len(counts) {
+// perMinute drains a stream into per-minute invocation counts over the
+// first minutes minutes, and returns the stream's total length.
+func perMinute(s trace.Stream, minutes int) (counts []int, total int) {
+	counts = make([]int, minutes)
+	for inv, ok := s.Next(); ok; inv, ok = s.Next() {
+		total++
+		if m := int(sim.Duration(inv.T) / sim.Minute); m < len(counts) {
 			counts[m]++
 		}
 	}
-	return counts
+	return counts, total
 }
 
-func writeEvents(s trace.Stream) {
-	if _, err := trace.WriteCSV(os.Stdout, s); err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		os.Exit(1)
-	}
-}
-
-func writeCSV(header []string, rows [][]string) {
-	w := csv.NewWriter(os.Stdout)
-	w.Write(header)
+func writeCSV(w io.Writer, header []string, rows [][]string) error {
+	cw := csv.NewWriter(w)
+	cw.Write(header)
 	for _, r := range rows {
-		w.Write(r)
+		cw.Write(r)
 	}
-	w.Flush()
-	if err := w.Error(); err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		os.Exit(1)
+	cw.Flush()
+	return cw.Error()
+}
+
+// status reports an output error and returns the exit status.
+func status(stderr io.Writer, err error) int {
+	if err != nil {
+		fmt.Fprintln(stderr, "tracegen:", err)
+		return 1
 	}
+	return 0
 }

@@ -25,14 +25,13 @@ func main() {
 	})
 
 	const duration = 4 * sim.Minute
-	tr := trace.GenBursty(7, trace.BurstyConfig{
+	src := trace.NewBursty(7, trace.BurstyConfig{
 		Duration: duration * 3 / 4,
 		BaseRPS:  0.3, BurstRPS: 5,
 		BurstLen: 20 * sim.Second, BurstGap: 40 * sim.Second,
 	})
-	for _, ts := range tr.Times {
-		ts := ts
-		sched.At(ts, func() { fv.InvokePrimary(nil) })
+	for inv, ok := src.Next(); ok; inv, ok = src.Next() {
+		sched.At(inv.T, func() { fv.InvokePrimary(nil) })
 	}
 
 	fmt.Println("  time  live  idle  committed  populated")

@@ -133,15 +133,14 @@ func (q *boundaryQueue) reset() {
 }
 
 // nextBoundary merges the staged work, drops moot resilience heads and
-// returns the next boundary: the earlier of the next invocation and
-// the queue head, unless the head lies past horizon.
-func (c *Cluster) nextBoundary(src InvocationStream, horizon sim.Time) (sim.Time, bool) {
+// returns the next boundary: the earlier of the next invocation's time
+// t (if ok) and the queue head, unless the head lies past horizon.
+func (c *Cluster) nextBoundary(t sim.Time, ok bool, horizon sim.Time) (sim.Time, bool) {
 	q := &c.q
 	q.merge(c.now)
 	for len(q.heap) > 0 && q.heap[0].moot() {
 		q.pop()
 	}
-	t, ok := src.Peek()
 	if len(q.heap) > 0 && q.heap[0].t <= horizon && (!ok || q.heap[0].at < t) {
 		t, ok = q.heap[0].at, true
 	}

@@ -9,7 +9,6 @@ import (
 	"squeezy/internal/fault"
 	"squeezy/internal/obs"
 	"squeezy/internal/sim"
-	"squeezy/internal/trace"
 	"squeezy/internal/units"
 	"squeezy/internal/workload"
 )
@@ -69,7 +68,7 @@ var boundaryCases = []boundaryCase{
 			tr := &obs.Trace{Experiment: "boundary"}
 			c.AttachObs(tr)
 			long, html := workload.LongHaul(), workload.ByName("HTML")
-			c.Play([]Invocation{{T: 0, Fn: long}, {T: 0, Fn: long}, {T: 0, Fn: html}}, PlayConfig{
+			c.Play(&sliceStream{{T: 0, Func: 0}, {T: 0, Func: 0}, {T: 0, Func: 1}}, ranks(long, html), PlayConfig{
 				TickEvery: sim.Second, TickUntil: sim.Time(20 * sim.Second),
 				DrainUntil: sim.Time(120 * sim.Second),
 				Events: []FleetEvent{
@@ -113,7 +112,7 @@ var boundaryCases = []boundaryCase{
 			tr := &obs.Trace{Experiment: "boundary"}
 			c.AttachObs(tr)
 			html := workload.ByName("HTML")
-			c.Play([]Invocation{{T: sim.Time(5 * sim.Second), Fn: html}, {T: sim.Time(7 * sim.Second), Fn: html}}, PlayConfig{
+			c.Play(&sliceStream{{T: sim.Time(5 * sim.Second)}, {T: sim.Time(7 * sim.Second)}}, ranks(html), PlayConfig{
 				DrainUntil: sim.Time(60 * sim.Second),
 				Faults: []fault.Event{
 					{T: sim.Time(5 * sim.Second), Dur: 0, Kind: fault.ColdFail, Host: -1, Mag: 1},
@@ -150,11 +149,10 @@ var boundaryCases = []boundaryCase{
 			c.hostOrder = hook
 			// Sparse arrivals and no memory ticks, so resilience
 			// decisions are the boundaries between invocations.
-			c.Play(fleetInvs(3, 6, dur, 1, 6), PlayConfig{
+			churn, _ := genChurn(3, churnConfig{dur: dur, events: 4, hosts: hosts})
+			c.Play(fleetStream(3, 6, dur, 1, 6), fleetFns(), PlayConfig{
 				DrainUntil: sim.Time(10 * dur),
-				Events: fleetEvents(trace.GenChurn(3, trace.ChurnConfig{
-					Duration: dur, Events: 4, Hosts: hosts,
-				})),
+				Events:     churn,
 				Faults: fault.GenFaults(3, fault.Config{
 					Duration: dur, Events: 8, Hosts: hosts,
 				}),
@@ -184,10 +182,10 @@ var boundaryCases = []boundaryCase{
 			tr := &obs.Trace{Experiment: "boundary"}
 			c.AttachObs(tr)
 			html := workload.ByName("HTML")
-			c.Play([]Invocation{{T: sim.Time(2 * sim.Second), Fn: html}}, PlayConfig{
+			c.Play(&sliceStream{{T: sim.Time(2 * sim.Second)}}, ranks(html), PlayConfig{
 				DrainUntil: sim.Time(10 * sim.Second),
 			})
-			c.Play([]Invocation{{T: sim.Time(15 * sim.Second), Fn: html}}, PlayConfig{
+			c.Play(&sliceStream{{T: sim.Time(15 * sim.Second)}}, ranks(html), PlayConfig{
 				DrainUntil: sim.Time(30 * sim.Second),
 				Events:     []FleetEvent{{T: sim.Time(3 * sim.Second), Kind: HostJoin, Host: -1}},
 			})

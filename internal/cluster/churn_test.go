@@ -2,12 +2,15 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 
 	"squeezy/internal/costmodel"
 	"squeezy/internal/faas"
+	"squeezy/internal/fault"
 	"squeezy/internal/sim"
-	"squeezy/internal/trace"
 	"squeezy/internal/units"
 	"squeezy/internal/workload"
 )
@@ -17,22 +20,129 @@ import (
 // against dynamic fleets. Hosts join, fail, and drain mid-trace from fuzzed schedules,
 // and every run must still be a pure function of (seed, config).
 
-// fleetEvents adapts a generated churn schedule to the cluster's event
-// stream (kept local so cluster does not import trace's generator
-// types beyond tests).
-func fleetEvents(churn []trace.ChurnEvent) []FleetEvent {
-	events := make([]FleetEvent, len(churn))
-	for i, ev := range churn {
-		kind := HostJoin
-		switch ev.Kind {
-		case trace.ChurnFail:
-			kind = HostFail
-		case trace.ChurnDrain:
-			kind = HostDrain
-		}
-		events[i] = FleetEvent{T: ev.T, Kind: kind, Host: ev.Host}
+// churnConfig parameterizes genChurn.
+type churnConfig struct {
+	// dur bounds event times: events land in (0, dur).
+	dur sim.Duration
+	// events is the number of churn events to draw.
+	events int
+	// hosts is the fleet's initial host count; targeted events pick IDs
+	// in [0, 2*hosts) so some deliberately name hosts that are already
+	// gone or never existed (the fleet must treat those as no-ops).
+	hosts int
+	// racks, when > 0, adds rack failures to the mix, with rack indices
+	// in [0, 2*racks), half deliberately dangling. Zero draws exactly
+	// the flat schedule.
+	racks int
+}
+
+// genChurn fuzzes a churn schedule: join, fail and drain events (plus
+// rack failures when the config has racks) at uniform times, half
+// targeting the busiest host (-1) and half targeting explicit
+// (possibly dangling) IDs. Host-level events come back as fleet events
+// and rack failures as rack-fail fault events, each in time order;
+// same-time events keep their draw order. The same seed always yields
+// the same schedule.
+func genChurn(seed uint64, cfg churnConfig) ([]FleetEvent, []fault.Event) {
+	const rackFail = 3 // the drawn kind after HostJoin, HostFail, HostDrain
+	rng := rand.New(rand.NewPCG(seed, 0xc4123))
+	kinds := 3
+	if cfg.racks > 0 {
+		kinds = 4
 	}
-	return events
+	type draw struct {
+		t          sim.Time
+		kind, host int
+	}
+	draws := make([]draw, 0, cfg.events)
+	for i := 0; i < cfg.events; i++ {
+		d := draw{t: sim.Time(1 + rng.Int64N(int64(cfg.dur)-1)), kind: rng.IntN(kinds), host: -1}
+		if d.kind == rackFail {
+			d.host = rng.IntN(2 * cfg.racks)
+		} else if rng.IntN(2) == 0 && cfg.hosts > 0 {
+			d.host = rng.IntN(2 * cfg.hosts)
+		}
+		draws = append(draws, d)
+	}
+	sort.SliceStable(draws, func(i, j int) bool { return draws[i].t < draws[j].t })
+	var events []FleetEvent
+	var racks []fault.Event
+	for _, d := range draws {
+		if d.kind == rackFail {
+			racks = append(racks, fault.Event{T: d.t, Kind: fault.RackFail, Host: d.host, Mag: 1})
+		} else {
+			events = append(events, FleetEvent{T: d.t, Kind: FleetEventKind(d.kind), Host: d.host})
+		}
+	}
+	return events, racks
+}
+
+// TestChurnSchedule pins the properties the churn fuzzer relies on:
+// the schedule is a pure function of its seed, sorted by time,
+// strictly inside the trace window, and mixes targeted hosts
+// (including deliberately dangling IDs) with "busiest" (-1) wildcards.
+func TestChurnSchedule(t *testing.T) {
+	cfg := churnConfig{dur: 30 * sim.Second, events: 40, hosts: 4}
+	a, _ := genChurn(7, cfg)
+	b, _ := genChurn(7, cfg)
+	if len(a) != cfg.events || len(b) != cfg.events {
+		t.Fatalf("lengths %d/%d, want %d", len(a), len(b), cfg.events)
+	}
+	targeted, wildcard := 0, 0
+	for i, ev := range a {
+		if ev != b[i] {
+			t.Fatalf("event %d differs across same-seed runs: %+v vs %+v", i, ev, b[i])
+		}
+		if i > 0 && ev.T < a[i-1].T {
+			t.Fatalf("events not sorted: %d then %d", a[i-1].T, ev.T)
+		}
+		if ev.T <= 0 || ev.T >= sim.Time(cfg.dur) {
+			t.Fatalf("event %d at %d outside (0, %d)", i, ev.T, cfg.dur)
+		}
+		if ev.Kind != HostJoin && ev.Kind != HostFail && ev.Kind != HostDrain {
+			t.Fatalf("event %d has kind %d", i, ev.Kind)
+		}
+		if ev.Host == -1 {
+			wildcard++
+		} else if ev.Host >= 0 && ev.Host < 2*cfg.hosts {
+			targeted++
+		} else {
+			t.Fatalf("event %d targets host %d outside [0, %d)", i, ev.Host, 2*cfg.hosts)
+		}
+	}
+	if targeted == 0 || wildcard == 0 {
+		t.Fatalf("no mix: %d targeted, %d wildcard", targeted, wildcard)
+	}
+	if c, _ := genChurn(8, cfg); slices.Equal(c, a) {
+		t.Fatal("different seeds produced identical churn schedules")
+	}
+}
+
+// TestChurnScheduleRacks: with racks unset the schedule draws no rack
+// failure; with racks declared, rack failures appear as rack-fail
+// fault events with rack-index targets (possibly dangling, for no-op
+// coverage), sorted by time.
+func TestChurnScheduleRacks(t *testing.T) {
+	cfg := churnConfig{dur: 30 * sim.Second, events: 40, hosts: 4}
+	if _, racks := genChurn(7, cfg); len(racks) != 0 {
+		t.Fatal("flat schedule drew a rack failure")
+	}
+	cfg.racks = 2
+	events, racks := genChurn(7, cfg)
+	if len(racks) == 0 {
+		t.Fatal("racked schedule drew no rack failures in 40 events")
+	}
+	if len(events)+len(racks) != cfg.events {
+		t.Fatalf("%d host events + %d rack failures, want %d", len(events), len(racks), cfg.events)
+	}
+	for i, ev := range racks {
+		if ev.Kind != fault.RackFail || ev.Host < 0 || ev.Host >= 2*cfg.racks {
+			t.Fatalf("rack failure %+v: want a rack-fail on a rack in [0, %d)", ev, 2*cfg.racks)
+		}
+		if i > 0 && ev.T < racks[i-1].T {
+			t.Fatalf("rack failures not sorted: %d then %d", racks[i-1].T, ev.T)
+		}
+	}
 }
 
 // churnTable extends the metrics fingerprint with the fleet-dynamics
@@ -66,13 +176,11 @@ func churnRun(seed uint64, order func([]*Node) []*Node) (uint64, string) {
 		PhaseBounds: []sim.Time{sim.Time(dur / 2)},
 	}, NewPolicy("reclaim-aware", cost))
 	c.hostOrder = order
-	churn := trace.GenChurn(seed, trace.ChurnConfig{
-		Duration: dur, Events: 6, Hosts: hosts,
-	})
-	c.Play(fleetInvs(seed, 6, dur, 6, 30), PlayConfig{
+	churn, _ := genChurn(seed, churnConfig{dur: dur, events: 6, hosts: hosts})
+	c.Play(fleetStream(seed, 6, dur, 6, 30), fleetFns(), PlayConfig{
 		TickEvery: sim.Second, TickUntil: sim.Time(dur),
 		DrainUntil: sim.Time(10 * dur),
-		Events:     fleetEvents(churn),
+		Events:     churn,
 	})
 	return c.Fired(), churnTable(c)
 }
@@ -112,7 +220,7 @@ func TestAutoscaleShardInvariance(t *testing.T) {
 			N: 4, KeepAlive: 20 * sim.Second,
 		}, NewPolicy("reclaim-aware", cost))
 		c.hostOrder = order
-		c.Play(fleetInvs(9, 6, dur, 6, 30), PlayConfig{
+		c.Play(fleetStream(9, 6, dur, 6, 30), fleetFns(), PlayConfig{
 			TickEvery: sim.Second, TickUntil: sim.Time(dur),
 			DrainUntil: sim.Time(10 * dur),
 			Autoscale: &AutoscaleConfig{
@@ -378,7 +486,7 @@ func TestJoinedHostTakesPlacements(t *testing.T) {
 		t.Fatalf("joined host clock %v, want fleet clock %v", n.Sched.Now(), c.Now())
 	}
 	// Three cold placements round-robin across all three hosts.
-	for _, fn := range workload.Fleet(3) {
+	for _, fn := range fleetFuncs(3) {
 		c.Invoke(fn, nil)
 	}
 	drainFor(c, 20*sim.Second)
@@ -416,7 +524,7 @@ func TestResetClearsChurnState(t *testing.T) {
 	cfg := Config{Hosts: 3, HostMemBytes: 24 * units.GiB, Backend: faas.Squeezy, N: 4,
 		KeepAlive: 30 * sim.Second}
 	replay := func(c *Cluster) (uint64, string) {
-		c.Play(fleetInvs(3, 8, 30*sim.Second, 4, 24), PlayConfig{
+		c.Play(fleetStream(3, 8, 30*sim.Second, 4, 24), fleetFns(), PlayConfig{
 			TickEvery: sim.Second, TickUntil: sim.Time(30 * sim.Second),
 			DrainUntil: sim.Time(300 * sim.Second),
 		})
@@ -426,7 +534,7 @@ func TestResetClearsChurnState(t *testing.T) {
 	wantFired, wantTable := replay(fresh)
 
 	churned := New(cost, cfg, NewPolicy("reclaim-aware", cost))
-	churned.Play(fleetInvs(5, 8, 20*sim.Second, 4, 24), PlayConfig{
+	churned.Play(fleetStream(5, 8, 20*sim.Second, 4, 24), fleetFns(), PlayConfig{
 		TickEvery: sim.Second, TickUntil: sim.Time(20 * sim.Second),
 		DrainUntil: sim.Time(100 * sim.Second),
 		Events: []FleetEvent{

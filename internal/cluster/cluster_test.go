@@ -45,7 +45,7 @@ func TestWarmAffinityReusesInstance(t *testing.T) {
 
 func TestRoundRobinSpreadsColdPlacements(t *testing.T) {
 	c := newTestCluster(3, 0, faas.Squeezy, "round-robin")
-	for _, fn := range workload.Fleet(3) {
+	for _, fn := range fleetFuncs(3) {
 		c.Invoke(fn, nil)
 	}
 	drainFor(c, 20*sim.Second)
@@ -58,7 +58,7 @@ func TestRoundRobinSpreadsColdPlacements(t *testing.T) {
 
 func TestLeastLoadedBalancesInstances(t *testing.T) {
 	c := newTestCluster(2, 0, faas.Squeezy, "least-loaded")
-	fns := workload.Fleet(4)
+	fns := fleetFuncs(4)
 	// Sequential cold starts: each placement should land on the host
 	// with fewer live instances, alternating hosts.
 	for _, fn := range fns {
@@ -79,7 +79,7 @@ func TestHeadroomAvoidsFullHost(t *testing.T) {
 	if !c.Nodes[0].Host.TryCommit(units.BytesToPages(7 * units.GiB)) {
 		t.Fatal("setup commit failed")
 	}
-	for _, fn := range workload.Fleet(3) {
+	for _, fn := range fleetFuncs(3) {
 		c.Invoke(fn, nil)
 	}
 	drainFor(c, 20*sim.Second)
@@ -157,19 +157,53 @@ func TestReclaimAwarePrefersCheaperBackendUnderDeficit(t *testing.T) {
 	}
 }
 
-// fleetInvs synthesizes a Zipf fleet's merged invocation stream.
-func fleetInvs(seed uint64, funcs int, duration sim.Duration, baseRPS, burstRPS float64) []Invocation {
-	fleet := workload.Fleet(funcs)
-	traces := trace.GenFleet(seed, trace.FleetConfig{
+// fleetStream is a Zipf fleet's merged invocation stream; fleetFns
+// resolves its ranks.
+func fleetStream(seed uint64, funcs int, duration sim.Duration, baseRPS, burstRPS float64) trace.Stream {
+	return trace.NewFleetStream(seed, trace.FleetConfig{
 		Funcs: funcs, Duration: duration,
 		TotalBaseRPS: baseRPS, TotalBurstRPS: burstRPS,
 	})
-	merged := trace.Merge(traces)
-	invs := make([]Invocation, len(merged))
-	for i, inv := range merged {
-		invs[i] = Invocation{T: inv.T, Fn: fleet[inv.Func]}
+}
+
+// fleetFns resolves ranks to the members of a fresh fleet.
+func fleetFns() func(int) *workload.Function { return new(workload.FleetPool).Get }
+
+// fleetFuncs returns the first n members of a fresh fleet.
+func fleetFuncs(n int) []*workload.Function {
+	var pool workload.FleetPool
+	fns := make([]*workload.Function, n)
+	for i := range fns {
+		fns[i] = pool.Get(i)
+	}
+	return fns
+}
+
+// sliceStream replays a time-sorted invocation slice: hand-written
+// plays, and drained streams replayed against the streamed original.
+type sliceStream []trace.TaggedInvocation
+
+func (s *sliceStream) Next() (trace.TaggedInvocation, bool) {
+	if len(*s) == 0 {
+		return trace.TaggedInvocation{}, false
+	}
+	inv := (*s)[0]
+	*s = (*s)[1:]
+	return inv, true
+}
+
+// drainStream materializes a stream.
+func drainStream(src trace.Stream) sliceStream {
+	var invs sliceStream
+	for inv, ok := src.Next(); ok; inv, ok = src.Next() {
+		invs = append(invs, inv)
 	}
 	return invs
+}
+
+// ranks resolves rank i to fns[i].
+func ranks(fns ...*workload.Function) func(int) *workload.Function {
+	return func(i int) *workload.Function { return fns[i] }
 }
 
 // metricsTable flattens the run's outcome into a comparable string.
@@ -188,7 +222,7 @@ func metricsTable(c *Cluster) string {
 func TestFleetDeterminism(t *testing.T) {
 	run := func() (*Metrics, string) {
 		c := newTestCluster(3, 16*units.GiB, faas.Squeezy, "reclaim-aware")
-		c.Play(fleetInvs(42, 8, 40*sim.Second, 4, 20), PlayConfig{
+		c.Play(fleetStream(42, 8, 40*sim.Second, 4, 20), fleetFns(), PlayConfig{
 			TickEvery: sim.Second, TickUntil: sim.Time(40 * sim.Second),
 			DrainUntil: sim.Time(60 * sim.Second),
 		})
@@ -216,7 +250,7 @@ func TestFullRunDeterministicFiredAndTables(t *testing.T) {
 			Hosts: 2, HostMemBytes: 24 * units.GiB, Backend: faas.Squeezy,
 			N: 4, KeepAlive: 20 * sim.Second,
 		}, NewPolicy("reclaim-aware", cost))
-		c.Play(fleetInvs(7, 6, 30*sim.Second, 4, 24), PlayConfig{
+		c.Play(fleetStream(7, 6, 30*sim.Second, 4, 24), fleetFns(), PlayConfig{
 			TickEvery: sim.Second, TickUntil: sim.Time(30 * sim.Second),
 			DrainUntil: sim.Time(300 * sim.Second),
 		})
@@ -243,7 +277,7 @@ func TestFullRunDeterministicFiredAndTables(t *testing.T) {
 // per-host recyclers now hand back.
 func TestResetReplaysIdentically(t *testing.T) {
 	replay := func(c *Cluster) (uint64, string) {
-		c.Play(fleetInvs(3, 8, 30*sim.Second, 4, 24), PlayConfig{
+		c.Play(fleetStream(3, 8, 30*sim.Second, 4, 24), fleetFns(), PlayConfig{
 			TickEvery: sim.Second, TickUntil: sim.Time(30 * sim.Second),
 			DrainUntil: sim.Time(300 * sim.Second),
 		})

@@ -8,7 +8,6 @@ import (
 	"squeezy/internal/faas"
 	"squeezy/internal/fault"
 	"squeezy/internal/sim"
-	"squeezy/internal/trace"
 	"squeezy/internal/units"
 	"squeezy/internal/workload"
 )
@@ -25,28 +24,6 @@ import (
 // byte-identity.
 func domainTable(c *Cluster) string {
 	return fmt.Sprintf("%s rackev=%d paced=%d", faultTable(c), c.Metrics.RackEvents, c.Metrics.Paced)
-}
-
-// splitDomainChurn adapts a rack-aware churn schedule: host-level
-// events go to the fleet-event stream, rack failures become rack-level
-// fault events (possibly dangling — fuzzed rack indices past the
-// topology must be safe no-ops).
-func splitDomainChurn(churn []trace.ChurnEvent) ([]FleetEvent, []fault.Event) {
-	var fleet []FleetEvent
-	var faults []fault.Event
-	for _, ev := range churn {
-		switch ev.Kind {
-		case trace.ChurnRackFail:
-			faults = append(faults, fault.Event{T: ev.T, Kind: fault.RackFail, Host: ev.Host, Mag: 1})
-		case trace.ChurnFail:
-			fleet = append(fleet, FleetEvent{T: ev.T, Kind: HostFail, Host: ev.Host})
-		case trace.ChurnDrain:
-			fleet = append(fleet, FleetEvent{T: ev.T, Kind: HostDrain, Host: ev.Host})
-		default:
-			fleet = append(fleet, FleetEvent{T: ev.T, Kind: HostJoin, Host: ev.Host})
-		}
-	}
-	return fleet, faults
 }
 
 // domainCluster plays one pressured fleet with a topology, fuzzed
@@ -67,15 +44,12 @@ func domainCluster(seed uint64, order func([]*Node) []*Node) *Cluster {
 		Repace: &RepaceConfig{Shed: true},
 	}, NewPolicy("spread", cost))
 	c.hostOrder = order
-	churn := trace.GenChurn(seed, trace.ChurnConfig{
-		Duration: dur, Events: 4, Hosts: hosts, Racks: 2,
-	})
-	fleetEvs, rackFails := splitDomainChurn(churn)
+	fleetEvs, rackFails := genChurn(seed, churnConfig{dur: dur, events: 4, hosts: hosts, racks: 2})
 	faults := fault.GenFaults(seed, fault.Config{
 		Duration: dur, Events: 8, Hosts: hosts, Racks: 2,
 	})
 	faults = append(faults, rackFails...)
-	c.Play(fleetInvs(seed, 6, dur, 6, 30), PlayConfig{
+	c.Play(fleetStream(seed, 6, dur, 6, 30), fleetFns(), PlayConfig{
 		TickEvery: sim.Second, TickUntil: sim.Time(dur),
 		DrainUntil: sim.Time(10 * dur),
 		Events:     fleetEvs,
@@ -129,7 +103,7 @@ func TestDomainNoOpEventsByteIdentical(t *testing.T) {
 			N: 4, KeepAlive: 20 * sim.Second,
 			Topology: topo,
 		}, NewPolicy("reclaim-aware", cost))
-		c.Play(fleetInvs(4, 6, dur, 6, 30), PlayConfig{
+		c.Play(fleetStream(4, 6, dur, 6, 30), fleetFns(), PlayConfig{
 			TickEvery: sim.Second, TickUntil: sim.Time(dur),
 			DrainUntil: sim.Time(10 * dur),
 			Faults:     faults, FaultSeed: 4,

@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"fmt"
+
 	"squeezy/internal/fault"
 	"squeezy/internal/sim"
+	"squeezy/internal/trace"
 	"squeezy/internal/workload"
 )
 
@@ -48,12 +51,6 @@ import (
 // and per-epoch shuffles (the hostOrder test hook) and require
 // identical events, tables and traces.
 
-// Invocation is one dispatcher boundary event: fn arrives at T.
-type Invocation struct {
-	T  sim.Time
-	Fn *workload.Function
-}
-
 // PlayConfig shapes one epoch-driven fleet run.
 type PlayConfig struct {
 	// TickEvery is the fleet memory-sampling cadence (0 disables);
@@ -81,13 +78,49 @@ type PlayConfig struct {
 	FaultSeed uint64
 }
 
-// Play replays a time-sorted invocation slice through the dispatcher
-// under the epoch protocol described above. It leaves every host at
-// DrainUntil and the merged fleet metrics ready in Stats(). Play is a
-// thin wrapper over PlayStream (stream.go), which accepts a streaming
-// source and bounds memory independently of invocation count.
-func (c *Cluster) Play(invs []Invocation, pc PlayConfig) {
-	c.PlayStream(SliceStream(invs), pc)
+// Play replays a time-sorted invocation stream through the dispatcher
+// under the epoch protocol described above, resolving each
+// invocation's function rank through fn as it is dispatched. It leaves
+// every host at DrainUntil and the merged fleet metrics ready in
+// Stats(). The stream is consumed exactly once, one invocation ahead
+// of the boundary it sets: peak memory is bounded by the stream's own
+// cursor state plus the fleet, independent of how many invocations
+// flow through — the property the memory-bound regression test
+// asserts for million-invocation multi-day runs.
+func (c *Cluster) Play(src trace.Stream, fn func(rank int) *workload.Function, pc PlayConfig) {
+	c.autoscale = pc.Autoscale
+	c.ScheduleFleetEvents(pc.Events)
+	c.ScheduleFaults(pc.Faults, pc.FaultSeed)
+	c.tickEvery, c.tickUntil = pc.TickEvery, pc.TickUntil
+	if pc.TickEvery > 0 && pc.TickUntil >= 0 {
+		// Pre-size the fleet memory series for the full tick count: a
+		// multi-day run at 1 s cadence appends hundreds of thousands of
+		// points, and growing through repeated appends would double the
+		// buffers a dozen times mid-run.
+		n := int(pc.TickUntil/sim.Time(pc.TickEvery)) + 1
+		c.Metrics.Committed.Reserve(n)
+		c.Metrics.Populated.Reserve(n)
+		c.q.push(entry{t: 0, class: classMemory})
+	}
+	next, more := src.Next()
+	for {
+		t, ok := c.nextBoundary(next.T, more, pc.DrainUntil)
+		if !ok {
+			break
+		}
+		if t < c.now {
+			panic(fmt.Sprintf("cluster: invocation stream not sorted: %d after %d", t, c.now))
+		}
+		c.AdvanceTo(t)
+		c.fireQueued(t)
+		for more && next.T == t {
+			c.Invoke(fn(next.Func), nil)
+			next, more = src.Next()
+		}
+		c.fireDue(t, classMemory)
+	}
+	c.Drain(pc.DrainUntil)
+	c.finishResil()
 }
 
 // AdvanceTo advances every host to the epoch boundary t: all host

@@ -55,7 +55,7 @@ func orderedRun(t *testing.T, backend faas.BackendKind, order func([]*Node) []*N
 		N: 4, KeepAlive: 20 * sim.Second,
 	}, NewPolicy("reclaim-aware", cost))
 	c.hostOrder = order
-	c.Play(fleetInvs(11, 8, 30*sim.Second, 6, 30), PlayConfig{
+	c.Play(fleetStream(11, 8, 30*sim.Second, 6, 30), fleetFns(), PlayConfig{
 		TickEvery: sim.Second, TickUntil: sim.Time(30 * sim.Second),
 		DrainUntil: sim.Time(300 * sim.Second),
 	})
@@ -108,7 +108,7 @@ func TestEpochsRunInline(t *testing.T) {
 	}
 	// Memory ticks at 0, 1 s, ..., 10 s are the only boundaries: eleven
 	// advances, then one drain.
-	c.Play(nil, PlayConfig{
+	c.Play(&sliceStream{}, nil, PlayConfig{
 		TickEvery: sim.Second, TickUntil: sim.Time(10 * sim.Second),
 		DrainUntil: sim.Time(20 * sim.Second),
 	})
@@ -130,7 +130,7 @@ func TestPlayTickCadence(t *testing.T) {
 	cost := costmodel.Default()
 	c := New(cost, Config{Hosts: 2, Backend: faas.Squeezy},
 		NewPolicy("round-robin", cost))
-	c.Play(fleetInvs(5, 4, 10*sim.Second, 2, 8), PlayConfig{
+	c.Play(fleetStream(5, 4, 10*sim.Second, 2, 8), fleetFns(), PlayConfig{
 		TickEvery: sim.Second, TickUntil: sim.Time(10 * sim.Second),
 		DrainUntil: sim.Time(20 * sim.Second),
 	})

@@ -10,7 +10,6 @@ import (
 	"squeezy/internal/fault"
 	"squeezy/internal/obs"
 	"squeezy/internal/sim"
-	"squeezy/internal/trace"
 	"squeezy/internal/units"
 	"squeezy/internal/workload"
 )
@@ -69,13 +68,11 @@ func playFaultFixture(seed uint64, order func([]*Node) []*Node, resil *Resilienc
 		Repace:      repace,
 	}, NewPolicy("reclaim-aware", cost))
 	c.hostOrder = order
-	churn := trace.GenChurn(seed, trace.ChurnConfig{
-		Duration: dur, Events: 4, Hosts: hosts,
-	})
-	c.Play(fleetInvs(seed, 6, dur, 6, 30), PlayConfig{
+	churn, _ := genChurn(seed, churnConfig{dur: dur, events: 4, hosts: hosts})
+	c.Play(fleetStream(seed, 6, dur, 6, 30), fleetFns(), PlayConfig{
 		TickEvery: sim.Second, TickUntil: sim.Time(dur),
 		DrainUntil: sim.Time(10 * dur),
-		Events:     fleetEvents(churn),
+		Events:     churn,
 		Faults: fault.GenFaults(seed, fault.Config{
 			Duration: dur, Events: 8, Hosts: hosts,
 		}),
@@ -152,7 +149,7 @@ func rerunForMetrics(seed uint64) *Cluster {
 			Timeout: 5 * sim.Second, Hedge: true, HedgeDelay: 3 * sim.Second, Shed: true,
 		},
 	}, NewPolicy("reclaim-aware", cost))
-	c.Play(fleetInvs(seed, 6, dur, 6, 30), PlayConfig{
+	c.Play(fleetStream(seed, 6, dur, 6, 30), fleetFns(), PlayConfig{
 		TickEvery: sim.Second, TickUntil: sim.Time(dur),
 		DrainUntil: sim.Time(10 * dur),
 		Faults: fault.GenFaults(seed, fault.Config{
@@ -181,7 +178,7 @@ func TestFaultTracedMatchesUntraced(t *testing.T) {
 		if traced {
 			c.AttachObs(&obs.Trace{Experiment: "faults"})
 		}
-		c.Play(fleetInvs(2, 6, dur, 6, 30), PlayConfig{
+		c.Play(fleetStream(2, 6, dur, 6, 30), fleetFns(), PlayConfig{
 			TickEvery: sim.Second, TickUntil: sim.Time(dur),
 			DrainUntil: sim.Time(10 * dur),
 			Faults: fault.GenFaults(2, fault.Config{
@@ -211,7 +208,7 @@ func TestFaultNoOpPlansByteIdentical(t *testing.T) {
 			Hosts: 3, HostMemBytes: 18 * units.GiB, Backend: faas.Squeezy,
 			N: 4, KeepAlive: 20 * sim.Second,
 		}, NewPolicy("reclaim-aware", cost))
-		c.Play(fleetInvs(4, 6, dur, 6, 30), PlayConfig{
+		c.Play(fleetStream(4, 6, dur, 6, 30), fleetFns(), PlayConfig{
 			TickEvery: sim.Second, TickUntil: sim.Time(dur),
 			DrainUntil: sim.Time(10 * dur),
 			Faults:     faults, FaultSeed: 4,

@@ -9,7 +9,6 @@ import (
 	"squeezy/internal/faas"
 	"squeezy/internal/obs"
 	"squeezy/internal/sim"
-	"squeezy/internal/trace"
 	"squeezy/internal/units"
 	"squeezy/internal/workload"
 )
@@ -34,13 +33,11 @@ func churnRunObs(seed uint64, order func([]*Node) []*Node) (uint64, string, *obs
 	c.hostOrder = order
 	tr := &obs.Trace{Experiment: "churn", Label: fmt.Sprintf("seed%d", seed)}
 	c.AttachObs(tr)
-	churn := trace.GenChurn(seed, trace.ChurnConfig{
-		Duration: dur, Events: 6, Hosts: hosts,
-	})
-	c.Play(fleetInvs(seed, 6, dur, 6, 30), PlayConfig{
+	churn, _ := genChurn(seed, churnConfig{dur: dur, events: 6, hosts: hosts})
+	c.Play(fleetStream(seed, 6, dur, 6, 30), fleetFns(), PlayConfig{
 		TickEvery: sim.Second, TickUntil: sim.Time(dur),
 		DrainUntil: sim.Time(10 * dur),
-		Events:     fleetEvents(churn),
+		Events:     churn,
 	})
 	return c.Fired(), churnTable(c), tr
 }
@@ -114,8 +111,9 @@ func TestObsAutoscaleCounters(t *testing.T) {
 			tr = &obs.Trace{Experiment: "autoscale"}
 			c.AttachObs(tr)
 		}
-		invs := fleetInvs(9, 6, dur, 6, 30)
-		c.Play(invs, PlayConfig{
+		invs := drainStream(fleetStream(9, 6, dur, 6, 30))
+		n := len(invs)
+		c.Play(&invs, fleetFns(), PlayConfig{
 			TickEvery: sim.Second, TickUntil: sim.Time(dur),
 			DrainUntil: sim.Time(10 * dur),
 			Autoscale: &AutoscaleConfig{
@@ -123,7 +121,7 @@ func TestObsAutoscaleCounters(t *testing.T) {
 				Cooldown: 5 * sim.Second, JoinDelay: 2 * sim.Second,
 			},
 		})
-		return c.Fired(), churnTable(c), tr, c, len(invs)
+		return c.Fired(), churnTable(c), tr, c, n
 	}
 	wantFired, wantTable, _, _, _ := run(false)
 	gotFired, gotTable, tr, c, invoked := run(true)

@@ -10,51 +10,16 @@ import (
 	"squeezy/internal/stats"
 	"squeezy/internal/trace"
 	"squeezy/internal/units"
-	"squeezy/internal/workload"
 )
 
 // The streaming determinism suite: the epoch loop fed by a live trace
 // cursor — diurnally modulated, with reservoir sketches collecting the
 // latency tails — must remain byte-identical across host orders and
-// streamed-vs-materialized replay. This extends the PR 5–9 invariance
-// harness to the PR 10 streaming path.
-
-// fnStream adapts a trace cursor to the dispatcher's invocation
-// stream for the tests, buffering one invocation for Peek.
-type fnStream struct {
-	src   trace.Stream
-	fleet []*workload.Function
-	next  Invocation
-	have  bool
-}
-
-func (s *fnStream) fill() {
-	if s.have {
-		return
-	}
-	if it, ok := s.src.Next(); ok {
-		s.next = Invocation{T: it.T, Fn: s.fleet[it.Func]}
-		s.have = true
-	}
-}
-
-func (s *fnStream) Peek() (sim.Time, bool) {
-	s.fill()
-	return s.next.T, s.have
-}
-
-func (s *fnStream) Next() (Invocation, bool) {
-	s.fill()
-	if !s.have {
-		return Invocation{}, false
-	}
-	s.have = false
-	return s.next, true
-}
+// streamed-vs-drained replay.
 
 // streamRun plays a diurnally modulated fleet trace with reservoir
 // sketches on, either streamed straight from the generator cursors or
-// fully materialized first, and returns the run's fingerprint — the
+// drained into a slice first, and returns the run's fingerprint — the
 // churn table extended with the sketches' order-insensitive content
 // fingerprints and a deep-tail percentile only sketches serve.
 func streamRun(seed uint64, order func([]*Node) []*Node, materialize bool) (uint64, string) {
@@ -68,34 +33,22 @@ func streamRun(seed uint64, order func([]*Node) []*Node, materialize bool) (uint
 		Sketch:      &stats.SketchConfig{K: 256, Seed: seed},
 	}, NewPolicy("reclaim-aware", cost))
 	c.hostOrder = order
-	src := &fnStream{
-		fleet: workload.Fleet(funcs),
-		src: trace.NewFleetStream(seed, trace.FleetConfig{
-			Funcs: funcs, Duration: dur,
-			TotalBaseRPS: 6, TotalBurstRPS: 30,
-			Modulation: []trace.DiurnalConfig{
-				{Period: dur / 2, Amplitude: 0.5},
-				{Period: dur, Amplitude: 0.2, Phase: 1.0},
-			},
-		}),
+	var src trace.Stream = trace.NewFleetStream(seed, trace.FleetConfig{
+		Funcs: funcs, Duration: dur,
+		TotalBaseRPS: 6, TotalBurstRPS: 30,
+		Modulation: []trace.DiurnalConfig{
+			{Period: dur / 2, Amplitude: 0.5},
+			{Period: dur, Amplitude: 0.2, Phase: 1.0},
+		},
+	})
+	if materialize {
+		invs := drainStream(src)
+		src = &invs
 	}
-	pc := PlayConfig{
+	c.Play(src, fleetFns(), PlayConfig{
 		TickEvery: sim.Second, TickUntil: sim.Time(dur),
 		DrainUntil: sim.Time(10 * dur),
-	}
-	if materialize {
-		var invs []Invocation
-		for {
-			inv, ok := src.Next()
-			if !ok {
-				break
-			}
-			invs = append(invs, inv)
-		}
-		c.Play(invs, pc)
-	} else {
-		c.PlayStream(src, pc)
-	}
+	})
 	m := c.Stats()
 	table := fmt.Sprintf("%s skfp=%x/%x/%x p999=%.6f/%.6f",
 		churnTable(c),
@@ -111,8 +64,7 @@ func streamRun(seed uint64, order func([]*Node) []*Node, materialize bool) (uint
 // diurnally modulated trace streamed straight from its generator
 // cursors, with sketched latency samples, fingerprints byte-identically
 // at every point of the host-order grid — and identically again when
-// the same stream is first materialized into a slice and replayed
-// through Play.
+// the same stream is first drained into a slice and replayed from it.
 func TestStreamShardInvariance(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		wantFired, wantTable := streamRun(seed, nil, false)
@@ -146,7 +98,7 @@ func TestSketchResetReplay(t *testing.T) {
 		Sketch: &stats.SketchConfig{K: 128, Seed: 7},
 	}
 	replay := func(c *Cluster) (uint64, string) {
-		c.Play(fleetInvs(11, 6, 25*sim.Second, 4, 20), PlayConfig{
+		c.Play(fleetStream(11, 6, 25*sim.Second, 4, 20), fleetFns(), PlayConfig{
 			TickEvery: sim.Second, TickUntil: sim.Time(25 * sim.Second),
 			DrainUntil: sim.Time(250 * sim.Second),
 		})

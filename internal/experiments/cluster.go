@@ -156,48 +156,11 @@ type fleetStats struct {
 	RackEvents int // rack-level fault windows expanded onto hosts
 }
 
-// traceStream adapts a merged trace cursor to the dispatcher's
-// invocation stream, resolving function ranks through a lazy fleet
-// pool. Nothing is materialized: the adapter buffers exactly one
-// invocation (for Peek), so a multi-day million-invocation replay
-// holds O(funcs) state however many invocations flow through.
-type traceStream struct {
-	src  trace.Stream
-	pool workload.FleetPool
-	next cluster.Invocation
-	have bool
-}
-
-func (s *traceStream) fill() {
-	if s.have {
-		return
-	}
-	if it, ok := s.src.Next(); ok {
-		s.next = cluster.Invocation{T: it.T, Fn: s.pool.Get(it.Func)}
-		s.have = true
-	}
-}
-
-func (s *traceStream) Peek() (sim.Time, bool) {
-	s.fill()
-	return s.next.T, s.have
-}
-
-func (s *traceStream) Next() (cluster.Invocation, bool) {
-	s.fill()
-	if !s.have {
-		return cluster.Invocation{}, false
-	}
-	s.have = false
-	return s.next, true
-}
-
 // fleetRun replays a Zipf fleet trace against a cluster and
 // collects fleet-wide latency, churn, and memory-efficiency metrics.
 // The trace streams straight from the generator cursors into the epoch
-// loop (never materialized — the same sequence the pre-streaming
-// GenFleet+Merge produced, byte-identical by the trace package's
-// golden-fingerprint contract). The run is a pure function of
+// loop, never materialized; function ranks resolve through a lazy
+// fleet pool as they are dispatched. The run is a pure function of
 // (seed, fc) — the pooled world only contributes recycled storage, and
 // the order in which the epoch engine advances hosts never reaches the
 // results (the cluster package's determinism contract).
@@ -216,13 +179,14 @@ func fleetRun(w *World, seed uint64, fc fleetCfg) fleetStats {
 		Sketch:       fc.sketch,
 	}, cluster.NewPolicy(fc.policy, cost))
 
-	src := &traceStream{src: trace.NewFleetStream(seed, trace.FleetConfig{
+	src := trace.NewFleetStream(seed, trace.FleetConfig{
 		Funcs:         fc.funcs,
 		Duration:      fc.duration,
 		TotalBaseRPS:  fc.baseRPS,
 		TotalBurstRPS: fc.burstRPS,
 		Modulation:    fc.mods,
-	})}
+	})
+	var pool workload.FleetPool
 	tick := fc.tick
 	if tick == 0 {
 		tick = sim.Second
@@ -236,7 +200,7 @@ func fleetRun(w *World, seed uint64, fc fleetCfg) fleetStats {
 	// configuration cannot work off its backlog at all (its true tail
 	// is unbounded, not merely long). The memory series still covers
 	// only the trace window.
-	c.PlayStream(src, cluster.PlayConfig{
+	c.Play(src, pool.Get, cluster.PlayConfig{
 		TickEvery:  tick,
 		TickUntil:  sim.Time(fc.duration),
 		DrainUntil: sim.Time(10 * fc.duration),

@@ -56,16 +56,15 @@ func fig1Run(w *World, opts Options, res *Fig1Result) {
 
 	// A bursty trace with an early load spike that dies down, so
 	// instances are created then evicted within the window.
-	tr := trace.GenBursty(opts.seed(), trace.BurstyConfig{
+	src := trace.NewBursty(opts.seed(), trace.BurstyConfig{
 		Duration: sim.Duration(duration) * 2 / 5, // load only in the first 40%
 		BaseRPS:  0.5,
 		BurstRPS: float64(n) * 2,
 		BurstLen: 20 * sim.Second,
 		BurstGap: 10 * sim.Second,
 	})
-	for _, ts := range tr.Times {
-		ts := ts
-		sched.At(ts, func() { fv.InvokePrimary(nil) })
+	for inv, ok := src.Next(); ok; inv, ok = src.Next() {
+		sched.At(inv.T, func() { fv.InvokePrimary(nil) })
 	}
 
 	points := int(duration/sim.Second) + 1

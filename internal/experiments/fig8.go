@@ -63,23 +63,25 @@ func fig8Run(w *World, opts Options, kind faas.BackendKind, fi int, fn *workload
 	// One well-separated stream per function, shared across backends on
 	// purpose: both methods replay the identical trace, so the speedup
 	// column compares reclamation, not workload luck.
-	tr := trace.GenBursty(SubSeed(opts.seed(), fi), trace.BurstyConfig{
+	seed, cfg := SubSeed(opts.seed(), fi), trace.BurstyConfig{
 		Duration: sim.Duration(duration) * 3 / 5,
 		BaseRPS:  0.2,
 		BurstRPS: 4,
 		BurstLen: 15 * sim.Second,
 		BurstGap: 40 * sim.Second,
-	})
-	n := trace.PeakConcurrency(tr, fn.ExecCPU+8*sim.Second) + 2
+	}
+	// Size the VM from one pass over the stream; a second, identical
+	// pass below replays it.
+	n := trace.PeakConcurrency(trace.NewBursty(seed, cfg), fn.ExecCPU+8*sim.Second) + 2
 
 	sched := w.Scheduler()
 	rt := w.Runtime(hostmem.New(0), costmodel.Default())
 	fv := rt.AddVM(faas.VMConfig{
 		Name: fn.Name, Kind: kind, Fn: fn, N: n, KeepAlive: keepAlive,
 	})
-	for _, ts := range tr.Times {
-		ts := ts
-		sched.At(ts, func() { fv.InvokePrimary(nil) })
+	src := trace.NewBursty(seed, cfg)
+	for inv, ok := src.Next(); ok; inv, ok = src.Next() {
+		sched.At(inv.T, func() { fv.InvokePrimary(nil) })
 	}
 	sched.RunUntil(sim.Time(duration))
 	sched.Run() // drain keep-alive evictions and unplugs

@@ -14,7 +14,7 @@
 // tables and schedulers fingerprint byte-identically whatever order
 // hosts advance in (TestFaultShardInvariance in internal/cluster).
 //
-// GenFaults fuzzes plans from a seed (the mirror of trace.GenChurn);
-// Scenario builds the named profiles the cluster-resilience experiment
+// GenFaults fuzzes plans from a seed for the cluster determinism
+// suites; Scenario builds the named profiles the cluster-resilience experiment
 // and squeezyctl's -faults flag share.
 package fault

@@ -115,9 +115,9 @@ type Config struct {
 // GenFaults synthesizes a random fault plan — overlapping windows of
 // every kind at uniform times, half targeting all hosts (-1) and half
 // targeting explicit (possibly dangling) IDs, with kind-appropriate
-// magnitudes. The same seed always yields the same plan; the
-// determinism property tests fuzz fleet runs with these plans across
-// seeds (the mirror of trace.GenChurn). Out-of-range configs never
+// magnitudes. The same seed always yields the same plan; the cluster
+// determinism suites fuzz fleet runs with these plans across seeds,
+// layered on fuzzed churn schedules. Out-of-range configs never
 // panic: a plan with no events or no room for a window is empty, and
 // target counts too large to double are capped (see Config).
 func GenFaults(seed uint64, cfg Config) []Event {

@@ -20,7 +20,7 @@ func TestCSVEventsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WriteCSV: %v", err)
 	}
-	want := Merge(GenFleet(11, cfg))
+	want := drain(NewFleetStream(11, cfg))
 	if n != len(want) {
 		t.Fatalf("wrote %d rows, want %d", n, len(want))
 	}

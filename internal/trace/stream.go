@@ -8,15 +8,21 @@ import (
 )
 
 // Stream is a pull-based iterator over a time-ordered invocation
-// sequence. Next returns the next invocation and true, or a zero value
-// and false when the stream is exhausted. Streams generate invocations
-// on demand from O(1) cursor state (plus O(funcs) for merged fleets),
-// so a multi-day, million-invocation trace never exists in memory at
-// once: collecting a stream yields exactly the slice the materialized
-// generators used to build up front, and the cluster layer replays
-// streams directly via its invocation peek loop.
+// sequence, the one form an invocation sequence takes from generator
+// to dispatcher. Next returns the next invocation and true, or a zero
+// value and false when the stream is exhausted. Streams generate
+// invocations on demand from O(1) cursor state (plus O(funcs) for
+// merged fleets), so a multi-day, million-invocation trace never
+// exists in memory at once.
 type Stream interface {
 	Next() (TaggedInvocation, bool)
+}
+
+// TaggedInvocation is one invocation of a stream: the function of
+// rank Func arrives at T.
+type TaggedInvocation struct {
+	T    sim.Time
+	Func int
 }
 
 // DiurnalConfig is one sinusoidal rate-modulation layer: the
@@ -57,14 +63,11 @@ func modFactor(mods []DiurnalConfig, t sim.Time) float64 {
 	return f
 }
 
-// Bursty is the cursor behind GenBursty: a streaming generator of one
-// function's bursty Poisson-modulated trace. NewBursty(seed, cfg)
-// followed by draining Next yields exactly the times
-// GenBursty(seed, cfg) materializes — GenBursty is now a collector
-// over this cursor — while holding only the RNG and phase state.
+// Bursty is a streaming generator of one function's bursty
+// Poisson-modulated trace, holding only the RNG and phase state.
 type Bursty struct {
-	// Func tags every emitted invocation with a function index; the
-	// fleet merger sets it to the function's rank.
+	// Func tags every emitted invocation with a function index;
+	// FleetCursors sets it to the function's rank.
 	Func int
 
 	rng      *rand.Rand
@@ -124,36 +127,18 @@ func (b *Bursty) Next() (TaggedInvocation, bool) {
 	return TaggedInvocation{}, false
 }
 
-// Collect drains a stream into a materialized single-function Trace,
-// discarding function tags. Collect(NewBursty(seed, cfg)) is
-// byte-identical to the pre-streaming GenBursty(seed, cfg).
-func Collect(s Stream) *Trace {
-	var times []sim.Time
-	for {
-		inv, ok := s.Next()
-		if !ok {
-			break
-		}
-		times = append(times, inv.T)
-	}
-	return &Trace{Times: times}
-}
-
 // FleetStream merges per-function cursors into one stream ordered by
-// (time, function index) — exactly the total order Merge(GenFleet(...))
-// produces, proven by the streaming property tests — while holding
-// O(funcs) state: one cursor and one buffered head per function,
-// independent of trace length. It is the replay source for multi-day
-// million-invocation fleet cells.
+// (time, function index) while holding O(funcs) state: one cursor and
+// one buffered head per function, independent of trace length. It is
+// the replay source for multi-day million-invocation fleet cells.
 type FleetStream struct {
 	srcs   []Stream
 	heap   []TaggedInvocation
 	srcIdx []int // srcIdx[i] is the source behind heap[i]
 }
 
-// NewFleetStream creates a streaming equivalent of
-// Merge(GenFleet(seed, cfg)): the same Zipf share split, per-function
-// seeds, and burst shapes, merged on the fly.
+// NewFleetStream merges the fleet's per-function cursors
+// (FleetCursors) on the fly.
 func NewFleetStream(seed uint64, cfg FleetConfig) *FleetStream {
 	cursors := FleetCursors(seed, cfg)
 	srcs := make([]Stream, len(cursors))
@@ -163,10 +148,14 @@ func NewFleetStream(seed uint64, cfg FleetConfig) *FleetStream {
 	return NewMerged(srcs)
 }
 
-// FleetCursors builds the per-function bursty cursors behind
-// GenFleet: cursor i generates function i's trace and tags its
-// invocations with Func=i. GenFleet collects them; NewFleetStream
-// merges them.
+// FleetCursors builds one bursty cursor per function, with the
+// aggregate rates split across functions by Zipf popularity: a handful
+// of hot functions dominate, followed by a long tail of rarely-invoked
+// ones — the shape that makes fleet placement interesting (hot
+// functions need instances everywhere; the tail pays a cold start
+// almost every time). Cursor i generates function i's trace and tags
+// its invocations with Func=i; NewFleetStream merges them. The same
+// seed always yields the same cursors.
 func FleetCursors(seed uint64, cfg FleetConfig) []*Bursty {
 	if cfg.Funcs <= 0 {
 		return nil
@@ -315,14 +304,4 @@ func TopTenStream(seed uint64, duration sim.Duration, i int) *Bursty {
 	})
 	b.Func = i
 	return b
-}
-
-// NewTopTenStream merges the ten top-ten cursors into one
-// (T, Func)-ordered stream.
-func NewTopTenStream(seed uint64, duration sim.Duration) *FleetStream {
-	srcs := make([]Stream, 10)
-	for i := range srcs {
-		srcs[i] = TopTenStream(seed, duration, i)
-	}
-	return NewMerged(srcs)
 }

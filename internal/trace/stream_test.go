@@ -20,16 +20,16 @@ func fpTimes(h interface{ Write([]byte) (int, error) }, ts []sim.Time) {
 	}
 }
 
-func fpTrace(tr *Trace) uint64 {
+func fpTrace(times []sim.Time) uint64 {
 	h := fnv.New64a()
-	fpTimes(h, tr.Times)
+	fpTimes(h, times)
 	return h.Sum64()
 }
 
-func fpTraces(trs []*Trace) uint64 {
+func fpTraces(trs [][]sim.Time) uint64 {
 	h := fnv.New64a()
-	for _, tr := range trs {
-		fpTimes(h, tr.Times)
+	for _, times := range trs {
+		fpTimes(h, times)
 		h.Write([]byte{0xff})
 	}
 	return h.Sum64()
@@ -60,11 +60,10 @@ func drain(s Stream) []TaggedInvocation {
 	}
 }
 
-// Golden fingerprints computed from the PRE-streaming generators (the
-// materialize-everything code this PR replaced), for a fixed grid of
-// seeds x configs. The streaming collectors must reproduce them bit for
-// bit: these constants are the proof that the cursor refactor changed
-// nothing.
+// Golden fingerprints computed from the generators that materialized
+// whole traces before the streaming cursors replaced them, for a fixed
+// grid of seeds x configs. The cursors must reproduce them bit for bit:
+// these constants are the proof that streaming changed nothing.
 var goldenBursty = map[[2]uint64]uint64{
 	{0, 1}: 0xc78b7ec6b305fb93, {0, 2}: 0x9b6e634ee59cc523, {0, 3}: 0x02ef9fa270493508, {0, 42}: 0x8adad739e35d684d,
 	{1, 1}: 0x1b18d5a22e03b50e, {1, 2}: 0x93670ac683ae3292, {1, 3}: 0x2b4a97ebe350c2be, {1, 42}: 0x3f80c5d93fa411e9,
@@ -103,19 +102,19 @@ func goldenFleetConfigs() []FleetConfig {
 }
 
 // TestGoldenFingerprints pins the streaming generators to the exact
-// output of the pre-refactor materialized generators.
+// output of the materializing generators they replaced.
 func TestGoldenFingerprints(t *testing.T) {
 	for ci, cfg := range goldenBurstyConfigs() {
 		for _, seed := range []uint64{1, 2, 3, 42} {
-			if got, want := fpTrace(GenBursty(seed, cfg)), goldenBursty[[2]uint64{uint64(ci), seed}]; got != want {
-				t.Errorf("GenBursty cfg=%d seed=%d fingerprint %#016x, golden %#016x", ci, seed, got, want)
+			if got, want := fpTrace(collect(NewBursty(seed, cfg))), goldenBursty[[2]uint64{uint64(ci), seed}]; got != want {
+				t.Errorf("NewBursty cfg=%d seed=%d fingerprint %#016x, golden %#016x", ci, seed, got, want)
 			}
 		}
 	}
 	for ci, cfg := range goldenFleetConfigs() {
 		for _, seed := range []uint64{1, 7} {
-			if got, want := fpTraces(GenFleet(seed, cfg)), goldenFleet[[2]uint64{uint64(ci), seed}]; got != want {
-				t.Errorf("GenFleet cfg=%d seed=%d fingerprint %#016x, golden %#016x", ci, seed, got, want)
+			if got, want := fpTraces(collectAll(FleetCursors(seed, cfg))), goldenFleet[[2]uint64{uint64(ci), seed}]; got != want {
+				t.Errorf("FleetCursors cfg=%d seed=%d fingerprint %#016x, golden %#016x", ci, seed, got, want)
 			}
 		}
 	}
@@ -127,15 +126,16 @@ func TestGoldenFingerprints(t *testing.T) {
 			}
 		}
 	}
-	m := Merge(GenFleet(3, goldenFleetConfigs()[0]))
+	m := drain(NewFleetStream(3, goldenFleetConfigs()[0]))
 	if got := fpTagged(m); got != goldenMergedFleet0Seed3 {
-		t.Errorf("Merge(GenFleet) fingerprint %#016x, golden %#016x", got, goldenMergedFleet0Seed3)
+		t.Errorf("NewFleetStream fingerprint %#016x, golden %#016x", got, goldenMergedFleet0Seed3)
 	}
 }
 
 // TestStreamMatchesMaterialized fuzzes seeds x configs and checks that
-// draining the cursor yields exactly the collected trace, and that the
-// merged fleet stream yields exactly Merge(GenFleet(...)) — same times,
+// every bursty cursor emits strictly increasing times inside its
+// window, and that the merged fleet stream yields exactly the
+// sort-based merge of its drained cursors (refMerge) — same times,
 // same function tags, same order.
 func TestStreamMatchesMaterialized(t *testing.T) {
 	rng := rand.New(rand.NewPCG(99, 0xf022))
@@ -153,14 +153,10 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 				{Period: sim.Duration(1+rng.IntN(5)) * sim.Minute, Amplitude: rng.Float64() * 0.9, Phase: rng.Float64() * 6.28},
 			}
 		}
-		tr := GenBursty(seed, bc)
-		streamed := drain(NewBursty(seed, bc))
-		if len(streamed) != tr.Len() {
-			t.Fatalf("round %d: stream yields %d, materialized %d", round, len(streamed), tr.Len())
-		}
-		for i, inv := range streamed {
-			if inv.T != tr.Times[i] {
-				t.Fatalf("round %d: stream diverges at %d: %d vs %d", round, i, inv.T, tr.Times[i])
+		times := collect(NewBursty(seed, bc))
+		for i, ts := range times {
+			if ts < 0 || ts >= sim.Time(bc.Duration) || i > 0 && ts <= times[i-1] {
+				t.Fatalf("round %d: invocation %d at %d out of order or outside [0, %d)", round, i, ts, bc.Duration)
 			}
 		}
 
@@ -172,7 +168,7 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 			TotalBurstRPS: rng.Float64() * 50,
 			Modulation:    bc.Modulation,
 		}
-		merged := Merge(GenFleet(seed, fc))
+		merged := refMerge(collectAll(FleetCursors(seed, fc)))
 		streamedFleet := drain(NewFleetStream(seed, fc))
 		if len(streamedFleet) != len(merged) {
 			t.Fatalf("round %d: fleet stream yields %d, merged %d", round, len(streamedFleet), len(merged))
@@ -185,12 +181,16 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestTopTenStreamMatches checks the merged top-ten stream against
-// the ten rank streams collected and merged.
+// TestTopTenStreamMatches checks the ten top-ten rank streams merged
+// on the fly against their drained times merged by the reference.
 func TestTopTenStreamMatches(t *testing.T) {
 	for _, seed := range []uint64{1, 9} {
-		merged := Merge(collectTopTen(seed, 2*sim.Minute))
-		streamed := drain(NewTopTenStream(seed, 2*sim.Minute))
+		merged := refMerge(collectTopTen(seed, 2*sim.Minute))
+		srcs := make([]Stream, 10)
+		for i := range srcs {
+			srcs[i] = TopTenStream(seed, 2*sim.Minute, i)
+		}
+		streamed := drain(NewMerged(srcs))
 		if len(streamed) != len(merged) {
 			t.Fatalf("seed %d: %d streamed vs %d merged", seed, len(streamed), len(merged))
 		}
@@ -215,9 +215,9 @@ func TestDiurnalModulationShape(t *testing.T) {
 	mod := base
 	// sin peaks in the first half-day and troughs in the second.
 	mod.Modulation = []DiurnalConfig{{Period: day, Amplitude: 0.8}}
-	tr := GenBursty(5, mod)
+	tr := collect(NewBursty(5, mod))
 	var peak, trough int
-	for _, ts := range tr.Times {
+	for _, ts := range tr {
 		phase := sim.Duration(ts) % day
 		if phase < day/2 {
 			peak++
@@ -231,12 +231,12 @@ func TestDiurnalModulationShape(t *testing.T) {
 
 	zero := base
 	zero.Modulation = []DiurnalConfig{{Period: day, Amplitude: 0}}
-	plain, flat := GenBursty(5, base), GenBursty(5, zero)
-	if plain.Len() != flat.Len() {
-		t.Fatalf("zero-amplitude modulation changed the trace: %d vs %d", plain.Len(), flat.Len())
+	plain, flat := collect(NewBursty(5, base)), collect(NewBursty(5, zero))
+	if len(plain) != len(flat) {
+		t.Fatalf("zero-amplitude modulation changed the trace: %d vs %d", len(plain), len(flat))
 	}
-	for i := range plain.Times {
-		if plain.Times[i] != flat.Times[i] {
+	for i := range plain {
+		if plain[i] != flat[i] {
 			t.Fatalf("zero-amplitude modulation diverges at %d", i)
 		}
 	}
@@ -244,9 +244,9 @@ func TestDiurnalModulationShape(t *testing.T) {
 	weekly := mod
 	weekly.Modulation = append(append([]DiurnalConfig(nil), mod.Modulation...),
 		DiurnalConfig{Period: 7 * sim.Duration(day), Amplitude: 0.3})
-	wtr := GenBursty(5, weekly)
-	if wtr.Len() == 0 || wtr.Len() == tr.Len() {
-		t.Fatalf("weekly layer had no effect: %d vs %d", wtr.Len(), tr.Len())
+	wtr := collect(NewBursty(5, weekly))
+	if len(wtr) == 0 || len(wtr) == len(tr) {
+		t.Fatalf("weekly layer had no effect: %d vs %d", len(wtr), len(tr))
 	}
 }
 
@@ -254,13 +254,13 @@ func TestDiurnalModulationShape(t *testing.T) {
 // the generator, not stall it — times keep strictly increasing and the
 // stream terminates.
 func TestModulationBoundedBelow(t *testing.T) {
-	tr := GenBursty(3, BurstyConfig{
+	times := collect(NewBursty(3, BurstyConfig{
 		Duration: 30 * sim.Minute, BaseRPS: 1, BurstRPS: 10,
 		BurstLen: 20 * sim.Second, BurstGap: 45 * sim.Second,
 		Modulation: []DiurnalConfig{{Period: sim.Hour, Amplitude: 0.999}},
-	})
-	for i := 1; i < len(tr.Times); i++ {
-		if tr.Times[i] <= tr.Times[i-1] {
+	}))
+	for i := 1; i < len(times); i++ {
+		if times[i] <= times[i-1] {
 			t.Fatalf("times not strictly increasing at %d", i)
 		}
 	}

@@ -2,18 +2,9 @@ package trace
 
 import (
 	"math/rand/v2"
-	"sort"
 
 	"squeezy/internal/sim"
 )
-
-// Trace is a sorted sequence of invocation times for one function.
-type Trace struct {
-	Times []sim.Time
-}
-
-// Len returns the number of invocations.
-func (t *Trace) Len() int { return len(t.Times) }
 
 // BurstyConfig parameterizes the synthetic bursty generator.
 type BurstyConfig struct {
@@ -32,13 +23,6 @@ type BurstyConfig struct {
 	// byte-identical to the unmodulated generator: the factor is not
 	// even computed.
 	Modulation []DiurnalConfig
-}
-
-// GenBursty synthesizes a bursty Poisson-modulated trace by collecting
-// the streaming cursor (NewBursty). The same seed always yields the
-// same trace.
-func GenBursty(seed uint64, cfg BurstyConfig) *Trace {
-	return Collect(NewBursty(seed, cfg))
 }
 
 func expDur(rng *rand.Rand, mean sim.Duration) sim.Duration {
@@ -80,27 +64,6 @@ type FleetConfig struct {
 	Modulation []DiurnalConfig
 }
 
-// GenFleet synthesizes one bursty trace per function, with aggregate
-// rates split across functions by Zipf popularity: a handful of hot
-// functions dominate, followed by a long tail of rarely-invoked ones —
-// the shape that makes fleet placement interesting (hot functions need
-// instances everywhere; the tail pays a cold start almost every time).
-// The same seed always yields the same traces.
-//
-// GenFleet materializes; NewFleetStream replays the identical fleet as
-// a merged stream in O(funcs) memory.
-func GenFleet(seed uint64, cfg FleetConfig) []*Trace {
-	cursors := FleetCursors(seed, cfg)
-	if cursors == nil {
-		return nil
-	}
-	traces := make([]*Trace, len(cursors))
-	for i, c := range cursors {
-		traces[i] = Collect(c)
-	}
-	return traces
-}
-
 // fleetSeed derives function i's seed by mixing (seed, i) through the
 // splitmix64 finalizer, so per-function streams stay well separated
 // even across adjacent base seeds (the same construction as the
@@ -113,102 +76,6 @@ func fleetSeed(seed, i uint64) uint64 {
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
 	return x
-}
-
-// ChurnKind classifies one fleet-shape change in a churn profile.
-type ChurnKind int
-
-// Churn event kinds, mirrored by the cluster layer's FleetEvent kinds.
-const (
-	// ChurnJoin adds a host to the fleet.
-	ChurnJoin ChurnKind = iota
-	// ChurnFail kills a host abruptly: warm pool lost, in-flight
-	// invocations re-placed.
-	ChurnFail
-	// ChurnDrain removes a host gracefully: no new placements, running
-	// work finishes (or is re-placed at the drain deadline).
-	ChurnDrain
-	// ChurnRackFail kills every host of a rack at once (Host is the
-	// rack index; dangling racks are no-ops). Generated only when
-	// ChurnConfig.Racks > 0; the cluster layer plays it as a rack-fail
-	// fault event.
-	ChurnRackFail
-)
-
-// ChurnEvent is one scheduled fleet-shape change.
-type ChurnEvent struct {
-	T    sim.Time
-	Kind ChurnKind
-	// Host targets a specific host ID; -1 lets the fleet pick the
-	// busiest live host at event time (the worst-case victim). For
-	// ChurnRackFail it is a rack index instead.
-	Host int
-}
-
-// ChurnConfig parameterizes the fuzzed churn-profile generator.
-type ChurnConfig struct {
-	// Duration bounds event times: events land in (0, Duration).
-	Duration sim.Duration
-	// Events is the number of churn events to generate.
-	Events int
-	// Hosts is the fleet's initial host count; targeted events pick IDs
-	// in [0, 2*Hosts) so some deliberately name hosts that are already
-	// gone or never existed (the fleet must treat those as no-ops).
-	Hosts int
-	// Racks, when > 0, adds rack-level targets to the mix: some events
-	// become ChurnRackFail with rack indices in [0, 2*Racks), half
-	// deliberately dangling. Zero keeps schedules byte-identical to
-	// the flat generator.
-	Racks int
-}
-
-// GenChurn synthesizes a random churn schedule — join, fail, and drain
-// events (plus rack failures when the config has racks) at uniform
-// times, half targeting the busiest host (-1) and half targeting
-// explicit (possibly dangling) IDs. The same seed always yields the
-// same schedule; the determinism property tests fuzz fleet runs with
-// these schedules across seeds.
-func GenChurn(seed uint64, cfg ChurnConfig) []ChurnEvent {
-	rng := rand.New(rand.NewPCG(seed, 0xc4123))
-	kinds := 3
-	if cfg.Racks > 0 {
-		kinds = 4
-	}
-	events := make([]ChurnEvent, 0, cfg.Events)
-	for i := 0; i < cfg.Events; i++ {
-		ev := ChurnEvent{
-			T:    sim.Time(1 + rng.Int64N(int64(cfg.Duration)-1)),
-			Kind: ChurnKind(rng.IntN(kinds)),
-			Host: -1,
-		}
-		if ev.Kind == ChurnRackFail {
-			ev.Host = rng.IntN(2 * cfg.Racks)
-		} else if rng.IntN(2) == 0 && cfg.Hosts > 0 {
-			ev.Host = rng.IntN(2 * cfg.Hosts)
-		}
-		events = append(events, ev)
-	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].T < events[j].T })
-	return events
-}
-
-// Merge combines traces into one sorted stream, tagging each invocation
-// with its source index.
-type TaggedInvocation struct {
-	T    sim.Time
-	Func int
-}
-
-// Merge flattens traces into a single time-ordered invocation stream.
-func Merge(traces []*Trace) []TaggedInvocation {
-	var out []TaggedInvocation
-	for fi, tr := range traces {
-		for _, t := range tr.Times {
-			out = append(out, TaggedInvocation{T: t, Func: fi})
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].T < out[j].T })
-	return out
 }
 
 // ChurnPoint is one minute of Figure 2: instances created and evicted.
@@ -291,29 +158,25 @@ func compact(q []sim.Time, head int) ([]sim.Time, int) {
 }
 
 // PeakConcurrency returns the maximum number of simultaneously busy
-// instances a trace needs given the execution time — used to calibrate
-// the concurrency factor N per VM (§6.2).
-func PeakConcurrency(tr *Trace, execTime sim.Duration) int {
-	type ev struct {
-		t     sim.Time
-		delta int
-	}
-	evs := make([]ev, 0, 2*len(tr.Times))
-	for _, t := range tr.Times {
-		evs = append(evs, ev{t, +1}, ev{t.Add(execTime), -1})
-	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].t != evs[j].t {
-			return evs[i].t < evs[j].t
+// instances a stream needs given the execution time — used to
+// calibrate the concurrency factor N per VM (§6.2). The stream's times
+// must be non-decreasing and execTime positive. Since execTime is
+// constant, instances finish in the order they started, so the busy
+// set is a FIFO of finish times; one finishing exactly as another
+// arrives frees up first.
+func PeakConcurrency(s Stream, execTime sim.Duration) int {
+	var busy []sim.Time
+	head, peak := 0, 0
+	for {
+		inv, ok := s.Next()
+		if !ok {
+			return peak
 		}
-		return evs[i].delta < evs[j].delta
-	})
-	cur, peak := 0, 0
-	for _, e := range evs {
-		cur += e.delta
-		if cur > peak {
-			peak = cur
+		for head < len(busy) && busy[head] <= inv.T {
+			head++
 		}
+		busy, head = compact(busy, head)
+		busy = append(busy, inv.T.Add(execTime))
+		peak = max(peak, len(busy)-head)
 	}
-	return peak
 }

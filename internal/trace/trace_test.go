@@ -3,6 +3,8 @@ package trace
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 
 	"squeezy/internal/sim"
@@ -13,21 +15,21 @@ func TestGenBurstyDeterministic(t *testing.T) {
 		Duration: 5 * sim.Minute, BaseRPS: 0.5, BurstRPS: 20,
 		BurstLen: 10 * sim.Second, BurstGap: 30 * sim.Second,
 	}
-	a := GenBursty(42, cfg)
-	b := GenBursty(42, cfg)
-	if a.Len() != b.Len() {
-		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
+	a := collect(NewBursty(42, cfg))
+	b := collect(NewBursty(42, cfg))
+	if len(a) != len(b) {
+		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
-	for i := range a.Times {
-		if a.Times[i] != b.Times[i] {
+	for i := range a {
+		if a[i] != b[i] {
 			t.Fatalf("traces diverge at %d", i)
 		}
 	}
-	c := GenBursty(43, cfg)
-	if c.Len() == a.Len() {
+	c := collect(NewBursty(43, cfg))
+	if len(c) == len(a) {
 		same := true
-		for i := range a.Times {
-			if a.Times[i] != c.Times[i] {
+		for i := range a {
+			if a[i] != c[i] {
 				same = false
 				break
 			}
@@ -39,19 +41,19 @@ func TestGenBurstyDeterministic(t *testing.T) {
 }
 
 func TestGenBurstySortedAndBounded(t *testing.T) {
-	tr := GenBursty(7, BurstyConfig{
+	times := collect(NewBursty(7, BurstyConfig{
 		Duration: 10 * sim.Minute, BaseRPS: 1, BurstRPS: 50,
 		BurstLen: 20 * sim.Second, BurstGap: 60 * sim.Second,
-	})
-	if tr.Len() == 0 {
+	}))
+	if len(times) == 0 {
 		t.Fatal("empty trace")
 	}
 	end := sim.Time(10 * sim.Minute)
-	for i, ts := range tr.Times {
+	for i, ts := range times {
 		if ts < 0 || ts >= end {
 			t.Fatalf("invocation %d at %v outside [0,%v)", i, ts, end)
 		}
-		if i > 0 && ts < tr.Times[i-1] {
+		if i > 0 && ts < times[i-1] {
 			t.Fatalf("trace not sorted at %d", i)
 		}
 	}
@@ -59,12 +61,12 @@ func TestGenBurstySortedAndBounded(t *testing.T) {
 
 func TestBurstinessShape(t *testing.T) {
 	// Bursty traces must have per-10s rate spikes well above the base.
-	tr := GenBursty(11, BurstyConfig{
+	times := collect(NewBursty(11, BurstyConfig{
 		Duration: 20 * sim.Minute, BaseRPS: 0.2, BurstRPS: 30,
 		BurstLen: 15 * sim.Second, BurstGap: 60 * sim.Second,
-	})
+	}))
 	buckets := make([]int, 20*6)
-	for _, ts := range tr.Times {
+	for _, ts := range times {
 		buckets[int(sim.Duration(ts)/(10*sim.Second))]++
 	}
 	maxB, quiet := 0, 0
@@ -84,24 +86,28 @@ func TestBurstinessShape(t *testing.T) {
 	}
 }
 
+// TestMerge: NewMerged interleaves its sources by time, and both it
+// and the sort-based reference tag each invocation with its source.
 func TestMerge(t *testing.T) {
-	a := &Trace{Times: []sim.Time{10, 30}}
-	b := &Trace{Times: []sim.Time{20}}
-	m := Merge([]*Trace{a, b})
-	if len(m) != 3 {
-		t.Fatalf("len = %d", len(m))
+	want := []TaggedInvocation{{T: 10, Func: 0}, {T: 20, Func: 1}, {T: 30, Func: 0}}
+	if m := refMerge([][]sim.Time{{10, 30}, {20}}); !slices.Equal(m, want) {
+		t.Fatalf("reference merge wrong: %+v", m)
 	}
-	if m[0].T != 10 || m[0].Func != 0 || m[1].T != 20 || m[1].Func != 1 || m[2].T != 30 {
+	if m := drain(NewMerged([]Stream{funcOf(0, 10, 30), funcOf(1, 20)})); !slices.Equal(m, want) {
 		t.Fatalf("merge wrong: %+v", m)
 	}
 }
 
-// sliceStream replays a fixed list of invocation times.
+// sliceStream replays a fixed list of invocation times of one
+// function.
 type sliceStream struct {
+	fn    int
 	times []sim.Time
 }
 
 func streamOf(times ...sim.Time) *sliceStream { return &sliceStream{times: times} }
+
+func funcOf(fn int, times ...sim.Time) *sliceStream { return &sliceStream{fn: fn, times: times} }
 
 func (s *sliceStream) Next() (TaggedInvocation, bool) {
 	if len(s.times) == 0 {
@@ -109,17 +115,77 @@ func (s *sliceStream) Next() (TaggedInvocation, bool) {
 	}
 	t := s.times[0]
 	s.times = s.times[1:]
-	return TaggedInvocation{T: t}, true
+	return TaggedInvocation{T: t, Func: s.fn}, true
 }
 
-// collectTopTen materializes the ten top-ten streams, one trace per
-// rank.
-func collectTopTen(seed uint64, duration sim.Duration) []*Trace {
-	traces := make([]*Trace, 10)
-	for i := range traces {
-		traces[i] = Collect(TopTenStream(seed, duration, i))
+// collect drains a stream's times, discarding function tags.
+func collect(s Stream) []sim.Time {
+	var times []sim.Time
+	for {
+		inv, ok := s.Next()
+		if !ok {
+			return times
+		}
+		times = append(times, inv.T)
+	}
+}
+
+// collectAll drains each cursor's times, one slice per function.
+func collectAll(cursors []*Bursty) [][]sim.Time {
+	traces := make([][]sim.Time, len(cursors))
+	for i, c := range cursors {
+		traces[i] = collect(c)
 	}
 	return traces
+}
+
+// collectTopTen drains the ten top-ten streams, one slice per rank.
+func collectTopTen(seed uint64, duration sim.Duration) [][]sim.Time {
+	traces := make([][]sim.Time, 10)
+	for i := range traces {
+		traces[i] = collect(TopTenStream(seed, duration, i))
+	}
+	return traces
+}
+
+// refMerge is the sort-based merger NewMerged replaced, kept as a
+// differential reference: every trace's invocations tagged with its
+// index, stably sorted by time, so ties break by function.
+func refMerge(traces [][]sim.Time) []TaggedInvocation {
+	var out []TaggedInvocation
+	for fi, times := range traces {
+		for _, t := range times {
+			out = append(out, TaggedInvocation{T: t, Func: fi})
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].T < out[j].T })
+	return out
+}
+
+// refPeakConcurrency is the sort-based PeakConcurrency, kept as a
+// differential reference: +1 at every start and -1 at every finish,
+// swept in time order with finishes before same-instant starts.
+func refPeakConcurrency(times []sim.Time, execTime sim.Duration) int {
+	type ev struct {
+		t     sim.Time
+		delta int
+	}
+	evs := make([]ev, 0, 2*len(times))
+	for _, t := range times {
+		evs = append(evs, ev{t, +1}, ev{t.Add(execTime), -1})
+	}
+	sort.Slice(evs, func(i, j int) bool {
+		if evs[i].t != evs[j].t {
+			return evs[i].t < evs[j].t
+		}
+		return evs[i].delta < evs[j].delta
+	})
+	cur, peak := 0, 0
+	for _, e := range evs {
+		cur += e.delta
+		peak = max(peak, cur)
+	}
+	return peak
 }
 
 func TestInstanceChurnReuse(t *testing.T) {
@@ -162,11 +228,10 @@ func TestInstanceChurnEviction(t *testing.T) {
 }
 
 func TestCreationsAndEvictionsBalance(t *testing.T) {
-	tr := GenBursty(3, BurstyConfig{
+	pts := InstanceChurn(NewBursty(3, BurstyConfig{
 		Duration: 10 * sim.Minute, BaseRPS: 0.5, BurstRPS: 25,
 		BurstLen: 10 * sim.Second, BurstGap: 45 * sim.Second,
-	})
-	pts := InstanceChurn(streamOf(tr.Times...), 500*sim.Millisecond, sim.Duration(2*sim.Minute), sim.Duration(10*sim.Minute))
+	}), 500*sim.Millisecond, sim.Duration(2*sim.Minute), sim.Duration(10*sim.Minute))
 	var created, evicted int
 	for _, p := range pts {
 		created += p.Creations
@@ -189,19 +254,24 @@ func TestGenTopTenScale(t *testing.T) {
 		t.Fatalf("traces = %d", len(traces))
 	}
 	// Rank 1 must be busier than rank 10.
-	if traces[0].Len() <= traces[9].Len() {
-		t.Fatalf("popularity not decaying: rank1=%d rank10=%d", traces[0].Len(), traces[9].Len())
+	if len(traces[0]) <= len(traces[9]) {
+		t.Fatalf("popularity not decaying: rank1=%d rank10=%d", len(traces[0]), len(traces[9]))
 	}
 }
 
 func TestPeakConcurrency(t *testing.T) {
-	tr := &Trace{Times: []sim.Time{0, 10, 20, 1000}}
+	times := []sim.Time{0, 10, 20, 1000}
 	// exec 100ns: first three overlap.
-	if got := PeakConcurrency(tr, 100); got != 3 {
+	if got := PeakConcurrency(streamOf(times...), 100); got != 3 {
 		t.Fatalf("peak = %d, want 3", got)
 	}
-	if got := PeakConcurrency(tr, 5); got != 1 {
+	if got := PeakConcurrency(streamOf(times...), 5); got != 1 {
 		t.Fatalf("peak = %d, want 1", got)
+	}
+	// exec 10ns: each instance finishes exactly as the next arrives,
+	// and frees up first.
+	if got, want := PeakConcurrency(streamOf(times...), 10), refPeakConcurrency(times, 10); got != 1 || want != 1 {
+		t.Fatalf("peak = %d, reference %d, want 1", got, want)
 	}
 }
 
@@ -210,34 +280,34 @@ func TestGenFleetZipfShape(t *testing.T) {
 		Funcs: 50, Duration: 5 * sim.Minute,
 		TotalBaseRPS: 10, TotalBurstRPS: 60,
 	}
-	traces := GenFleet(3, cfg)
+	traces := collectAll(FleetCursors(3, cfg))
 	if len(traces) != 50 {
 		t.Fatalf("fleet size = %d", len(traces))
 	}
 	// Popularity must decay: the head rank dominates the mid-tail.
-	if traces[0].Len() <= traces[25].Len() {
-		t.Fatalf("rank 0 (%d) not hotter than rank 25 (%d)", traces[0].Len(), traces[25].Len())
+	if len(traces[0]) <= len(traces[25]) {
+		t.Fatalf("rank 0 (%d) not hotter than rank 25 (%d)", len(traces[0]), len(traces[25]))
 	}
 	// The tail still gets some traffic over 5 minutes.
 	total := 0
 	for _, tr := range traces {
-		total += tr.Len()
+		total += len(tr)
 	}
 	if total == 0 {
 		t.Fatal("empty fleet trace")
 	}
 	// Determinism: same seed, same fleet.
-	again := GenFleet(3, cfg)
+	again := collectAll(FleetCursors(3, cfg))
 	for i := range traces {
-		if len(traces[i].Times) != len(again[i].Times) {
+		if len(traces[i]) != len(again[i]) {
 			t.Fatalf("func %d not deterministic", i)
 		}
 	}
 	// Seed sensitivity.
-	other := GenFleet(4, cfg)
+	other := collectAll(FleetCursors(4, cfg))
 	same := true
 	for i := range traces {
-		if len(traces[i].Times) != len(other[i].Times) {
+		if len(traces[i]) != len(other[i]) {
 			same = false
 			break
 		}
@@ -248,103 +318,22 @@ func TestGenFleetZipfShape(t *testing.T) {
 }
 
 func TestGenFleetEmptyAndDefaults(t *testing.T) {
-	if GenFleet(1, FleetConfig{}) != nil {
+	if FleetCursors(1, FleetConfig{}) != nil {
 		t.Fatal("zero functions must yield nil")
 	}
 	// Defaults (ZipfS, burst shape) must not panic and must honor the
 	// aggregate rate roughly.
-	traces := GenFleet(1, FleetConfig{Funcs: 4, Duration: sim.Minute, TotalBaseRPS: 12, TotalBurstRPS: 12})
-	total := 0
-	for _, tr := range traces {
-		total += tr.Len()
-	}
+	total := len(drain(NewFleetStream(1, FleetConfig{Funcs: 4, Duration: sim.Minute, TotalBaseRPS: 12, TotalBurstRPS: 12})))
 	// ~12 rps for 60 s = ~720 invocations; allow wide tolerance.
 	if total < 360 || total > 1440 {
 		t.Fatalf("aggregate invocations = %d, want ~720", total)
 	}
 }
 
-// TestGenChurn pins the properties the churn fuzzer relies on: the
-// schedule is a pure function of its seed, sorted by time, strictly
-// inside the trace window, and mixes targeted hosts (including
-// deliberately dangling IDs) with "busiest" (-1) wildcards.
-func TestGenChurn(t *testing.T) {
-	cfg := ChurnConfig{Duration: 30 * sim.Second, Events: 40, Hosts: 4}
-	a := GenChurn(7, cfg)
-	b := GenChurn(7, cfg)
-	if len(a) != cfg.Events || len(b) != cfg.Events {
-		t.Fatalf("lengths %d/%d, want %d", len(a), len(b), cfg.Events)
-	}
-	targeted, wildcard := 0, 0
-	for i, ev := range a {
-		if ev != b[i] {
-			t.Fatalf("event %d differs across same-seed runs: %+v vs %+v", i, ev, b[i])
-		}
-		if i > 0 && ev.T < a[i-1].T {
-			t.Fatalf("events not sorted: %d then %d", a[i-1].T, ev.T)
-		}
-		if ev.T <= 0 || ev.T >= sim.Time(cfg.Duration) {
-			t.Fatalf("event %d at %d outside (0, %d)", i, ev.T, cfg.Duration)
-		}
-		if ev.Kind != ChurnJoin && ev.Kind != ChurnFail && ev.Kind != ChurnDrain {
-			t.Fatalf("event %d has kind %d", i, ev.Kind)
-		}
-		if ev.Host == -1 {
-			wildcard++
-		} else if ev.Host >= 0 && ev.Host < 2*cfg.Hosts {
-			targeted++
-		} else {
-			t.Fatalf("event %d targets host %d outside [0, %d)", i, ev.Host, 2*cfg.Hosts)
-		}
-	}
-	if targeted == 0 || wildcard == 0 {
-		t.Fatalf("no mix: %d targeted, %d wildcard", targeted, wildcard)
-	}
-	if c := GenChurn(8, cfg); len(c) == len(a) {
-		same := true
-		for i := range c {
-			if c[i] != a[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			t.Fatal("different seeds produced identical churn schedules")
-		}
-	}
-}
-
-// TestGenChurnRacks: with Racks unset the schedule is byte-identical
-// to a build without the rack kind (host kinds only, same draws); with
-// racks declared, rack failures appear with rack-index targets
-// (possibly dangling, for no-op coverage).
-func TestGenChurnRacks(t *testing.T) {
-	cfg := ChurnConfig{Duration: 30 * sim.Second, Events: 40, Hosts: 4}
-	for _, ev := range GenChurn(7, cfg) {
-		if ev.Kind == ChurnRackFail {
-			t.Fatal("flat schedule drew a rack failure")
-		}
-	}
-	cfg.Racks = 2
-	rackFails := 0
-	for _, ev := range GenChurn(7, cfg) {
-		if ev.Kind != ChurnRackFail {
-			continue
-		}
-		rackFails++
-		if ev.Host < 0 || ev.Host >= 2*cfg.Racks {
-			t.Fatalf("rack failure targets %d outside [0, %d)", ev.Host, 2*cfg.Racks)
-		}
-	}
-	if rackFails == 0 {
-		t.Fatal("racked schedule drew no rack failures in 40 events")
-	}
-}
-
 // refInstanceChurn is the binary-search pool InstanceChurn replaced,
 // kept as a differential reference: one slice sorted by freeAt, reuse
 // removing the last entry free by now from the middle of it.
-func refInstanceChurn(tr *Trace, execTime, keepAlive sim.Duration, duration sim.Duration) []ChurnPoint {
+func refInstanceChurn(times []sim.Time, execTime, keepAlive sim.Duration, duration sim.Duration) []ChurnPoint {
 	minutes := int((duration + sim.Minute - 1) / sim.Minute)
 	points := make([]ChurnPoint, minutes)
 	for i := range points {
@@ -372,7 +361,7 @@ func refInstanceChurn(tr *Trace, execTime, keepAlive sim.Duration, duration sim.
 		}
 	}
 
-	for _, t := range tr.Times {
+	for _, t := range times {
 		evictBefore(t)
 		m := int(sim.Duration(t) / sim.Minute)
 		if m >= minutes {
@@ -399,11 +388,19 @@ func refInstanceChurn(tr *Trace, execTime, keepAlive sim.Duration, duration sim.
 }
 
 // checkChurnMatches replays times through InstanceChurn and the
-// reference and reports the first minute where they differ.
+// reference and reports the first minute where they differ, then
+// checks PeakConcurrency against its reference when execTime meets
+// its precondition (> 0).
 func checkChurnMatches(t *testing.T, name string, times []sim.Time, execTime, keepAlive, duration sim.Duration) {
 	t.Helper()
+	if execTime > 0 {
+		if got, want := PeakConcurrency(streamOf(times...), execTime), refPeakConcurrency(times, execTime); got != want {
+			t.Fatalf("%s (exec %v, %d invocations): peak concurrency %d, reference %d",
+				name, execTime, len(times), got, want)
+		}
+	}
 	got := InstanceChurn(streamOf(times...), execTime, keepAlive, duration)
-	want := refInstanceChurn(&Trace{Times: times}, execTime, keepAlive, duration)
+	want := refInstanceChurn(times, execTime, keepAlive, duration)
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d minutes, reference %d", name, len(got), len(want))
 	}
@@ -433,7 +430,7 @@ func TestInstanceChurnMatchesReference(t *testing.T) {
 		}
 		grain := []sim.Duration{sim.Microsecond, sim.Millisecond, 100 * sim.Millisecond, sim.Second}[rng.IntN(4)]
 		var times []sim.Time
-		for _, ts := range GenBursty(rng.Uint64(), cfg).Times {
+		for _, ts := range collect(NewBursty(rng.Uint64(), cfg)) {
 			times = append(times, ts/sim.Time(grain)*sim.Time(grain))
 		}
 		keepAlive := sim.Duration(rng.Int64N(int64(3 * sim.Minute)))

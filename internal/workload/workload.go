@@ -107,26 +107,12 @@ func fleetMember(base []*Function, i int) *Function {
 	return &f
 }
 
-// Fleet synthesizes n functions for fleet-scale experiments by cycling
-// the four Table-1 profiles under distinct names ("f003-Bert"). Ranks
-// are meant to be paired with trace.GenFleet, whose Zipf split makes
-// low-numbered functions hot and the tail cold; the profiles themselves
-// are unchanged so per-function behavior stays calibrated.
-func Fleet(n int) []*Function {
-	base := Functions()
-	fleet := make([]*Function, n)
-	for i := range fleet {
-		fleet[i] = fleetMember(base, i)
-	}
-	return fleet
-}
-
-// FleetPool hands out fleet members by rank, building each lazily on
-// first use and memoizing it so every lookup of rank i returns the
-// same *Function — the identity the dispatcher keys warm instances on.
-// Streaming replays (trace cursors, CSV traces) use it when the
-// function universe isn't known up front: memory stays O(distinct
-// ranks seen), and Get(i) is always identical in value to Fleet(n)[i].
+// FleetPool hands out the members of a synthetic fleet by rank
+// (fleetMember), paired with trace.FleetCursors, whose Zipf split makes
+// low ranks hot and the tail cold. Each member is built lazily on
+// first use and memoized, so every lookup of rank i returns the same
+// *Function — the identity the dispatcher keys warm instances on — and
+// memory stays O(distinct ranks seen).
 type FleetPool struct {
 	base []*Function
 	fns  []*Function
