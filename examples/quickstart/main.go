@@ -59,7 +59,7 @@ func main() {
 		// Scale down: unplug the partition instantly — no migrations,
 		// no zeroing (steps 5-6).
 		start := sched.Now()
-		mgr.Unplug(1, func(res core.UnplugResult) {
+		mgr.Unplug(1, func(res vmm.ReclaimResult) {
 			fmt.Printf("[%7.1fms] unplugged %s in %v (migration=0, zeroing=0)\n",
 				sched.Now().Sub(0).Milliseconds(),
 				units.HumanBytes(res.ReclaimedBytes),

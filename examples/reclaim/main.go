@@ -66,7 +66,7 @@ func runBalloon() {
 	d := balloon.New(k)
 	hogs := loadHogs(k, nil)
 	hogs[0].Kill()
-	d.Inflate(instSize, func(r balloon.InflateResult) {
+	d.Inflate(instSize, func(r vmm.ReclaimResult) {
 		fmt.Printf("balloon:    %8.1fms  (%s)\n", r.Latency.Milliseconds(), r.Breakdown)
 	})
 	sched.Run()
@@ -84,7 +84,7 @@ func runVirtioMem() {
 	sched.Run()
 	hogs := loadHogs(k, nil)
 	hogs[0].Kill()
-	d.Unplug(instSize, func(r virtiomem.UnplugResult) {
+	d.Unplug(instSize, func(r vmm.ReclaimResult) {
 		fmt.Printf("virtio-mem: %8.1fms  (%s)\n", r.Latency.Milliseconds(), r.Breakdown)
 	})
 	sched.Run()
@@ -103,7 +103,7 @@ func runSqueezy() {
 		mgr.Attach(h.Proc, func(*core.Partition) {})
 	})
 	hogs[0].Kill()
-	mgr.Unplug(1, func(r core.UnplugResult) {
+	mgr.Unplug(1, func(r vmm.ReclaimResult) {
 		fmt.Printf("squeezy:    %8.1fms  (%s)\n", r.Latency.Milliseconds(), r.Breakdown)
 	})
 	sched.Run()

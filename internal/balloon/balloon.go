@@ -15,38 +15,19 @@ const (
 	HostClass  = "balloon-vmm"
 )
 
-// InflateResult reports one inflation request.
-type InflateResult struct {
-	RequestedBytes int64
-	ReclaimedBytes int64 // guest pages reserved and reported
-	ReleasedPages  int64 // host frames actually freed (populated ones)
-	Breakdown      *stats.Breakdown
-	Latency        sim.Duration
-}
-
-// FaultHooks degrades the balloon for fault-injection windows: a
-// non-zero ReclaimStall turns inflation slow (the completion is
-// delayed while the device stays busy), and a ReclaimFraction below 1
-// caps how much of a request is attempted.
-type FaultHooks interface {
-	ReclaimStall() sim.Duration
-	ReclaimFraction() float64
-}
-
-// Driver is the guest balloon driver of one VM.
+// Driver is the guest balloon driver of one VM. Its inflations queue
+// on one device (vmm.Device), which also carries the fault hooks;
+// deflation is immediate and bypasses the queue.
 type Driver struct {
+	vmm.Device
+
 	K *guestos.Kernel
 
 	// Obs, when non-nil, records a span per inflation and an instant per
 	// deflation; recording never alters the operation.
 	Obs *obs.Recorder
 
-	// Faults, when non-nil, injects slow and partial inflations.
-	Faults FaultHooks
-
-	proc    *guestos.Process // owns the reserved pages
-	busy    bool
-	pending []func()
+	proc *guestos.Process // owns the reserved pages
 	// reserved is Inflate's AllocReserved buffer, reused across
 	// inflations.
 	reserved []guestos.ChunkID
@@ -60,38 +41,15 @@ func New(k *guestos.Kernel) *Driver {
 // HeldPages returns the pages currently held by the balloon.
 func (d *Driver) HeldPages() int64 { return d.proc.AnonPages() }
 
-func (d *Driver) enqueue(fn func()) {
-	if d.busy {
-		d.pending = append(d.pending, fn)
-		return
-	}
-	d.busy = true
-	fn()
-}
-
-func (d *Driver) finish() {
-	if len(d.pending) > 0 {
-		next := d.pending[0]
-		d.pending = d.pending[1:]
-		next()
-		return
-	}
-	d.busy = false
-}
-
 // Inflate reserves bytes of free guest memory and releases the backing
 // host frames. When free guest memory runs short the balloon reclaims
 // less than asked (it cannot migrate). onDone fires when the last page
 // has been reported and released.
-func (d *Driver) Inflate(bytes int64, onDone func(InflateResult)) {
-	d.enqueue(func() {
+func (d *Driver) Inflate(bytes int64, onDone func(vmm.ReclaimResult)) {
+	d.Submit(func() {
 		vm := d.K.VM
-		want := units.BytesToPages(bytes)
-		if d.Faults != nil {
-			if f := d.Faults.ReclaimFraction(); f < 1 {
-				want = int64(float64(want) * f)
-			}
-		}
+		// A fault window may cut the request (possibly to nothing).
+		want := int64(float64(units.BytesToPages(bytes)) * d.Fraction())
 		var got int64
 		d.reserved, got = d.K.AllocReserved(d.reserved[:0], d.proc, want)
 
@@ -108,33 +66,22 @@ func (d *Driver) Inflate(bytes int64, onDone func(InflateResult)) {
 		}
 		vm.CountExit("balloon-inflate", got)
 		start := vm.Sched.Now()
-		vmm.RunChain(vm.Sched, steps, func(bd *stats.Breakdown, total sim.Duration) {
-			deliver := func() {
-				res := InflateResult{
-					RequestedBytes: bytes,
-					ReclaimedBytes: units.PagesToBytes(got),
-					ReleasedPages:  released,
-					Breakdown:      bd,
-					Latency:        total,
-				}
-				if d.Obs != nil {
-					d.Obs.Span("balloon/inflate", obs.CatMemory, start,
-						obs.I("requested_bytes", res.RequestedBytes),
-						obs.I("reclaimed_bytes", res.ReclaimedBytes),
-						obs.I("released_pages", res.ReleasedPages))
-				}
-				d.finish()
-				onDone(res)
+		d.Run(vm.Sched, steps, func(bd *stats.Breakdown, total sim.Duration) {
+			res := vmm.ReclaimResult{
+				RequestedBytes: bytes,
+				ReclaimedBytes: units.PagesToBytes(got),
+				ReleasedPages:  released,
+				Breakdown:      bd,
+				Latency:        total,
 			}
-			if d.Faults != nil {
-				// Slow inflation: the completion stalls while the device
-				// stays busy, so queued commands wait behind it.
-				if stall := d.Faults.ReclaimStall(); stall > 0 {
-					vm.Sched.After(stall, deliver)
-					return
-				}
+			if d.Obs != nil {
+				d.Obs.Span("balloon/inflate", obs.CatMemory, start,
+					obs.I("requested_bytes", res.RequestedBytes),
+					obs.I("reclaimed_bytes", res.ReclaimedBytes),
+					obs.I("released_pages", res.ReleasedPages))
 			}
-			deliver()
+			d.Finish()
+			onDone(res)
 		})
 	})
 }

@@ -30,8 +30,8 @@ func TestInflateReservesAndReleases(t *testing.T) {
 	k.TouchAnon(p, 128*units.MiB, guestos.HugeOrder)
 	k.Exit(p) // 128 MiB guest-free but host-populated
 	popBefore := k.VM.PopulatedPages()
-	var res InflateResult
-	d.Inflate(128*units.MiB, func(r InflateResult) { res = r })
+	var res vmm.ReclaimResult
+	d.Inflate(128*units.MiB, func(r vmm.ReclaimResult) { res = r })
 	s.Run()
 	if res.ReclaimedBytes != 128*units.MiB {
 		t.Fatalf("reclaimed = %s", units.HumanBytes(res.ReclaimedBytes))
@@ -50,8 +50,8 @@ func TestInflateReservesAndReleases(t *testing.T) {
 
 func TestInflateLatencyIsExitDominated(t *testing.T) {
 	d, _, s := newRig(t, 8)
-	var res InflateResult
-	d.Inflate(512*units.MiB, func(r InflateResult) { res = r })
+	var res vmm.ReclaimResult
+	d.Inflate(512*units.MiB, func(r vmm.ReclaimResult) { res = r })
 	s.Run()
 	// §6.1.1: 81% of ballooning latency is VM-exit handling.
 	if f := res.Breakdown.Fraction(vmm.StepVMExits); f < 0.7 {
@@ -71,8 +71,8 @@ func TestInflatePartialWhenNoFreeMemory(t *testing.T) {
 	if _, ok := k.TouchAnon(hog, 2*128*units.MiB, guestos.HugeOrder); !ok {
 		t.Fatal("fill failed")
 	}
-	var res InflateResult
-	d.Inflate(128*units.MiB, func(r InflateResult) { res = r })
+	var res vmm.ReclaimResult
+	d.Inflate(128*units.MiB, func(r vmm.ReclaimResult) { res = r })
 	s.Run()
 	if res.ReclaimedBytes != 0 {
 		t.Fatalf("balloon reclaimed %d from a full guest", res.ReclaimedBytes)
@@ -81,7 +81,7 @@ func TestInflatePartialWhenNoFreeMemory(t *testing.T) {
 
 func TestDeflateReturnsMemory(t *testing.T) {
 	d, k, s := newRig(t, 4)
-	d.Inflate(256*units.MiB, func(InflateResult) {})
+	d.Inflate(256*units.MiB, func(vmm.ReclaimResult) {})
 	s.Run()
 	freed := d.Deflate(256 * units.MiB)
 	if freed != units.BytesToPages(256*units.MiB) {
@@ -99,7 +99,7 @@ func TestDeflateReturnsMemory(t *testing.T) {
 
 func TestInflateCountsExitsPerPage(t *testing.T) {
 	d, k, s := newRig(t, 2)
-	d.Inflate(16*units.MiB, func(InflateResult) {})
+	d.Inflate(16*units.MiB, func(vmm.ReclaimResult) {})
 	s.Run()
 	if got := k.VM.Exits("balloon-inflate"); got != units.BytesToPages(16*units.MiB) {
 		t.Fatalf("exits = %d, want one per page", got)
@@ -109,8 +109,8 @@ func TestInflateCountsExitsPerPage(t *testing.T) {
 func TestSerializedInflations(t *testing.T) {
 	d, _, s := newRig(t, 4)
 	var done []int
-	d.Inflate(64*units.MiB, func(InflateResult) { done = append(done, 1) })
-	d.Inflate(64*units.MiB, func(InflateResult) { done = append(done, 2) })
+	d.Inflate(64*units.MiB, func(vmm.ReclaimResult) { done = append(done, 1) })
+	d.Inflate(64*units.MiB, func(vmm.ReclaimResult) { done = append(done, 2) })
 	s.Run()
 	if len(done) != 2 || done[0] != 1 || done[1] != 2 {
 		t.Fatalf("order = %v", done)

@@ -7,6 +7,7 @@ import (
 
 	"squeezy/internal/guestos"
 	"squeezy/internal/units"
+	"squeezy/internal/vmm"
 )
 
 // TestSqueezyLifecycleProperty drives random plug / attach / touch /
@@ -70,7 +71,7 @@ func TestSqueezyLifecycleProperty(t *testing.T) {
 					ok = false // exit cannot unplug memory by itself
 				}
 			default: // unplug whatever is free
-				m.Unplug(1+rng.IntN(2), func(r UnplugResult) {
+				m.Unplug(1+rng.IntN(2), func(r vmm.ReclaimResult) {
 					if r.Breakdown.Get("migration") != 0 || r.Breakdown.Get("zeroing") != 0 {
 						ok = false
 					}
@@ -118,7 +119,7 @@ func TestSqueezyLifecycleProperty(t *testing.T) {
 		if m.CountState(PartReserved) != 0 {
 			return false
 		}
-		m.Unplug(6, func(UnplugResult) {})
+		m.Unplug(6, func(vmm.ReclaimResult) {})
 		s.Run()
 		return k.CheckInvariants() == nil
 	}

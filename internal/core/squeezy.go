@@ -59,15 +59,6 @@ func (p *Partition) State() PartitionState { return p.state }
 // Users returns the partition_users reference count.
 func (p *Partition) Users() int { return p.users }
 
-// UnplugResult reports one Squeezy unplug request, shaped like the
-// virtio-mem result for side-by-side comparison.
-type UnplugResult struct {
-	RequestedBytes int64
-	ReclaimedBytes int64
-	Breakdown      *stats.Breakdown
-	Latency        sim.Duration
-}
-
 // Config sizes a Squeezy manager.
 type Config struct {
 	// PartitionBytes is the rated size of each private partition — the
@@ -81,26 +72,18 @@ type Config struct {
 	SharedBytes int64
 }
 
-// FaultHooks degrades the manager's device path for fault-injection
-// windows: a non-zero ReclaimStall delays every command completion
-// (the command occupies the device queue the whole time), and a
-// ReclaimFraction below 1 caps how many partitions an unplug attempts.
-type FaultHooks interface {
-	ReclaimStall() sim.Duration
-	ReclaimFraction() float64
-}
-
 // Manager is the Squeezy memory manager extension of one guest kernel.
+// Its plug and unplug commands share one device queue (vmm.Device),
+// which also carries the fault hooks.
 type Manager struct {
+	vmm.Device
+
 	K   *guestos.Kernel
 	Cfg Config
 
 	// Obs, when non-nil, records a span per plug/unplug command;
 	// recording never alters the command.
 	Obs *obs.Recorder
-
-	// Faults, when non-nil, injects stalled and partial commands.
-	Faults FaultHooks
 
 	Shared *mem.Zone
 	parts  []*Partition
@@ -109,9 +92,6 @@ type Manager struct {
 	// waitq holds Attach requests that arrived before a populated
 	// partition was available (§4.1, "Squeezy waitqueue").
 	waitq []waiter
-
-	busy    bool
-	pending []func()
 }
 
 type waiter struct {
@@ -174,44 +154,12 @@ func (m *Manager) PartitionBlocks() int64 {
 	return units.BytesToBlocks(units.AlignUp(m.Cfg.PartitionBytes, units.BlockSize))
 }
 
-func (m *Manager) enqueue(fn func()) {
-	if m.busy {
-		m.pending = append(m.pending, fn)
-		return
-	}
-	m.busy = true
-	fn()
-}
-
-func (m *Manager) finish() {
-	if len(m.pending) > 0 {
-		next := m.pending[0]
-		m.pending = m.pending[1:]
-		next()
-		return
-	}
-	m.busy = false
-}
-
-// deliver completes a command, imposing the injected stall first; the
-// stall happens inside the device's busy window, so queued commands
-// wait behind it and the runtime's ReclaimDrainTimeout can fire.
-func (m *Manager) deliver(fn func()) {
-	if m.Faults != nil {
-		if stall := m.Faults.ReclaimStall(); stall > 0 {
-			m.K.VM.Sched.After(stall, fn)
-			return
-		}
-	}
-	fn()
-}
-
 // Plug populates nParts empty partitions with hotplugged memory
 // (triggered by the hypervisor on a scale-up event, Figure 4 step 2).
 // onDone receives how many partitions were populated once the memory is
 // online; waiting Attach calls are then served in FIFO order.
 func (m *Manager) Plug(nParts int, onDone func(plugged int)) {
-	m.enqueue(func() {
+	m.Submit(func() {
 		vm := m.K.VM
 		var plugged []*Partition
 		for _, p := range m.parts {
@@ -241,19 +189,17 @@ func (m *Manager) Plug(nParts int, onDone func(plugged int)) {
 			vm.CountExit("squeezy-plug", 1)
 		}
 		start := vm.Sched.Now()
-		vmm.RunChain(vm.Sched, steps, func(_ *stats.Breakdown, _ sim.Duration) {
-			m.deliver(func() {
-				for _, p := range plugged {
-					p.state = PartFree
-				}
-				if m.Obs != nil {
-					m.Obs.Span("squeezy/plug", obs.CatMemory, start,
-						obs.I("partitions", int64(len(plugged))), obs.I("blocks", blocks))
-				}
-				m.finish()
-				m.wakeWaiters()
-				onDone(len(plugged))
-			})
+		m.Run(vm.Sched, steps, func(*stats.Breakdown, sim.Duration) {
+			for _, p := range plugged {
+				p.state = PartFree
+			}
+			if m.Obs != nil {
+				m.Obs.Span("squeezy/plug", obs.CatMemory, start,
+					obs.I("partitions", int64(len(plugged))), obs.I("blocks", blocks))
+			}
+			m.Finish()
+			m.wakeWaiters()
+			onDone(len(plugged))
 		})
 	})
 }
@@ -339,17 +285,12 @@ func (m *Manager) onExit(proc *guestos.Process) {
 // onDone receives the result once the host has madvise()d the frames
 // away. RequestedBytes is the request as issued, even when a fault
 // window cuts how many partitions the command attempts.
-func (m *Manager) Unplug(nParts int, onDone func(UnplugResult)) {
-	m.enqueue(func() {
+func (m *Manager) Unplug(nParts int, onDone func(vmm.ReclaimResult)) {
+	m.Submit(func() {
 		vm := m.K.VM
 		req := int64(nParts) * m.PartitionBlocks() * units.BlockSize
-		if m.Faults != nil {
-			if f := m.Faults.ReclaimFraction(); f < 1 {
-				// Partial command: the degraded device attempts only a
-				// fraction of the request (possibly none of it).
-				nParts = int(float64(nParts) * f)
-			}
-		}
+		// A fault window may cut the request (possibly to nothing).
+		nParts = int(float64(nParts) * m.Fraction())
 		var victims []*Partition
 		for _, p := range m.parts {
 			if len(victims) >= nParts {
@@ -379,27 +320,27 @@ func (m *Manager) Unplug(nParts int, onDone func(UnplugResult)) {
 		vm.CountExit("squeezy-unplug", exits)
 		reclaimed := blocks * units.BlockSize
 		cmdStart := vm.Sched.Now()
-		vmm.RunChain(vm.Sched, steps, func(bd *stats.Breakdown, total sim.Duration) {
-			m.deliver(func() {
-				for _, p := range victims {
-					for i := 0; i < p.Zone.Blocks(); i++ {
-						start, count := p.Zone.BlockRange(i)
-						m.K.ReleaseRange(start, count)
-						vm.Uncommit(count)
-					}
+		m.Run(vm.Sched, steps, func(bd *stats.Breakdown, total sim.Duration) {
+			var released int64
+			for _, p := range victims {
+				for i := 0; i < p.Zone.Blocks(); i++ {
+					start, count := p.Zone.BlockRange(i)
+					released += m.K.ReleaseRange(start, count)
+					vm.Uncommit(count)
 				}
-				if m.Obs != nil {
-					m.Obs.Span("squeezy/unplug", obs.CatMemory, cmdStart,
-						obs.I("requested_bytes", req), obs.I("reclaimed_bytes", reclaimed),
-						obs.I("blocks", blocks))
-				}
-				m.finish()
-				onDone(UnplugResult{
-					RequestedBytes: req,
-					ReclaimedBytes: reclaimed,
-					Breakdown:      bd,
-					Latency:        total,
-				})
+			}
+			if m.Obs != nil {
+				m.Obs.Span("squeezy/unplug", obs.CatMemory, cmdStart,
+					obs.I("requested_bytes", req), obs.I("reclaimed_bytes", reclaimed),
+					obs.I("blocks", blocks))
+			}
+			m.Finish()
+			onDone(vmm.ReclaimResult{
+				RequestedBytes: req,
+				ReclaimedBytes: reclaimed,
+				ReleasedPages:  released,
+				Breakdown:      bd,
+				Latency:        total,
 			})
 		})
 	})

@@ -173,8 +173,8 @@ func TestUnplugInstantNoMigrationNoZeroing(t *testing.T) {
 	m.Attach(p, func(*Partition) {})
 	k.TouchAnon(p, 400*units.MiB, guestos.HugeOrder)
 	k.Exit(p)
-	var res UnplugResult
-	m.Unplug(1, func(r UnplugResult) { res = r })
+	var res vmm.ReclaimResult
+	m.Unplug(1, func(r vmm.ReclaimResult) { res = r })
 	s.Run()
 	if res.ReclaimedBytes != 512*units.MiB {
 		t.Fatalf("reclaimed = %s", units.HumanBytes(res.ReclaimedBytes))
@@ -201,7 +201,7 @@ func TestUnplugReleasesHostMemory(t *testing.T) {
 	popBefore := k.VM.PopulatedPages()
 	commitBefore := k.VM.CommittedPages()
 	k.Exit(p)
-	m.Unplug(1, func(UnplugResult) {})
+	m.Unplug(1, func(vmm.ReclaimResult) {})
 	s.Run()
 	if released := popBefore - k.VM.PopulatedPages(); released != units.BytesToPages(200*units.MiB) {
 		t.Fatalf("released %d pages, want the touched 200 MiB", released)
@@ -218,8 +218,8 @@ func TestUnplugOnlyTakesFreePartitions(t *testing.T) {
 	busy := k.Spawn("busy")
 	m.Attach(busy, func(*Partition) {})
 	k.TouchAnon(busy, 100*units.MiB, guestos.HugeOrder)
-	var res UnplugResult
-	m.Unplug(3, func(r UnplugResult) { res = r })
+	var res vmm.ReclaimResult
+	m.Unplug(3, func(r vmm.ReclaimResult) { res = r })
 	s.Run()
 	if res.ReclaimedBytes != 2*256*units.MiB {
 		t.Fatalf("reclaimed = %s, want exactly the 2 free partitions", units.HumanBytes(res.ReclaimedBytes))
@@ -237,7 +237,7 @@ func TestReplugAfterUnplugRepopulates(t *testing.T) {
 	m.Attach(p, func(*Partition) {})
 	k.TouchAnon(p, 128*units.MiB, guestos.HugeOrder)
 	k.Exit(p)
-	m.Unplug(1, func(UnplugResult) {})
+	m.Unplug(1, func(vmm.ReclaimResult) {})
 	s.Run()
 	if k.VM.PopulatedPages() <= units.BytesToPages(8*units.MiB) { // kernel only
 		// ok: partition frames released
@@ -318,8 +318,8 @@ func TestBatchedExitsAblation(t *testing.T) {
 		m.Attach(p, func(*Partition) {})
 		k.Exit(p)
 	}
-	var res UnplugResult
-	m.Unplug(4, func(r UnplugResult) { res = r })
+	var res vmm.ReclaimResult
+	m.Unplug(4, func(r vmm.ReclaimResult) { res = r })
 	s.Run()
 	unbatched := res.Latency
 
@@ -333,8 +333,8 @@ func TestBatchedExitsAblation(t *testing.T) {
 		m2.Attach(p, func(*Partition) {})
 		k2.Exit(p)
 	}
-	var res2 UnplugResult
-	m2.Unplug(4, func(r UnplugResult) { res2 = r })
+	var res2 vmm.ReclaimResult
+	m2.Unplug(4, func(r vmm.ReclaimResult) { res2 = r })
 	s2.Run()
 	if res2.Latency >= unbatched {
 		t.Fatalf("batched %v not faster than unbatched %v", res2.Latency, unbatched)
@@ -353,8 +353,8 @@ func TestFaultedUnplugReportsRequestAsIssued(t *testing.T) {
 	m.Plug(2, func(int) {})
 	s.Run()
 	m.Faults = halfFaults{}
-	var res UnplugResult
-	m.Unplug(2, func(r UnplugResult) { res = r })
+	var res vmm.ReclaimResult
+	m.Unplug(2, func(r vmm.ReclaimResult) { res = r })
 	s.Run()
 	if res.RequestedBytes != 2*256*units.MiB {
 		t.Fatalf("requested = %s, want the 2 partitions asked for", units.HumanBytes(res.RequestedBytes))
@@ -384,6 +384,6 @@ func TestUnplugPanicsOnLiveChunkInFreePartition(t *testing.T) {
 			t.Fatal("unplugging a partition with a live chunk did not panic")
 		}
 	}()
-	m.Unplug(1, func(UnplugResult) {})
+	m.Unplug(1, func(vmm.ReclaimResult) {})
 	s.Run()
 }

@@ -9,6 +9,7 @@ import (
 	"squeezy/internal/hostmem"
 	"squeezy/internal/units"
 	"squeezy/internal/virtiomem"
+	"squeezy/internal/vmm"
 	"squeezy/internal/workload"
 )
 
@@ -35,7 +36,7 @@ func ablationBatching(w *World, batched bool, bytes int64) float64 {
 	mgr.Plug(1, func(int) {})
 	sched.Run()
 	var latMs float64
-	mgr.Unplug(1, func(r core.UnplugResult) { latMs = r.Latency.Milliseconds() })
+	mgr.Unplug(1, func(r vmm.ReclaimResult) { latMs = r.Latency.Milliseconds() })
 	sched.Run()
 	return latMs
 }
@@ -87,7 +88,7 @@ func vanillaUnplug512(w *World, cost *costmodel.Model, policy virtiomem.Candidat
 	interleavedWarmup(k, hogs)
 	hogs[0].Kill()
 	var latMs float64
-	drv.Unplug(512*units.MiB, func(r virtiomem.UnplugResult) { latMs = r.Latency.Milliseconds() })
+	drv.Unplug(512*units.MiB, func(r vmm.ReclaimResult) { latMs = r.Latency.Milliseconds() })
 	sched.Run()
 	return latMs
 }

@@ -140,22 +140,17 @@ func fig5Run(w *World, method string, instSize int64, n int) Fig5Row {
 	for _, h := range hogs {
 		h.Kill()
 		start := sched.Now()
+		done := func(r vmm.ReclaimResult) {
+			lat.Add(sched.Now().Sub(start).Milliseconds())
+			accumulate(bd, r.Breakdown)
+		}
 		switch method {
 		case "balloon":
-			bdrv.Inflate(instBytes, func(r balloon.InflateResult) {
-				lat.Add(sched.Now().Sub(start).Milliseconds())
-				accumulate(bd, r.Breakdown)
-			})
+			bdrv.Inflate(instBytes, done)
 		case "virtio-mem":
-			vdrv.Unplug(instBytes, func(r virtiomem.UnplugResult) {
-				lat.Add(sched.Now().Sub(start).Milliseconds())
-				accumulate(bd, r.Breakdown)
-			})
+			vdrv.Unplug(instBytes, done)
 		case "squeezy":
-			sq.Unplug(1, func(r core.UnplugResult) {
-				lat.Add(sched.Now().Sub(start).Milliseconds())
-				accumulate(bd, r.Breakdown)
-			})
+			sq.Unplug(1, done)
 		}
 		sched.Run()
 	}

@@ -11,6 +11,7 @@ import (
 	"squeezy/internal/sim"
 	"squeezy/internal/units"
 	"squeezy/internal/virtiomem"
+	"squeezy/internal/vmm"
 	"squeezy/internal/workload"
 )
 
@@ -105,7 +106,7 @@ func fig6Run(w *World, method string, vmBytes int64, utilPct int, seed uint64) f
 		victim.Kill()
 		var lat sim.Duration
 		start := sched.Now()
-		sq.Unplug(1, func(core.UnplugResult) { lat = sched.Now().Sub(start) })
+		sq.Unplug(1, func(vmm.ReclaimResult) { lat = sched.Now().Sub(start) })
 		sched.Run()
 		return lat.Milliseconds()
 
@@ -146,7 +147,7 @@ func fig6Run(w *World, method string, vmBytes int64, utilPct int, seed uint64) f
 		}
 		var lat sim.Duration
 		start := sched.Now()
-		drv.Unplug(reclaim, func(res virtiomem.UnplugResult) {
+		drv.Unplug(reclaim, func(res vmm.ReclaimResult) {
 			if res.ReclaimedBytes < reclaim {
 				panic("fig6: partial reclaim with free memory available")
 			}

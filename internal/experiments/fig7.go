@@ -13,6 +13,7 @@ import (
 	"squeezy/internal/sim"
 	"squeezy/internal/units"
 	"squeezy/internal/virtiomem"
+	"squeezy/internal/vmm"
 	"squeezy/internal/workload"
 )
 
@@ -157,15 +158,15 @@ func fig7Run(w *World, method string, duration sim.Duration, seed uint64) Fig7Se
 	cycle = func() {
 		switch method {
 		case "balloon":
-			bdrv.Inflate(reclaim, func(balloon.InflateResult) {
+			bdrv.Inflate(reclaim, func(vmm.ReclaimResult) {
 				sched.After(period/2, func() { bdrv.Deflate(reclaim) })
 			})
 		case "virtio-mem":
-			vdrv.Unplug(reclaim, func(virtiomem.UnplugResult) {
+			vdrv.Unplug(reclaim, func(vmm.ReclaimResult) {
 				sched.After(period/2, func() { vdrv.Plug(reclaim, func(int64) {}) })
 			})
 		case "squeezy":
-			sq.Unplug(1, func(core.UnplugResult) {
+			sq.Unplug(1, func(vmm.ReclaimResult) {
 				sched.After(period/2, func() { sq.Plug(1, func(int) {}) })
 			})
 		}

@@ -205,11 +205,6 @@ type VMConfig struct {
 	// HarvestBufferBytes is the slack buffer cap for the Harvest
 	// backend.
 	HarvestBufferBytes int64
-	// Recycle, when non-nil, supplies recycled arena storage for the
-	// VM's guest kernel (Runtime.AddVM injects the runtime's recycler
-	// when this is unset). Release the kernel with FuncVM.Release once
-	// the VM is dead.
-	Recycle *guestos.Recycler
 	// LeanMetrics skips the per-request Completions log and the
 	// per-function Latencies samples, both of which grow with request
 	// count. Bounded-memory fleet replays (cluster sketch mode) set it:
@@ -253,14 +248,12 @@ func (cfg VMConfig) BootFootprintBytes() int64 {
 // FaultInjector is the host's fault-injection window state, consulted
 // at decision points (fault.Injector implements it). FailCold and
 // CrashExec are probabilistic draws from the host's deterministic
-// decision stream; ReclaimStall and ReclaimFraction are passed through
-// to the reclaim backends, whose FaultHooks interfaces this one
-// subsumes.
+// decision stream; the embedded vmm.FaultHooks pass through to the VM's
+// reclaim backend.
 type FaultInjector interface {
+	vmm.FaultHooks
 	FailCold() bool
 	CrashExec() bool
-	ReclaimStall() sim.Duration
-	ReclaimFraction() float64
 }
 
 // FuncVM is one N:1 VM with its in-guest agent state.
@@ -328,8 +321,8 @@ type FuncVM struct {
 
 // newFuncVM boots an N:1 VM on the host with the configured backend.
 // With a recycler, the agent shell and the inner vmm.VM come out of
-// the pool when possible, and the kernel arenas draw from the pool's
-// guestos cache. Every observable field is
+// the pool when possible, and the kernel arenas draw from its Kernels
+// cache. Every observable field is
 // (re-)initialized here, so a recycled FuncVM is indistinguishable from
 // a fresh one.
 func newFuncVM(rec *Recycler, sched *sim.Scheduler, host *hostmem.Host, cost *costmodel.Model, broker *Broker, recorder *obs.Recorder, faults FaultInjector, cfg VMConfig) *FuncVM {
@@ -354,11 +347,12 @@ func newFuncVM(rec *Recycler, sched *sim.Scheduler, host *hostmem.Host, cost *co
 	}
 	var vm *vmm.VM
 	var fv *FuncVM
+	var kernels *guestos.Recycler
 	if rec != nil {
-		vm = rec.takeVM(cfg.Name, sched, cost, host, vcpus)
+		vm = rec.AcquireVM(cfg.Name, sched, cost, host, vcpus)
 		fv = rec.takeFuncVM()
-	}
-	if vm == nil {
+		kernels = rec.Kernels
+	} else {
 		vm = vmm.New(cfg.Name, sched, cost, host, vcpus)
 	}
 	if cfg.PinReclaim {
@@ -408,7 +402,7 @@ func newFuncVM(rec *Recycler, sched *sim.Scheduler, host *hostmem.Host, cost *co
 			BootBytes:           bootBytes,
 			MovableBytes:        0,
 			KernelResidentBytes: cfg.Fn.GuestOSBytes,
-			Recycle:             cfg.Recycle,
+			Recycle:             kernels,
 		})
 		fv.sq = core.NewManager(fv.K, core.Config{
 			PartitionBytes: instBytes,
@@ -416,9 +410,7 @@ func newFuncVM(rec *Recycler, sched *sim.Scheduler, host *hostmem.Host, cost *co
 			SharedBytes:    sharedBytes,
 		})
 		fv.sq.Obs = recorder
-		if faults != nil {
-			fv.sq.Faults = faults
-		}
+		fv.sq.Faults = faults
 	default:
 		// Static, VirtioMem and Harvest back instances from
 		// ZONE_MOVABLE; the span covers N instances plus the shared
@@ -428,16 +420,14 @@ func newFuncVM(rec *Recycler, sched *sim.Scheduler, host *hostmem.Host, cost *co
 			BootBytes:           bootBytes,
 			MovableBytes:        movable,
 			KernelResidentBytes: cfg.Fn.GuestOSBytes,
-			Recycle:             cfg.Recycle,
+			Recycle:             kernels,
 		})
 		if cfg.Kind == Static {
 			fv.K.OnlineAllMovable()
 		} else {
 			fv.vmem = virtiomem.New(fv.K)
 			fv.vmem.Obs = recorder
-			if faults != nil {
-				fv.vmem.Faults = faults
-			}
+			fv.vmem.Faults = faults
 			// The shared page cache needs backing from the start.
 			fv.vmem.Plug(sharedBytes, func(plugged int64) {
 				if plugged < sharedBytes {
@@ -449,11 +439,11 @@ func newFuncVM(rec *Recycler, sched *sim.Scheduler, host *hostmem.Host, cost *co
 	return fv
 }
 
-// Release retires the VM's guest-kernel arenas into the recycler it
-// was configured with, and — when the FuncVM itself was built through a
-// faas.Recycler — returns the inner vmm.VM and the agent shell to that
-// pool. The VM must be dead: nothing may touch it afterwards. Release
-// is idempotent; repeated calls are no-ops.
+// Release retires the VM's guest kernel — into the recycler's arena
+// cache when the FuncVM was built through a faas.Recycler, which then
+// also takes back the inner vmm.VM and the agent shell. The VM must be
+// dead: nothing may touch it afterwards. Release is idempotent;
+// repeated calls are no-ops.
 func (fv *FuncVM) Release() {
 	if fv.released {
 		return
@@ -461,7 +451,7 @@ func (fv *FuncVM) Release() {
 	fv.released = true
 	fv.K.Release()
 	if fv.recycle != nil {
-		fv.recycle.putVM(fv.VM)
+		fv.recycle.ReleaseVM(fv.VM)
 		fv.recycle.putFuncVM(fv)
 	}
 }
@@ -1136,16 +1126,6 @@ func (fv *FuncVM) releaseInstanceMemory() {
 	switch fv.Cfg.Kind {
 	case Static:
 		return
-	case Squeezy:
-		fv.unplugOrigins = append(fv.unplugOrigins, pressure)
-		fv.sq.Unplug(1, func(res core.UnplugResult) {
-			fv.recordReclaim(res.ReclaimedBytes, res.RequestedBytes, fv.Sched.Now().Sub(start))
-		})
-	case VirtioMem:
-		fv.unplugOrigins = append(fv.unplugOrigins, pressure)
-		fv.vmem.Unplug(fv.instBytes, func(res virtiomem.UnplugResult) {
-			fv.recordReclaim(res.ReclaimedBytes, res.RequestedBytes, fv.Sched.Now().Sub(start))
-		})
 	case Harvest:
 		if fv.harvestBuffer < fv.Cfg.HarvestBufferBytes {
 			// Keep the memory plugged as slack; committed host memory
@@ -1154,10 +1134,15 @@ func (fv *FuncVM) releaseInstanceMemory() {
 			fv.harvestBuffer += fv.instBytes
 			return
 		}
-		fv.unplugOrigins = append(fv.unplugOrigins, pressure)
-		fv.vmem.Unplug(fv.instBytes, func(res virtiomem.UnplugResult) {
-			fv.recordReclaim(res.ReclaimedBytes, res.RequestedBytes, fv.Sched.Now().Sub(start))
-		})
+	}
+	fv.unplugOrigins = append(fv.unplugOrigins, pressure)
+	done := func(res vmm.ReclaimResult) {
+		fv.recordReclaim(res.ReclaimedBytes, res.RequestedBytes, fv.Sched.Now().Sub(start))
+	}
+	if fv.sq != nil {
+		fv.sq.Unplug(1, done)
+	} else {
+		fv.vmem.Unplug(fv.instBytes, done)
 	}
 }
 
@@ -1175,7 +1160,7 @@ func (fv *FuncVM) ReleaseHarvestBuffer(bytes int64) int64 {
 	start := fv.Sched.Now()
 	// Buffer releases only happen on pressure response.
 	fv.unplugOrigins = append(fv.unplugOrigins, true)
-	fv.vmem.Unplug(take, func(res virtiomem.UnplugResult) {
+	fv.vmem.Unplug(take, func(res vmm.ReclaimResult) {
 		fv.recordReclaim(res.ReclaimedBytes, res.RequestedBytes, fv.Sched.Now().Sub(start))
 	})
 	return take

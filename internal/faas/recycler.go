@@ -23,8 +23,9 @@ import (
 // freshly constructed one. A Recycler is not safe for concurrent use;
 // give each worker — and each simulated host of a fleet — its own.
 type Recycler struct {
-	// Kernels caches guest-kernel arena storage; it is injected as
-	// VMConfig.Recycle into every VM built through the recycler.
+	// Kernels caches guest-kernel arena storage; every VM built through
+	// the recycler (and every kernel-direct driver's kernel) draws from
+	// it.
 	Kernels *guestos.Recycler
 
 	vms []*vmm.VM
@@ -36,12 +37,15 @@ func NewRecycler() *Recycler {
 	return &Recycler{Kernels: guestos.NewRecycler()}
 }
 
-// takeVM returns a cached VM reset for a new run, or nil when none is
-// compatible. VMs are bound to the scheduler they were built on; a VM
-// cached under a different scheduler is left for that scheduler's
-// future runs rather than rewired (in practice one Recycler only ever
-// sees one scheduler, so the guard is a safety net, not a code path).
-func (r *Recycler) takeVM(name string, sched *sim.Scheduler, cost *costmodel.Model, host *hostmem.Host, vcpus float64) *vmm.VM {
+// AcquireVM returns a VM on sched ready for a new run: a cached VM
+// reset in place when one is compatible, else a fresh one. VMs are
+// bound to the scheduler they were built on; a VM cached under a
+// different scheduler is left for that scheduler's future runs rather
+// than rewired (in practice one Recycler only ever sees one scheduler,
+// so the guard is a safety net, not a code path). newFuncVM takes its
+// VMs here; the kernel-direct experiment drivers call it directly and
+// retire their VMs with ReleaseVM when the run ends.
+func (r *Recycler) AcquireVM(name string, sched *sim.Scheduler, cost *costmodel.Model, host *hostmem.Host, vcpus float64) *vmm.VM {
 	for i := len(r.vms) - 1; i >= 0; i-- {
 		vm := r.vms[i]
 		if vm.Sched != sched {
@@ -51,26 +55,12 @@ func (r *Recycler) takeVM(name string, sched *sim.Scheduler, cost *costmodel.Mod
 		vm.Reset(name, cost, host, vcpus)
 		return vm
 	}
-	return nil
-}
-
-// putVM caches a retired VM for reuse. The VM must be dead: its
-// simulation is over and nothing will touch it until takeVM revives it.
-func (r *Recycler) putVM(vm *vmm.VM) { r.vms = append(r.vms, vm) }
-
-// AcquireVM returns a VM on sched ready for a new run: a cached VM
-// reset in place when one is compatible, else a fresh one. Callers
-// that build VMs directly (the kernel-direct experiment drivers)
-// retire them with ReleaseVM when the run ends.
-func (r *Recycler) AcquireVM(name string, sched *sim.Scheduler, cost *costmodel.Model, host *hostmem.Host, vcpus float64) *vmm.VM {
-	if vm := r.takeVM(name, sched, cost, host, vcpus); vm != nil {
-		return vm
-	}
 	return vmm.New(name, sched, cost, host, vcpus)
 }
 
-// ReleaseVM retires a dead VM into the cache for AcquireVM to revive.
-func (r *Recycler) ReleaseVM(vm *vmm.VM) { r.putVM(vm) }
+// ReleaseVM caches a retired VM for AcquireVM to revive. The VM must be
+// dead: its simulation is over and nothing will touch it until then.
+func (r *Recycler) ReleaseVM(vm *vmm.VM) { r.vms = append(r.vms, vm) }
 
 // takeFuncVM returns a cached agent shell, or nil. The shell's fields
 // are stale; newFuncVM re-initializes every one of them.

@@ -70,9 +70,6 @@ func NewRuntime(sched *sim.Scheduler, host *hostmem.Host, cost *costmodel.Model)
 // recycler attached, the VM's kernel arenas, its vmm.VM, and the agent
 // shell all come out of the pool.
 func (r *Runtime) AddVM(cfg VMConfig) *FuncVM {
-	if cfg.Recycle == nil && r.Recycle != nil {
-		cfg.Recycle = r.Recycle.Kernels
-	}
 	fv := newFuncVM(r.Recycle, r.Sched, r.Host, r.Cost, r.Broker, r.Obs, r.Faults, cfg)
 	r.VMs = append(r.VMs, fv)
 	return fv

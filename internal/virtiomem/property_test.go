@@ -8,6 +8,7 @@ import (
 
 	"squeezy/internal/guestos"
 	"squeezy/internal/units"
+	"squeezy/internal/vmm"
 	"squeezy/internal/workload"
 )
 
@@ -59,8 +60,8 @@ func TestUnplugProperty(t *testing.T) {
 				hogs = append(hogs[:i], hogs[i+1:]...)
 			case 2: // unplug a random amount
 				req := int64(rng.IntN(4)+1) * units.BlockSize
-				var res UnplugResult
-				d.Unplug(req, func(r UnplugResult) { res = r })
+				var res vmm.ReclaimResult
+				d.Unplug(req, func(r vmm.ReclaimResult) { res = r })
 				s.Run()
 				if res.ReclaimedBytes%units.BlockSize != 0 || res.ReclaimedBytes > req {
 					return false
@@ -105,8 +106,8 @@ func TestCandidatePolicyCost(t *testing.T) {
 			hogs[i].Warmup()
 		}
 		hogs[0].Kill()
-		var res UnplugResult
-		d.Unplug(2*units.BlockSize, func(r UnplugResult) { res = r })
+		var res vmm.ReclaimResult
+		d.Unplug(2*units.BlockSize, func(r vmm.ReclaimResult) { res = r })
 		s.Run()
 		return res.MigratedPages
 	}
@@ -129,8 +130,8 @@ func TestPlugUnplugRoundTripStress(t *testing.T) {
 			t.Fatalf("cycle %d: touch failed", cycle)
 		}
 		k.Exit(p)
-		var res UnplugResult
-		d.Unplug(8*units.BlockSize, func(r UnplugResult) { res = r })
+		var res vmm.ReclaimResult
+		d.Unplug(8*units.BlockSize, func(r vmm.ReclaimResult) { res = r })
 		s.Run()
 		if res.ReclaimedBytes != 8*units.BlockSize {
 			t.Fatalf("cycle %d: reclaimed %s", cycle, units.HumanBytes(res.ReclaimedBytes))

@@ -31,31 +31,12 @@ const (
 	HighestFirst
 )
 
-// UnplugResult reports what one unplug request achieved.
-type UnplugResult struct {
-	RequestedBytes int64
-	ReclaimedBytes int64
-	MigratedPages  int64
-	ZeroedPages    int64
-	// Breakdown is the wall-time split (milliseconds) across the
-	// Figure 5 buckets: zeroing, migration, vmexits, rest.
-	Breakdown *stats.Breakdown
-	// Latency is the total wall time of the request.
-	Latency sim.Duration
-}
-
-// FaultHooks degrades the device for fault-injection windows: a
-// non-zero ReclaimStall delays every command completion (the command
-// occupies the device queue the whole time), and a ReclaimFraction
-// below 1 caps how much of an unplug request is attempted.
-type FaultHooks interface {
-	ReclaimStall() sim.Duration
-	ReclaimFraction() float64
-}
-
 // Driver is the guest-side virtio-mem driver bound to one VM's movable
-// zone.
+// zone. Its plug and unplug commands share one device queue
+// (vmm.Device), which also carries the fault hooks.
 type Driver struct {
+	vmm.Device
+
 	K      *guestos.Kernel
 	Policy CandidatePolicy
 
@@ -63,30 +44,9 @@ type Driver struct {
 	// migrate/zero page detail; recording never alters the command.
 	Obs *obs.Recorder
 
-	// Faults, when non-nil, injects stalled and partial commands.
-	Faults FaultHooks
-
-	// pending serializes requests: the device processes one command at
-	// a time.
-	busy    bool
-	pending []func()
-
 	// chunks is the offline loop's ChunksInRange buffer, reused across
 	// blocks and commands.
 	chunks []guestos.ChunkID
-}
-
-// deliver completes a command, imposing the injected stall first; the
-// stall happens inside the device's busy window, so queued commands
-// wait behind it and the runtime's ReclaimDrainTimeout can fire.
-func (d *Driver) deliver(fn func()) {
-	if d.Faults != nil {
-		if stall := d.Faults.ReclaimStall(); stall > 0 {
-			d.K.VM.Sched.After(stall, fn)
-			return
-		}
-	}
-	fn()
 }
 
 // New creates a driver for the kernel's movable zone.
@@ -97,27 +57,6 @@ func New(k *guestos.Kernel) *Driver {
 	return &Driver{K: k}
 }
 
-// enqueue runs fn now if the device is idle, else after the current
-// command completes.
-func (d *Driver) enqueue(fn func()) {
-	if d.busy {
-		d.pending = append(d.pending, fn)
-		return
-	}
-	d.busy = true
-	fn()
-}
-
-func (d *Driver) finish() {
-	if len(d.pending) > 0 {
-		next := d.pending[0]
-		d.pending = d.pending[1:]
-		next()
-		return
-	}
-	d.busy = false
-}
-
 // PluggedBlocks returns the number of online movable blocks.
 func (d *Driver) PluggedBlocks() int { return len(d.K.Movable.OnlineBlocks()) }
 
@@ -125,7 +64,7 @@ func (d *Driver) PluggedBlocks() int { return len(d.K.Movable.OnlineBlocks()) }
 // the zone span and the host commit budget. onDone receives the bytes
 // actually plugged after the (short) plug latency has elapsed.
 func (d *Driver) Plug(bytes int64, onDone func(plugged int64)) {
-	d.enqueue(func() {
+	d.Submit(func() {
 		vm := d.K.VM
 		want := units.BytesToBlocks(bytes)
 		var onlined int64
@@ -148,15 +87,13 @@ func (d *Driver) Plug(bytes int64, onDone func(plugged int64)) {
 		}
 		plugged := onlined * units.BlockSize
 		start := vm.Sched.Now()
-		vmm.RunChain(vm.Sched, steps, func(_ *stats.Breakdown, _ sim.Duration) {
-			d.deliver(func() {
-				if d.Obs != nil {
-					d.Obs.Span("virtio-mem/plug", obs.CatMemory, start,
-						obs.I("plugged_bytes", plugged), obs.I("blocks", onlined))
-				}
-				d.finish()
-				onDone(plugged)
-			})
+		d.Run(vm.Sched, steps, func(*stats.Breakdown, sim.Duration) {
+			if d.Obs != nil {
+				d.Obs.Span("virtio-mem/plug", obs.CatMemory, start,
+					obs.I("plugged_bytes", plugged), obs.I("blocks", onlined))
+			}
+			d.Finish()
+			onDone(plugged)
 		})
 	})
 }
@@ -166,21 +103,15 @@ func (d *Driver) Plug(bytes int64, onDone func(plugged int64)) {
 // migrated (no free target memory) are skipped; the request then
 // reclaims less than asked, as real virtio-mem does under pressure
 // (§6.2.2). onDone fires when the host has released the frames.
-func (d *Driver) Unplug(bytes int64, onDone func(UnplugResult)) {
-	d.enqueue(func() { d.unplug(bytes, onDone) })
+func (d *Driver) Unplug(bytes int64, onDone func(vmm.ReclaimResult)) {
+	d.Submit(func() { d.unplug(bytes, onDone) })
 }
 
-func (d *Driver) unplug(bytes int64, onDone func(UnplugResult)) {
+func (d *Driver) unplug(bytes int64, onDone func(vmm.ReclaimResult)) {
 	vm := d.K.VM
 	zone := d.K.Movable
-	want := units.BytesToBlocks(bytes)
-	if d.Faults != nil {
-		if f := d.Faults.ReclaimFraction(); f < 1 {
-			// Partial command: the degraded device attempts only a
-			// fraction of the request (possibly none of it).
-			want = int64(float64(want) * f)
-		}
-	}
+	// A fault window may cut the request (possibly to nothing).
+	want := int64(float64(units.BytesToBlocks(bytes)) * d.Fraction())
 
 	candidates := zone.OnlineBlocks()
 	switch d.Policy {
@@ -260,31 +191,30 @@ func (d *Driver) unplug(bytes int64, onDone func(UnplugResult)) {
 	reclaimed := int64(len(offlined)) * units.BlockSize
 	blocks := append([]int(nil), offlined...)
 	start := vm.Sched.Now()
-	vmm.RunChain(vm.Sched, steps, func(bd *stats.Breakdown, total sim.Duration) {
-		d.deliver(func() {
-			// Hot-remove done: the hypervisor madvise()s the frames away
-			// and the commit budget returns to the host.
-			for _, b := range blocks {
-				start, count := zone.BlockRange(b)
-				d.K.ReleaseRange(start, count)
-				vm.Uncommit(count)
-			}
-			res := UnplugResult{
-				RequestedBytes: bytes,
-				ReclaimedBytes: reclaimed,
-				MigratedPages:  migratedPages,
-				ZeroedPages:    zeroedPages,
-				Breakdown:      bd,
-				Latency:        total,
-			}
-			if d.Obs != nil {
-				d.Obs.Span("virtio-mem/unplug", obs.CatMemory, start,
-					obs.I("requested_bytes", bytes), obs.I("reclaimed_bytes", reclaimed),
-					obs.I("migrated_pages", migratedPages), obs.I("zeroed_pages", zeroedPages),
-					obs.I("blocks", int64(len(blocks))))
-			}
-			d.finish()
-			onDone(res)
+	d.Run(vm.Sched, steps, func(bd *stats.Breakdown, total sim.Duration) {
+		// Hot-remove done: the hypervisor madvise()s the frames away
+		// and the commit budget returns to the host.
+		var released int64
+		for _, b := range blocks {
+			start, count := zone.BlockRange(b)
+			released += d.K.ReleaseRange(start, count)
+			vm.Uncommit(count)
+		}
+		if d.Obs != nil {
+			d.Obs.Span("virtio-mem/unplug", obs.CatMemory, start,
+				obs.I("requested_bytes", bytes), obs.I("reclaimed_bytes", reclaimed),
+				obs.I("migrated_pages", migratedPages), obs.I("zeroed_pages", zeroedPages),
+				obs.I("blocks", int64(len(blocks))))
+		}
+		d.Finish()
+		onDone(vmm.ReclaimResult{
+			RequestedBytes: bytes,
+			ReclaimedBytes: reclaimed,
+			MigratedPages:  migratedPages,
+			ZeroedPages:    zeroedPages,
+			ReleasedPages:  released,
+			Breakdown:      bd,
+			Latency:        total,
 		})
 	})
 }

@@ -60,8 +60,8 @@ func TestPlugRespectsHostBudget(t *testing.T) {
 func TestUnplugEmptyBlocksNoMigrations(t *testing.T) {
 	d, _, s := newRig(t, 8, 0)
 	d.Plug(1024*units.MiB, func(int64) {})
-	var res UnplugResult
-	d.Unplug(512*units.MiB, func(r UnplugResult) { res = r })
+	var res vmm.ReclaimResult
+	d.Unplug(512*units.MiB, func(r vmm.ReclaimResult) { res = r })
 	s.Run()
 	if res.ReclaimedBytes != 512*units.MiB {
 		t.Fatalf("reclaimed = %d", res.ReclaimedBytes)
@@ -89,8 +89,8 @@ func TestUnplugMigratesOccupiedPages(t *testing.T) {
 		k.TouchAnon(f2, 64*units.MiB, guestos.HugeOrder)
 	}
 	k.Exit(f2) // frees 512 MiB scattered across blocks
-	var res UnplugResult
-	d.Unplug(512*units.MiB, func(r UnplugResult) { res = r })
+	var res vmm.ReclaimResult
+	d.Unplug(512*units.MiB, func(r vmm.ReclaimResult) { res = r })
 	s.Run()
 	if res.ReclaimedBytes != 512*units.MiB {
 		t.Fatalf("reclaimed = %s", units.HumanBytes(res.ReclaimedBytes))
@@ -121,8 +121,8 @@ func TestUnplugPartialWhenMemoryFull(t *testing.T) {
 	if _, ok := k.TouchAnon(hog, 4*128*units.MiB, guestos.HugeOrder); !ok {
 		t.Fatal("fill failed")
 	}
-	var res UnplugResult
-	d.Unplug(256*units.MiB, func(r UnplugResult) { res = r })
+	var res vmm.ReclaimResult
+	d.Unplug(256*units.MiB, func(r vmm.ReclaimResult) { res = r })
 	s.Run()
 	if res.ReclaimedBytes != 0 {
 		t.Fatalf("reclaimed %d from a full VM", res.ReclaimedBytes)
@@ -145,8 +145,8 @@ func TestUnplugReleasesHostFrames(t *testing.T) {
 	popBefore := k.VM.PopulatedPages()
 	commitBefore := k.VM.CommittedPages()
 	k.Exit(p)
-	var res UnplugResult
-	d.Unplug(512*units.MiB, func(r UnplugResult) { res = r })
+	var res vmm.ReclaimResult
+	d.Unplug(512*units.MiB, func(r vmm.ReclaimResult) { res = r })
 	s.Run()
 	if res.ReclaimedBytes != 512*units.MiB {
 		t.Fatalf("reclaimed = %d", res.ReclaimedBytes)
@@ -168,8 +168,8 @@ func TestZeroingKnob(t *testing.T) {
 	p := k.Spawn("f")
 	k.TouchAnon(p, 256*units.MiB, guestos.HugeOrder)
 	k.Exit(p)
-	var res UnplugResult
-	d.Unplug(256*units.MiB, func(r UnplugResult) { res = r })
+	var res vmm.ReclaimResult
+	d.Unplug(256*units.MiB, func(r vmm.ReclaimResult) { res = r })
 	s.Run()
 	if res.ZeroedPages != 0 {
 		t.Fatalf("zeroed %d pages with ZeroOnUnplug off", res.ZeroedPages)
@@ -184,7 +184,7 @@ func TestRequestsSerialize(t *testing.T) {
 	var order []string
 	d.Plug(256*units.MiB, func(int64) { order = append(order, "plug1") })
 	d.Plug(256*units.MiB, func(int64) { order = append(order, "plug2") })
-	d.Unplug(128*units.MiB, func(UnplugResult) { order = append(order, "unplug") })
+	d.Unplug(128*units.MiB, func(vmm.ReclaimResult) { order = append(order, "unplug") })
 	s.Run()
 	if len(order) != 3 || order[0] != "plug1" || order[1] != "plug2" || order[2] != "unplug" {
 		t.Fatalf("completion order = %v", order)
@@ -208,8 +208,8 @@ func TestUnplugLatencyCalibration(t *testing.T) {
 		}
 	}
 	k.Exit(procs[0]) // free 512 MiB, scattered
-	var res UnplugResult
-	d.Unplug(512*units.MiB, func(r UnplugResult) { res = r })
+	var res vmm.ReclaimResult
+	d.Unplug(512*units.MiB, func(r vmm.ReclaimResult) { res = r })
 	s.Run()
 	if res.ReclaimedBytes != 512*units.MiB {
 		t.Fatalf("reclaimed = %s", units.HumanBytes(res.ReclaimedBytes))

@@ -33,15 +33,12 @@ func (f *scriptedFaults) ReclaimStall() sim.Duration {
 
 func (f *scriptedFaults) ReclaimFraction() float64 { return f.frac }
 
-// reclaimDone receives one reclaim command's outcome.
-type reclaimDone func(requested, reclaimed int64, latency sim.Duration)
-
 // deviceRig is one backend with enough memory plugged for three
 // reclaim commands of reqBytes each.
 type deviceRig struct {
 	sched   *sim.Scheduler
-	faults  func(*scriptedFaults)
-	reclaim func(reclaimDone)
+	dev     *vmm.Device
+	reclaim func(func(vmm.ReclaimResult))
 	// reqBytes is what one reclaim command asks for.
 	reqBytes int64
 }
@@ -61,11 +58,8 @@ func newDeviceRig(t *testing.T, backend string) deviceRig {
 		d := virtiomem.New(k)
 		d.Plug(6*units.BlockSize, func(int64) {})
 		s.Run()
-		return deviceRig{sched: s, reqBytes: req,
-			faults: func(f *scriptedFaults) { d.Faults = f },
-			reclaim: func(done reclaimDone) {
-				d.Unplug(req, func(r virtiomem.UnplugResult) { done(r.RequestedBytes, r.ReclaimedBytes, r.Latency) })
-			}}
+		return deviceRig{sched: s, dev: &d.Device, reqBytes: req,
+			reclaim: func(done func(vmm.ReclaimResult)) { d.Unplug(req, done) }}
 	case "squeezy":
 		k := guestos.NewKernel(vm, guestos.Config{
 			BootBytes:           units.BlockSize,
@@ -74,11 +68,8 @@ func newDeviceRig(t *testing.T, backend string) deviceRig {
 		m := core.NewManager(k, core.Config{PartitionBytes: units.BlockSize, Concurrency: 6})
 		m.Plug(6, func(int) {})
 		s.Run()
-		return deviceRig{sched: s, reqBytes: req,
-			faults: func(f *scriptedFaults) { m.Faults = f },
-			reclaim: func(done reclaimDone) {
-				m.Unplug(2, func(r core.UnplugResult) { done(r.RequestedBytes, r.ReclaimedBytes, r.Latency) })
-			}}
+		return deviceRig{sched: s, dev: &m.Device, reqBytes: req,
+			reclaim: func(done func(vmm.ReclaimResult)) { m.Unplug(2, done) }}
 	case "balloon":
 		k := guestos.NewKernel(vm, guestos.Config{
 			BootBytes:           units.BlockSize,
@@ -87,11 +78,8 @@ func newDeviceRig(t *testing.T, backend string) deviceRig {
 		})
 		k.OnlineAllMovable()
 		d := balloon.New(k)
-		return deviceRig{sched: s, reqBytes: req,
-			faults: func(f *scriptedFaults) { d.Faults = f },
-			reclaim: func(done reclaimDone) {
-				d.Inflate(req, func(r balloon.InflateResult) { done(r.RequestedBytes, r.ReclaimedBytes, r.Latency) })
-			}}
+		return deviceRig{sched: s, dev: &d.Device, reqBytes: req,
+			reclaim: func(done func(vmm.ReclaimResult)) { d.Inflate(req, done) }}
 	}
 	t.Fatalf("unknown backend %q", backend)
 	return deviceRig{}
@@ -108,11 +96,11 @@ type completion struct {
 // and returns their completions in the order they arrived.
 func runThree(t *testing.T, backend string, f *scriptedFaults) []completion {
 	rig := newDeviceRig(t, backend)
-	rig.faults(f)
+	rig.dev.Faults = f
 	var got []completion
 	for i := range 3 {
-		rig.reclaim(func(_, _ int64, lat sim.Duration) {
-			got = append(got, completion{cmd: i, at: rig.sched.Now(), latency: lat})
+		rig.reclaim(func(r vmm.ReclaimResult) {
+			got = append(got, completion{cmd: i, at: rig.sched.Now(), latency: r.Latency})
 		})
 	}
 	rig.sched.Run()
@@ -163,9 +151,9 @@ func TestDeviceCommandPath(t *testing.T) {
 			}
 
 			rig := newDeviceRig(t, backend)
-			rig.faults(&scriptedFaults{frac: 0.5})
+			rig.dev.Faults = &scriptedFaults{frac: 0.5}
 			var req, got int64 = -1, -1
-			rig.reclaim(func(r, g int64, _ sim.Duration) { req, got = r, g })
+			rig.reclaim(func(r vmm.ReclaimResult) { req, got = r.RequestedBytes, r.ReclaimedBytes })
 			rig.sched.Run()
 			if req != rig.reqBytes {
 				t.Fatalf("requested %s, want the %s issued", units.HumanBytes(req), units.HumanBytes(rig.reqBytes))
