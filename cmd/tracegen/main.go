@@ -86,6 +86,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	bl := sim.Duration(*burstLen * float64(sim.Second))
 	bg := sim.Duration(*burstGap * float64(sim.Second))
 
+	// The -csv modes write each row to cw as it is produced.
+	cw := csv.NewWriter(stdout)
 	var err error
 	if *funcs > 0 {
 		fcfg := trace.FleetConfig{
@@ -101,14 +103,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		case *events:
 			_, err = trace.WriteCSV(stdout, trace.NewFleetStream(*seed, fcfg))
 		case *csvOut:
-			rows := [][]string{}
+			cw.Write([]string{"func", "minute", "invocations"})
 			for fi, c := range trace.FleetCursors(*seed, fcfg) {
 				counts, _ := perMinute(c, *minutes)
 				for m, n := range counts {
-					rows = append(rows, []string{strconv.Itoa(fi), strconv.Itoa(m), strconv.Itoa(n)})
+					cw.Write([]string{strconv.Itoa(fi), strconv.Itoa(m), strconv.Itoa(n)})
 				}
 			}
-			err = writeCSV(stdout, []string{"func", "minute", "invocations"}, rows)
 		default:
 			lens := make([]int, *funcs)
 			total := 0
@@ -122,7 +123,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stdout, "%4d  %12d  %19d\n", fi, lens[fi], trace.PeakConcurrency(c, sim.Second))
 			}
 		}
-		return status(stderr, err)
+		return status(stderr, flushed(cw, err))
 	}
 
 	bcfg := trace.BurstyConfig{
@@ -138,11 +139,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *churn:
 		points := trace.InstanceChurn(trace.NewBursty(*seed, bcfg), sim.Second, keepAlive, dur)
 		if *csvOut {
-			rows := [][]string{}
+			cw.Write([]string{"minute", "creations", "evictions"})
 			for _, p := range points {
-				rows = append(rows, []string{strconv.Itoa(p.Minute), strconv.Itoa(p.Creations), strconv.Itoa(p.Evictions)})
+				cw.Write([]string{strconv.Itoa(p.Minute), strconv.Itoa(p.Creations), strconv.Itoa(p.Evictions)})
 			}
-			err = writeCSV(stdout, []string{"minute", "creations", "evictions"}, rows)
 			break
 		}
 		fmt.Fprintln(stdout, "minute  creations  evictions")
@@ -152,11 +152,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	default:
 		counts, total := perMinute(trace.NewBursty(*seed, bcfg), *minutes)
 		if *csvOut {
-			rows := [][]string{}
+			cw.Write([]string{"minute", "invocations"})
 			for m, c := range counts {
-				rows = append(rows, []string{strconv.Itoa(m), strconv.Itoa(c)})
+				cw.Write([]string{strconv.Itoa(m), strconv.Itoa(c)})
 			}
-			err = writeCSV(stdout, []string{"minute", "invocations"}, rows)
 			break
 		}
 		fmt.Fprintf(stdout, "total invocations: %d (peak concurrency %d at 1s exec)\n",
@@ -166,7 +165,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%6d  %11d\n", m, c)
 		}
 	}
-	return status(stderr, err)
+	return status(stderr, flushed(cw, err))
 }
 
 // perMinute drains a stream into per-minute invocation counts over the
@@ -182,13 +181,13 @@ func perMinute(s trace.Stream, minutes int) (counts []int, total int) {
 	return counts, total
 }
 
-func writeCSV(w io.Writer, header []string, rows [][]string) error {
-	cw := csv.NewWriter(w)
-	cw.Write(header)
-	for _, r := range rows {
-		cw.Write(r)
-	}
+// flushed flushes the -csv rows still buffered in cw and returns the
+// first of err and cw's write error.
+func flushed(cw *csv.Writer, err error) error {
 	cw.Flush()
+	if err != nil {
+		return err
+	}
 	return cw.Error()
 }
 
