@@ -18,12 +18,18 @@ import (
 // honored as given.
 
 // WorldMemEstimateBytes is the per-world RSS estimate behind the cap:
-// a deliberately conservative upper bound for a world that has cached
-// the full protocol's largest arena set (the 64 GiB-span fig6/fig7
-// kernels dominate: ~2 MiB population bitmap, ~6 MiB buddy head bitmaps,
-// region counters, recycled zone structs, scheduler arena, plus the
-// recycled FuncVM/vmm state of the fleet sweeps).
-const WorldMemEstimateBytes = 256 << 20
+// an upper bound on what one more worker adds to a full-protocol run's
+// peak RSS. That is a world holding the full protocol's largest arena
+// set plus its live cell: the 64 GiB-span fig6/fig7 kernels' bitmaps,
+// region counters and zone structs, the scheduler arena, the recycled
+// FuncVM/vmm state of the fleet sweeps, and the garbage the Go heap
+// lets grow before each collection. Measured as the increase in
+// ru_maxrss of `squeezyctl -format json all` from -parallel 1 to
+// -parallel 2 on a 2-core Xeon @ 2.1 GHz (go1.24): four alternated
+// pairs read 574 → 791, 522 → 833, 586 → 824 and 531 → 829 MiB
+// (+217 to +311 MiB), and an earlier pair 506 → 908 MiB (+402 MiB).
+// The bound sits above the largest increment.
+const WorldMemEstimateBytes = 512 << 20
 
 // AutoWorkers returns the worker count a `-parallel 0` run should use:
 // GOMAXPROCS, capped so that workers × WorldMemEstimateBytes fits in
