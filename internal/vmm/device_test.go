@@ -33,21 +33,21 @@ func (f *scriptedFaults) ReclaimStall() sim.Duration {
 
 func (f *scriptedFaults) ReclaimFraction() float64 { return f.frac }
 
+// reqBytes is what one reclaim command asks for.
+const reqBytes = 2 * units.BlockSize
+
 // deviceRig is one backend with enough memory plugged for three
 // reclaim commands of reqBytes each.
 type deviceRig struct {
 	sched   *sim.Scheduler
 	dev     *vmm.Device
 	reclaim func(func(vmm.ReclaimResult))
-	// reqBytes is what one reclaim command asks for.
-	reqBytes int64
 }
 
 func newDeviceRig(t *testing.T, backend string) deviceRig {
 	t.Helper()
 	s := sim.NewScheduler()
 	vm := vmm.New("vm0", s, costmodel.Default(), hostmem.New(0), 4)
-	const req = 2 * units.BlockSize
 	switch backend {
 	case "virtio-mem":
 		k := guestos.NewKernel(vm, guestos.Config{
@@ -58,8 +58,8 @@ func newDeviceRig(t *testing.T, backend string) deviceRig {
 		d := virtiomem.New(k)
 		d.Plug(6*units.BlockSize, func(int64) {})
 		s.Run()
-		return deviceRig{sched: s, dev: &d.Device, reqBytes: req,
-			reclaim: func(done func(vmm.ReclaimResult)) { d.Unplug(req, done) }}
+		return deviceRig{sched: s, dev: &d.Device,
+			reclaim: func(done func(vmm.ReclaimResult)) { d.Unplug(reqBytes, done) }}
 	case "squeezy":
 		k := guestos.NewKernel(vm, guestos.Config{
 			BootBytes:           units.BlockSize,
@@ -68,7 +68,7 @@ func newDeviceRig(t *testing.T, backend string) deviceRig {
 		m := core.NewManager(k, core.Config{PartitionBytes: units.BlockSize, Concurrency: 6})
 		m.Plug(6, func(int) {})
 		s.Run()
-		return deviceRig{sched: s, dev: &m.Device, reqBytes: req,
+		return deviceRig{sched: s, dev: &m.Device,
 			reclaim: func(done func(vmm.ReclaimResult)) { m.Unplug(2, done) }}
 	case "balloon":
 		k := guestos.NewKernel(vm, guestos.Config{
@@ -78,8 +78,8 @@ func newDeviceRig(t *testing.T, backend string) deviceRig {
 		})
 		k.OnlineAllMovable()
 		d := balloon.New(k)
-		return deviceRig{sched: s, dev: &d.Device, reqBytes: req,
-			reclaim: func(done func(vmm.ReclaimResult)) { d.Inflate(req, done) }}
+		return deviceRig{sched: s, dev: &d.Device,
+			reclaim: func(done func(vmm.ReclaimResult)) { d.Inflate(reqBytes, done) }}
 	}
 	t.Fatalf("unknown backend %q", backend)
 	return deviceRig{}
@@ -155,11 +155,11 @@ func TestDeviceCommandPath(t *testing.T) {
 			var req, got int64 = -1, -1
 			rig.reclaim(func(r vmm.ReclaimResult) { req, got = r.RequestedBytes, r.ReclaimedBytes })
 			rig.sched.Run()
-			if req != rig.reqBytes {
-				t.Fatalf("requested %s, want the %s issued", units.HumanBytes(req), units.HumanBytes(rig.reqBytes))
+			if req != reqBytes {
+				t.Fatalf("requested %s, want the %s issued", units.HumanBytes(req), units.HumanBytes(reqBytes))
 			}
-			if got != rig.reqBytes/2 {
-				t.Fatalf("reclaimed %s under fraction 0.5, want %s", units.HumanBytes(got), units.HumanBytes(rig.reqBytes/2))
+			if got != reqBytes/2 {
+				t.Fatalf("reclaimed %s under fraction 0.5, want %s", units.HumanBytes(got), units.HumanBytes(reqBytes/2))
 			}
 		})
 	}
