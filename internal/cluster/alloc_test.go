@@ -24,7 +24,7 @@ func TestWarmInvokeAllocatesNothing(t *testing.T) {
 			c := New(cost, Config{
 				Hosts: 2, Backend: kind, N: 2, KeepAlive: 10 * sim.Second,
 				Sketch: &stats.SketchConfig{K: 64, Seed: 1},
-			}, NewPolicy("least-loaded", cost))
+			}, NewPolicy("least-loaded", cost), faas.NewRecycler())
 			fn := workload.ByName("HTML")
 			invoke := func() {
 				c.Invoke(fn, nil)

@@ -63,7 +63,7 @@ var boundaryCases = []boundaryCase{
 				Hosts: 4, Backend: faas.Squeezy, N: 1, KeepAlive: 60 * sim.Second,
 				Resilience: &ResilienceConfig{BackoffBase: 9 * sim.Second, BackoffCap: 9 * sim.Second},
 				Repace:     &RepaceConfig{PerTick: 1, Every: 5 * sim.Second},
-			}, NewPolicy("round-robin", cost))
+			}, NewPolicy("round-robin", cost), faas.NewRecycler())
 			c.hostOrder = hook
 			tr := &obs.Trace{Experiment: "boundary"}
 			c.AttachObs(tr)
@@ -107,7 +107,7 @@ var boundaryCases = []boundaryCase{
 		play: func(hook func([]*Node) []*Node) (*Cluster, *obs.Trace) {
 			cost := costmodel.Default()
 			c := New(cost, Config{Hosts: 2, Backend: faas.Squeezy, N: 4, KeepAlive: 30 * sim.Second},
-				NewPolicy("round-robin", cost))
+				NewPolicy("round-robin", cost), faas.NewRecycler())
 			c.hostOrder = hook
 			tr := &obs.Trace{Experiment: "boundary"}
 			c.AttachObs(tr)
@@ -145,7 +145,7 @@ var boundaryCases = []boundaryCase{
 				Resilience: &ResilienceConfig{
 					Timeout: 5 * sim.Second, Hedge: true, HedgeDelay: 3 * sim.Second,
 				},
-			}, NewPolicy("reclaim-aware", cost))
+			}, NewPolicy("reclaim-aware", cost), faas.NewRecycler())
 			c.hostOrder = hook
 			// Sparse arrivals and no memory ticks, so resilience
 			// decisions are the boundaries between invocations.
@@ -177,7 +177,7 @@ var boundaryCases = []boundaryCase{
 		play: func(hook func([]*Node) []*Node) (*Cluster, *obs.Trace) {
 			cost := costmodel.Default()
 			c := New(cost, Config{Hosts: 2, Backend: faas.Squeezy, N: 4, KeepAlive: 30 * sim.Second},
-				NewPolicy("round-robin", cost))
+				NewPolicy("round-robin", cost), faas.NewRecycler())
 			c.hostOrder = hook
 			tr := &obs.Trace{Experiment: "boundary"}
 			c.AttachObs(tr)

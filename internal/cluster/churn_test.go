@@ -174,7 +174,7 @@ func churnRun(seed uint64, order func([]*Node) []*Node) (uint64, string) {
 		Hosts: hosts, HostMemBytes: 18 * units.GiB, Backend: faas.Squeezy,
 		N: 4, KeepAlive: 20 * sim.Second,
 		PhaseBounds: []sim.Time{sim.Time(dur / 2)},
-	}, NewPolicy("reclaim-aware", cost))
+	}, NewPolicy("reclaim-aware", cost), faas.NewRecycler())
 	c.hostOrder = order
 	churn, _ := genChurn(seed, churnConfig{dur: dur, events: 6, hosts: hosts})
 	c.Play(fleetStream(seed, 6, dur, 6, 30), fleetFns(), PlayConfig{
@@ -218,7 +218,7 @@ func TestAutoscaleShardInvariance(t *testing.T) {
 		c := New(cost, Config{
 			Hosts: 2, HostMemBytes: 12 * units.GiB, Backend: faas.Squeezy,
 			N: 4, KeepAlive: 20 * sim.Second,
-		}, NewPolicy("reclaim-aware", cost))
+		}, NewPolicy("reclaim-aware", cost), faas.NewRecycler())
 		c.hostOrder = order
 		c.Play(fleetStream(9, 6, dur, 6, 30), fleetFns(), PlayConfig{
 			TickEvery: sim.Second, TickUntil: sim.Time(dur),
@@ -410,7 +410,7 @@ func TestDrainDeadlineReplacesExactlyOnce(t *testing.T) {
 	cost := costmodel.Default()
 	c := New(cost, Config{
 		Hosts: 2, Backend: faas.Squeezy, N: 2, KeepAlive: 30 * sim.Second,
-	}, NewPolicy("round-robin", cost))
+	}, NewPolicy("round-robin", cost), faas.NewRecycler())
 	long := workload.LongHaul()
 	var counts [2]int
 	for i := range counts {
@@ -530,10 +530,10 @@ func TestResetClearsChurnState(t *testing.T) {
 		})
 		return c.Fired(), churnTable(c)
 	}
-	fresh := New(cost, cfg, NewPolicy("reclaim-aware", cost))
+	fresh := New(cost, cfg, NewPolicy("reclaim-aware", cost), faas.NewRecycler())
 	wantFired, wantTable := replay(fresh)
 
-	churned := New(cost, cfg, NewPolicy("reclaim-aware", cost))
+	churned := New(cost, cfg, NewPolicy("reclaim-aware", cost), faas.NewRecycler())
 	churned.Play(fleetStream(5, 8, 20*sim.Second, 4, 24), fleetFns(), PlayConfig{
 		TickEvery: sim.Second, TickUntil: sim.Time(20 * sim.Second),
 		DrainUntil: sim.Time(100 * sim.Second),

@@ -86,10 +86,6 @@ type Node struct {
 	Sched *sim.Scheduler
 	Host  *hostmem.Host
 	RT    *faas.Runtime
-	// Rec is the host's private recycler: kernels, vmm.VMs, and FuncVM
-	// shells released by a finished run back this host's next run.
-	// Per-host arenas keep hosts from ever sharing pool state.
-	Rec *faas.Recycler
 	// M accumulates the host's completion-side metrics. Completion
 	// callbacks run while the host advances, in whatever order the
 	// epoch engine walks the hosts, so they must write host-local state
@@ -420,6 +416,10 @@ type Cluster struct {
 
 	Metrics Metrics
 
+	// rec is the pool every host builds its VMs from (nil: unpooled);
+	// VMs return to it only at Release.
+	rec *faas.Recycler
+
 	now sim.Time // dispatcher clock: the current epoch boundary
 
 	// Fleet-dynamics state (fleetdyn.go). active is the placement-
@@ -507,12 +507,12 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// New builds a fleet of cfg.Hosts identical hosts, each on its
-// own scheduler with its own recycler, with placement delegated to
-// policy.
-func New(cost *costmodel.Model, cfg Config, policy Policy) *Cluster {
+// New builds a fleet of cfg.Hosts identical hosts, each on its own
+// scheduler, with placement delegated to policy. Every host's VMs draw
+// from rec, which may be nil (unpooled) and is kept across Reset.
+func New(cost *costmodel.Model, cfg Config, policy Policy, rec *faas.Recycler) *Cluster {
 	c := &Cluster{
-		Cost: cost, Cfg: cfg.withDefaults(), Policy: policy,
+		Cost: cost, Cfg: cfg.withDefaults(), Policy: policy, rec: rec,
 		Metrics: Metrics{
 			ColdLatMs: &stats.Sample{}, WarmLatMs: &stats.Sample{}, MemWaitMs: &stats.Sample{},
 		},
@@ -554,14 +554,10 @@ func (c *Cluster) newNode(id int) *Node {
 	topo := c.Cfg.Topology
 	sched := sim.NewScheduler()
 	host := hostmem.New(topo.HostMem(id, c.Cfg.HostMemBytes))
-	rec := faas.NewRecycler()
-	rt := faas.NewRuntime(sched, host, c.Cost)
-	rt.ProactiveFactor = c.Cfg.ProactiveFactor
-	rt.Recycle = rec
 	rack := topo.RackOf(id)
 	n := &Node{
 		ID: id, Backend: c.Cfg.Backend, Rack: rack, Zone: topo.ZoneOfRack(rack),
-		Sched: sched, Host: host, RT: rt, Rec: rec,
+		Sched: sched, Host: host, RT: c.newRuntime(sched, host),
 		M:   newNodeMetrics(),
 		vms: make(map[string]*faas.FuncVM),
 
@@ -572,13 +568,22 @@ func (c *Cluster) newNode(id int) *Node {
 	return n
 }
 
+// newRuntime builds a host runtime under the cluster's current config,
+// drawing its VMs from the fleet's pool.
+func (c *Cluster) newRuntime(sched *sim.Scheduler, host *hostmem.Host) *faas.Runtime {
+	rt := faas.NewRuntime(sched, host, c.Cost)
+	rt.ProactiveFactor = c.Cfg.ProactiveFactor
+	rt.Recycle = c.rec
+	return rt
+}
+
 // Reset rebuilds the cluster for a new run under a (possibly
 // different) config and policy, reusing the fleet's storage: node
-// structs with their schedulers, recyclers, VM maps, and metric
-// buffers stay, each host pool is reset in place, and the previous
-// run's guest kernels, vmm.VMs, and agent shells are harvested into
-// the per-host recyclers. A reset cluster replays a run identically
-// to a freshly constructed one.
+// structs with their schedulers, VM maps, and metric buffers stay,
+// each host pool is reset in place, and the previous run's guest
+// kernels, vmm.VMs, and agent shells are harvested into the fleet's
+// recycler. A reset cluster replays a run identically to a freshly
+// constructed one.
 func (c *Cluster) Reset(cost *costmodel.Model, cfg Config, policy Policy) {
 	c.Release()
 	c.Cost = cost
@@ -596,10 +601,7 @@ func (c *Cluster) Reset(cost *costmodel.Model, cfg Config, policy Policy) {
 		n.Zone = c.Cfg.Topology.ZoneOfRack(n.Rack)
 		n.Sched.Reset()
 		n.Host.Reset(c.Cfg.Topology.HostMem(i, c.Cfg.HostMemBytes))
-		rt := faas.NewRuntime(n.Sched, n.Host, cost)
-		rt.ProactiveFactor = c.Cfg.ProactiveFactor
-		rt.Recycle = n.Rec
-		n.RT = rt
+		n.RT = c.newRuntime(n.Sched, n.Host)
 		n.M.reset()
 		n.M.initPhases(c.Cfg.PhaseBounds)
 		n.M.applySketch(c.Cfg.Sketch, i)
@@ -650,8 +652,9 @@ func (c *Cluster) Reset(cost *costmodel.Model, cfg Config, policy Policy) {
 }
 
 // Release harvests every node's guest kernels, vmm.VMs, and FuncVM
-// shells into its per-host recycler. The fleet's VMs must not be used
-// afterwards; Reset calls it before rebuilding.
+// shells — dead hosts' included — into the fleet's recycler. The
+// fleet's VMs must not be used afterwards; Reset calls it before
+// rebuilding.
 func (c *Cluster) Release() {
 	for _, n := range c.Nodes {
 		n.RT.Release()

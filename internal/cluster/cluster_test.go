@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"squeezy/internal/costmodel"
@@ -17,7 +18,7 @@ func newTestCluster(hosts int, hostMem int64, kind faas.BackendKind, policy stri
 	return New(cost, Config{
 		Hosts: hosts, HostMemBytes: hostMem, Backend: kind, N: 4,
 		KeepAlive: 30 * sim.Second,
-	}, NewPolicy(policy, cost))
+	}, NewPolicy(policy, cost), faas.NewRecycler())
 }
 
 // drainFor runs every host d further and parks the dispatcher there.
@@ -249,7 +250,7 @@ func TestFullRunDeterministicFiredAndTables(t *testing.T) {
 		c := New(cost, Config{
 			Hosts: 2, HostMemBytes: 24 * units.GiB, Backend: faas.Squeezy,
 			N: 4, KeepAlive: 20 * sim.Second,
-		}, NewPolicy("reclaim-aware", cost))
+		}, NewPolicy("reclaim-aware", cost), faas.NewRecycler())
 		c.Play(fleetStream(7, 6, 30*sim.Second, 4, 24), fleetFns(), PlayConfig{
 			TickEvery: sim.Second, TickUntil: sim.Time(30 * sim.Second),
 			DrainUntil: sim.Time(300 * sim.Second),
@@ -274,7 +275,7 @@ func TestFullRunDeterministicFiredAndTables(t *testing.T) {
 // host count, and policy) must replay a workload with metrics and
 // event counts identical to a freshly constructed cluster's —
 // including the recycled kernels, vmm.VMs, and FuncVM shells the
-// per-host recyclers now hand back.
+// fleet's recycler now hands back.
 func TestResetReplaysIdentically(t *testing.T) {
 	replay := func(c *Cluster) (uint64, string) {
 		c.Play(fleetStream(3, 8, 30*sim.Second, 4, 24), fleetFns(), PlayConfig{
@@ -288,13 +289,13 @@ func TestResetReplaysIdentically(t *testing.T) {
 	cfg := Config{Hosts: 3, HostMemBytes: 24 * units.GiB, Backend: faas.Squeezy, N: 4,
 		KeepAlive: 30 * sim.Second}
 
-	fresh := New(cost, cfg, NewPolicy("reclaim-aware", cost))
+	fresh := New(cost, cfg, NewPolicy("reclaim-aware", cost), faas.NewRecycler())
 	wantFired, wantTable := replay(fresh)
 
 	// A reused cluster: run a different fleet shape first, then reset.
 	reused := New(cost, Config{
 		Hosts: 5, HostMemBytes: 16 * units.GiB, Backend: faas.VirtioMem, N: 8,
-	}, NewPolicy("round-robin", cost))
+	}, NewPolicy("round-robin", cost), faas.NewRecycler())
 	replay(reused)
 	reused.Reset(cost, cfg, NewPolicy("reclaim-aware", cost))
 	gotFired, gotTable := replay(reused)
@@ -304,24 +305,64 @@ func TestResetReplaysIdentically(t *testing.T) {
 	}
 }
 
-// TestResetHarvestsKernels verifies Reset hands the previous fleet's
-// guest-kernel arenas to the per-host recyclers so the next run can
-// reuse them.
+// TestResetHarvestsKernels verifies Reset hands the previous run's
+// guest kernels, vmm.VMs and agent shells to the fleet's one recycler,
+// so a host boots its next VM on what another host released.
 func TestResetHarvestsKernels(t *testing.T) {
 	cost := costmodel.Default()
 	cfg := Config{Hosts: 2, Backend: faas.Squeezy, N: 4, KeepAlive: 10 * sim.Second}
-	c := New(cost, cfg, NewPolicy("round-robin", cost))
+	c := New(cost, cfg, NewPolicy("round-robin", cost), faas.NewRecycler())
 	c.Invoke(workload.ByName("HTML"), nil)
 	drainFor(c, sim.Minute)
 	if c.VMCount() == 0 {
 		t.Fatal("no VM booted")
 	}
 	fv := c.Nodes[0].VMs()[0]
-	c.Reset(cost, cfg, NewPolicy("round-robin", cost))
+	zones := slices.Clone(fv.K.Zones())
+	c.Reset(cost, cfg, &RoundRobin{next: 1}) // the next cold start lands on host 1
 	if fv.K.Zones() != nil {
 		t.Fatal("Reset did not release the previous fleet's kernels")
 	}
 	if c.VMCount() != 0 || c.Metrics.Invocations != 0 {
 		t.Fatal("Reset left fleet state")
+	}
+	c.Invoke(workload.ByName("HTML"), nil)
+	drainFor(c, sim.Minute)
+	got := c.Nodes[1].VMs()
+	if len(got) != 1 || got[0] != fv {
+		t.Fatal("host 1 did not reuse the agent shell host 0 released")
+	}
+	for i, z := range fv.K.Zones() {
+		if !slices.Contains(zones, z) {
+			t.Fatalf("host 1's zone %d is not one of the arenas host 0 released", i)
+		}
+	}
+}
+
+// TestFailedHostKeepsVMsUntilRelease pins that a host failed mid-run
+// keeps its VMs, and their counters, until Release: a survivor's cold
+// start must not take the dead host's VM out of the shared pool.
+func TestFailedHostKeepsVMsUntilRelease(t *testing.T) {
+	c := newTestCluster(2, 0, faas.Squeezy, "round-robin")
+	fn := workload.ByName("HTML")
+	c.Invoke(fn, nil)
+	drainFor(c, 10*sim.Second)
+	dead := c.Nodes[0].VMs()[0]
+	c.failHost(c.Nodes[0])
+	if dead.K.Zones() == nil {
+		t.Fatal("failHost released the dead host's kernel")
+	}
+	c.Invoke(fn, nil)
+	drainFor(c, 10*sim.Second)
+	if got := c.Nodes[1].VMs(); len(got) != 1 || got[0] == dead {
+		t.Fatal("the survivor took the dead host's VM")
+	}
+	if vms := c.Nodes[0].VMs(); len(vms) != 1 || vms[0] != dead || dead.ColdStarts != 1 {
+		t.Fatalf("dead host's VMs changed after death: %d VMs, %d cold starts",
+			len(vms), dead.ColdStarts)
+	}
+	c.Release()
+	if dead.K.Zones() != nil {
+		t.Fatal("Release did not harvest the dead host's kernel")
 	}
 }

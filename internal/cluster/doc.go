@@ -3,8 +3,9 @@
 // merged deterministically at dispatcher epochs.
 //
 // A Cluster is N simulated hosts, each with its own
-// sim.Scheduler, hostmem.Host, faas.Runtime, reclamation backend,
-// memory broker, and recycler, fronted by a dispatcher that routes
+// sim.Scheduler, hostmem.Host, faas.Runtime, reclamation backend, and
+// memory broker, all building VMs from one faas.Recycler, fronted by a
+// dispatcher that routes
 // invocations and places cold scale-ups through a pluggable Policy.
 // The split mirrors real FaaS-on-hypervisor stacks (a cluster-facing
 // gateway over per-host runtimes): host-local mechanisms decide *how*

@@ -42,7 +42,7 @@ func domainCluster(seed uint64, order func([]*Node) []*Node) *Cluster {
 			Timeout: 5 * sim.Second, Hedge: true, HedgeDelay: 3 * sim.Second, Shed: true,
 		},
 		Repace: &RepaceConfig{Shed: true},
-	}, NewPolicy("spread", cost))
+	}, NewPolicy("spread", cost), faas.NewRecycler())
 	c.hostOrder = order
 	fleetEvs, rackFails := genChurn(seed, churnConfig{dur: dur, events: 4, hosts: hosts, racks: 2})
 	faults := fault.GenFaults(seed, fault.Config{
@@ -102,7 +102,7 @@ func TestDomainNoOpEventsByteIdentical(t *testing.T) {
 			Hosts: 3, HostMemBytes: 18 * units.GiB, Backend: faas.Squeezy,
 			N: 4, KeepAlive: 20 * sim.Second,
 			Topology: topo,
-		}, NewPolicy("reclaim-aware", cost))
+		}, NewPolicy("reclaim-aware", cost), faas.NewRecycler())
 		c.Play(fleetStream(4, 6, dur, 6, 30), fleetFns(), PlayConfig{
 			TickEvery: sim.Second, TickUntil: sim.Time(dur),
 			DrainUntil: sim.Time(10 * dur),
@@ -152,7 +152,7 @@ func TestRackFailWithDrainingMember(t *testing.T) {
 	c := New(cost, Config{
 		Hosts: 4, Backend: faas.Squeezy, N: 1, KeepAlive: 60 * sim.Second,
 		Topology: &Topology{Racks: 2, Zones: 2},
-	}, NewPolicy("round-robin", cost))
+	}, NewPolicy("round-robin", cost), faas.NewRecycler())
 	// One long-running flight per host (N=1 forces a fresh placement
 	// each time), each counting its completions exactly once.
 	var done [4]int
@@ -195,7 +195,7 @@ func TestRackFailLosesWarmPool(t *testing.T) {
 	c := New(cost, Config{
 		Hosts: 4, Backend: faas.Squeezy, N: 4, KeepAlive: 60 * sim.Second,
 		Topology: &Topology{Racks: 2, Zones: 2},
-	}, NewPolicy("round-robin", cost))
+	}, NewPolicy("round-robin", cost), faas.NewRecycler())
 	// Warm up: two completed invocations leave fn's entire warm pool —
 	// two idle instances — on host 0 in rack 0 (the second concurrent
 	// invocation scales up on the host already running fn's VM).
@@ -254,7 +254,7 @@ func TestRepaceDrainsAcrossJoin(t *testing.T) {
 		Hosts: 2, Backend: faas.Squeezy, N: 1, KeepAlive: 60 * sim.Second,
 		Topology: &Topology{Racks: 2, Zones: 2},
 		Repace:   &RepaceConfig{PerTick: 1, Every: 250 * sim.Millisecond},
-	}, NewPolicy("round-robin", cost))
+	}, NewPolicy("round-robin", cost), faas.NewRecycler())
 	var done [3]int
 	for i := range done {
 		i := i
@@ -305,7 +305,7 @@ func TestSpreadPicksUnderloadedRack(t *testing.T) {
 	c := New(cost, Config{
 		Hosts: 4, Backend: faas.Squeezy, N: 4, KeepAlive: 60 * sim.Second,
 		Topology: &Topology{Racks: 2, Zones: 2},
-	}, NewPolicy("round-robin", cost))
+	}, NewPolicy("round-robin", cost), faas.NewRecycler())
 	// Pile fn onto rack 0: hosts {0, 2}.
 	for _, id := range []int{0, 2} {
 		fv := c.vmOn(c.Nodes[id], fn)
@@ -346,7 +346,7 @@ func TestZoneHeadroomPicksRoomiestZone(t *testing.T) {
 			Racks: 2, Zones: 2,
 			MemBytes: []int64{8 * units.GiB, 32 * units.GiB},
 		},
-	}, NewPolicy("round-robin", cost))
+	}, NewPolicy("round-robin", cost), faas.NewRecycler())
 	zh := &ZoneHeadroom{}
 	zh.bind(c)
 	got := zh.Pick(c.active, fn)
@@ -385,7 +385,7 @@ func TestTopologyAccessors(t *testing.T) {
 	cost := costmodel.Default()
 	c := New(cost, Config{
 		Hosts: 6, Backend: faas.Squeezy, N: 4, Topology: topo,
-	}, NewPolicy("round-robin", cost))
+	}, NewPolicy("round-robin", cost), faas.NewRecycler())
 	for _, n := range c.Nodes {
 		if n.Rack != topo.RackOf(n.ID) || n.Zone != topo.ZoneOfRack(n.Rack) {
 			t.Fatalf("host %d assigned rack %d zone %d, want %d/%d",
@@ -408,7 +408,7 @@ func TestHeterogeneousCapacity(t *testing.T) {
 			MemBytes: []int64{16 * units.GiB, 32 * units.GiB},
 		},
 	}
-	c := New(cost, cfg, NewPolicy("round-robin", cost))
+	c := New(cost, cfg, NewPolicy("round-robin", cost), faas.NewRecycler())
 	check := func(stage string) {
 		want := []int64{16 * units.GiB, 32 * units.GiB, 16 * units.GiB}
 		var sum int64

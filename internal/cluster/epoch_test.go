@@ -53,7 +53,7 @@ func orderedRun(t *testing.T, backend faas.BackendKind, order func([]*Node) []*N
 	c := New(cost, Config{
 		Hosts: 3, HostMemBytes: 20 * units.GiB, Backend: backend,
 		N: 4, KeepAlive: 20 * sim.Second,
-	}, NewPolicy("reclaim-aware", cost))
+	}, NewPolicy("reclaim-aware", cost), faas.NewRecycler())
 	c.hostOrder = order
 	c.Play(fleetStream(11, 8, 30*sim.Second, 6, 30), fleetFns(), PlayConfig{
 		TickEvery: sim.Second, TickUntil: sim.Time(30 * sim.Second),
@@ -92,7 +92,7 @@ func TestShardCountInvariance(t *testing.T) {
 // Observing through an identity hook must not change the run.
 func TestEpochsRunInline(t *testing.T) {
 	cost := costmodel.Default()
-	c := New(cost, Config{Hosts: 3, Backend: faas.Squeezy}, NewPolicy("round-robin", cost))
+	c := New(cost, Config{Hosts: 3, Backend: faas.Squeezy}, NewPolicy("round-robin", cost), faas.NewRecycler())
 	var walks int
 	c.hostOrder = func(live []*Node) []*Node {
 		walks++
@@ -129,7 +129,7 @@ func TestEpochsRunInline(t *testing.T) {
 func TestPlayTickCadence(t *testing.T) {
 	cost := costmodel.Default()
 	c := New(cost, Config{Hosts: 2, Backend: faas.Squeezy},
-		NewPolicy("round-robin", cost))
+		NewPolicy("round-robin", cost), faas.NewRecycler())
 	c.Play(fleetStream(5, 4, 10*sim.Second, 2, 8), fleetFns(), PlayConfig{
 		TickEvery: sim.Second, TickUntil: sim.Time(10 * sim.Second),
 		DrainUntil: sim.Time(20 * sim.Second),

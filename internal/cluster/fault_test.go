@@ -66,7 +66,7 @@ func playFaultFixture(seed uint64, order func([]*Node) []*Node, resil *Resilienc
 		PhaseBounds: []sim.Time{sim.Time(dur / 2)},
 		Resilience:  resil,
 		Repace:      repace,
-	}, NewPolicy("reclaim-aware", cost))
+	}, NewPolicy("reclaim-aware", cost), faas.NewRecycler())
 	c.hostOrder = order
 	churn, _ := genChurn(seed, churnConfig{dur: dur, events: 4, hosts: hosts})
 	c.Play(fleetStream(seed, 6, dur, 6, 30), fleetFns(), PlayConfig{
@@ -148,7 +148,7 @@ func rerunForMetrics(seed uint64) *Cluster {
 		Resilience: &ResilienceConfig{
 			Timeout: 5 * sim.Second, Hedge: true, HedgeDelay: 3 * sim.Second, Shed: true,
 		},
-	}, NewPolicy("reclaim-aware", cost))
+	}, NewPolicy("reclaim-aware", cost), faas.NewRecycler())
 	c.Play(fleetStream(seed, 6, dur, 6, 30), fleetFns(), PlayConfig{
 		TickEvery: sim.Second, TickUntil: sim.Time(dur),
 		DrainUntil: sim.Time(10 * dur),
@@ -174,7 +174,7 @@ func TestFaultTracedMatchesUntraced(t *testing.T) {
 			Resilience: &ResilienceConfig{
 				Timeout: 5 * sim.Second, Hedge: true, HedgeDelay: 3 * sim.Second, Shed: true,
 			},
-		}, NewPolicy("reclaim-aware", cost))
+		}, NewPolicy("reclaim-aware", cost), faas.NewRecycler())
 		if traced {
 			c.AttachObs(&obs.Trace{Experiment: "faults"})
 		}
@@ -207,7 +207,7 @@ func TestFaultNoOpPlansByteIdentical(t *testing.T) {
 		c := New(cost, Config{
 			Hosts: 3, HostMemBytes: 18 * units.GiB, Backend: faas.Squeezy,
 			N: 4, KeepAlive: 20 * sim.Second,
-		}, NewPolicy("reclaim-aware", cost))
+		}, NewPolicy("reclaim-aware", cost), faas.NewRecycler())
 		c.Play(fleetStream(4, 6, dur, 6, 30), fleetFns(), PlayConfig{
 			TickEvery: sim.Second, TickUntil: sim.Time(dur),
 			DrainUntil: sim.Time(10 * dur),
@@ -258,7 +258,7 @@ func TestRetryAfterColdFail(t *testing.T) {
 	c := New(cost, Config{
 		Hosts: 2, Backend: faas.Squeezy, N: 4, KeepAlive: 30 * sim.Second,
 		Resilience: &ResilienceConfig{BackoffBase: 2 * sim.Second},
-	}, NewPolicy("round-robin", cost))
+	}, NewPolicy("round-robin", cost), faas.NewRecycler())
 	c.ScheduleFaults([]fault.Event{
 		{T: 0, Dur: 1 * sim.Second, Kind: fault.ColdFail, Host: -1, Mag: 1},
 	}, 7)
@@ -293,7 +293,7 @@ func TestRetryBudgetExhaustedFailsOnce(t *testing.T) {
 	c := New(cost, Config{
 		Hosts: 2, Backend: faas.Squeezy, N: 4, KeepAlive: 30 * sim.Second,
 		Resilience: &ResilienceConfig{MaxRetries: 2},
-	}, NewPolicy("round-robin", cost))
+	}, NewPolicy("round-robin", cost), faas.NewRecycler())
 	c.ScheduleFaults([]fault.Event{
 		{T: 0, Dur: 600 * sim.Second, Kind: fault.ColdFail, Host: -1, Mag: 1},
 	}, 7)
@@ -328,7 +328,7 @@ func TestHostFailMidBackoff(t *testing.T) {
 	c := New(cost, Config{
 		Hosts: 2, Backend: faas.Squeezy, N: 4, KeepAlive: 30 * sim.Second,
 		Resilience: &ResilienceConfig{BackoffBase: 4 * sim.Second},
-	}, NewPolicy("round-robin", cost))
+	}, NewPolicy("round-robin", cost), faas.NewRecycler())
 	c.ScheduleFaults([]fault.Event{
 		// Only host 0 fails boots; round-robin places the primary there.
 		{T: 0, Dur: 1 * sim.Second, Kind: fault.ColdFail, Host: 0, Mag: 1},
@@ -369,7 +369,7 @@ func TestHedgeOutstandingWhenHostDrains(t *testing.T) {
 	c := New(cost, Config{
 		Hosts: 2, Backend: faas.Squeezy, N: 1, KeepAlive: 60 * sim.Second,
 		Resilience: &ResilienceConfig{Hedge: true, HedgeDelay: 2 * sim.Second},
-	}, NewPolicy("round-robin", cost))
+	}, NewPolicy("round-robin", cost), faas.NewRecycler())
 	// Pre-warm both hosts so the hedge finds an idle warm instance.
 	var warm int
 	c.Invoke(long, func(res faas.Result) { warm++ })
@@ -420,7 +420,7 @@ func TestRetryLandsOnJoinedHost(t *testing.T) {
 	c := New(cost, Config{
 		Hosts: 1, Backend: faas.Squeezy, N: 4, KeepAlive: 30 * sim.Second,
 		Resilience: &ResilienceConfig{BackoffBase: 4 * sim.Second},
-	}, NewPolicy("round-robin", cost))
+	}, NewPolicy("round-robin", cost), faas.NewRecycler())
 	c.ScheduleFaults([]fault.Event{
 		{T: 0, Dur: 600 * sim.Second, Kind: fault.ColdFail, Host: 0, Mag: 1},
 	}, 7)

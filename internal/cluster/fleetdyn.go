@@ -18,8 +18,8 @@ import (
 // Nothing about a shape change depends on the order hosts advance in
 // or on the worker pool:
 //
-//   - Failure: the host's warm pool is lost, its runtime is released
-//     into its recycler (kernels, vmm.VMs, shells harvested), and the
+//   - Failure: the host's warm pool is lost, its VMs freeze with its
+//     scheduler until the run's Release harvests them, and the
 //     flights of its in-flight attempts re-place through the normal
 //     dispatcher tiers in launch order. The dead host's scheduler never
 //     advances again, so the lost attempts' completions never fire —
@@ -188,9 +188,9 @@ func (c *Cluster) joinHost() *Node {
 	return n
 }
 
-// failHost kills the host abruptly: warm pool destroyed, runtime
-// released into the host's recycler, in-flight attempts re-placed
-// through the dispatcher in launch order, exactly once each.
+// failHost kills the host abruptly: warm pool destroyed, VMs frozen
+// with the host's scheduler, in-flight attempts re-placed through the
+// dispatcher in launch order, exactly once each.
 func (c *Cluster) failHost(n *Node) {
 	c.Metrics.HostFails++
 	warmLost := n.RT.IdleInstances()
@@ -252,16 +252,14 @@ func (c *Cluster) settleDrains() {
 	}
 }
 
-// retire removes the host from the fleet for good: its runtime
-// releases every VM into the host's recycler (guest kernels, vmm.VMs,
-// agent shells — the same harvest a finished run performs), and its
-// scheduler never advances again, freezing any event still pending on
-// it.
+// retire removes the host from the fleet for good: its scheduler never
+// advances again, freezing its VMs and any event still pending on it.
+// The VMs stay with the host, so VMs() and Evictions() keep reading
+// them, until Release harvests every host's VMs at the end of the run.
 func (c *Cluster) retire(n *Node) {
 	n.state = nodeDead
 	c.active = removeNode(c.active, n)
 	c.live = removeNode(c.live, n)
-	n.RT.Release()
 }
 
 // replaceAttempts re-places the flights of a retired host's in-flight

@@ -29,7 +29,7 @@ func churnRunObs(seed uint64, order func([]*Node) []*Node) (uint64, string, *obs
 		Hosts: hosts, HostMemBytes: 18 * units.GiB, Backend: faas.Squeezy,
 		N: 4, KeepAlive: 20 * sim.Second,
 		PhaseBounds: []sim.Time{sim.Time(dur / 2)},
-	}, NewPolicy("reclaim-aware", cost))
+	}, NewPolicy("reclaim-aware", cost), faas.NewRecycler())
 	c.hostOrder = order
 	tr := &obs.Trace{Experiment: "churn", Label: fmt.Sprintf("seed%d", seed)}
 	c.AttachObs(tr)
@@ -105,7 +105,7 @@ func TestObsAutoscaleCounters(t *testing.T) {
 		c := New(cost, Config{
 			Hosts: 2, HostMemBytes: 12 * units.GiB, Backend: faas.Squeezy,
 			N: 4, KeepAlive: 20 * sim.Second,
-		}, NewPolicy("reclaim-aware", cost))
+		}, NewPolicy("reclaim-aware", cost), faas.NewRecycler())
 		var tr *obs.Trace
 		if attach {
 			tr = &obs.Trace{Experiment: "autoscale"}

@@ -31,7 +31,7 @@ func streamRun(seed uint64, order func([]*Node) []*Node, materialize bool) (uint
 		N: 4, KeepAlive: 20 * sim.Second,
 		PhaseBounds: []sim.Time{sim.Time(dur / 2)},
 		Sketch:      &stats.SketchConfig{K: 256, Seed: seed},
-	}, NewPolicy("reclaim-aware", cost))
+	}, NewPolicy("reclaim-aware", cost), faas.NewRecycler())
 	c.hostOrder = order
 	var src trace.Stream = trace.NewFleetStream(seed, trace.FleetConfig{
 		Funcs: funcs, Duration: dur,
@@ -106,10 +106,10 @@ func TestSketchResetReplay(t *testing.T) {
 		return c.Fired(), fmt.Sprintf("%s skfp=%x p999=%.6f",
 			metricsTable(c), m.ColdLatMs.SketchFingerprint(), m.ColdLatMs.Percentile(99.9))
 	}
-	fresh := New(cost, cfg, NewPolicy("reclaim-aware", cost))
+	fresh := New(cost, cfg, NewPolicy("reclaim-aware", cost), faas.NewRecycler())
 	wantFired, wantTable := replay(fresh)
 
-	reused := New(cost, cfg, NewPolicy("reclaim-aware", cost))
+	reused := New(cost, cfg, NewPolicy("reclaim-aware", cost), faas.NewRecycler())
 	replay(reused) // dirty the pools with a full sketched run
 	reused.Reset(cost, cfg, NewPolicy("reclaim-aware", cost))
 	gotFired, gotTable := replay(reused)

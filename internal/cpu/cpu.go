@@ -164,17 +164,18 @@ func NewPool(sched *sim.Scheduler, cores float64) *Pool {
 	return p
 }
 
-// Reset returns the pool to its just-constructed state — no jobs, no
-// accumulated usage, clock anchored at the scheduler's current time —
+// Reset returns the pool to its just-constructed state on sched — no
+// jobs, no accumulated usage, clock anchored at sched's current time —
 // while keeping the job slab, scratch buffers, and class table. Running
-// jobs are recycled, so their handles go stale. The scheduler must
-// already be at the time the next simulation starts from (a pooled
-// world resets the scheduler first); any pending completion event
-// became stale with that reset, so the handle is simply dropped.
-func (p *Pool) Reset(cores float64) {
+// jobs are recycled, so their handles go stale. sched must already be
+// at the time the next simulation starts from, and the old scheduler
+// must never fire the pending completion event, whose handle is
+// simply dropped (a pooled world resets it or never advances it).
+func (p *Pool) Reset(sched *sim.Scheduler, cores float64) {
 	if cores <= 0 {
 		panic(fmt.Sprintf("cpu: non-positive core count %v", cores))
 	}
+	p.sched = sched
 	p.cores = cores
 	for _, i := range p.jobs {
 		p.release(i)

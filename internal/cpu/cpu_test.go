@@ -243,8 +243,9 @@ func TestFractionalRatesConverge(t *testing.T) {
 }
 
 // TestPoolResetEquivalence runs the same job program on a fresh pool
-// and on a reset pool (after unrelated prior work) and requires
-// identical completion times and accounting.
+// and on a reset pool (after unrelated prior work, on its old scheduler
+// and rebound to another one) and requires identical completion times
+// and accounting.
 func TestPoolResetEquivalence(t *testing.T) {
 	program := func(s *sim.Scheduler, p *Pool) (doneAt []sim.Time, busy sim.Duration) {
 		for i := 0; i < 4; i++ {
@@ -264,7 +265,7 @@ func TestPoolResetEquivalence(t *testing.T) {
 	reused.Submit(time42, Config{Class: "old"})
 	sr.RunFor(5 * sim.Millisecond)
 	sr.Reset()
-	reused.Reset(2)
+	reused.Reset(sr, 2)
 	if reused.Active() != 0 || reused.TotalBusy() != 0 || reused.Utilization("old") != 0 {
 		t.Fatal("Reset left job or usage state")
 	}
@@ -279,6 +280,23 @@ func TestPoolResetEquivalence(t *testing.T) {
 	}
 	if gotBusy != wantBusy {
 		t.Fatalf("busy %v vs %v", gotBusy, wantBusy)
+	}
+
+	// Rebound mid-job to a scheduler already 3 ms in: the old scheduler
+	// never advances again, and the program runs 3 ms later on the new one.
+	reused.Submit(time42, Config{Class: "old"})
+	sr.RunFor(5 * sim.Millisecond)
+	sn := sim.NewScheduler()
+	sn.RunFor(3 * sim.Millisecond)
+	reused.Reset(sn, 2)
+	gotDone, gotBusy = program(sn, reused)
+	if len(gotDone) != len(wantDone) || gotBusy != wantBusy {
+		t.Fatalf("rebound pool: %d completions, busy %v; fresh: %d, %v", len(gotDone), gotBusy, len(wantDone), wantBusy)
+	}
+	for i := range wantDone {
+		if want := wantDone[i] + sim.Time(3*sim.Millisecond); gotDone[i] != want {
+			t.Fatalf("rebound pool: completion %d at %d, want %d", i, gotDone[i], want)
+		}
 	}
 }
 

@@ -22,14 +22,14 @@ import (
 // peak RSS. That is a world holding the full protocol's largest arena
 // set plus its live cell: the 64 GiB-span fig6/fig7 kernels' bitmaps,
 // region counters and zone structs, the scheduler arena, the recycled
-// FuncVM/vmm state of the fleet sweeps, and the garbage the Go heap
-// lets grow before each collection. Measured as the increase in
+// FuncVM/vmm state of the fleet sweeps (one pool for all of a fleet's
+// hosts), and the garbage the Go heap lets grow before each
+// collection. Measured by scripts/parallel_wall.sh as the increase in
 // ru_maxrss of `squeezyctl -format json all` from -parallel 1 to
 // -parallel 2 on a 2-core Xeon @ 2.1 GHz (go1.24): four alternated
-// pairs read 574 → 791, 522 → 833, 586 → 824 and 531 → 829 MiB
-// (+217 to +311 MiB), and an earlier pair 506 → 908 MiB (+402 MiB).
-// The bound sits above the largest increment.
-const WorldMemEstimateBytes = 512 << 20
+// pairs read 487 → 659, 466 → 667, 478 → 638 and 476 → 696 MiB
+// (+160 to +220 MiB). The bound sits above the largest increment.
+const WorldMemEstimateBytes = 384 << 20
 
 // AutoWorkers returns the worker count a `-parallel 0` run should use:
 // GOMAXPROCS, capped so that workers × WorldMemEstimateBytes fits in

@@ -149,12 +149,13 @@ func (w *World) Runtime(host *hostmem.Host, cost *costmodel.Model) *faas.Runtime
 }
 
 // Fleet returns a fleet of the requested shape: the worker's cached
-// fleet reset in place when one exists, else a fresh one. Each of the
-// fleet's hosts keeps its own scheduler and recycler (per-host arenas)
-// across cells, so a pooled fleet reuses every host's storage.
+// fleet reset in place when one exists, else a fresh one. The fleet's
+// hosts keep their schedulers across cells, and every host builds its
+// VMs from the world's recycler, the same pool the kernel-direct cells
+// draw from.
 func (w *World) Fleet(cost *costmodel.Model, cfg cluster.Config, policy cluster.Policy) *cluster.Cluster {
 	if w.fleet == nil {
-		w.fleet = cluster.New(cost, cfg, policy)
+		w.fleet = cluster.New(cost, cfg, policy, w.rec)
 	} else {
 		w.fleet.Reset(cost, cfg, policy)
 	}

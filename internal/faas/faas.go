@@ -292,16 +292,13 @@ type FuncVM struct {
 
 	pumping, pumpAgain bool
 
-	// reqFree holds recycled request records. It is per VM — never
-	// shared across hosts, which advance concurrently — and survives
-	// the shell's own recycling.
+	// reqFree holds recycled request records. It belongs to the shell
+	// and survives the shell's own recycling.
 	reqFree []*request
 
 	// recycle, when non-nil, is the pool this VM was built from and
-	// returns to on Release; released guards against double-release
-	// aliasing the shell into the pool twice.
-	recycle  *Recycler
-	released bool
+	// returns to on Release.
+	recycle *Recycler
 
 	// Metrics.
 	Latencies      map[string]*stats.Sample // per function name, ms
@@ -394,7 +391,6 @@ func newFuncVM(rec *Recycler, sched *sim.Scheduler, host *hostmem.Host, cost *co
 	fv.instBytes = instBytes
 	fv.rng = rand.New(rand.NewPCG(h.Sum64(), 0x5a5a))
 	fv.recycle = rec
-	fv.released = false
 
 	switch cfg.Kind {
 	case Squeezy:
@@ -442,13 +438,9 @@ func newFuncVM(rec *Recycler, sched *sim.Scheduler, host *hostmem.Host, cost *co
 // Release retires the VM's guest kernel — into the recycler's arena
 // cache when the FuncVM was built through a faas.Recycler, which then
 // also takes back the inner vmm.VM and the agent shell. The VM must be
-// dead: nothing may touch it afterwards. Release is idempotent;
-// repeated calls are no-ops.
+// dead: nothing may touch it afterwards, and Release must run once
+// (Runtime.Release, which then forgets the VM).
 func (fv *FuncVM) Release() {
-	if fv.released {
-		return
-	}
-	fv.released = true
 	fv.K.Release()
 	if fv.recycle != nil {
 		fv.recycle.ReleaseVM(fv.VM)

@@ -364,3 +364,29 @@ func TestN1CheaperThan1to1(t *testing.T) {
 		})
 	}
 }
+
+// TestSharedRecyclerAcrossRuntimes checks that runtimes on different
+// schedulers share one Recycler: the second boots on the agent shell
+// and vmm.VM the first released, rebound to its own scheduler, and a
+// repeated Release of the first leaves them with their new owner.
+func TestSharedRecyclerAcrossRuntimes(t *testing.T) {
+	rec := NewRecycler()
+	a, b := newRuntime(t, 0), newRuntime(t, 0)
+	a.Recycle, b.Recycle = rec, rec
+	first := addVM(a, Squeezy, "HTML", 2)
+	vm := first.VM
+	a.Release()
+	fv := addVM(b, Squeezy, "HTML", 2)
+	if fv != first || fv.VM != vm || vm.Sched != b.Sched {
+		t.Fatal("runtime b did not boot on runtime a's released VM, rebound to b's scheduler")
+	}
+	a.Release()
+	if fv.K.Zones() == nil {
+		t.Fatal("a repeated Release retired the VM runtime b now owns")
+	}
+	fv.Submit(workload.ByName("HTML"), func(Result) {})
+	b.Sched.RunFor(10 * sim.Second)
+	if fv.ColdStarts != 1 || len(fv.Completions) != 1 {
+		t.Fatalf("cold starts %d, completions %d on the recycled VM", fv.ColdStarts, len(fv.Completions))
+	}
+}

@@ -14,14 +14,15 @@ import (
 // whole vmm.VMs with their cpu pools, and the FuncVM agent shells
 // themselves (instance maps, queues, latency tables). A runtime built
 // with a Recycler boots VMs out of the cache and FuncVM.Release returns
-// them, so consecutive runs on one worker (or one simulated host)
-// reuse a single working set instead of reallocating it per run.
+// them, so consecutive runs on one worker reuse a single working set
+// instead of reallocating it per run.
 //
 // The reset invariants of the recycled layers (vmm.VM.Reset,
 // guestos zone/bitmap recycling, and the FuncVM field reset in
 // newFuncVM) guarantee a recycled FuncVM behaves identically to a
-// freshly constructed one. A Recycler is not safe for concurrent use;
-// give each worker — and each simulated host of a fleet — its own.
+// freshly constructed one, whichever scheduler it last ran on. A
+// Recycler is not safe for concurrent use: each worker owns one, and
+// its kernel-direct cells and every host of its fleet share it.
 type Recycler struct {
 	// Kernels caches guest-kernel arena storage; every VM built through
 	// the recycler (and every kernel-direct driver's kernel) draws from
@@ -37,22 +38,18 @@ func NewRecycler() *Recycler {
 	return &Recycler{Kernels: guestos.NewRecycler()}
 }
 
-// AcquireVM returns a VM on sched ready for a new run: a cached VM
-// reset in place when one is compatible, else a fresh one. VMs are
-// bound to the scheduler they were built on; a VM cached under a
-// different scheduler is left for that scheduler's future runs rather
-// than rewired (in practice one Recycler only ever sees one scheduler,
-// so the guard is a safety net, not a code path). newFuncVM takes its
-// VMs here; the kernel-direct experiment drivers call it directly and
+// AcquireVM returns a VM on sched ready for a new run: the VM cached
+// last, reset in place and rebound to sched, else a fresh one. A
+// world's kernel-direct cells and every host of its fleet run on
+// different schedulers and share one pool. newFuncVM takes its VMs
+// here; the kernel-direct experiment drivers call it directly and
 // retire their VMs with ReleaseVM when the run ends.
 func (r *Recycler) AcquireVM(name string, sched *sim.Scheduler, cost *costmodel.Model, host *hostmem.Host, vcpus float64) *vmm.VM {
-	for i := len(r.vms) - 1; i >= 0; i-- {
-		vm := r.vms[i]
-		if vm.Sched != sched {
-			continue
-		}
-		r.vms = append(r.vms[:i], r.vms[i+1:]...)
-		vm.Reset(name, cost, host, vcpus)
+	if n := len(r.vms); n > 0 {
+		vm := r.vms[n-1]
+		r.vms[n-1] = nil
+		r.vms = r.vms[:n-1]
+		vm.Reset(name, sched, cost, host, vcpus)
 		return vm
 	}
 	return vmm.New(name, sched, cost, host, vcpus)

@@ -76,13 +76,16 @@ func (r *Runtime) AddVM(cfg VMConfig) *FuncVM {
 }
 
 // Release retires every VM — guest-kernel arenas, inner vmm.VMs, and
-// agent shells — into the runtime's recycler (no-op without one). Call
-// it only when the simulation is over: the runtime and its VMs must
-// not be used afterwards.
+// agent shells — into the runtime's recycler (no-op without one) and
+// forgets them, so a repeated Release cannot retire a shell the pool
+// has since handed to another runtime. Call it only when the
+// simulation is over: the runtime and its VMs must not be used
+// afterwards.
 func (r *Runtime) Release() {
 	for _, fv := range r.VMs {
 		fv.Release()
 	}
+	r.VMs = nil
 }
 
 // handlePressure frees host memory for queued scale-ups: drain harvest

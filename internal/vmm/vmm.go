@@ -87,18 +87,18 @@ func New(name string, sched *sim.Scheduler, cost *costmodel.Model, host *hostmem
 }
 
 // Reset re-boots the VM struct in place for a new simulation run on
-// the same scheduler: the vCPU and host-thread pools are reset (their
-// job slices, scratch buffers, and usage maps kept), exit counters
+// sched, which may differ from its last one: the vCPU and host-thread
+// pools are rebound to sched and reset (cpu.Pool.Reset), exit counters
 // and population accounting cleared, and any pinned reclaim pool
-// dropped (call PinReclaimThreads again if the new run pins). The
-// scheduler must already be reset to the new run's start time. A
-// reset VM behaves identically to one built by New.
-func (vm *VM) Reset(name string, cost *costmodel.Model, host *hostmem.Host, vcpus float64) {
+// dropped (call PinReclaimThreads again if the new run pins). A reset
+// VM behaves identically to one built by New.
+func (vm *VM) Reset(name string, sched *sim.Scheduler, cost *costmodel.Model, host *hostmem.Host, vcpus float64) {
 	vm.Name = name
+	vm.Sched = sched
 	vm.Cost = cost
 	vm.Host = host
-	vm.VCPUs.Reset(vcpus)
-	vm.HostThreads.Reset(1)
+	vm.VCPUs.Reset(sched, vcpus)
+	vm.HostThreads.Reset(sched, 1)
 	vm.ReclaimPool = nil
 	clear(vm.exits)
 	vm.populatedPages = 0

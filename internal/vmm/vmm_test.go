@@ -168,7 +168,7 @@ func TestVMResetEquivalence(t *testing.T) {
 	reused.VCPUs.Submit(sim.Millisecond, cpu.Config{Class: "old"})
 	sr.Run()
 	sr.Reset()
-	reused.Reset("vm", costmodel.Default(), hostmem.New(0), 4)
+	reused.Reset("vm", sr, costmodel.Default(), hostmem.New(0), 4)
 	if reused.ReclaimPool != nil {
 		t.Fatal("Reset kept the pinned reclaim pool")
 	}
@@ -176,5 +176,19 @@ func TestVMResetEquivalence(t *testing.T) {
 	if gl != wl || gp != wp || gc != wc || ge != we || gb != wb {
 		t.Fatalf("reset VM: lat=%v pop=%d com=%d exits=%d busy=%v; fresh: %v %d %d %d %v",
 			gl, gp, gc, ge, gb, wl, wp, wc, we, wb)
+	}
+
+	// A VM reset onto another scheduler runs there, pools included.
+	sn := sim.NewScheduler()
+	oldFired := sr.Fired()
+	reused.PinReclaimThreads()
+	reused.Reset("vm", sn, costmodel.Default(), hostmem.New(0), 4)
+	gl, gp, gc, ge, gb = program(sn, reused)
+	if gl != wl || gp != wp || gc != wc || ge != we || gb != wb {
+		t.Fatalf("rebound VM: lat=%v pop=%d com=%d exits=%d busy=%v; fresh: %v %d %d %d %v",
+			gl, gp, gc, ge, gb, wl, wp, wc, we, wb)
+	}
+	if reused.Sched != sn || sn.Fired() == 0 || sr.Fired() != oldFired {
+		t.Fatal("rebound VM did not run on its new scheduler")
 	}
 }
