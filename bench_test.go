@@ -5,11 +5,11 @@ import (
 	"testing"
 
 	"squeezy/internal/experiments"
-	"squeezy/internal/units"
 )
 
 // The figure benchmarks go through the experiment registry: every
-// registered driver gets a sub-benchmark that regenerates its table.
+// registered driver gets a sub-benchmark that regenerates its table,
+// the ablations (abl-*) included, each sweeping its configurations.
 // Use -short for the reduced (Quick) protocols. Headline quantities
 // per figure live in EXPERIMENTS.md and in the drivers' JSON output
 // (`squeezyctl -format json all`).
@@ -69,69 +69,5 @@ func BenchmarkStreamBytesPerInvocation(b *testing.B) {
 		}
 		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(n), "alloc-B/inv")
 		b.ReportMetric(float64(peak)/float64(n), "live-B/inv")
-	}
-}
-
-// Ablations keep parameterized benchmarks: the registry runs each
-// sweep as one experiment, while these isolate single configurations.
-
-// BenchmarkAblationBatching measures the §8 future-work optimization:
-// batching the per-block VM exits of one unplug request into one exit.
-func BenchmarkAblationBatching(b *testing.B) {
-	for _, batched := range []bool{false, true} {
-		name := "unbatched"
-		if batched {
-			name = "batched"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ms := experiments.AblationBatching(batched, 2*units.GiB)
-				b.ReportMetric(ms, "unplug-2GiB-ms")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationZeroing isolates the §2.2 zeroing tax on the vanilla
-// unplug path (24% of latency in the paper).
-func BenchmarkAblationZeroing(b *testing.B) {
-	for _, zero := range []bool{true, false} {
-		name := "zeroing-on"
-		if !zero {
-			name = "zeroing-off"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ms := experiments.AblationZeroing(zero)
-				b.ReportMetric(ms, "unplug-512MiB-ms")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationCandidatePolicy compares virtio-mem block-selection
-// policies: the effective emptiest-first behaviour vs a naive top-down
-// scan.
-func BenchmarkAblationCandidatePolicy(b *testing.B) {
-	for _, policy := range []string{"emptiest", "highest"} {
-		b.Run(policy, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ms := experiments.AblationCandidatePolicy(policy)
-				b.ReportMetric(ms, "unplug-512MiB-ms")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationPartitionSize sweeps the Squeezy partition rated
-// size: unplug latency scales linearly with blocks per partition.
-func BenchmarkAblationPartitionSize(b *testing.B) {
-	for _, mib := range []int64{128, 512, 2048} {
-		b.Run(units.HumanBytes(mib*units.MiB), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ms := experiments.AblationPartitionSize(mib * units.MiB)
-				b.ReportMetric(ms, "unplug-one-partition-ms")
-			}
-		})
 	}
 }

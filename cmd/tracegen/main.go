@@ -12,9 +12,10 @@
 // functions by Zipf popularity. -csv emits machine-readable per-minute
 // counts (minute,invocations or func,minute,invocations) for plotting.
 // -events instead streams the exact-replay CSV ("func,t_ns", one row
-// per invocation) straight from the generator cursors in O(1) memory;
-// trace.OpenCSV replays either layout bit for bit. Every statistic is
-// drained from the generator cursors; no trace is materialized.
+// per invocation, trace.WriteCSV) straight from the generator cursors
+// in O(1) memory; its nanosecond timestamps record the stream bit for
+// bit. Every statistic is drained from the generator cursors; no trace
+// is materialized.
 package main
 
 import (

@@ -5,6 +5,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"squeezy/internal/sim"
+	"squeezy/internal/trace"
 )
 
 // TestRunRejectsBadInvocations: every usage error exits 2 with a
@@ -67,5 +70,45 @@ func TestRunModes(t *testing.T) {
 		if !strings.HasPrefix(stdout.String(), tc.header) {
 			t.Fatalf("%v: output starts %q, want %q", args, stdout.String(), tc.header)
 		}
+	}
+}
+
+// TestEventsMatchWriteCSV: -events prints exactly trace.WriteCSV of the
+// generator its flags describe, byte for byte, in fleet and in
+// single-trace form. Nothing in the repo reads the file back, so this
+// pins the exact-replay claim at the binary.
+func TestEventsMatchWriteCSV(t *testing.T) {
+	const seed = 7
+	dur := 3 * sim.Minute
+	bl, bg := 15*sim.Second, 30*sim.Second
+	cases := []struct {
+		name string
+		args []string
+		src  trace.Stream
+	}{
+		{"fleet", []string{"-funcs", "3", "-zipf", "1.3"}, trace.NewFleetStream(seed, trace.FleetConfig{
+			Funcs: 3, Duration: dur, ZipfS: 1.3, TotalBaseRPS: 2, TotalBurstRPS: 25, BurstLen: bl, BurstGap: bg,
+		})},
+		{"single", nil, trace.NewBursty(seed, trace.BurstyConfig{
+			Duration: dur, BaseRPS: 2, BurstRPS: 25, BurstLen: bl, BurstGap: bg,
+		})},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want bytes.Buffer
+			n, err := trace.WriteCSV(&want, tc.src)
+			if err != nil || n < 10 {
+				t.Fatalf("WriteCSV wrote %d rows, err %v", n, err)
+			}
+			args := append([]string{"-events", "-seed", strconv.Itoa(seed), "-minutes", "3",
+				"-base", "2", "-burst", "25", "-burstlen", "15", "-burstgap", "30"}, tc.args...)
+			var stdout, stderr bytes.Buffer
+			if code := run(args, &stdout, &stderr); code != 0 {
+				t.Fatalf("%v: exit %d (stderr: %s)", args, code, stderr.String())
+			}
+			if !bytes.Equal(stdout.Bytes(), want.Bytes()) {
+				t.Fatalf("%v: %d bytes differ from WriteCSV's %d", args, stdout.Len(), want.Len())
+			}
+		})
 	}
 }

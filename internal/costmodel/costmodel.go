@@ -165,12 +165,6 @@ func Default() *Model {
 	}
 }
 
-// Clone returns a copy of the model for experiment-local tweaking.
-func (m *Model) Clone() *Model {
-	c := *m
-	return &c
-}
-
 // Scaled returns a copy of the model with every duration multiplied by
 // f (policy booleans unchanged). The fault injector uses it to turn a
 // host into a straggler for a window: the same protocol, uniformly

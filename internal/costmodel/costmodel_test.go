@@ -34,13 +34,3 @@ func TestDefaultAnchors(t *testing.T) {
 		t.Fatal("batching is a future-work ablation, off by default")
 	}
 }
-
-func TestClone(t *testing.T) {
-	m := Default()
-	c := m.Clone()
-	c.ZeroOnUnplug = false
-	c.MigratePerPage = 1
-	if !m.ZeroOnUnplug || m.MigratePerPage == 1 {
-		t.Fatal("Clone aliases the original")
-	}
-}

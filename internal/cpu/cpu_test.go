@@ -263,7 +263,7 @@ func TestPoolResetEquivalence(t *testing.T) {
 	sr := sim.NewScheduler()
 	reused := NewPool(sr, 7)
 	reused.Submit(time42, Config{Class: "old"})
-	sr.RunFor(5 * sim.Millisecond)
+	sr.RunUntil(sr.Now().Add(5 * sim.Millisecond))
 	sr.Reset()
 	reused.Reset(sr, 2)
 	if reused.Active() != 0 || reused.TotalBusy() != 0 || reused.Utilization("old") != 0 {
@@ -285,9 +285,9 @@ func TestPoolResetEquivalence(t *testing.T) {
 	// Rebound mid-job to a scheduler already 3 ms in: the old scheduler
 	// never advances again, and the program runs 3 ms later on the new one.
 	reused.Submit(time42, Config{Class: "old"})
-	sr.RunFor(5 * sim.Millisecond)
+	sr.RunUntil(sr.Now().Add(5 * sim.Millisecond))
 	sn := sim.NewScheduler()
-	sn.RunFor(3 * sim.Millisecond)
+	sn.RunUntil(sn.Now().Add(3 * sim.Millisecond))
 	reused.Reset(sn, 2)
 	gotDone, gotBusy = program(sn, reused)
 	if len(gotDone) != len(wantDone) || gotBusy != wantBusy {

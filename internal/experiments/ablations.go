@@ -16,13 +16,11 @@ import (
 // Ablation drivers for the design choices DESIGN.md calls out. Each
 // returns a latency in milliseconds.
 
-// AblationBatching measures a Squeezy unplug of the given size with and
+// ablationBatching measures a Squeezy unplug of the given size with and
 // without VM-exit batching (§8: batching would merge the ~3 ms per
-// 128 MiB chunk exits of one request into a single exit).
-func AblationBatching(batched bool, bytes int64) float64 {
-	return ablationBatching(newWorld(), batched, bytes)
-}
-
+// 128 MiB chunk exits of one request into a single exit). Unbatched, it
+// is also the partition-size ablation: one partition's unplug latency
+// is linear in its blocks.
 func ablationBatching(w *World, batched bool, bytes int64) float64 {
 	sched := w.Scheduler()
 	cost := costmodel.Default()
@@ -41,33 +39,17 @@ func ablationBatching(w *World, batched bool, bytes int64) float64 {
 	return latMs
 }
 
-// AblationZeroing measures a vanilla virtio-mem 512 MiB unplug from a
+// ablationZeroing measures a vanilla virtio-mem 512 MiB unplug from a
 // half-loaded guest with the kernel's zero-on-alloc hardening on or off
 // (§2.2: zeroing is ~24% of unplug latency).
-func AblationZeroing(zeroing bool) float64 {
-	return ablationZeroing(newWorld(), zeroing)
-}
-
 func ablationZeroing(w *World, zeroing bool) float64 {
 	cost := costmodel.Default()
 	cost.ZeroOnUnplug = zeroing
 	return vanillaUnplug512(w, cost, virtiomem.EmptiestFirst)
 }
 
-// AblationCandidatePolicy measures the same unplug under different
-// block-selection policies ("emptiest" or "highest").
-func AblationCandidatePolicy(policy string) float64 {
-	return ablationCandidatePolicy(newWorld(), policy)
-}
-
-func ablationCandidatePolicy(w *World, policy string) float64 {
-	p := virtiomem.EmptiestFirst
-	if policy == "highest" {
-		p = virtiomem.HighestFirst
-	}
-	return vanillaUnplug512(w, costmodel.Default(), p)
-}
-
+// vanillaUnplug512 measures a vanilla virtio-mem 512 MiB unplug from a
+// half-loaded 4 GiB guest under one block-selection policy.
 func vanillaUnplug512(w *World, cost *costmodel.Model, policy virtiomem.CandidatePolicy) float64 {
 	sched := w.Scheduler()
 	vm := w.VM("ablation", cost, hostmem.New(0), 4)
@@ -91,12 +73,6 @@ func vanillaUnplug512(w *World, cost *costmodel.Model, policy virtiomem.Candidat
 	drv.Unplug(512*units.MiB, func(r vmm.ReclaimResult) { latMs = r.Latency.Milliseconds() })
 	sched.Run()
 	return latMs
-}
-
-// AblationPartitionSize measures one Squeezy partition unplug at the
-// given rated size; latency is linear in blocks per partition.
-func AblationPartitionSize(bytes int64) float64 {
-	return AblationBatching(false, bytes)
 }
 
 // The ablations register as experiments too, so `squeezyctl all`
@@ -144,11 +120,11 @@ func init() {
 		})
 	RegisterPlan("abl-policy", "Ablation: virtio-mem block-selection policy (emptiest vs highest)",
 		func(o Options) *Plan {
-			policies := []string{"emptiest", "highest"}
+			policies := []virtiomem.CandidatePolicy{virtiomem.EmptiestFirst, virtiomem.HighestFirst}
 			return ablationPlan(
 				"Ablation: virtio-mem candidate-block policy, 512 MiB unplug",
-				[2]string{"policy", "unplug-512MiB(ms)"}, policies,
-				func(w *World, i int) float64 { return ablationCandidatePolicy(w, policies[i]) })
+				[2]string{"policy", "unplug-512MiB(ms)"}, []string{"emptiest", "highest"},
+				func(w *World, i int) float64 { return vanillaUnplug512(w, costmodel.Default(), policies[i]) })
 		})
 	RegisterPlan("abl-partition", "Ablation: Squeezy partition rated size vs unplug latency",
 		func(o Options) *Plan {

@@ -50,19 +50,16 @@ type Fig11Result struct {
 	Rows []Fig11Row
 }
 
-// Fig11 reproduces §6.3 / Figure 11: for each Table 1 function, cold
-// start a fresh 1:1 microVM and compare against creating a new instance
-// on an already running, dynamically resized (Squeezy) N:1 VM whose
-// shared dependencies are already cached. The N:1 model skips the boot,
-// shares the page cache (faster container/function init), and its
+// Fig11Plan reproduces §6.3 / Figure 11: for each Table 1 function,
+// cold start a fresh 1:1 microVM and compare against creating a new
+// instance on an already running, dynamically resized (Squeezy) N:1 VM
+// whose shared dependencies are already cached. The N:1 model skips the
+// boot, shares the page cache (faster container/function init), and its
 // per-instance footprint excludes the replicated guest OS and
 // dependencies.
-func Fig11(opts Options) *Fig11Result {
-	return Fig11Plan(opts).runSerial(newWorld()).(*Fig11Result)
-}
-
-// Fig11Plan is the figure as a cell plan: two cells per function, one
-// for the 1:1 microVM cold start and one for the warmed N:1 VM.
+//
+// The plan has two cells per function, one for the 1:1 microVM cold
+// start and one for the warmed N:1 VM.
 func Fig11Plan(opts Options) *Plan {
 	fns := workload.Functions()
 	res := &Fig11Result{Rows: make([]Fig11Row, len(fns))}

@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestFig1Shape(t *testing.T) {
-	res := Fig1(Options{Quick: true})
+	res := Fig1Plan(Options{Quick: true}).runSerial(newWorld()).(*Fig1Result)
 	if res.Guest.Len() == 0 || res.HostUsage.Len() == 0 {
 		t.Fatal("empty series")
 	}
@@ -29,7 +29,7 @@ func TestFig1Shape(t *testing.T) {
 func r0(v []float64) []float64 { return v }
 
 func TestFig2Shape(t *testing.T) {
-	res := Fig2(Options{Quick: true})
+	res := Fig2Plan(Options{Quick: true}).runSerial(newWorld()).(*Fig2Result)
 	if len(res.Points) == 0 {
 		t.Fatal("no points")
 	}
@@ -47,7 +47,7 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	res := Fig8(Options{Quick: true})
+	res := Fig8Plan(Options{Quick: true}).runSerial(newWorld()).(*Fig8Result)
 	if len(res.Rows) != 8 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}

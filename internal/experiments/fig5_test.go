@@ -6,7 +6,7 @@ import (
 )
 
 func TestFig5Shape(t *testing.T) {
-	res := Fig5(Options{Quick: true})
+	res := Fig5Plan(Options{Quick: true}).runSerial(newWorld()).(*Fig5Result)
 	if len(res.Rows) != 6 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}

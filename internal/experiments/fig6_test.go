@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestFig6Shape(t *testing.T) {
-	res := Fig6(Options{Quick: true})
+	res := Fig6Plan(Options{Quick: true}).runSerial(newWorld()).(*Fig6Result)
 	var vmemLow, vmemHigh, sqMin, sqMax float64
 	for _, p := range res.Points {
 		switch p.Method {
@@ -41,7 +41,7 @@ func TestFig6SqueezyAbsolute(t *testing.T) {
 	}
 	// Full-size anchor: Squeezy reclaims 2 GiB in ~125 ms regardless of
 	// utilization (§6.1.1).
-	res := Fig6(Options{})
+	res := Fig6Plan(Options{}).runSerial(newWorld()).(*Fig6Result)
 	for _, p := range res.Points {
 		if p.Method != "squeezy" {
 			continue

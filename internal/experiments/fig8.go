@@ -24,17 +24,13 @@ type Fig8Result struct {
 	Rows []Fig8Row
 }
 
-// Fig8 reproduces §6.2.1 / Figure 8: each Table 1 function runs in its
-// own dynamically resized N:1 VM, driven by a bursty Azure-shaped
+// Fig8Plan reproduces §6.2.1 / Figure 8: each Table 1 function runs in
+// its own dynamically resized N:1 VM, driven by a bursty Azure-shaped
 // trace with abundant host memory. When bursts die down, keep-alive
 // evictions trigger unplugs; the figure reports the memory reclamation
 // throughput achieved per function, for vanilla virtio-mem vs Squeezy.
-func Fig8(opts Options) *Fig8Result {
-	return Fig8Plan(opts).runSerial(newWorld()).(*Fig8Result)
-}
-
-// Fig8Plan is the figure as a cell plan: one cell per backend ×
-// function combination.
+//
+// The plan has one cell per backend × function combination.
 func Fig8Plan(opts Options) *Plan {
 	duration := 8 * sim.Minute
 	keepAlive := 45 * sim.Second

@@ -80,17 +80,14 @@ type Fig9Result struct {
 	Series []Fig9Series
 }
 
-// Fig9 reproduces §6.2.1 / Figure 9: CNN and HTML instances co-located
-// in one N:1 VM whose reclaim threads share the vCPUs with the
-// instances. HTML load stops early; when its keep-alive expires the
+// Fig9Plan reproduces §6.2.1 / Figure 9: CNN and HTML instances
+// co-located in one N:1 VM whose reclaim threads share the vCPUs with
+// the instances. HTML load stops early; when its keep-alive expires the
 // runtime scales the HTML instances down while CNN keeps serving.
 // Vanilla virtio-mem's migrations steal CNN's CPU and more than double
 // its latency; Squeezy's unplug is invisible.
-func Fig9(opts Options) *Fig9Result {
-	return Fig9Plan(opts).runSerial(newWorld()).(*Fig9Result)
-}
-
-// Fig9Plan is the figure as a cell plan: one cell per backend.
+//
+// The plan has one cell per backend.
 func Fig9Plan(opts Options) *Plan {
 	duration := 280 * sim.Second
 	htmlStop := 150 * sim.Second

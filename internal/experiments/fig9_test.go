@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestFig9Shape(t *testing.T) {
-	res := Fig9(Options{})
+	res := Fig9Plan(Options{}).runSerial(newWorld()).(*Fig9Result)
 	byM := map[string]Fig9Series{}
 	for _, s := range res.Series {
 		byM[s.Method] = s
@@ -29,7 +29,7 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	res := Fig11(Options{})
+	res := Fig11Plan(Options{}).runSerial(newWorld()).(*Fig11Result)
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}

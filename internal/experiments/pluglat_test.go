@@ -2,8 +2,8 @@ package experiments
 
 import "testing"
 
-func TestPlugLatency(t *testing.T) {
-	res := PlugLatency(Options{})
+func TestPlugLatencyShape(t *testing.T) {
+	res := PlugLatencyPlan(Options{}).runSerial(newWorld()).(*PlugLatencyResult)
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}

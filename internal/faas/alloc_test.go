@@ -32,10 +32,10 @@ func TestWarmInvocationAllocatesNothing(t *testing.T) {
 			}
 			invoke := func() {
 				fv.Submit(fn, onDone)
-				r.Sched.RunFor(sim.Second)
+				r.Sched.RunUntil(r.Sched.Now().Add(sim.Second))
 			}
 			fv.Submit(fn, onDone) // the cold start
-			r.Sched.RunFor(10 * sim.Second)
+			r.Sched.RunUntil(r.Sched.Now().Add(10 * sim.Second))
 			// Warm up past the keep-alive window, so cancelled timers
 			// start retiring and every buffer reaches its steady size.
 			for i := 0; i < 30; i++ {
@@ -68,7 +68,7 @@ func TestTicketStaleAfterRecycle(t *testing.T) {
 	}
 	// Two finished requests leave two records on the free list.
 	old := []Ticket{fv.Submit(fn, record), fv.Submit(fn, record)}
-	r.Sched.RunFor(30 * sim.Second)
+	r.Sched.RunUntil(r.Sched.Now().Add(30 * sim.Second))
 	// The first new request occupies the only instance; the second
 	// waits in the queue, cancellable, in a recycled record.
 	fv.Submit(fn, record)
@@ -81,7 +81,7 @@ func TestTicketStaleAfterRecycle(t *testing.T) {
 			t.Fatal("stale ticket cancelled the request reusing its record")
 		}
 	}
-	r.Sched.RunFor(30 * sim.Second)
+	r.Sched.RunUntil(r.Sched.Now().Add(30 * sim.Second))
 	if fv.CancelledReqs != 0 || completed != 4 {
 		t.Fatalf("cancelled %d, completed %d of 4 requests", fv.CancelledReqs, completed)
 	}

@@ -385,7 +385,7 @@ func TestSharedRecyclerAcrossRuntimes(t *testing.T) {
 		t.Fatal("a repeated Release retired the VM runtime b now owns")
 	}
 	fv.Submit(workload.ByName("HTML"), func(Result) {})
-	b.Sched.RunFor(10 * sim.Second)
+	b.Sched.RunUntil(b.Sched.Now().Add(10 * sim.Second))
 	if fv.ColdStarts != 1 || len(fv.Completions) != 1 {
 		t.Fatalf("cold starts %d, completions %d on the recycled VM", fv.ColdStarts, len(fv.Completions))
 	}

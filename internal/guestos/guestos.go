@@ -42,7 +42,7 @@ type Chunk struct {
 func (c *Chunk) Pages() int64 { return 1 << c.Order }
 
 // ChunkID is a handle to one chunk of a kernel's slab, valid until the
-// chunk is freed (Exit, FreeAnon, DropFile) or the kernel is released.
+// chunk is freed (Exit, FreeAnon) or the kernel is released.
 // Using a stale handle panics rather than touching whatever chunk
 // reuses the slab entry.
 type ChunkID struct {
@@ -705,20 +705,6 @@ func (k *Kernel) fileMajorWork(pages, fresh int64) sim.Duration {
 		w += k.VM.PopulatePages(fresh)
 	}
 	return w
-}
-
-// DropFile evicts a file's pages from the page cache (used by tests and
-// partition teardown). The file must have no mappers.
-func (k *Kernel) DropFile(f *CachedFile) {
-	if f.mapCount != 0 {
-		panic(fmt.Sprintf("guestos: dropping mapped file %q (mapcount %d)", f.Name, f.mapCount))
-	}
-	for _, c := range f.chunks {
-		k.dropChunk(c)
-	}
-	f.chunks = nil
-	f.residentPages = 0
-	delete(k.files, f.Name)
 }
 
 // --- population (EPT) tracking ---

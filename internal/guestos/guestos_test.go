@@ -414,31 +414,6 @@ func TestOrderFallbackUnderFragmentation(t *testing.T) {
 	}
 }
 
-func TestDropFile(t *testing.T) {
-	k := newTestKernel(t, 2)
-	f := k.File("tmp", units.MiB)
-	p := k.Spawn("f1")
-	k.TouchFile(p, f, units.MiB)
-	k.Exit(p)
-	k.DropFile(f)
-	if k.Movable.NrAllocated() != 0 {
-		t.Fatal("DropFile left pages allocated")
-	}
-}
-
-func TestDropMappedFilePanics(t *testing.T) {
-	k := newTestKernel(t, 2)
-	f := k.File("tmp", units.MiB)
-	p := k.Spawn("f1")
-	k.TouchFile(p, f, units.MiB)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	k.DropFile(f)
-}
-
 // The bulk bitset range operations must agree bit-for-bit with a
 // straightforward per-bit reference across random, word-straddling
 // ranges — these back markPopulated / PopulatedInRange / ReleaseRange.
@@ -541,7 +516,7 @@ func TestMarkPopulatedBulkCounting(t *testing.T) {
 // a released (and differently shaped) kernel must place every chunk at
 // the same PFN as a kernel built from fresh storage. It also guards the
 // chunk slab's generations: a ChunkID outliving its chunk — freed by
-// Exit, FreeAnon or DropFile, or orphaned by Release while its slab
+// Exit or FreeAnon, or orphaned by Release while its slab
 // entry backs the next kernel — must panic, never resolve to whatever
 // chunk reuses the entry.
 func TestRecycledKernelReplaysIdentically(t *testing.T) {
@@ -640,8 +615,8 @@ func TestRecycledKernelReplaysIdentically(t *testing.T) {
 }
 
 // checkStaleAfterFree frees chunks through each owner path — FreeAnon,
-// Exit, DropFile — and requires every handle to a freed chunk to go
-// stale, even once a new chunk has reused its slab entry.
+// Exit — and requires every handle to a freed chunk to go stale, even
+// once a new chunk has reused its slab entry.
 func checkStaleAfterFree(t *testing.T, k *Kernel) {
 	t.Helper()
 	ids := func(idx []int32) []ChunkID {
@@ -661,19 +636,12 @@ func checkStaleAfterFree(t *testing.T, k *Kernel) {
 	for _, id := range held {
 		expectStale(t, "after Exit", func() { k.chunk(id) })
 	}
-
-	f := k.File("victim-lib", 0)
-	q := k.Spawn("mapper")
-	k.TouchFile(q, f, 4*units.MiB)
-	cached := ids(f.chunks)
-	k.Exit(q)
-	k.DropFile(f)
 	// Reuse the freed entries: the new chunks must not answer to the
 	// old handles.
 	r := k.Spawn("reuser")
 	k.TouchAnon(r, 16*units.MiB, HugeOrder)
-	for _, id := range append(cached, held...) {
-		expectStale(t, "after DropFile/Exit and reuse", func() { k.ReleaseChunkFrames(id) })
+	for _, id := range held {
+		expectStale(t, "after Exit and reuse", func() { k.ReleaseChunkFrames(id) })
 	}
 	k.Exit(r)
 	if err := k.CheckInvariants(); err != nil {

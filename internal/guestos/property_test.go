@@ -216,9 +216,9 @@ func liveChunks(k *Kernel) []ChunkID {
 }
 
 // TestChunksInRangeMatchesBruteForce drives random anonymous and file
-// touches, frees, migrations, exits and file drops, and after every
-// step compares ChunksInRange over random (block-unaligned) ranges with
-// a brute-force filter of all live chunks.
+// touches, frees, migrations and exits, and after every step compares
+// ChunksInRange over random (block-unaligned) ranges with a
+// brute-force filter of all live chunks.
 func TestChunksInRangeMatchesBruteForce(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 0x5107))
@@ -228,7 +228,7 @@ func TestChunksInRangeMatchesBruteForce(t *testing.T) {
 		files := []string{"lib0", "lib1", "lib2"}
 		var procs []*Process
 		for step := 0; step < 200; step++ {
-			switch op := rng.IntN(12); {
+			switch op := rng.IntN(11); {
 			case op < 2 || len(procs) == 0:
 				procs = append(procs, k.Spawn("p"))
 			case op < 5:
@@ -255,14 +255,10 @@ func TestChunksInRangeMatchesBruteForce(t *testing.T) {
 				if _, _, ok := k.MigrateChunk(id); ok {
 					k.zones[old.zone].FreePage(old.PFN, int(old.Order))
 				}
-			case op < 11:
+			default:
 				i := rng.IntN(len(procs))
 				k.Exit(procs[i])
 				procs = slices.Delete(procs, i, i+1)
-			default:
-				if f, cached := k.files[files[rng.IntN(len(files))]]; cached && f.MapCount() == 0 {
-					k.DropFile(f)
-				}
 			}
 			live := liveChunks(k)
 			for q := 0; q < 3; q++ {

@@ -304,9 +304,6 @@ func (s *Scheduler) RunUntil(t Time) {
 	}
 }
 
-// RunFor runs the simulation for d nanoseconds of virtual time.
-func (s *Scheduler) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
-
 // Jump advances the clock to exactly t without firing anything. It is
 // the host-join primitive of the fleet dynamics layer: a freshly built
 // scheduler starts at time zero, and a host joining a fleet mid-run

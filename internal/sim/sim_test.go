@@ -96,21 +96,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestRunFor(t *testing.T) {
-	s := NewScheduler()
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		s.After(10, tick)
-	}
-	s.After(10, tick)
-	s.RunFor(105)
-	if n != 10 {
-		t.Fatalf("ticks = %d, want 10", n)
-	}
-}
-
 func TestSchedulingInPastPanics(t *testing.T) {
 	s := NewScheduler()
 	s.At(50, func() {})
